@@ -24,9 +24,13 @@
    fault/overload/tenancy sections (the repo's perf trajectory; see
    tools/bench_gate.py for the regression gate).
    --check enables the Check.Invariant registry for every workload run;
-   the sweep section (invariants + schedule perturbation across seeds,
-   tie-break salts and randomized hashing) enables it regardless and is
-   excluded from `all`.
+   the sweep section (invariants + acceptance checks under schedule
+   perturbation across seeds, tie-break salts and randomized hashing,
+   then the armed-sabotage runs) enables it regardless and is excluded
+   from `all`.
+
+   Exit status is the verdict: 1 when any typed acceptance check of the
+   selected workload sections or the sweep fails.
 
    Absolute numbers come from a calibrated cost model (lib/sim/costs.ml);
    the claim checked here is the paper's shape: who wins, by what factor,
@@ -352,43 +356,36 @@ let micro () =
     (fun t -> benchmark (Test.make_grouped ~name:"g" [ t ]))
     [ heap_test; spsc_test; hist_test; timely_test ]
 
-(* -- Latency attribution + perf trajectory -------------------------------- *)
+(* -- Workload sections + perf trajectory ---------------------------------- *)
 
-(* The fault/overload/tenancy sections double as the repo's perf
-   trajectory: each runs with op latency attribution on, prints a
-   per-stage breakdown, and contributes one normalized row to the
-   --bench-out document (committed as BENCH_8.json at the repo root,
-   gated by tools/bench_gate.py in CI).  Only modeled, deterministic
-   quantities are recorded — plus minor-GC words per op, the one
-   compiler-dependent number, which the gate holds to a loose
-   tolerance. *)
+(* The fault/overload/tenancy workloads are one table, Workloads.Spec.all.
+   Each section runs its spec at full size with op latency attribution
+   on, prints the report, a per-stage breakdown and the typed acceptance
+   checks, re-runs the same seed to check determinism, and contributes
+   one normalized row to the --bench-out document (committed as
+   BENCH_8.json at the repo root, gated by tools/bench_gate.py in CI).
+   Rows hold modeled, deterministic quantities plus minor-GC words per
+   op, the one compiler-dependent number, which the gate holds to a
+   loose tolerance.  Any failed check makes the process exit 1. *)
 
-type bench8_row = {
-  b_section : string;
-  b_ops : int;
-  b_goodput_gbps : float;  (* 0 when the section has no goodput notion *)
-  b_p50_ns : int;
-  b_p99_ns : int;
-  b_cpu_ns_per_op : float;  (* modeled engine batch cost per op *)
-  b_gc_words_per_op : float;  (* minor-heap words allocated per op *)
-}
+module Spec = Workloads.Spec
 
-let bench8_rows : bench8_row list ref = ref []
+let bench8_rows : (string * Spec.row) list ref = ref []
 let slow_wanted = ref false
 let slow_sections : (string * string) list ref = ref []
 
-(* Modeled CPU burned inside engine batches, summed over every engine
-   registered so far; sections measure the delta across their own
-   runs. *)
-let engine_batch_cost_sum () =
-  List.fold_left
-    (fun acc m ->
-      match m.Stats.Registry.m_kind with
-      | Stats.Registry.Histogram h
-        when String.equal m.Stats.Registry.m_name "engine_batch_cost_ns" ->
-          acc + Stats.Histogram.sum h
-      | _ -> acc)
-    0 (Stats.Registry.snapshot ())
+(* Every check any section evaluated, prefixed with its section; the
+   process verdict. *)
+let checks : Spec.check list ref = ref []
+
+let record sec cs =
+  List.iter
+    (fun (c : Spec.check) ->
+      Printf.printf "  %s %-36s %s\n" (if c.ok then "ok  " else "FAIL") c.name
+        c.detail;
+      checks := { c with name = sec ^ ": " ^ c.name } :: !checks)
+    cs;
+  flush stdout
 
 let stage_hist i =
   let name = Sim.Optrace.stage_name (Sim.Optrace.stage_of_index i) in
@@ -396,13 +393,6 @@ let stage_hist i =
   | Some { Stats.Registry.m_kind = Stats.Registry.Histogram h; _ } ->
       Some (name, h)
   | _ -> None
-
-let clear_stage_hists () =
-  for i = 0 to Sim.Optrace.n_stages - 1 do
-    match stage_hist i with
-    | Some (_, h) -> Stats.Histogram.clear h
-    | None -> ()
-  done
 
 let print_stage_breakdown () =
   Printf.printf "stage breakdown (ns per stage, interpolated quantiles):\n";
@@ -422,604 +412,98 @@ let print_stage_breakdown () =
     (List.length (Sim.Optrace.completed ()))
     (Sim.Optrace.in_flight ()) (Sim.Optrace.dropped ())
 
-let bench8_begin () =
-  if Sim.Optrace.enabled () then Sim.Optrace.clear ()
-  else Sim.Optrace.set_capture (Some 8192);
-  clear_stage_hists ();
-  (engine_batch_cost_sum (), Gc.minor_words ())
-
-let bench8_end ?cpu_ns_per_op ?gc_words_per_op ~sec ~ops ~goodput_gbps
-    ~latencies (cost0, gc0) =
-  (* Measure before printing: the report itself allocates.  Sections
-     that measure a steady-state window in-workload (churn) pass their
-     own per-op figures; the default is the whole-section delta. *)
-  let cost1 = engine_batch_cost_sum () and gc1 = Gc.minor_words () in
-  let per x = x /. float_of_int (max 1 ops) in
+(* The spec restarts op attribution with its measured run, so the
+   breakdown, the slow-op exemplars and the attributed-op count are
+   taken before the report (which may run a comparison baseline). *)
+let workload (spec : Spec.t) () =
+  section spec.title;
+  if not (Sim.Optrace.enabled ()) then Sim.Optrace.set_capture (Some 8192);
+  let o = spec.full ~seed:spec.seed ~tie_salt:0 in
   print_stage_breakdown ();
-  bench8_rows :=
-    {
-      b_section = sec;
-      b_ops = ops;
-      b_goodput_gbps = goodput_gbps;
-      b_p50_ns = Stats.Histogram.percentile latencies 50.;
-      b_p99_ns = Stats.Histogram.percentile latencies 99.;
-      b_cpu_ns_per_op =
-        (match cpu_ns_per_op with
-        | Some v -> v
-        | None -> per (float_of_int (cost1 - cost0)));
-      b_gc_words_per_op =
-        (match gc_words_per_op with
-        | Some v -> v
-        | None -> per (gc1 -. gc0));
-    }
-    :: !bench8_rows;
+  let attributed =
+    match stage_hist (Sim.Optrace.stage_index Sim.Optrace.Completed) with
+    | Some (_, h) -> Stats.Histogram.count h
+    | None -> 0
+  in
   if !slow_wanted then
     slow_sections :=
-      (sec, String.trim (Sim.Optrace.slow_ops_json ~k:32 ())) :: !slow_sections
+      (spec.name, String.trim (Sim.Optrace.slow_ops_json ~k:32 ()))
+      :: !slow_sections;
+  List.iter print_endline (o.report ());
+  bench8_rows := (spec.name, o.row) :: !bench8_rows;
+  let again = spec.full ~seed:spec.seed ~tie_salt:0 in
+  record spec.name
+    (o.checks
+    @ [
+        { Spec.name = "ops attributed"; ok = attributed > 0;
+          detail = string_of_int attributed };
+        { Spec.name = "deterministic across runs";
+          ok = String.equal o.fingerprint again.fingerprint;
+          detail = Digest.to_hex (Digest.string o.fingerprint) };
+      ])
 
 let bench8_json () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"bench\":\"BENCH_8\",\"sections\":[";
   List.iteri
-    (fun i r ->
+    (fun i (sec, (r : Spec.row)) ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf
         "{\"section\":\"%s\",\"ops\":%d,\"goodput_gbps\":%.3f,\"p50_ns\":%d,\
          \"p99_ns\":%d,\"cpu_ns_per_op\":%.1f,\"gc_minor_words_per_op\":%.1f}"
-        r.b_section r.b_ops r.b_goodput_gbps r.b_p50_ns r.b_p99_ns
-        r.b_cpu_ns_per_op r.b_gc_words_per_op)
+        sec r.ops r.goodput_gbps
+        (Stats.Histogram.percentile r.latencies 50.)
+        (Stats.Histogram.percentile r.latencies 99.)
+        r.cpu_ns_per_op r.gc_words_per_op)
     (List.rev !bench8_rows);
   Buffer.add_string buf "]}\n";
   Buffer.contents buf
 
-(* -- Availability under faults ------------------------------------------- *)
-
-let chaos () =
-  section "Availability under faults (Workloads.Chaos)";
-  let cfg = Workloads.Chaos.default_config in
-  let baseline = Workloads.Chaos.run { cfg with plan = Fault.Plan.empty } in
-  let b8 = bench8_begin () in
-  let r = Workloads.Chaos.run cfg in
-  let pct h p = T.to_float_us (Stats.Histogram.percentile h p) in
-  Printf.printf "ops: %d/%d completed, %d lost\n" r.Workloads.Chaos.ops_completed
-    r.Workloads.Chaos.ops_expected r.Workloads.Chaos.lost_ops;
-  Printf.printf "%-10s %10s %10s %10s %10s %12s\n" "" "p50(us)" "p99(us)"
-    "p999(us)" "max(us)" "goodput";
-  let row name (res : Workloads.Chaos.result) =
-    Printf.printf "%-10s %10.1f %10.1f %10.1f %10.1f %9.2f Gbps\n" name
-      (pct res.Workloads.Chaos.latencies 50.0)
-      (pct res.Workloads.Chaos.latencies 99.0)
-      (pct res.Workloads.Chaos.latencies 99.9)
-      (T.to_float_us (Stats.Histogram.max_value res.Workloads.Chaos.latencies))
-      res.Workloads.Chaos.goodput_gbps
-  in
-  row "baseline" baseline;
-  row "faulted" r;
-  Printf.printf "goodput degradation: %.1f%%\n"
-    (Workloads.Chaos.goodput_degradation_pct ~baseline ~faulted:r);
-  Printf.printf "recovery: %d retransmits, %d corrupt drops caught, %d rx stalls\n"
-    r.Workloads.Chaos.retransmits r.Workloads.Chaos.corrupt_dropped
-    r.Workloads.Chaos.rx_stalled;
-  Printf.printf "injected: %s\n"
-    (String.concat ", "
-       (List.filter_map
-          (fun (name, v) ->
-            if v = 0 then None else Some (Printf.sprintf "%s=%d" name v))
-          r.Workloads.Chaos.fault_counters));
-  Printf.printf "fabric egress ports:\n";
-  Printf.printf "  %-6s %10s %16s\n" "port" "drops" "max-queue(B)";
-  List.iter
-    (fun (addr, drops, depth) ->
-      Printf.printf "  %-6d %10d %16d\n" addr drops depth)
-    r.Workloads.Chaos.port_report;
-  bench8_end ~sec:"chaos" ~ops:r.Workloads.Chaos.ops_completed
-    ~goodput_gbps:r.Workloads.Chaos.goodput_gbps
-    ~latencies:r.Workloads.Chaos.latencies b8;
-  flush stdout
-
-(* -- Availability under upgrade ------------------------------------------ *)
-
-let chaos_upgrade () =
-  section "Availability under upgrade (Workloads.Chaos_upgrade)";
-  let module CU = Workloads.Chaos_upgrade in
-  let b8 = bench8_begin () in
-  let r = CU.run CU.default_config in
-  let pct h p = T.to_float_us (Stats.Histogram.percentile h p) in
-  Printf.printf "ops: %d/%d completed, %d lost\n" r.CU.ops_completed
-    r.CU.ops_expected r.CU.lost_ops;
-  Printf.printf "latency: p50 %.1fus p99 %.1fus p999 %.1fus max %.1fus\n"
-    (pct r.CU.latencies 50.0) (pct r.CU.latencies 99.0)
-    (pct r.CU.latencies 99.9)
-    (T.to_float_us (Stats.Histogram.max_value r.CU.latencies));
-  Printf.printf
-    "upgrade: %d committed, %d rollbacks, %d give-ups, max blackout %.1fms\n"
-    r.CU.committed r.CU.rollbacks r.CU.give_ups
-    (T.to_float_ms r.CU.max_blackout);
-  List.iter
-    (fun (addr, rs) ->
-      List.iter
-        (fun (u : Upgrade.report) ->
-          Printf.printf
-            "  host %d %s: %s after %d attempt(s), brownout %.1fms blackout %.1fms\n"
-            addr u.Upgrade.engine_name
-            (match u.Upgrade.outcome with
-            | Upgrade.Committed -> "committed"
-            | Upgrade.Gave_up why -> "gave up (" ^ why ^ ")")
-            u.Upgrade.attempts
-            (T.to_float_ms u.Upgrade.brownout)
-            (T.to_float_ms u.Upgrade.blackout))
-        rs)
-    r.CU.reports;
-  Printf.printf "watchdog: %s\n"
-    (String.concat ", "
-       (List.map
-          (fun (name, v) -> Printf.sprintf "%s=%d" name v)
-          r.CU.watchdog_counters));
-  Printf.printf "flow resyncs: %d\n" r.CU.flow_resyncs;
-  Printf.printf "injected: %s\n"
-    (String.concat ", "
-       (List.filter_map
-          (fun (name, v) ->
-            if v = 0 then None else Some (Printf.sprintf "%s=%d" name v))
-          r.CU.fault_counters));
-  Printf.printf "groups consistent: %b\n" r.CU.groups_consistent;
-  (* Echo workload: each completed op moves op_bytes out and the echo
-     back, over the virtual time of the last completion. *)
-  let goodput =
-    if r.CU.completion_time = 0 then 0.0
-    else
-      float_of_int
-        (r.CU.ops_completed * CU.default_config.CU.op_bytes * 2 * 8)
-      /. float_of_int r.CU.completion_time
-  in
-  Printf.printf "goodput: %.2f Gbps\n" goodput;
-  bench8_end ~sec:"chaos_upgrade" ~ops:r.CU.ops_completed ~goodput_gbps:goodput
-    ~latencies:r.CU.latencies b8;
-  let r2 = CU.run CU.default_config in
-  Printf.printf "deterministic across runs: %b\n"
-    (String.equal (CU.fingerprint r) (CU.fingerprint r2));
-  flush stdout
-
-(* -- Overload protection ------------------------------------------------- *)
-
-let overload () =
-  section "Overload protection (Workloads.Overload)";
-  let module O = Workloads.Overload in
-  let b8 = bench8_begin () in
-  let r = O.run O.default_config in
-  let u = O.run { O.default_config with O.aggressors = 0 } in
-  Printf.printf
-    "aggressors: %d offered -> %d ok, %d rejected, %d timed out, %d busy\n"
-    r.O.offered r.O.agg_ok r.O.agg_rejected r.O.agg_timed_out r.O.agg_busy;
-  Printf.printf
-    "protection: %d quota-rejected, %d shed at dequeue, %d expired, %d busy \
-     NACKs, %d rx pool drops\n"
-    r.O.quota_rejected r.O.ops_shed r.O.ops_expired r.O.busy_nacks
-    r.O.rx_pool_drops;
-  Printf.printf "back-pressure: %d zero-window probes, %d pressure transitions\n"
-    r.O.zero_window_probes r.O.pressure_transitions;
-  let pct h p = T.to_float_us (Stats.Histogram.percentile h p) in
-  Printf.printf
-    "victim: %d/%d ok, goodput %.2f Gbps (uncontended %.2f, %.0f%% kept), p99 \
-     %.1fus (uncontended %.1fus)\n"
-    r.O.victim_ok O.default_config.O.victim_ops r.O.victim_goodput_gbps
-    u.O.victim_goodput_gbps
-    (100.0 *. r.O.victim_goodput_gbps /. u.O.victim_goodput_gbps)
-    (pct r.O.victim_latencies 99.0)
-    (pct u.O.victim_latencies 99.0);
-  Printf.printf "hygiene: %d pool bytes leaked, %d Exhausted escapes\n"
-    r.O.pool_leak_bytes r.O.exhausted_escapes;
-  bench8_end ~sec:"overload" ~ops:r.O.victim_ok
-    ~goodput_gbps:r.O.victim_goodput_gbps ~latencies:r.O.victim_latencies b8;
-  let r2 = O.run O.default_config in
-  Printf.printf "deterministic across runs: %b\n"
-    (String.equal (O.fingerprint r) (O.fingerprint r2));
-  flush stdout
-
-(* -- Partition / peer failure --------------------------------------------- *)
-
-let partition () =
-  section "Peer failure and reconnect (Workloads.Partition)";
-  let module P = Workloads.Partition in
-  let b8 = bench8_begin () in
-  let r = P.run P.default_config in
-  Printf.printf
-    "ops: %d attempted -> %d resolved (%d echo ok, %d echo timeouts, %d \
-     peer-dead, %d retry-exhausted, %d other)\n"
-    r.P.ops_attempted r.P.ops_resolved r.P.echo_ok r.P.echo_timeouts
-    r.P.peer_dead_failures r.P.retry_exhausted r.P.other_failures;
-  Printf.printf "no op hangs: %b (victims finished: %d/2)\n"
-    (r.P.ops_resolved = r.P.ops_attempted && r.P.victims_finished = 2)
-    r.P.victims_finished;
-  Printf.printf
-    "lifecycle: %d conns established, %d closed, %d resets sent, %d conn \
-     deaths, %d peer-dead ops\n"
-    r.P.conns_established r.P.conns_closed r.P.conn_resets r.P.peer_deaths
-    r.P.peer_dead_ops;
-  Printf.printf
-    "recovery: %d reconnects, %d server registrations, server incarnation \
-     %d, %d peer restarts detected, %d stale drops, %d keepalive probes\n"
-    r.P.reconnects r.P.server_registrations r.P.server_incarnation
-    r.P.peer_restarts r.P.stale_drops r.P.keepalive_probes;
-  Printf.printf
-    "detection: slowest failed op resolved in %.1fus (bound %.1fus); \
-     longest victim outage %.1fms (bound %.1fms) -> within bounds: %b\n"
-    (T.to_float_us r.P.max_failed_resolution)
-    (T.to_float_us r.P.resolution_bound)
-    (T.to_float_ms r.P.max_outage)
-    (T.to_float_ms r.P.outage_bound)
-    r.P.detection_ok;
-  let pct h p = T.to_float_us (Stats.Histogram.percentile h p) in
-  Printf.printf "clean-path latency: p50 %.1fus p99 %.1fus\n"
-    (pct r.P.latencies 50.0) (pct r.P.latencies 99.0);
-  Printf.printf "injected: %s\n"
-    (String.concat ", "
-       (List.filter_map
-          (fun (name, v) ->
-            if v = 0 then None else Some (Printf.sprintf "%s=%d" name v))
-          r.P.fault_counters));
-  Printf.printf "hygiene: %d pool bytes leaked\n" r.P.pool_leak_bytes;
-  (* Echoes move the op's bytes out and back; failed episodes move
-     nothing that completes. *)
-  let goodput =
-    if r.P.last_echo_done = 0 then 0.0
-    else
-      float_of_int (r.P.echo_ok * P.default_config.P.bytes * 2 * 8)
-      /. float_of_int r.P.last_echo_done
-  in
-  Printf.printf "goodput: %.2f Gbps\n" goodput;
-  bench8_end ~sec:"partition" ~ops:r.P.ops_resolved ~goodput_gbps:goodput
-    ~latencies:r.P.latencies b8;
-  let r2 = P.run P.default_config in
-  Printf.printf "deterministic across runs: %b\n"
-    (String.equal (P.fingerprint r) (P.fingerprint r2));
-  flush stdout
-
-(* -- Multi-tenant guest networking ---------------------------------------- *)
-
-let tenants () =
-  section "Multi-tenant guest networking (Workloads.Tenants)";
-  let module G = Workloads.Tenants in
-  let b8 = bench8_begin () in
-  let r = G.run G.default_config in
-  (* Uncontended baseline: same tenant population, aggressors silent. *)
-  let u = G.run { G.default_config with G.aggressor_ops = 0 } in
-  Printf.printf "tenants: %d (%d victims, %d aggressors) on one host\n"
-    r.G.n_tenants r.G.n_victims r.G.n_aggressors;
-  let pct h p = T.to_float_us (Stats.Histogram.percentile h p) in
-  Printf.printf
-    "victim: %d ok, %d failed, %d retries; goodput %.2f Gbps (uncontended \
-     %.2f, %.0f%% kept), p99 %.1fus (uncontended %.1fus)\n"
-    r.G.victim_ok r.G.victim_failed r.G.victim_retries r.G.victim_goodput_gbps
-    u.G.victim_goodput_gbps
-    (if u.G.victim_goodput_gbps > 0.0 then
-       100.0 *. r.G.victim_goodput_gbps /. u.G.victim_goodput_gbps
-     else 0.0)
-    (pct r.G.victim_latencies 99.0)
-    (pct u.G.victim_latencies 99.0);
-  Printf.printf
-    "aggressors: %d completed, %d rejected by tenant quota, %d failed, %d \
-     cancelled\n"
-    r.G.agg_completed r.G.agg_rejected r.G.agg_failed r.G.agg_cancelled;
-  Printf.printf "rings: %d rx delivered, %d rx drops, %d posts bounced\n"
-    r.G.rx_delivered r.G.rx_drops r.G.tx_post_failures;
-  Printf.printf
-    "lifecycle: %d/%d detached (%d forced), %d bytes bulk-reclaimed\n"
-    r.G.detached r.G.n_tenants r.G.force_detached r.G.reclaimed_bytes;
-  Printf.printf
-    "upgrade: %d committed, %d rollbacks, max blackout %.1fus, %d mux resyncs\n"
-    r.G.upgrade_committed r.G.upgrade_rollbacks
-    (T.to_float_us r.G.max_blackout)
-    r.G.mux_resyncs;
-  (* The blackout floor is 2x nic_filter_update (8 ms of NIC filter
-     reprogramming) regardless of state size; "bounded" means the
-     serialize term stays small and nothing is lost across it. *)
-  Printf.printf "blackout bounded: %b\n" (r.G.max_blackout < T.ms 15);
-  Printf.printf "all tenants detached: %b\n" (r.G.detached = r.G.n_tenants);
-  Printf.printf "hygiene: %d pool bytes leaked\n" r.G.pool_leak_bytes;
-  bench8_end ~sec:"tenants" ~ops:r.G.victim_ok
-    ~goodput_gbps:r.G.victim_goodput_gbps ~latencies:r.G.victim_latencies b8;
-  let r2 = G.run G.default_config in
-  Printf.printf "deterministic across runs: %b\n"
-    (String.equal (G.fingerprint r) (G.fingerprint r2));
-  flush stdout
-
-(* -- Connection-scaling churn ---------------------------------------------- *)
-
-let churn () =
-  section "Million-connection churn (Workloads.Churn)";
-  let module C = Workloads.Churn in
-  let b8 = bench8_begin () in
-  let r = C.run C.default_config in
-  Printf.printf "mesh: %d drivers x %d sinks = %d conns; live at steady: %d\n"
-    r.C.n_drivers r.C.n_drivers r.C.conns_target r.C.live_at_steady;
-  Printf.printf
-    "ops: %d ok, %d failed, %d strays; storms: %d closes, %d reconnects, \
-     %d/%d burst ops ok\n"
-    r.C.ops_ok r.C.ops_failed r.C.stray_completions r.C.closes r.C.reconnects
-    r.C.burst_ok (r.C.burst_ok + r.C.burst_failed);
-  Printf.printf
-    "steady window (%d ops): %.1f minor-GC words/op, %.1f engine ns/op\n"
-    r.C.steady_ops r.C.steady_gc_words_per_op r.C.steady_cpu_ns_per_op;
-  let pct h p = T.to_float_us (Stats.Histogram.percentile h p) in
-  Printf.printf "latency: p50 %.1fus p99 %.1fus; goodput %.2f Gbps\n"
-    (pct r.C.latencies 50.0) (pct r.C.latencies 99.0) (C.goodput_gbps r);
-  Printf.printf
-    "lifecycle: %d halves established, %d closed, %d resets, %d deaths\n"
-    r.C.conns_established r.C.conns_closed r.C.conn_resets r.C.peer_deaths;
-  Printf.printf "all conns live at steady: %b\n"
-    (r.C.live_at_steady = r.C.conns_target && r.C.ramp_failures = 0);
-  Printf.printf "no failed ops: %b\n"
-    (r.C.ops_failed = 0 && r.C.burst_failed = 0);
-  Printf.printf "hygiene: %d pool bytes leaked\n" r.C.pool_leak_bytes;
-  bench8_end ~sec:"churn"
-    ~ops:(r.C.ops_ok + r.C.burst_ok)
-    ~goodput_gbps:(C.goodput_gbps r) ~latencies:r.C.latencies
-    ~cpu_ns_per_op:r.C.steady_cpu_ns_per_op
-    ~gc_words_per_op:r.C.steady_gc_words_per_op b8;
-  let r2 = C.run C.default_config in
-  Printf.printf "deterministic across runs: %b\n"
-    (String.equal (C.fingerprint r) (C.fingerprint r2));
-  flush stdout
-
-(* -- Hostile-guest hardening ----------------------------------------------- *)
-
-let hostile () =
-  section "Hostile-guest hardening (Workloads.Hostile)";
-  let module H = Workloads.Hostile in
-  let b8 = bench8_begin () in
-  (* Clean same-seed baseline first: identical cohorts and schedule,
-     empty fault plan. *)
-  let clean = H.run { H.default_config with H.byzantine = false } in
-  let r = H.run H.default_config in
-  Printf.printf "tenants: %d (%d victims, %d byzantine attackers)\n"
-    r.H.n_tenants r.H.n_victims r.H.n_attackers;
-  let pct h p = T.to_float_us (Stats.Histogram.percentile h p) in
-  let kept =
-    if clean.H.victim_goodput_gbps > 0.0 then
-      100.0 *. r.H.victim_goodput_gbps /. clean.H.victim_goodput_gbps
-    else 0.0
-  in
-  Printf.printf
-    "victim: %d ok, %d failed, %d retries; goodput %.2f Gbps (clean %.2f), \
-     p99 %.1fus (clean %.1fus)\n"
-    r.H.victim_ok r.H.victim_failed r.H.victim_retries r.H.victim_goodput_gbps
-    clean.H.victim_goodput_gbps
-    (pct r.H.victim_latencies 99.0)
-    (pct clean.H.victim_latencies 99.0);
-  Printf.printf "attacks: %d byzantine windows launched; violations: %s\n"
-    r.H.guest_attacks
-    (String.concat ", "
-       (List.filter_map
-          (fun (name, v) ->
-            if v = 0 then None else Some (Printf.sprintf "%s=%d" name v))
-          r.H.violations));
-  Printf.printf
-    "verdicts: %d descs completed Failed, %d cancelled, %d rx drops, %d \
-     unmatched completions, %d checked posts refused\n"
-    r.H.atk_failed r.H.atk_cancelled r.H.rx_drops r.H.unmatched_completions
-    r.H.post_bad_range;
-  Printf.printf
-    "containment: %d/%d attackers quarantined (%d suspect escalations), \
-     worst detection %.1fus (bound %.1fus)\n"
-    r.H.attackers_quarantined r.H.n_attackers r.H.suspects
-    (T.to_float_us r.H.max_detection)
-    (T.to_float_us H.default_config.H.detect_bound);
-  Printf.printf "all attackers quarantined: %b\n"
-    (r.H.attackers_quarantined = r.H.n_attackers);
-  Printf.printf "within bound: %b\n" r.H.detection_ok;
-  Printf.printf "no victim violations: %b\n" (r.H.victim_violations = 0);
-  Printf.printf "victim goodput kept: %b (%.0f%% of clean, need >= 80%%)\n"
-    (kept >= 80.0) kept;
-  Printf.printf "all tenants detached: %b\n" (r.H.detached = r.H.n_tenants);
-  Printf.printf "hygiene: %d pool bytes leaked\n" r.H.pool_leak_bytes;
-  bench8_end ~sec:"hostile" ~ops:r.H.victim_ok
-    ~goodput_gbps:r.H.victim_goodput_gbps ~latencies:r.H.victim_latencies b8;
-  let r2 = H.run H.default_config in
-  Printf.printf "deterministic across runs: %b\n"
-    (String.equal (H.fingerprint r) (H.fingerprint r2));
-  flush stdout
-
 (* -- Determinism sweep ---------------------------------------------------- *)
 
-(* Invariant-checked schedule-perturbation sweep: runs the chaos,
-   chaos_upgrade and overload workloads (reduced op counts) across
-   seeds x event-loop tie-break salts x repeats with randomized Hashtbl
-   hashing, asserting every registered invariant holds and every
-   fingerprint is a function of the seed alone.  Finishes with a
-   sabotage run proving the checker is not vacuous. *)
+(* Every spec at sweep size across seeds x event-loop tie-break salts x
+   repeats with randomized Hashtbl hashing: every registered invariant
+   and every acceptance check must hold on every run, and every
+   fingerprint must be a function of the seed alone.  Then each spec's
+   armed sabotages must be caught, proving the checkers are not
+   vacuous. *)
 let sweep () =
   section "Determinism sweep: invariants under schedule perturbation";
   Check.Invariant.set_enabled true;
   (* Latency attribution on for every swept run, so the per-engine
-     stage-conservation invariant is exercised across chaos, upgrade,
-     overload, tenants and partition schedules. *)
+     stage-conservation invariant is exercised across every schedule. *)
   Sim.Optrace.set_capture (Some 8192);
-  let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let report name outcome =
-    Printf.printf "%-14s %s%!" name (Check.Explore.summary outcome);
-    if not (Check.Explore.ok outcome) then exit 1
-  in
-  let module C = Workloads.Chaos in
-  report "chaos"
-    (Check.Explore.sweep ~seeds ~randomize_hash:true
-       ~run:(fun ~seed ~salt ->
-         C.fingerprint
-           (C.run
-              { C.default_config with C.seed; tie_salt = salt;
-                ops_per_client = 150 }))
-       ());
-  let module CU = Workloads.Chaos_upgrade in
-  report "chaos_upgrade"
-    (Check.Explore.sweep ~seeds ~randomize_hash:true
-       ~run:(fun ~seed ~salt ->
-         CU.fingerprint
-           (CU.run
-              { CU.default_config with CU.seed; tie_salt = salt;
-                ops_per_client = 250 }))
-       ());
-  let module O = Workloads.Overload in
-  report "overload"
-    (Check.Explore.sweep ~seeds ~randomize_hash:true
-       ~run:(fun ~seed ~salt ->
-         O.fingerprint
-           (O.run
-              { O.default_config with O.seed; tie_salt = salt;
-                victim_ops = 60; stop_at = T.ms 10; run_cap = T.ms 40 }))
-       ());
-  let module G = Workloads.Tenants in
-  report "tenants"
-    (Check.Explore.sweep ~seeds ~randomize_hash:true
-       ~run:(fun ~seed ~salt ->
-         G.fingerprint
-           (G.run
-              { G.default_config with G.seed; tie_salt = salt;
-                tenants = 24; victim_ops = 8; aggressor_ops = 20;
-                stop_at = T.ms 8; run_cap = T.ms 20 }))
-       ());
-  let module P = Workloads.Partition in
-  report "partition"
-    (Check.Explore.sweep ~seeds ~randomize_hash:true
-       ~run:(fun ~seed ~salt ->
-         P.fingerprint
-           (P.run
-              { P.default_config with P.seed; tie_salt = salt;
-                ops_per_victim = 60; stop_at = T.ms 22; run_cap = T.ms 40 }))
-       ());
-  let module H = Workloads.Hostile in
-  report "hostile"
-    (Check.Explore.sweep ~seeds ~randomize_hash:true
-       ~run:(fun ~seed ~salt ->
-         H.fingerprint
-           (H.run
-              { H.default_config with H.seed; tie_salt = salt;
-                tenants = 12; victim_ops = 6 }))
-       ());
-  let module Ch = Workloads.Churn in
-  report "churn"
-    (Check.Explore.sweep ~seeds ~randomize_hash:true
-       ~run:(fun ~seed ~salt ->
-         Ch.fingerprint
-           (Ch.run
-              { Ch.default_config with Ch.seed; tie_salt = salt;
-                clients_per_side = 16; ops_per_driver = 12;
-                stop_at = T.ms 30; run_cap = T.ms 60 }))
-       ());
-  Printf.printf "invariants registered (last run): %d, evaluations: %d\n"
-    (Check.Invariant.registered ())
-    (Check.Invariant.evaluations ());
-  (* Non-vacuity: arm a deliberate bookkeeping bug (admission charges
-     never released) and require the quiesce-time pool invariant to
-     catch it. *)
-  Check.Invariant.set_sabotage "skip_credit_release" true;
-  let caught =
-    match
-      Workloads.Chaos.run
-        { C.default_config with C.ops_per_client = 50 }
-    with
-    | _ -> None
-    | exception Check.Invariant.Violation msg -> Some msg
-  in
-  Check.Invariant.set_sabotage "skip_credit_release" false;
-  (match caught with
-  | Some msg ->
-      Printf.printf "sabotage caught by checker: %s\n%!"
-        (String.concat " " (String.split_on_char '\n' msg))
-  | None ->
-      Printf.printf "SABOTAGE NOT CAUGHT: checker is vacuous\n%!";
-      exit 1);
-  (* Guest-side non-vacuity: the backend forgets an op's bookkeeping
-     (in-flight entry + admission charge); the tenant's detach-quiesce
-     invariant must notice. *)
-  Check.Invariant.set_sabotage "guest_skip_release" true;
-  let caught_guest =
-    match
-      Workloads.Tenants.run
-        { G.default_config with G.tenants = 8; victim_ops = 4;
-          aggressor_ops = 8; upgrade_at = None; force_detach_at = None;
-          stop_at = T.ms 6; run_cap = T.ms 16 }
-    with
-    | _ -> None
-    | exception Check.Invariant.Violation msg -> Some msg
-  in
-  Check.Invariant.set_sabotage "guest_skip_release" false;
-  (match caught_guest with
-  | Some msg ->
-      Printf.printf "guest sabotage caught by checker: %s\n%!"
-        (String.concat " " (String.split_on_char '\n' msg))
-  | None ->
-      Printf.printf "SABOTAGE NOT CAUGHT: guest checker is vacuous\n%!";
-      exit 1);
-  (* Lifecycle non-vacuity: a dying conn forgets to reclaim — waiting
-     ops are never failed and charges stay held; the peer-reclaim (or
-     pool quiesce) invariant must notice. *)
-  Check.Invariant.set_sabotage "skip_peer_reclaim" true;
-  let caught_peer =
-    match
-      (* Continuous streaming of large multi-chunk messages, so blackout
-         edges cut messages mid-flight: the receiving side then holds
-         pool-charged reassembly state when the keepalive declares the
-         conn dead, and a sabotaged kill_conn strands it. *)
-      Workloads.Partition.run
-        { Workloads.Partition.default_config with
-          Workloads.Partition.ops_per_victim = 200;
-          op_interval = T.us 0; bytes = 131072;
-          stop_at = T.ms 22; run_cap = T.ms 40 }
-    with
-    | _ -> None
-    | exception Check.Invariant.Violation msg -> Some msg
-  in
-  Check.Invariant.set_sabotage "skip_peer_reclaim" false;
-  (match caught_peer with
-  | Some msg ->
-      Printf.printf "peer-reclaim sabotage caught by checker: %s\n%!"
-        (String.concat " " (String.split_on_char '\n' msg))
-  | None ->
-      Printf.printf "SABOTAGE NOT CAUGHT: peer-reclaim checker is vacuous\n%!";
-      exit 1);
-  (* Attribution non-vacuity: the dequeue stamp advances the
-     attribution cursor without charging the elapsed time, so a
-     completed op's stage durations no longer sum to its end-to-end
-     latency; the per-engine conservation invariant must notice. *)
-  Sim.Optrace.clear ();
-  Check.Invariant.set_sabotage "skip_op_attribution" true;
-  let caught_attr =
-    match
-      Workloads.Chaos.run { C.default_config with C.ops_per_client = 50 }
-    with
-    | _ -> None
-    | exception Check.Invariant.Violation msg -> Some msg
-  in
-  Check.Invariant.set_sabotage "skip_op_attribution" false;
-  Sim.Optrace.clear ();
-  (match caught_attr with
-  | Some msg ->
-      Printf.printf "attribution sabotage caught by checker: %s\n%!"
-        (String.concat " " (String.split_on_char '\n' msg))
-  | None ->
-      Printf.printf "SABOTAGE NOT CAUGHT: attribution checker is vacuous\n%!";
-      exit 1);
-  (* Quarantine non-vacuity: escalation stops short of quarantining —
-     violations keep accruing past the threshold while the tenant stays
-     attached; the [guest.quarantine] invariant must notice. *)
-  Check.Invariant.set_sabotage "skip_tenant_quarantine" true;
-  let caught_quarantine =
-    match
-      Workloads.Hostile.run
-        { H.default_config with H.tenants = 8; victim_ops = 4 }
-    with
-    | _ -> None
-    | exception Check.Invariant.Violation msg -> Some msg
-  in
-  Check.Invariant.set_sabotage "skip_tenant_quarantine" false;
-  (match caught_quarantine with
-  | Some msg ->
-      Printf.printf "quarantine sabotage caught by checker: %s\n%!"
-        (String.concat " " (String.split_on_char '\n' msg))
-  | None ->
-      Printf.printf "SABOTAGE NOT CAUGHT: quarantine checker is vacuous\n%!";
-      exit 1);
-  Printf.printf "sweep OK\n%!"
+  (* Invariant evaluation counts restart with every run; sum them. *)
+  let invariant_evals = ref 0 and evaluated = ref 0 in
+  List.iter
+    (fun (spec : Spec.t) ->
+      let o =
+        Check.Explore.sweep ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ]
+          ~randomize_hash:true
+          ~run:(fun ~seed ~salt ->
+            let o = spec.small ~seed ~tie_salt:salt in
+            invariant_evals :=
+              !invariant_evals + Check.Invariant.evaluations ();
+            evaluated := !evaluated + List.length o.checks;
+            Spec.checked_fingerprint o)
+          ()
+      in
+      Printf.printf "%-14s %s" spec.name (Check.Explore.summary o);
+      let sabotage ((flag, _) as s) =
+        let caught = Spec.catch_sabotage s in
+        { Spec.name = "sabotage " ^ flag ^ " caught"; ok = caught <> None;
+          detail =
+            String.concat " "
+              (String.split_on_char '\n'
+                 (Option.value caught ~default:"checker is vacuous")) }
+      in
+      record spec.name
+        ({ Spec.name = "sweep"; ok = Check.Explore.ok o; detail = "" }
+        :: List.map sabotage spec.sabotages))
+    Spec.all;
+  Printf.printf
+    "swept runs: %d invariant evaluations, %d acceptance checks evaluated\n"
+    !invariant_evals !evaluated
 
 (* -- Driver ------------------------------------------------------------------ *)
 
@@ -1037,19 +521,13 @@ let all_benches =
     ("ablate-mtu", ablate_mtu);
     ("ablate-indirect", ablate_indirect);
     ("ablate-slo", ablate_slo);
-    ("chaos", chaos);
-    ("chaos_upgrade", chaos_upgrade);
-    ("overload", overload);
-    ("partition", partition);
-    ("tenants", tenants);
-    ("churn", churn);
-    ("hostile", hostile);
-    ("sweep", sweep);
-    ("micro", micro);
   ]
+  @ List.map (fun (s : Spec.t) -> (s.name, workload s)) Spec.all
+  @ [ ("sweep", sweep); ("micro", micro) ]
 
 (* The section list in any user-facing text is generated from
-   [all_benches]; adding a section above is all it takes. *)
+   [all_benches]; adding a section above (or a spec to
+   Workloads.Spec.all) is all it takes. *)
 let section_names () = String.concat ", " (List.map fst all_benches)
 
 let usage oc =
@@ -1141,7 +619,11 @@ let () =
       write_file path (Sim.Span.to_chrome_json ());
       if Sim.Span.dropped () > 0 then
         Printf.printf "trace ring dropped %d events\n" (Sim.Span.dropped ());
-      Printf.printf "trace written to %s\n%!" path)
+      Printf.printf "trace written to %s\n%!" path;
+      let n = List.length (Sim.Span.events ()) in
+      record "trace"
+        [ { Spec.name = "span events captured"; ok = n > 0;
+            detail = string_of_int n } ])
     trace_out;
   Option.iter
     (fun path ->
@@ -1164,4 +646,13 @@ let () =
       in
       write_file path doc;
       Printf.printf "slow ops written to %s\n%!" path)
-    slow_ops_out
+    slow_ops_out;
+  match Spec.verdict !checks with
+  | `Pass -> if !checks <> [] then Printf.printf "verdict: pass\n"
+  | `Fail ->
+      Printf.printf "verdict: fail (%s)\n"
+        (String.concat "; "
+           (List.rev_map
+              (fun (c : Spec.check) -> c.name)
+              (Spec.failed !checks)));
+      exit 1

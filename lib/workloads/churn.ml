@@ -83,20 +83,6 @@ type result = {
   latencies : Stats.Histogram.t;
 }
 
-(* Modeled CPU burned inside engine batches (same accounting the bench
-   harness uses for its cpu_ns_per_op rows), so the steady-state window
-   can be measured in-workload. *)
-let engine_cost_sum () =
-  List.fold_left
-    (fun acc m ->
-      match m.Stats.Registry.m_kind with
-      | Stats.Registry.Histogram h
-        when String.equal m.Stats.Registry.m_name "engine_batch_cost_ns" ->
-          acc + Stats.Histogram.sum h
-      | _ -> acc)
-    0
-    (Stats.Registry.snapshot ())
-
 (* Deterministic per-driver size stream: 48-bit LCG, heavy-tailed
    90/9/1 over 64 B / 4 KiB / 64 KiB RPCs. *)
 let rpc_bytes rnd =
@@ -157,10 +143,10 @@ let run (cfg : config) : result =
     incr steady_total;
     if !steady_total = t0_ops then begin
       live_at_steady := count_established ();
-      snap0 := Some (Gc.minor_words (), engine_cost_sum ())
+      snap0 := Some (Gc.minor_words (), Engine_cost.ns ())
     end
     else if !steady_total = t1_ops then
-      snap1 := Some (Gc.minor_words (), engine_cost_sum ())
+      snap1 := Some (Gc.minor_words (), Engine_cost.ns ())
   in
   (* Sinks: one client per remote endpoint, parked on await_message so
      delivered payload bytes are consumed (and their pool charges

@@ -14,11 +14,9 @@
     - {e pressure state machine}: host 0's pool saturates, driving
       Nominal -> Pressured -> Saturated transitions.
 
-    Acceptance invariants (checked by the tests and the CI smoke job):
-    no [Memory.Pool.Exhausted] escapes into applications, zero op-pool
-    bytes remain at quiesce (enforced with [Pool.assert_quiesced] —
-    the run raises otherwise), the victim keeps most of its uncontended
-    goodput, and same-seed runs produce byte-identical fingerprints. *)
+    Acceptance criteria are the typed checks of the [overload] entry in
+    {!Spec}; a leaked op-pool byte also raises at quiesce
+    ([Pool.assert_quiesced]). *)
 
 type config = {
   aggressors : int;

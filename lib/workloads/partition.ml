@@ -85,6 +85,7 @@ type result = {
   conns_closed : int;
   conn_resets : int;
   peer_deaths : int;
+  death_hosts : int;
   peer_dead_ops : int;
   stale_drops : int;
   peer_restarts : int;
@@ -369,6 +370,7 @@ let run (cfg : config) : result =
     conns_closed = sum PE.conns_closed;
     conn_resets = sum PE.conn_resets_sent;
     peer_deaths = sum PE.peer_deaths;
+    death_hosts = sum (fun p -> if PE.peer_deaths p > 0 then 1 else 0);
     peer_dead_ops = sum PE.peer_dead_ops;
     stale_drops = sum PE.stale_drops;
     peer_restarts = sum PE.peer_restarts_detected;

@@ -7,7 +7,8 @@
     and a mid-run whole-host crash of the server with an
     incarnation-bumping restart.
 
-    Acceptance invariants (checked by the tests and the CI smoke job):
+    Acceptance invariants (typed checks of the [partition] entry in
+    {!Spec}):
 
     - every submitted op resolves — echo received, retries exhausted,
       or [Peer_dead] — and both victims finish before the run cap
@@ -68,6 +69,7 @@ type result = {
   conns_closed : int;
   conn_resets : int;
   peer_deaths : int;
+  death_hosts : int;  (** Hosts that declared at least one conn dead. *)
   peer_dead_ops : int;
   stale_drops : int;
   peer_restarts : int;
@@ -85,8 +87,8 @@ type result = {
           [outage_bound]. *)
   pool_leak_bytes : int;
   last_echo_done : Sim.Time.t;
-      (** Virtual time of the last successful echo; the bench harness
-          derives goodput from [echo_ok], the op size and this. *)
+      (** Virtual time of the last successful echo; {!Spec} derives
+          goodput from [echo_ok], the op size and this. *)
   latencies : Stats.Histogram.t;
       (** Successful request+echo round trips. *)
   fault_log : Fault.Log.t;

@@ -16,12 +16,8 @@
       end of run, and a cohort of aggressors is force-detached
       mid-stream, exercising generation-tagged bulk reclaim.
 
-    Acceptance invariants (checked by the tests, the CI smoke job, and
-    the per-tenant isolation invariants when [--check] is on): every
-    tenant ends detached with zero op-pool bytes and zero in-flight
-    ops, no cross-tenant credit or pool-byte leakage, and same-seed
-    runs produce byte-identical fingerprints under schedule
-    perturbation. *)
+    Acceptance criteria are the typed checks of the [tenants] entry in
+    {!Spec}, plus the per-tenant isolation invariants under [--check]. *)
 
 type config = {
   tenants : int;
