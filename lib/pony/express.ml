@@ -76,6 +76,9 @@ and client = {
   cname : string;
   c_host : t;
   c_eng : eng;
+  (* Index in [c_eng.eclients] and [c_eng.busy_clients]; -1 once the
+     host crashed and the engine forgot the client. *)
+  mutable c_slot : int;
   cmd_q : command Squeue.Spsc.t;
   comp_q : completion Squeue.Spsc.t;
   msg_q : incoming Squeue.Spsc.t;
@@ -150,12 +153,19 @@ and eng = {
   e_host : t;
   core : Engine.t;
   rxq : int;
-  mutable eclients : client list;
+  mutable eclients : client array;  (* creation order *)
   flows : (Wire.flow_key, Flow.t) Hashtbl.t;
-  mutable flow_list : Flow.t list;
-  (* Flows as a flat array for the per-pass datapath folds; rebuilt only
-     when the flow set changes (rare), never per pass. *)
+  (* Flows in creation order; rebuilt only when the flow set changes
+     (rare), never per pass. *)
   mutable flow_arr : Flow.t array;
+  (* Per-pass membership, indexed like [flow_arr] and [eclients]: every
+     flow that is not idle (see [Flow.set_activity_hook]) and every
+     client whose [cmd_q] is non-empty is a member (members may have
+     gone idle since; the scans drop them lazily).  A pass visits
+     members only, so its cost follows the active flows and queued
+     clients, not everything the engine owns. *)
+  active_flows : Sim.Bitset.t;
+  busy_clients : Sim.Bitset.t;
   (* Conn storage is a generation-tagged flat arena; the hashtables map
      wire keys to arena handles for lookup only.  No datapath walks
      them — sorted iteration survives solely in cold paths (snapshots,
@@ -276,7 +286,8 @@ let bytes_received c = c.rx_bytes
 
 let flow_versions t =
   List.concat_map
-    (fun e -> List.map (fun f -> (Flow.key f, Flow.version f)) e.flow_list)
+    (fun e ->
+      Array.to_list (Array.map (fun f -> (Flow.key f, Flow.version f)) e.flow_arr))
     t.engs
 
 let corrupt_dropped t = Stats.Counter.value t.c_corrupt - t.corrupt_base
@@ -344,13 +355,16 @@ let pressure_transitions t =
 let zero_window_probes t =
   List.fold_left
     (fun acc e ->
-      List.fold_left (fun a f -> a + Flow.zero_window_probes f) acc e.flow_list)
+      Array.fold_left (fun a f -> a + Flow.zero_window_probes f) acc e.flow_arr)
     0 t.engs
 
 let flow_stats t =
   List.concat_map
     (fun e ->
-      List.map (fun f -> (Flow.key f, Flow.delivered f, Flow.retransmits f)) e.flow_list)
+      Array.to_list
+        (Array.map
+           (fun f -> (Flow.key f, Flow.delivered f, Flow.retransmits f))
+           e.flow_arr))
     t.engs
 
 (* -- Latency attribution (Sim.Optrace) ----------------------------------- *)
@@ -448,7 +462,7 @@ let debug_snapshot t =
                      Printf.sprintf "fl(pend=%d,fly=%d,rate=%.0f)" (Flow.pending f)
                        (Flow.in_flight f)
                        (Timely.rate_gbps (Flow.cc f)))
-                   e.flow_list))
+                   (Array.to_list e.flow_arr)))
              (String.concat ""
                 (List.map
                    (fun ((ckey, we_init), c) ->
@@ -501,6 +515,20 @@ let advertised_window eng =
       max 1 (min (Flow.max_flight / 8) (free / 4))
   | Overload.Pressure.Saturated -> 0
 
+(* Every change to the flow set goes through here: the old flows stop
+   marking (a dropped flow must never mark its successor's index) and
+   the membership set is re-slotted to the new indices, each busy flow
+   marking itself as its hook is installed.  A flow is [Flow.marked]
+   exactly while its bit is set. *)
+let install_flows eng flows =
+  Array.iter (fun f -> Flow.set_activity_hook f ignore) eng.flow_arr;
+  eng.flow_arr <- flows;
+  Sim.Bitset.reset eng.active_flows;
+  Array.iteri
+    (fun i f ->
+      Flow.set_activity_hook f (fun () -> Sim.Bitset.set eng.active_flows i))
+    flows
+
 let get_flow eng key =
   match Hashtbl.find_opt eng.flows key with
   | Some f -> f
@@ -523,8 +551,7 @@ let get_flow eng key =
           ~version ~incarnation:eng.e_host.incarnation ()
       in
       Hashtbl.add eng.flows key f;
-      eng.flow_list <- eng.flow_list @ [ f ];
-      eng.flow_arr <- Array.of_list eng.flow_list;
+      install_flows eng (Array.append eng.flow_arr [| f |]);
       Flow.set_window_provider f (fun () -> advertised_window eng);
       f
 
@@ -967,11 +994,10 @@ let forget_peer cost t ~peer ~reason =
       let doomed, kept =
         List.partition
           (fun f -> (Flow.key f).Wire.dst_host = peer)
-          eng.flow_list
+          (Array.to_list eng.flow_arr)
       in
       List.iter (fun f -> Hashtbl.remove eng.flows (Flow.key f)) doomed;
-      eng.flow_list <- kept;
-      eng.flow_arr <- Array.of_list kept)
+      install_flows eng (Array.of_list kept))
     t.engs
 
 (* Record the incarnation [peer] is speaking.  [`Stale] means the packet
@@ -1502,8 +1528,12 @@ let handle_command eng cost cmd =
 
 (* Re-arm the engine's pacing/retransmit wake-up.  Only flow deadlines
    are folded here — per-conn send deadlines and keepalives live on the
-   engine's timing wheel and wake the engine themselves, so this is
-   O(flows), not O(conns). *)
+   engine's timing wheel and wake the engine themselves — and only over
+   member flows: an idle flow has no deadline.  This is the pass's last
+   flow scan, so it is where members found idle leave the set.  The
+   loop event is re-armed even when the deadline is unchanged: keeping
+   the old one would change its tie order against same-instant
+   events. *)
 let arm_timer eng =
   let t = eng.e_host in
   (match eng.timer with
@@ -1512,15 +1542,16 @@ let arm_timer eng =
       eng.timer <- None
   | None -> ());
   let deadline = ref None in
-  Array.iter
-    (fun f ->
-      match Flow.next_deadline f with
-      | None -> ()
-      | Some d -> (
-          match !deadline with
-          | None -> deadline := Some d
-          | Some a -> if d < a then deadline := Some d))
-    eng.flow_arr;
+  Sim.Bitset.iter eng.active_flows (fun i ->
+      let f = eng.flow_arr.(i) in
+      if Flow.settle f then Sim.Bitset.clear eng.active_flows i
+      else
+        match Flow.next_deadline f with
+        | None -> ()
+        | Some d -> (
+            match !deadline with
+            | None -> deadline := Some d
+            | Some a -> if d < a then deadline := Some d));
   match !deadline with
   | Some d when d > Loop.now t.lp ->
       eng.timer <- Some (Loop.at t.lp d (fun () -> Engine.notify eng.core))
@@ -1561,7 +1592,7 @@ let engine_run eng () =
         "engine %s epoch %d: reclaimed %d op-pool bytes from dead instance"
         ename ep reclaimed;
     let requeued =
-      List.fold_left (fun acc f -> acc + Flow.resync f ~now) 0 eng.flow_list
+      Array.fold_left (fun acc f -> acc + Flow.resync f ~now) 0 eng.flow_arr
     in
     if requeued > 0 then begin
       Stats.Counter.incr t.c_resync;
@@ -1574,15 +1605,23 @@ let engine_run eng () =
   (* Fold queue and pool occupancy into the engine's pressure level;
      everything downstream (admission windows, shedding) gates on it. *)
   let occupancy =
-    let frac q =
-      float_of_int (Squeue.Spsc.length q)
-      /. float_of_int (Squeue.Spsc.capacity q)
-    in
     let ring_frac = Nic.rx_occupancy t.nic ~queue:eng.rxq in
+    (* The fullest command queue, compared as exact fractions so the
+       scan allocates no floats; rounding is monotone, so the one
+       division at the end equals the largest rounded fraction. *)
     let cmd_frac =
-      List.fold_left
-        (fun acc c -> Float.max acc (frac c.cmd_q))
-        0.0 eng.eclients
+      let len = ref 0 and cap = ref 1 in
+      let i = ref (Sim.Bitset.next eng.busy_clients 0) in
+      while !i >= 0 do
+        let q = eng.eclients.(!i).cmd_q in
+        let l = Squeue.Spsc.length q and c = Squeue.Spsc.capacity q in
+        if l * !cap > !len * c then begin
+          len := l;
+          cap := c
+        end;
+        i := Sim.Bitset.next eng.busy_clients (!i + 1)
+      done;
+      float_of_int !len /. float_of_int !cap
     in
     let pool_frac =
       float_of_int (Memory.Pool.in_use t.op_pool)
@@ -1660,9 +1699,10 @@ let engine_run eng () =
     | None -> continue := false
   done;
   if Squeue.Spsc.is_empty ring then Nic.rearm_rx_interrupt t.nic ~queue:eng.rxq;
-  (* 2. Application command queues. *)
-  List.iter
-    (fun client ->
+  (* 2. Application command queues, in client order; a client whose
+     queue this drains leaves the set. *)
+  Sim.Bitset.iter eng.busy_clients (fun i ->
+      let client = eng.eclients.(i) in
       let c = ref 0 in
       let go = ref true in
       while !go && !c < cmd_batch do
@@ -1672,8 +1712,9 @@ let engine_run eng () =
             worked := true;
             handle_command eng cost cmd
         | None -> go := false
-      done)
-    eng.eclients;
+      done;
+      if Squeue.Spsc.is_empty client.cmd_q then
+        Sim.Bitset.clear eng.busy_clients i);
   if process_deadline_due eng cost ~now > 0 then worked := true;
   (* 2b. Dead-peer detection (opt-in keepalives, §4.3): conns surface
      on [eng.ka_due] when their wheel timer fires — only watched conns
@@ -1735,36 +1776,53 @@ let engine_run eng () =
                   rearm_ka eng conn ~at:(Time.add anchor ka.ka_interval)
             end
       done);
-  (* 3. Retransmission timeouts. *)
-  Array.iter
-    (fun f -> if Flow.check_timeout f ~now > 0 then worked := true)
-    eng.flow_arr;
-  (* 4. Just-in-time transmission against NIC descriptor slots (§3.1).
-     [flow_arr] is maintained at flow add/remove, so the hot path does
-     no per-pass list-to-array conversion. *)
+  (* 3. Retransmission timeouts (only a member can have a flight). *)
   let flows = eng.flow_arr in
+  let active = eng.active_flows in
+  Sim.Bitset.iter active (fun i ->
+      if Flow.check_timeout flows.(i) ~now > 0 then worked := true);
+  (* 4. Just-in-time transmission against NIC descriptor slots (§3.1),
+     round-robin over every flow.  A non-member has nothing queued, so
+     visiting it only advances [tx_rr] and [idle_rounds] by one; a run
+     of them is skipped by adding its length to both, capped where the
+     loop would have stopped, which leaves the rotation exactly where
+     visiting each one would. *)
   let nf = Array.length flows in
   if nf > 0 then begin
     let idle_rounds = ref 0 in
     while Nic.tx_slots_free t.nic > 0 && !idle_rounds < nf do
-      let f = flows.(eng.tx_rr mod nf) in
-      eng.tx_rr <- eng.tx_rr + 1;
-      if Flow.ready_to_emit f ~now then begin
-        match Flow.emit f ~now ~gen:t.gen with
-        | Some pkt ->
-            if Nic.try_transmit t.nic pkt then begin
-              incr pkts;
-              worked := true;
-              cost := !cost + costs.Sim.Costs.pony_tx_per_packet;
-              idle_rounds := 0
-            end
-        | None -> incr idle_rounds
+      let p = eng.tx_rr mod nf in
+      let gap =
+        if Flow.marked flows.(p) then 0
+        else
+          match Sim.Bitset.next active p with
+          | -1 -> (
+              match Sim.Bitset.next active 0 with -1 -> nf | j -> nf - p + j)
+          | j -> j - p
+      in
+      let skip = min gap (nf - !idle_rounds) in
+      eng.tx_rr <- eng.tx_rr + skip;
+      idle_rounds := !idle_rounds + skip;
+      if !idle_rounds < nf then begin
+        let f = flows.(eng.tx_rr mod nf) in
+        eng.tx_rr <- eng.tx_rr + 1;
+        if Flow.ready_to_emit f ~now then begin
+          match Flow.emit f ~now ~gen:t.gen with
+          | Some pkt ->
+              if Nic.try_transmit t.nic pkt then begin
+                incr pkts;
+                worked := true;
+                cost := !cost + costs.Sim.Costs.pony_tx_per_packet;
+                idle_rounds := 0
+              end
+          | None -> incr idle_rounds
+        end
+        else incr idle_rounds
       end
-      else incr idle_rounds
     done;
     (* Bare acks for flows that owe one and sent nothing. *)
-    Array.iter
-      (fun f ->
+    Sim.Bitset.iter active (fun i ->
+        let f = flows.(i) in
         if Flow.ack_owed f && Nic.tx_slots_free t.nic > 0 then begin
           match Flow.make_ack f ~now ~gen:t.gen with
           | Some pkt ->
@@ -1774,7 +1832,6 @@ let engine_run eng () =
               end
           | None -> ()
         end)
-      flows
   end;
   (* 5. Re-arm the pacing/retransmit timer. *)
   arm_timer eng;
@@ -1795,16 +1852,15 @@ let engine_queue_delay eng now =
   let ring_age =
     Squeue.Spsc.oldest_age (Nic.rx_ring eng.e_host.nic ~queue:eng.rxq) ~now
   in
-  let cmd_age =
-    List.fold_left
-      (fun acc c -> Time.max acc (Squeue.Spsc.oldest_age c.cmd_q ~now))
-      ring_age eng.eclients
-  in
-  (* Transmit backlog counts too: a flow with queued segments it cannot
-     drain is just as CPU-bottlenecked as a full receive ring. *)
-  List.fold_left
-    (fun acc f -> Time.max acc (Flow.queue_age f ~now))
-    cmd_age eng.flow_list
+  (* Empty queues have age 0, so members are all that can raise the
+     max.  Transmit backlog counts too: a flow with queued segments it
+     cannot drain is just as CPU-bottlenecked as a full receive ring. *)
+  let age = ref ring_age in
+  Sim.Bitset.iter eng.busy_clients (fun i ->
+      age := Time.max !age (Squeue.Spsc.oldest_age eng.eclients.(i).cmd_q ~now));
+  Sim.Bitset.iter eng.active_flows (fun i ->
+      age := Time.max !age (Flow.queue_age eng.flow_arr.(i) ~now));
+  !age
 
 let new_engine t =
   let eid = List.length t.engs in
@@ -1821,7 +1877,7 @@ let new_engine t =
       ~state_bytes:(fun () ->
         with_eng
           (fun e ->
-            (2048 * List.length e.flow_list) + (512 * List.length e.eclients))
+            (2048 * Array.length e.flow_arr) + (512 * Array.length e.eclients))
           0)
       ()
   in
@@ -1831,10 +1887,11 @@ let new_engine t =
       e_host = t;
       core;
       rxq = eid;
-      eclients = [];
+      eclients = [||];
       flows = Hashtbl.create 16;
-      flow_list = [];
       flow_arr = [||];
+      active_flows = Sim.Bitset.create ();
+      busy_clients = Sim.Bitset.create ();
       conn_arena = Memory.Arena.create ~initial:64 ();
       conns = Hashtbl.create 32;
       by_endpoints = Hashtbl.create 32;
@@ -2065,8 +2122,7 @@ let crash_host t =
             free_assembly a)
           (sorted_tbl eng.assembly);
         Hashtbl.reset eng.flows;
-        eng.flow_list <- [];
-        eng.flow_arr <- [||];
+        install_flows eng [||];
         (* Per-conn wheel timers die with their conns; stale fires on
            timers already past cancellation are checked no-ops. *)
         Memory.Arena.iter eng.conn_arena (fun _ conn ->
@@ -2076,13 +2132,15 @@ let crash_host t =
         Hashtbl.reset eng.by_endpoints;
         Queue.clear eng.deadline_due;
         Queue.clear eng.ka_due;
-        eng.eclients <- [];
+        eng.eclients <- [||];
+        Sim.Bitset.reset eng.busy_clients;
         ignore
           (Memory.Pool.release_owner t.op_pool ~owner:(Engine.name eng.core)))
       t.engs;
     fold_clients t
       (fun () c ->
         c.c_dead <- true;
+        c.c_slot <- -1;
         Hashtbl.reset c.charges;
         Hashtbl.reset c.outstanding;
         ignore (Memory.Pool.release_owner t.op_pool ~owner:c.c_owner);
@@ -2155,6 +2213,7 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
       cname = name;
       c_host = t;
       c_eng = eng;
+      c_slot = Array.length eng.eclients;
       cmd_q = Squeue.Spsc.create ~name:(name ^ ".cmd") ~capacity:cmd_queue_slots ();
       comp_q = Squeue.Spsc.create ~name:(name ^ ".comp") ~capacity:comp_queue_slots ();
       msg_q = Squeue.Spsc.create ~name:(name ^ ".msg") ~capacity:comp_queue_slots ();
@@ -2176,7 +2235,7 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
       rx_bytes = 0;
     }
   in
-  eng.eclients <- eng.eclients @ [ client ];
+  eng.eclients <- Array.append eng.eclients [| client |];
   Hashtbl.replace t.clients_tbl cid (Memory.Arena.alloc t.clients_arena client);
   (* Admission accounting bounds and SPSC occupancy: outstanding counts
      stay within quota, every held charge is accounted, and the
@@ -2424,6 +2483,11 @@ let connect_with_retry ctx client ~dst_host ~dst_name
   in
   attempt 1
 
+(* Every push onto a [cmd_q] marks its client for the engine's next
+   pass. *)
+let mark_busy client =
+  if client.c_slot >= 0 then Sim.Bitset.set client.c_eng.busy_clients client.c_slot
+
 (* Post a command into the shared-memory command queue (§3.1). *)
 let post_command ctx conn cmd =
   let client = conn.local in
@@ -2437,6 +2501,7 @@ let post_command ctx conn cmd =
     end
   in
   push ();
+  mark_busy client;
   Engine.notify client.c_eng.core
 
 let fresh_op client =
@@ -2503,6 +2568,7 @@ let engine_post_send conn ~now ?(stream = 0) ?deadline ~bytes () =
              "Pony.engine_post_send(%s): command queue full (check \
               conn_cmd_free first)"
              client.cname);
+      mark_busy client;
       Engine.notify client.c_eng.core;
       op_id
 

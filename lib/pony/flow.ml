@@ -61,6 +61,13 @@ type t = {
   mutable wnd_update_at : Time.t;
   mutable wnd_provider : unit -> int;
   mutable n_zw_probes : int;
+  (* Engine membership (see [set_activity_hook]): [marked] goes up at
+     the first transition that can take an idle flow busy (an enqueue, a
+     retransmit scheduled, an ack owed) and down when the engine
+     [settle]s the flow idle, so [on_active] runs once per busy spell,
+     not once per packet. *)
+  mutable on_active : unit -> unit;
+  mutable marked : bool;
   (* Receive. *)
   mutable rcv_cum : int;
   mutable rcv_ooo : int list;  (* sorted ascending, all >= rcv_cum *)
@@ -105,6 +112,8 @@ let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
     wnd_update_at = Time.zero;
     wnd_provider = (fun () -> max_flight);
     n_zw_probes = 0;
+    on_active = ignore;
+    marked = false;
     rcv_cum = 0;
     rcv_ooo = [];
     owe_ack = false;
@@ -179,8 +188,33 @@ let ready_to_emit t ~now =
      && now >= t.next_release
      && (t.flight_len < effective_window t || zw_probe_due t ~now))
 
+(* -- Engine membership ---------------------------------------------------- *)
+
+let is_idle t =
+  Queue.is_empty t.queue && Queue.is_empty t.retx && t.flight_len = 0
+  && not t.owe_ack
+
+let note_active t =
+  if not t.marked then begin
+    t.marked <- true;
+    t.on_active ()
+  end
+
+let set_activity_hook t f =
+  t.on_active <- f;
+  t.marked <- false;
+  if not (is_idle t) then note_active t
+
+let marked t = t.marked
+
+let settle t =
+  let idle = is_idle t in
+  if idle then t.marked <- false;
+  idle
+
 let enqueue t item ~payload_bytes =
-  Queue.add (item, payload_bytes, Loop.now t.lp) t.queue
+  Queue.add (item, payload_bytes, Loop.now t.lp) t.queue;
+  note_active t
 
 (* Age of the oldest queued (unsent) item: the transmit-side component
    of the engine's queueing-delay load signal (§2.4).  Only the
@@ -320,6 +354,7 @@ let schedule_retransmit t n =
     t.n_retx <- t.n_retx + 1;
     Queue.add (fl_nth t i) t.retx
   done;
+  if count > 0 then note_active t;
   count
 
 let resync t ~now =
@@ -419,6 +454,7 @@ let on_receive t ~now pkt =
           if seq < t.rcv_cum || List.mem seq t.rcv_ooo then begin
             (* Duplicate: re-ack so the sender advances. *)
             t.owe_ack <- true;
+            note_active t;
             None
           end
           else begin
@@ -429,6 +465,7 @@ let on_receive t ~now pkt =
             end
             else t.rcv_ooo <- List.sort compare (seq :: t.rcv_ooo);
             t.owe_ack <- true;
+            note_active t;
             t.n_delivered <- t.n_delivered + 1;
             Some item
           end)

@@ -81,6 +81,28 @@ val on_receive : t -> now:Sim.Time.t -> Memory.Packet.t -> Wire.item option
     returns the upper-layer item if it has not been seen before
     ([None] for duplicates and bare acks). *)
 
+(** {1 Engine membership}
+
+    A flow is idle when nothing is queued or awaiting retransmission,
+    nothing is in flight and no ack is owed: an engine pass has nothing
+    to do for it, and {!next_deadline} is [None]. *)
+
+val set_activity_hook : t -> (unit -> unit) -> unit
+(** Install the function that marks this flow in its engine's
+    membership set, and mark it now unless idle.  The flow becomes
+    {!marked} and calls the hook at the first {!enqueue}, scheduled
+    retransmission, or received packet that leaves an ack owed — the
+    only ways out of idle — and stays marked, without calling again,
+    until {!settle}.  Defaults to a no-op. *)
+
+val marked : t -> bool
+(** The hook has run since the flow was last settled idle. *)
+
+val settle : t -> bool
+(** Whether the flow is idle; if so, unmark it so its next activity
+    calls the hook again.  The engine calls this to drop an idle
+    member. *)
+
 (** {1 Timers} *)
 
 val next_deadline : t -> Sim.Time.t option

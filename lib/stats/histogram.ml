@@ -1,6 +1,11 @@
+(* [counts] covers bucket indices [0, Array.length counts) and grows on
+   demand up to [max_index]: buckets past the end hold zero, so every
+   walk over [counts] reads the same as over a full-size array.  Most
+   histograms see a narrow value range, and per-flow ones exist by the
+   thousand. *)
 type t = {
   sub_bits : int;
-  counts : int array;
+  mutable counts : int array;
   mutable total : int;
   mutable sum : int;
   mutable min_v : int;
@@ -13,14 +18,19 @@ let max_index sub_bits =
 
 let create ?(sub_bits = 5) () =
   if sub_bits < 1 || sub_bits > 10 then invalid_arg "Histogram.create";
-  {
-    sub_bits;
-    counts = Array.make (max_index sub_bits) 0;
-    total = 0;
-    sum = 0;
-    min_v = max_int;
-    max_v = 0;
-  }
+  { sub_bits; counts = [||]; total = 0; sum = 0; min_v = max_int; max_v = 0 }
+
+(* Make bucket [idx] addressable: at least double, never past
+   [max_index]. *)
+let grow t idx =
+  let n = Array.length t.counts in
+  if idx >= n then begin
+    let fresh =
+      Array.make (min (max_index t.sub_bits) (max (idx + 1) (2 * n))) 0
+    in
+    Array.blit t.counts 0 fresh 0 n;
+    t.counts <- fresh
+  end
 
 let msb_position v =
   (* Position of the most significant set bit; v > 0. *)
@@ -48,7 +58,9 @@ let value_of t idx =
 let record_n t v ~n =
   if n > 0 then begin
     let v = if v < 0 then 0 else v in
-    t.counts.(index_of t v) <- t.counts.(index_of t v) + n;
+    let idx = index_of t v in
+    if idx >= Array.length t.counts then grow t idx;
+    t.counts.(idx) <- t.counts.(idx) + n;
     t.total <- t.total + n;
     t.sum <- t.sum + (v * n);
     if v < t.min_v then t.min_v <- v;
@@ -127,6 +139,7 @@ let merge_into ~src ~dst =
       (Printf.sprintf
          "Histogram.merge_into: sub_bits mismatch (src %d, dst %d)"
          src.sub_bits dst.sub_bits);
+  grow dst (Array.length src.counts - 1);
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   dst.total <- dst.total + src.total;
   dst.sum <- dst.sum + src.sum;

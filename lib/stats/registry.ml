@@ -27,19 +27,21 @@ let kind_label = function
   | Histogram _ -> "histogram"
   | Series _ -> "series"
 
-(* Create-or-get: return the existing kind under this key, or install the
-   freshly made one.  Callers pattern-match the result and reject kind
-   mismatches with a descriptive [Invalid_argument]. *)
-let add_metric name labels kind =
+(* Create-or-get: return the existing kind under this key, or install
+   one made by [make] — called only on a miss.  Callers pattern-match
+   the result and reject kind mismatches with a descriptive
+   [Invalid_argument]. *)
+let add_metric name labels make =
   let key = (name, canon labels) in
   match Hashtbl.find_opt table key with
   | Some m -> m.m_kind
   | None ->
+      let kind = make () in
       Hashtbl.add table key { m_name = name; m_labels = snd key; m_kind = kind };
       kind
 
 let counter ?(labels = []) name =
-  match add_metric name labels (Counter (Counter.create ~name)) with
+  match add_metric name labels (fun () -> Counter (Counter.create ~name)) with
   | Counter c -> c
   | k ->
       invalid_arg
@@ -47,7 +49,7 @@ let counter ?(labels = []) name =
            (kind_label k))
 
 let gauge ?(labels = []) name =
-  match add_metric name labels (Gauge (Gauge.create ~name)) with
+  match add_metric name labels (fun () -> Gauge (Gauge.create ~name)) with
   | Gauge g -> g
   | k ->
       invalid_arg
@@ -63,7 +65,9 @@ let gauge_fn ?(labels = []) name f =
   g
 
 let histogram ?(labels = []) ?sub_bits name =
-  match add_metric name labels (Histogram (Histogram.create ?sub_bits ())) with
+  match
+    add_metric name labels (fun () -> Histogram (Histogram.create ?sub_bits ()))
+  with
   | Histogram h -> h
   | k ->
       invalid_arg
@@ -71,7 +75,7 @@ let histogram ?(labels = []) ?sub_bits name =
            (kind_label k))
 
 let series ?(labels = []) name =
-  match add_metric name labels (Series (Series.create ~name ())) with
+  match add_metric name labels (fun () -> Series (Series.create ~name ())) with
   | Series s -> s
   | k ->
       invalid_arg

@@ -187,9 +187,25 @@ let test_sabotage_is_caught () =
           expect_violation ~substring:"not quiesced" (fun () ->
               ignore (mini_chaos ~seed:1 ~salt:0))))
 
+(* Golden digests of each spec's sweep-size fingerprint at seed 1 (salt
+   0; the sweep below proves every salt and repeat agrees).  A change
+   meant to move only host cost — wall-clock, allocation — must leave
+   these byte-identical; one that changes behaviour on purpose updates
+   them and says why. *)
+let golden_fingerprints =
+  [
+    ("chaos", "46c9663e97fbce7e57488573e9fa79dc");
+    ("chaos_upgrade", "8583f15b2fbc0ea55754fceed2384db6");
+    ("overload", "0db12d26a4645792755dd6510b93ea6c");
+    ("partition", "8758a7150a74290324a26aa95013c723");
+    ("tenants", "378dfdbe3e1f33478994b192ea1f00da");
+    ("churn", "c48ff1c6761d5fcbd242f6356a731eda");
+    ("hostile", "63bc9ebc35872bedf7d37ed3fa4894fb");
+  ]
+
 (* Every spec at sweep size: its acceptance checks hold, its fingerprint
-   is stable across salts and repeats, and each armed sabotage is
-   caught. *)
+   is stable across salts and repeats and matches its golden digest,
+   and each armed sabotage is caught. *)
 let test_spec_table () =
   with_checking (fun () ->
       List.iter
@@ -201,6 +217,14 @@ let test_spec_table () =
               ()
           in
           if not (E.ok o) then Alcotest.failf "%s: %s" spec.name (E.summary o);
+          (match (o.E.per_seed, List.assoc_opt spec.name golden_fingerprints) with
+          | [ (_, [ fp ]) ], Some golden ->
+              Alcotest.(check string)
+                (spec.name ^ ": fingerprint digest")
+                golden
+                (Digest.to_hex (Digest.string fp))
+          | _, None -> Alcotest.failf "%s: no golden fingerprint" spec.name
+          | _ -> Alcotest.failf "%s: expected one fingerprint" spec.name);
           List.iter
             (fun ((flag, _) as sabotage) ->
               check_bool

@@ -456,6 +456,99 @@ let wheel_prop_matches_heap =
       Sim.Loop.run loop;
       List.rev !got = expect)
 
+(* -- Bitset ------------------------------------------------------------ *)
+
+let members b =
+  let acc = ref [] in
+  Sim.Bitset.iter b (fun i -> acc := i :: !acc);
+  List.rev !acc
+
+let test_bitset_basics () =
+  let b = Sim.Bitset.create () in
+  check_int "next on a new set" (-1) (Sim.Bitset.next b 0);
+  Sim.Bitset.clear b 1000;
+  Alcotest.(check (list int)) "clear past the end is a no-op" [] (members b);
+  (* 31/32 and 63/64 straddle word boundaries; 200 forces growth. *)
+  List.iter (Sim.Bitset.set b) [ 31; 32; 63; 64; 200; 0; 32 ];
+  Alcotest.(check (list int))
+    "ascending, set idempotent" [ 0; 31; 32; 63; 64; 200 ] (members b);
+  check_int "next at a member" 31 (Sim.Bitset.next b 31);
+  check_int "next across a word" 63 (Sim.Bitset.next b 33);
+  check_int "next across empty words" 200 (Sim.Bitset.next b 65);
+  check_int "next past the last member" (-1) (Sim.Bitset.next b 201);
+  check_int "next far past the end" (-1) (Sim.Bitset.next b 100_000);
+  check_int "negative start" 0 (Sim.Bitset.next b (-5));
+  Sim.Bitset.clear b 32;
+  Sim.Bitset.clear b 32;
+  Alcotest.(check (list int))
+    "clear idempotent" [ 0; 31; 63; 64; 200 ] (members b);
+  Sim.Bitset.reset b;
+  check_int "next after reset" (-1) (Sim.Bitset.next b 0);
+  Sim.Bitset.set b 5;
+  Alcotest.(check (list int)) "usable after reset" [ 5 ] (members b);
+  Alcotest.check_raises "negative set"
+    (Invalid_argument "Bitset.set: negative index") (fun () ->
+      Sim.Bitset.set b (-1))
+
+let test_bitset_iter_mutation () =
+  let b = Sim.Bitset.create () in
+  List.iter (Sim.Bitset.set b) [ 2; 9; 40 ];
+  let seen = ref [] in
+  (* Changes in the visited word and in later words, ahead and behind. *)
+  Sim.Bitset.iter b (fun i ->
+      seen := i :: !seen;
+      if i = 2 then begin
+        Sim.Bitset.set b 1;
+        Sim.Bitset.set b 5;
+        Sim.Bitset.set b 70;
+        Sim.Bitset.clear b 9;
+        Sim.Bitset.clear b 40
+      end);
+  Alcotest.(check (list int))
+    "added ahead visited, behind and cleared not" [ 2; 5; 70 ] (List.rev !seen)
+
+(* Model check against a [bool array]: random set/clear/reset sequences
+   (clears also past the grown storage), then [next] from every index
+   and past the end, and the member list. *)
+let bitset_prop_matches_model =
+  let n = 256 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun i -> `Set i) (int_bound 199));
+          (3, map (fun i -> `Clear i) (int_bound (n - 1)));
+          (1, return `Reset);
+        ])
+  in
+  QCheck.Test.make ~name:"bitset matches a bool-array model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 80) op))
+    (fun ops ->
+      let b = Sim.Bitset.create () in
+      let model = Array.make n false in
+      List.iter
+        (function
+          | `Set i ->
+              Sim.Bitset.set b i;
+              model.(i) <- true
+          | `Clear i ->
+              Sim.Bitset.clear b i;
+              model.(i) <- false
+          | `Reset ->
+              Sim.Bitset.reset b;
+              Array.fill model 0 n false)
+        ops;
+      let model_next i =
+        let rec go j = if j >= n then -1 else if model.(j) then j else go (j + 1) in
+        go i
+      in
+      let ok = ref true in
+      for i = 0 to n + 10 do
+        if Sim.Bitset.next b i <> model_next i then ok := false
+      done;
+      !ok
+      && members b = List.filter (fun i -> model.(i)) (List.init n Fun.id))
+
 (* -- Time -------------------------------------------------------------- *)
 
 let test_time_units () =
@@ -524,6 +617,13 @@ let () =
           Alcotest.test_case "cascades far future" `Quick
             test_wheel_cascade_far_future;
           QCheck_alcotest.to_alcotest wheel_prop_matches_heap;
+        ] );
+      ( "bitset",
+        [
+          Alcotest.test_case "set/clear/reset/next" `Quick test_bitset_basics;
+          Alcotest.test_case "iter under mutation" `Quick
+            test_bitset_iter_mutation;
+          QCheck_alcotest.to_alcotest bitset_prop_matches_model;
         ] );
       ("time", [ Alcotest.test_case "units" `Quick test_time_units ]);
     ]

@@ -164,6 +164,41 @@ let test_hist_merge () =
   check_int "max" 200 (Stats.Histogram.max_value a);
   check_int "min" 1 (Stats.Histogram.min_value a)
 
+(* Bucket arrays grow on demand, so two histograms fed different value
+   ranges have different lengths: merging in either direction must read
+   exactly like one histogram that recorded every value. *)
+let hist_prop_merge_grown =
+  QCheck.Test.make ~name:"merge across grown lengths matches one histogram"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 40) (int_bound 200))
+        (list_of_size Gen.(0 -- 40) (int_bound 50_000_000)))
+    (fun (small, large) ->
+      let of_list vs =
+        let h = Stats.Histogram.create () in
+        List.iter (Stats.Histogram.record h) vs;
+        h
+      in
+      let whole = of_list (small @ large) in
+      let same h =
+        let module H = Stats.Histogram in
+        H.count h = H.count whole
+        && H.sum h = H.sum whole
+        && H.min_value h = H.min_value whole
+        && H.max_value h = H.max_value whole
+        && List.for_all
+             (fun q ->
+               H.quantile h q = H.quantile whole q
+               && H.quantile_interp h q = H.quantile_interp whole q)
+             [ 0.0; 0.01; 0.25; 0.5; 0.9; 0.99; 1.0 ]
+      in
+      let into_small = of_list small in
+      Stats.Histogram.merge_into ~src:(of_list large) ~dst:into_small;
+      let into_large = of_list large in
+      Stats.Histogram.merge_into ~src:(of_list small) ~dst:into_large;
+      same into_small && same into_large)
+
 let test_hist_negative_clamped () =
   let h = Stats.Histogram.create () in
   Stats.Histogram.record h (-5);
@@ -260,6 +295,18 @@ let test_registry_create_or_get () =
       check_int "same underlying counter" 1 (Stats.Counter.value b);
       let other = Stats.Registry.counter ~labels:[ ("x", "2") ] "ops" in
       check_int "distinct labels, distinct counter" 0 (Stats.Counter.value other))
+
+(* A hit returns the installed instrument without building a new one:
+   an argument only the constructor would reject goes unchecked. *)
+let test_registry_builds_only_on_miss () =
+  with_empty_registry (fun () ->
+      let h = Stats.Registry.histogram "lat" in
+      Stats.Histogram.record h 7;
+      let again = Stats.Registry.histogram ~sub_bits:99 "lat" in
+      check_int "same histogram" 1 (Stats.Histogram.count again);
+      Alcotest.check_raises "a miss still builds (and validates)"
+        (Invalid_argument "Histogram.create") (fun () ->
+          ignore (Stats.Registry.histogram ~sub_bits:99 "other")))
 
 let test_registry_label_order_canonical () =
   with_empty_registry (fun () ->
@@ -375,6 +422,7 @@ let () =
           Alcotest.test_case "merge" `Quick test_hist_merge;
           Alcotest.test_case "merge sub_bits mismatch" `Quick
             test_hist_merge_sub_bits_mismatch;
+          QCheck_alcotest.to_alcotest hist_prop_merge_grown;
           Alcotest.test_case "negative clamp" `Quick test_hist_negative_clamped;
           Alcotest.test_case "record_n" `Quick test_hist_record_n;
           Alcotest.test_case "cdf" `Quick test_hist_cdf;
@@ -390,6 +438,8 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "create or get" `Quick test_registry_create_or_get;
+          Alcotest.test_case "builds only on a miss" `Quick
+            test_registry_builds_only_on_miss;
           Alcotest.test_case "label canonicalization" `Quick
             test_registry_label_order_canonical;
           Alcotest.test_case "kind mismatch" `Quick test_registry_kind_mismatch;
