@@ -319,6 +319,29 @@ let micro () =
              ignore (Sim.Heap.pop h)
            done))
   in
+  (* A loop with 1024 far-future events queued, so each step sifts
+     through a heap of realistic depth. *)
+  let busy_loop () =
+    let loop = Sim.Loop.create () in
+    for i = 1 to 1024 do
+      ignore (Sim.Loop.at loop (T.sec 1000 + i) ignore)
+    done;
+    loop
+  in
+  let loop_test =
+    let loop = busy_loop () in
+    Test.make ~name:"loop at+step"
+      (Staged.stage (fun () ->
+           ignore (Sim.Loop.at loop (Sim.Loop.now loop + 1) ignore);
+           ignore (Sim.Loop.step loop)))
+  in
+  let loop_cancel_test =
+    let loop = busy_loop () in
+    Test.make ~name:"loop at+cancel+step"
+      (Staged.stage (fun () ->
+           Sim.Loop.cancel loop (Sim.Loop.at loop (Sim.Loop.now loop + 1) ignore);
+           ignore (Sim.Loop.step loop)))
+  in
   let spsc_test =
     let q = Squeue.Spsc.create ~capacity:1024 () in
     Test.make ~name:"spsc push+pop"
@@ -354,7 +377,7 @@ let micro () =
   in
   List.iter
     (fun t -> benchmark (Test.make_grouped ~name:"g" [ t ]))
-    [ heap_test; spsc_test; hist_test; timely_test ]
+    [ heap_test; loop_test; loop_cancel_test; spsc_test; hist_test; timely_test ]
 
 (* -- Workload sections + perf trajectory ---------------------------------- *)
 

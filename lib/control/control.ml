@@ -342,7 +342,7 @@ module Watchdog = struct
   let stop t =
     match t.timer with
     | Some h ->
-        Loop.cancel h;
+        Loop.cancel t.wd_lp h;
         t.timer <- None
     | None -> ()
 
@@ -422,7 +422,7 @@ module Poller = struct
   let stop t =
     match t.timer with
     | Some h ->
-        Loop.cancel h;
+        Loop.cancel t.po_lp h;
         t.timer <- None
     | None -> ()
 

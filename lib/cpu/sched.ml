@@ -41,8 +41,13 @@ type task_state =
 
 type task = {
   t_name : string;
+  tid : int;  (* index into the machine's task table *)
   account : string;
+  (* The account's counter, resolved on the first charge so that an
+     account appears in [accounts] only once something is charged. *)
+  mutable acct : int ref option;
   klass : klass;
+  vr_scale : float;  (* vruntime ns per CPU ns: 1024 / weight, 0 if not fair *)
   mutable idle : idle_policy;
   mutable step : unit -> step_result;
   m : machine;
@@ -80,7 +85,9 @@ and machine = {
   m_name : string;
   cores_arr : core array;
   mq_ready : task Queue.t;
-  cfs_ready : task Sim.Heap.t;
+  cfs_ready : Sim.Heap.t;  (* task ids keyed by vruntime *)
+  mutable tasks : task array;  (* by [tid]; ids are never reused *)
+  mutable n_tasks : int;
   account_tbl : (string, int ref) Hashtbl.t;
   mutable vr_clock : float;
   mutable rr_interrupt : int;
@@ -130,6 +137,8 @@ let create_machine ~loop ~costs ~name ~cores =
           });
     mq_ready = Queue.create ();
     cfs_ready = Sim.Heap.create ();
+    tasks = [||];
+    n_tasks = 0;
     account_tbl = Hashtbl.create 16;
     vr_clock = 0.0;
     rr_interrupt = 0;
@@ -177,11 +186,18 @@ let reserve_core m =
 
 (* -- Accounting ------------------------------------------------------- *)
 
+let account_ref m account =
+  match Hashtbl.find_opt m.account_tbl account with
+  | Some r -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.add m.account_tbl account r;
+      r
+
 let account_add m account cost =
   m.total_busy <- m.total_busy + cost;
-  match Hashtbl.find_opt m.account_tbl account with
-  | Some r -> r := !r + cost
-  | None -> Hashtbl.add m.account_tbl account (ref cost)
+  let r = account_ref m account in
+  r := !r + cost
 
 let charge task cost =
   task.busy <- task.busy + cost;
@@ -190,7 +206,17 @@ let charge task cost =
       let core = task.m.cores_arr.(cid) in
       core.core_busy <- core.core_busy + cost
   | Created | Ready | Blocked | Throttled | Done -> ());
-  account_add task.m task.account cost
+  let m = task.m in
+  m.total_busy <- m.total_busy + cost;
+  let r =
+    match task.acct with
+    | Some r -> r
+    | None ->
+        let r = account_ref m task.account in
+        task.acct <- Some r;
+        r
+  in
+  r := !r + cost
 
 (* Spin time is CPU time: a spinning task holds its core busy.  The
    interval is folded in when the spin ends; live queries add the
@@ -232,9 +258,8 @@ let accounts m =
 
 let cfs_weight nice = 1024.0 /. (1.25 ** float_of_int nice)
 
-let vruntime_delta task cost =
-  match task.klass with
-  | Cfs { nice } -> float_of_int cost *. (1024.0 /. cfs_weight nice)
+let vruntime_scale = function
+  | Cfs { nice } -> 1024.0 /. cfs_weight nice
   | Pinned _ | Micro_quanta _ -> 0.0
 
 (* -- Core / dispatch machinery ---------------------------------------- *)
@@ -298,10 +323,10 @@ and next_ready m =
     | Some _ -> from_mq ()
     | None -> from_cfs ()
   and from_cfs () =
-    match Sim.Heap.pop m.cfs_ready with
-    | Some t when t.state = Ready -> Some t
-    | Some _ -> from_cfs ()
-    | None -> None
+    if Sim.Heap.is_empty m.cfs_ready then None
+    else
+      let t = m.tasks.(Sim.Heap.pop_exn m.cfs_ready) in
+      if t.state = Ready then Some t else from_cfs ()
   in
   from_mq ()
 
@@ -310,7 +335,7 @@ and enqueue_ready m task =
   bump_gen task;
   (match task.klass with
   | Micro_quanta _ | Pinned _ -> Queue.add task m.mq_ready
-  | Cfs _ -> Sim.Heap.add m.cfs_ready ~key:(int_of_float task.vruntime) task);
+  | Cfs _ -> Sim.Heap.add m.cfs_ready ~key:(int_of_float task.vruntime) task.tid);
   (* If a core is idle, take it immediately. *)
   let rec find_idle i =
     if i >= Array.length m.cores_arr then None
@@ -396,7 +421,7 @@ and step_event m core task gen =
 and after_run m core task cost ~nonpreempt =
   charge task cost;
   task.slice_used <- task.slice_used + cost;
-  task.vruntime <- task.vruntime +. vruntime_delta task cost;
+  task.vruntime <- task.vruntime +. (float_of_int cost *. task.vr_scale);
   if nonpreempt then core.nonpreempt_until <- Time.add (Loop.now m.lp) cost;
   (* MicroQuanta bandwidth control. *)
   let now = Loop.now m.lp in
@@ -437,25 +462,38 @@ let spawn m ~name ~account ~klass ~idle ~step =
         invalid_arg "Sched.spawn: runtime_pct"
   | Cfs { nice } ->
       if nice < -20 || nice > 19 then invalid_arg "Sched.spawn: nice");
-  {
-    t_name = name;
-    account;
-    klass;
-    idle;
-    step;
-    m;
-    state = Created;
-    gen = 0;
-    busy = 0;
-    spin_start = Time.zero;
-    vruntime = 0.0;
-    slice_used = 0;
-    mq_consumed = 0;
-    mq_period_start = Time.zero;
-    preempt_rt = false;
-    preempt_fair = false;
-    wake_pending = false;
-  }
+  let task =
+    {
+      t_name = name;
+      tid = m.n_tasks;
+      account;
+      acct = None;
+      klass;
+      vr_scale = vruntime_scale klass;
+      idle;
+      step;
+      m;
+      state = Created;
+      gen = 0;
+      busy = 0;
+      spin_start = Time.zero;
+      vruntime = 0.0;
+      slice_used = 0;
+      mq_consumed = 0;
+      mq_period_start = Time.zero;
+      preempt_rt = false;
+      preempt_fair = false;
+      wake_pending = false;
+    }
+  in
+  if m.n_tasks = Array.length m.tasks then begin
+    let fresh = Array.make (max 8 (2 * m.n_tasks)) task in
+    Array.blit m.tasks 0 fresh 0 m.n_tasks;
+    m.tasks <- fresh
+  end;
+  m.tasks.(m.n_tasks) <- task;
+  m.n_tasks <- m.n_tasks + 1;
+  task
 
 let class_wake_latency m task =
   match task.klass with
@@ -468,24 +506,34 @@ let class_wake_latency m task =
    blindness is exactly the pathology Figure 7(b) demonstrates.  The
    choice is uniform over eligible cores, from the machine's own RNG
    stream. *)
+let preemptible_by woken core =
+  (not core.reserved)
+  &&
+  match core.current with
+  | None -> false
+  | Some cur -> (
+      match (woken.klass, cur.klass) with
+      | (Micro_quanta _ | Pinned _), Cfs _ -> true
+      | Cfs { nice = wn }, Cfs { nice = cn } when wn < cn -> true
+      | (Pinned _ | Micro_quanta _ | Cfs _), _ -> false)
+
 let find_victim m woken =
-  let candidate core =
-    match core.current with
-    | None -> None
-    | Some cur -> (
-        match (woken.klass, cur.klass) with
-        | (Micro_quanta _ | Pinned _), Cfs _ -> Some core
-        | Cfs { nice = wn }, Cfs { nice = cn } when wn < cn -> Some core
-        | (Pinned _ | Micro_quanta _ | Cfs _), _ -> None)
-  in
-  let candidates =
-    Array.to_list m.cores_arr
-    |> List.filter_map (fun core ->
-           if core.reserved then None else candidate core)
-  in
-  match candidates with
-  | [] -> None
-  | l -> Some (List.nth l (Sim.Rng.int (Loop.rng m.lp) (List.length l)))
+  let cores = m.cores_arr in
+  let n = ref 0 in
+  for i = 0 to Array.length cores - 1 do
+    if preemptible_by woken cores.(i) then incr n
+  done;
+  if !n = 0 then None
+  else begin
+    (* The k-th eligible core in index order. *)
+    let k = ref (Sim.Rng.int (Loop.rng m.lp) !n) in
+    let i = ref 0 in
+    while not (preemptible_by woken cores.(!i)) || !k > 0 do
+      if preemptible_by woken cores.(!i) then decr k;
+      incr i
+    done;
+    Some cores.(!i)
+  end
 
 let is_spinning_state t =
   match t.state with
@@ -518,54 +566,56 @@ let wake task =
               dispatch m core task ~delay)
       | Micro_quanta _ | Cfs _ -> (
           (* Prefer an awake idle core, then a sleeping idle core, then
-             preempt, then queue. *)
-          let idle_cores =
-            Array.to_list m.cores_arr
-            |> List.filter (fun c -> (not c.reserved) && c.current = None)
-          in
-          let awake, asleep =
-            List.partition (fun c -> not (core_asleep m c)) idle_cores
-          in
-          match (awake, asleep) with
-          | core :: _, _ ->
-              dispatch m core task ~delay:(class_wake_latency m task)
-          | [], core :: _ ->
-              let delay =
-                Time.add (class_wake_latency m task) m.cost.cstate_exit
-              in
-              dispatch m core task ~delay
-          | [], [] -> (
-              match find_victim m task with
-              | Some core -> (
-                  match core.current with
-                  | Some victim when is_spinning_state victim ->
-                      (* A spinning victim has no pending step event, so
-                         preempt it synchronously. *)
-                      let spin = Time.sub (Loop.now m.lp) victim.spin_start in
-                      charge victim spin;
-                      charge victim m.cost.context_switch;
-                      enqueue_ready m victim;
-                      core.current <- None;
-                      dispatch m core task
-                        ~delay:
-                          (Time.add (class_wake_latency m task)
-                             m.cost.context_switch)
-                  | Some victim -> (
-                      match task.klass with
-                      | Micro_quanta _ | Pinned _ ->
-                          victim.preempt_rt <- true;
-                          enqueue_ready m task
-                      | Cfs _ ->
-                          victim.preempt_fair <- true;
-                          if core.waiter = None then begin
-                            (* Wake affinity: wait on this core. *)
-                            task.state <- Ready;
-                            bump_gen task;
-                            core.waiter <- Some task
-                          end
-                          else enqueue_ready m task)
-                  | None -> enqueue_ready m task)
-              | None -> enqueue_ready m task)))
+             preempt, then queue; the first of each in index order. *)
+          let cores = m.cores_arr in
+          let awake = ref (-1) and asleep = ref (-1) in
+          let i = ref 0 in
+          while !awake < 0 && !i < Array.length cores do
+            let c = cores.(!i) in
+            if (not c.reserved) && Option.is_none c.current then
+              if not (core_asleep m c) then awake := !i
+              else if !asleep < 0 then asleep := !i;
+            incr i
+          done;
+          if !awake >= 0 then
+            dispatch m cores.(!awake) task ~delay:(class_wake_latency m task)
+          else if !asleep >= 0 then
+            let delay =
+              Time.add (class_wake_latency m task) m.cost.cstate_exit
+            in
+            dispatch m cores.(!asleep) task ~delay
+          else (
+            match find_victim m task with
+            | Some core -> (
+                match core.current with
+                | Some victim when is_spinning_state victim ->
+                    (* A spinning victim has no pending step event, so
+                       preempt it synchronously. *)
+                    let spin = Time.sub (Loop.now m.lp) victim.spin_start in
+                    charge victim spin;
+                    charge victim m.cost.context_switch;
+                    enqueue_ready m victim;
+                    core.current <- None;
+                    dispatch m core task
+                      ~delay:
+                        (Time.add (class_wake_latency m task)
+                           m.cost.context_switch)
+                | Some victim -> (
+                    match task.klass with
+                    | Micro_quanta _ | Pinned _ ->
+                        victim.preempt_rt <- true;
+                        enqueue_ready m task
+                    | Cfs _ ->
+                        victim.preempt_fair <- true;
+                        if core.waiter = None then begin
+                          (* Wake affinity: wait on this core. *)
+                          task.state <- Ready;
+                          bump_gen task;
+                          core.waiter <- Some task
+                        end
+                        else enqueue_ready m task)
+                | None -> enqueue_ready m task)
+            | None -> enqueue_ready m task)))
   | Spinning cid ->
       (* Treat like a kick: work has arrived for a spin-polling task. *)
       let spin = Time.sub (Loop.now m.lp) task.spin_start in

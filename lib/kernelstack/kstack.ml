@@ -150,7 +150,7 @@ let send_segment sock ~kind ~seq ~len =
 let cancel_rto sock =
   match sock.rto_handle with
   | Some h ->
-      Loop.cancel h;
+      Loop.cancel sock.stack.lp h;
       sock.rto_handle <- None
   | None -> ()
 

@@ -1538,7 +1538,7 @@ let arm_timer eng =
   let t = eng.e_host in
   (match eng.timer with
   | Some h ->
-      Loop.cancel h;
+      Loop.cancel t.lp h;
       eng.timer <- None
   | None -> ());
   let deadline = ref None in
@@ -2110,7 +2110,7 @@ let crash_host t =
       (fun eng ->
         (match eng.timer with
         | Some h ->
-            Loop.cancel h;
+            Loop.cancel t.lp h;
             eng.timer <- None
         | None -> ());
         if Engine.is_attached eng.core then Engine.remove t.group eng.core;
@@ -2714,7 +2714,7 @@ let await_until poll ctx client ~deadline =
           let task = Cpu.Thread.task ctx in
           let h = Loop.at t.lp deadline (fun () -> Sched.kick task) in
           Cpu.Thread.wait ctx;
-          Loop.cancel h;
+          Loop.cancel t.lp h;
           go ()
         end
   in

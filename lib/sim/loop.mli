@@ -7,8 +7,11 @@
 
 type t
 
-type handle
-(** A scheduled event, usable for cancellation. *)
+type handle [@@immediate]
+(** A scheduled event, usable for cancellation: an immediate int packing
+    the event's slot in the loop's closure table with that slot's
+    generation, so a handle that outlives its event never matches the
+    slot's next occupant. *)
 
 val create : ?seed:int -> ?tie_salt:int -> unit -> t
 (** [create ~seed ()] makes a fresh simulation at time zero.  [seed]
@@ -40,11 +43,13 @@ val at : t -> Time.t -> (unit -> unit) -> handle
 val after : t -> Time.t -> (unit -> unit) -> handle
 (** [after t d f] schedules [f] at [now t + d]. *)
 
-val cancel : handle -> unit
-(** Cancel a pending event.  Cancelling an event that has already fired is
-    a no-op. *)
+val cancel : t -> handle -> unit
+(** Cancel a pending event.  Cancelling an event that has already fired
+    or been cancelled is a no-op, even once its slot holds a newer
+    event. *)
 
-val is_pending : handle -> bool
+val is_pending : t -> handle -> bool
+(** [true] until the event fires or is cancelled. *)
 
 val every : t -> ?start:Time.t -> Time.t -> (unit -> unit) -> handle
 (** [every t ~start period f] runs [f] periodically, first at [start]

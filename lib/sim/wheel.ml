@@ -68,23 +68,17 @@ let due w = w.w_due
 
 let next_wake t =
   match t.wake with
-  | Some h when Loop.is_pending h -> Some (t.wake_tick * t.tick_ns)
+  | Some h when Loop.is_pending t.loop h -> Some (t.wake_tick * t.tick_ns)
   | _ -> None
 
-(* Same avalanche as [Heap.mix] so wheel ties replay identically under
-   a given salt. *)
-let mix salt seq =
-  let z = (seq lxor (salt * 0x27d4eb2f165667c5)) land max_int in
-  let z = (z lxor (z lsr 29)) * 0x2545f4914f6cdd1d land max_int in
-  let z = (z lxor (z lsr 32)) * 0x27d4eb2f165667c5 land max_int in
-  z lxor (z lsr 29)
-
+(* The heap's own tie rank, so wheel ties replay identically under a
+   given salt. *)
 let fire_order t a b =
   if a.w_due <> b.w_due then compare a.w_due b.w_due
-  else if t.salt = 0 then compare a.w_seq b.w_seq
   else
-    let ma = mix t.salt a.w_seq and mb = mix t.salt b.w_seq in
-    if ma <> mb then compare ma mb else compare a.w_seq b.w_seq
+    let ra = Heap.tie_rank ~salt:t.salt a.w_seq
+    and rb = Heap.tie_rank ~salt:t.salt b.w_seq in
+    if ra <> rb then compare ra rb else compare a.w_seq b.w_seq
 
 (* Lowest level whose enclosing page already matches the base; the
    timer cascades down one or more levels each time the base enters its
@@ -142,9 +136,9 @@ let next_interesting t =
 
 let rec set_wake t tk =
   match t.wake with
-  | Some h when Loop.is_pending h && t.wake_tick <= tk -> ()
+  | Some h when Loop.is_pending t.loop h && t.wake_tick <= tk -> ()
   | prev ->
-      (match prev with Some h -> Loop.cancel h | None -> ());
+      (match prev with Some h -> Loop.cancel t.loop h | None -> ());
       t.wake_tick <- tk;
       t.wake <- Some (Loop.at t.loop (tk * t.tick_ns) (fun () -> advance t tk))
 

@@ -21,19 +21,20 @@ let test_heap_order () =
 
 let test_heap_fifo_ties () =
   let h = Sim.Heap.create () in
-  Sim.Heap.add h ~key:1 "a";
-  Sim.Heap.add h ~key:1 "b";
-  Sim.Heap.add h ~key:1 "c";
-  Alcotest.(check (option string)) "first" (Some "a") (Sim.Heap.pop h);
-  Alcotest.(check (option string)) "second" (Some "b") (Sim.Heap.pop h);
-  Alcotest.(check (option string)) "third" (Some "c") (Sim.Heap.pop h)
+  Sim.Heap.add h ~key:1 10;
+  Sim.Heap.add h ~key:1 20;
+  Sim.Heap.add h ~key:1 30;
+  Alcotest.(check (option int)) "first" (Some 10) (Sim.Heap.pop h);
+  Alcotest.(check (option int)) "second" (Some 20) (Sim.Heap.pop h);
+  Alcotest.(check (option int)) "third" (Some 30) (Sim.Heap.pop h)
 
 let test_heap_min_key () =
   let h = Sim.Heap.create () in
   Alcotest.(check (option int)) "empty" None (Sim.Heap.min_key h);
-  Sim.Heap.add h ~key:42 ();
-  Sim.Heap.add h ~key:7 ();
-  Alcotest.(check (option int)) "min" (Some 7) (Sim.Heap.min_key h)
+  Sim.Heap.add h ~key:42 0;
+  Sim.Heap.add h ~key:7 1;
+  Alcotest.(check (option int)) "min" (Some 7) (Sim.Heap.min_key h);
+  check_int "top key" 7 (Sim.Heap.top_key h)
 
 let heap_prop_sorted =
   QCheck.Test.make ~name:"heap pops in nondecreasing key order" ~count:200
@@ -110,7 +111,7 @@ let test_loop_cancel () =
   let loop = Sim.Loop.create () in
   let fired = ref false in
   let h = Sim.Loop.after loop (Sim.Time.us 5) (fun () -> fired := true) in
-  Sim.Loop.cancel h;
+  Sim.Loop.cancel loop h;
   Sim.Loop.run loop;
   check_bool "cancelled event did not fire" false !fired
 
@@ -131,7 +132,7 @@ let test_loop_every () =
   let h = Sim.Loop.every loop (Sim.Time.us 10) (fun () -> incr count) in
   Sim.Loop.run ~until:(Sim.Time.us 55) loop;
   check_int "five periods" 5 !count;
-  Sim.Loop.cancel h;
+  Sim.Loop.cancel loop h;
   Sim.Loop.run ~until:(Sim.Time.us 200) loop;
   check_int "stopped after cancel" 5 !count
 
@@ -158,6 +159,145 @@ let test_loop_past_event_runs_now () =
          ignore (Sim.Loop.at loop (Sim.Time.us 3) (fun () -> at := Sim.Loop.now loop))));
   Sim.Loop.run loop;
   check_int "clamped to now" (Sim.Time.us 10) !at
+
+let test_loop_handle_stale () =
+  let loop = Sim.Loop.create () in
+  let fired = Sim.Loop.after loop (Sim.Time.us 5) ignore in
+  let cancelled = Sim.Loop.after loop (Sim.Time.us 5) ignore in
+  check_bool "pending before it fires" true (Sim.Loop.is_pending loop fired);
+  Sim.Loop.cancel loop cancelled;
+  check_bool "stale after cancel" false (Sim.Loop.is_pending loop cancelled);
+  check_int "cancelled entry still queued" 2 (Sim.Loop.pending_events loop);
+  Sim.Loop.run loop;
+  check_bool "stale after firing" false (Sim.Loop.is_pending loop fired);
+  check_int "queue drained" 0 (Sim.Loop.pending_events loop)
+
+(* A handle outlives its event; once the slot is reused, cancelling the
+   old handle must leave the new occupant alone. *)
+let test_loop_cancel_stale_after_reuse () =
+  let loop = Sim.Loop.create () in
+  let old_fired = Sim.Loop.after loop (Sim.Time.us 1) ignore in
+  let old_cancelled = Sim.Loop.after loop (Sim.Time.us 1) ignore in
+  Sim.Loop.cancel loop old_cancelled;
+  Sim.Loop.run loop;
+  let hits = ref 0 in
+  let fresh =
+    List.init 4 (fun _ -> Sim.Loop.after loop (Sim.Time.us 1) (fun () -> incr hits))
+  in
+  Sim.Loop.cancel loop old_fired;
+  Sim.Loop.cancel loop old_cancelled;
+  List.iter
+    (fun h -> check_bool "new event still pending" true (Sim.Loop.is_pending loop h))
+    fresh;
+  Sim.Loop.run loop;
+  check_int "every new event fired" 4 !hits
+
+let test_loop_every_cancel_from_callback () =
+  let loop = Sim.Loop.create () in
+  let count = ref 0 in
+  let self = ref None in
+  let h =
+    Sim.Loop.every loop (Sim.Time.us 10) (fun () ->
+        incr count;
+        if !count = 3 then Option.iter (Sim.Loop.cancel loop) !self)
+  in
+  self := Some h;
+  Sim.Loop.run ~until:(Sim.Time.us 200) loop;
+  check_int "stopped at the cancelling tick" 3 !count;
+  check_bool "handle stale" false (Sim.Loop.is_pending loop h);
+  check_int "no tick left queued" 0 (Sim.Loop.pending_events loop)
+
+(* Random at/after/cancel/step/run-until scripts against a sorted-list
+   reference: same firing order, clock, pending count and liveness. *)
+type loop_op =
+  | At of int
+  | After of int
+  | Cancel of int
+  | Step
+  | Run_until of int
+
+let loop_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun t -> At t) (int_bound 60));
+        (3, map (fun d -> After d) (int_bound 20));
+        (2, map (fun k -> Cancel k) (int_bound 40));
+        (3, return Step);
+        (1, map (fun t -> Run_until t) (int_bound 80));
+      ])
+
+let print_loop_op = function
+  | At t -> Printf.sprintf "At %d" t
+  | After d -> Printf.sprintf "After %d" d
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Step -> "Step"
+  | Run_until t -> Printf.sprintf "Run_until %d" t
+
+let run_loop_script salt ops =
+  let loop = Sim.Loop.create ~tie_salt:salt () in
+  let handles = ref [||] and fired = ref [] in
+  (* Reference: every queued entry as (time, tie rank, seq, id), cancelled
+     ones included, plus a liveness flag per id. *)
+  let queued = ref [] and live = ref [||] and clock = ref 0 and seq = ref 0 in
+  let ref_fired = ref [] and ok = ref true in
+  let schedule when_ =
+    let id = Array.length !handles in
+    let h = Sim.Loop.at loop when_ (fun () -> fired := id :: !fired) in
+    handles := Array.append !handles [| h |];
+    let when_ = max when_ !clock in
+    queued := (when_, Sim.Heap.tie_rank ~salt !seq, !seq, id) :: !queued;
+    incr seq;
+    live := Array.append !live [| true |]
+  in
+  let ref_step () =
+    match List.sort compare !queued with
+    | [] -> false
+    | (time, _, _, id) :: rest ->
+        queued := rest;
+        clock := max !clock time;
+        if !live.(id) then begin
+          !live.(id) <- false;
+          ref_fired := id :: !ref_fired
+        end;
+        true
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | At t -> schedule t
+      | After d -> schedule (!clock + d)
+      | Cancel k ->
+          let n = Array.length !handles in
+          if n > 0 then begin
+            Sim.Loop.cancel loop !handles.(k mod n);
+            !live.(k mod n) <- false
+          end
+      | Step -> if Sim.Loop.step loop <> ref_step () then ok := false
+      | Run_until limit ->
+          Sim.Loop.run ~until:limit loop;
+          while
+            List.exists (fun (time, _, _, _) -> time <= limit) !queued
+            && ref_step ()
+          do
+            ()
+          done;
+          clock := max !clock limit);
+      if
+        Sim.Loop.now loop <> !clock
+        || Sim.Loop.pending_events loop <> List.length !queued
+      then ok := false)
+    ops;
+  Array.iteri
+    (fun id h -> if Sim.Loop.is_pending loop h <> !live.(id) then ok := false)
+    !handles;
+  !ok && !fired = !ref_fired
+
+let loop_prop_matches_model =
+  QCheck.Test.make ~name:"loop matches a sorted-list model under salts 0, 1, 7"
+    ~count:300
+    QCheck.(make ~print:(Print.list print_loop_op) Gen.(list_size (int_bound 80) loop_op_gen))
+    (fun ops -> List.for_all (fun salt -> run_loop_script salt ops) [ 0; 1; 7 ])
 
 (* -- Trace ------------------------------------------------------------- *)
 
@@ -433,11 +573,12 @@ let wheel_prop_matches_heap =
     (fun (salt, pts) ->
       let dues = List.map (fun (d, ()) -> d + 1) pts in
       let heap = Sim.Heap.create ~salt () in
-      List.iteri (fun i d -> Sim.Heap.add heap ~key:d (d, i)) dues;
+      List.iteri (fun i d -> Sim.Heap.add heap ~key:d i) dues;
+      let due = Array.of_list dues in
       let expect =
         let rec drain acc =
           match Sim.Heap.pop heap with
-          | Some v -> drain (v :: acc)
+          | Some i -> drain ((due.(i), i) :: acc)
           | None -> List.rev acc
         in
         drain []
@@ -586,6 +727,12 @@ let () =
           Alcotest.test_case "every" `Quick test_loop_every;
           Alcotest.test_case "nested" `Quick test_loop_nested_schedule;
           Alcotest.test_case "past event" `Quick test_loop_past_event_runs_now;
+          Alcotest.test_case "handle stale" `Quick test_loop_handle_stale;
+          Alcotest.test_case "cancel stale after reuse" `Quick
+            test_loop_cancel_stale_after_reuse;
+          Alcotest.test_case "every cancelled from callback" `Quick
+            test_loop_every_cancel_from_callback;
+          QCheck_alcotest.to_alcotest loop_prop_matches_model;
         ] );
       ( "trace",
         [
