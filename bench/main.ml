@@ -359,6 +359,20 @@ let micro () =
     Test.make ~name:"timely rtt sample"
       (Staged.stage (fun () -> Pony.Timely.on_rtt_sample cc 20_000))
   in
+  (* The engine-pass member walk (busy flows and clients, busy mux
+     tenants): 256 slots, one member. *)
+  let bitset_test =
+    let set = Sim.Bitset.create () in
+    Sim.Bitset.set set 255;
+    Sim.Bitset.clear set 255;
+    Sim.Bitset.set set 137;
+    Test.make ~name:"bitset walk 256/1"
+      (Staged.stage (fun () ->
+           let i = ref (Sim.Bitset.next set 0) in
+           while !i >= 0 do
+             i := Sim.Bitset.next set (!i + 1)
+           done))
+  in
   let benchmark test =
     let instances = [ Toolkit.Instance.monotonic_clock ] in
     let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) () in
@@ -377,7 +391,10 @@ let micro () =
   in
   List.iter
     (fun t -> benchmark (Test.make_grouped ~name:"g" [ t ]))
-    [ heap_test; loop_test; loop_cancel_test; spsc_test; hist_test; timely_test ]
+    [
+      heap_test; loop_test; loop_cancel_test; spsc_test; hist_test;
+      timely_test; bitset_test;
+    ]
 
 (* -- Workload sections + perf trajectory ---------------------------------- *)
 

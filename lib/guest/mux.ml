@@ -21,12 +21,15 @@ type binding = {
      again. *)
   mutable frozen : (int * int * int * int) option;
   b_meng : meng;
+  b_slot : int;  (* index in [b_meng.bound] *)
 }
 
 and meng = {
-  m_idx : int;
   core : Engine.t;
-  mutable owned : binding list;  (* attach order *)
+  mutable bound : binding array;  (* attach order *)
+  (* Slots of the bindings that may have work: a pass visits members
+     only, in slot order (see [run_meng]). *)
+  busy : Sim.Bitset.t;
   mutable last_epoch : int;
 }
 
@@ -65,7 +68,7 @@ let status_of : Pony.Wire.status -> Ring.status = function
 (* {1 Misbehavior escalation}
 
    Trust-boundary violations accumulate on the tenant; past
-   [suspect_after] the mux throttles its tx drain to one descriptor per
+   [suspect_after] the mux throttles its tx drain to a quarter batch per
    pass, past [quarantine_after] the tenant is quarantined: in-flight
    ops abandoned, pool charges bulk-reclaimed through the
    generation-tagged owner release, rings cancelled and never served
@@ -311,26 +314,67 @@ let service t b cost work =
         finalize t b
       end
 
+(* {1 Busy set}
+
+   A binding joins its engine's busy set when it may have gained work:
+   its Pony delivery hook (every completion or message pushed to its
+   client), its tx and rx kick handlers, and a graceful detach.  After a
+   visit it stays only while [has_work] holds.  Outside that rule
+   [service] pops two empty queues and gets a [Take_empty] with no side
+   effect, so skipping it changes nothing.  Every guest write to [avail]
+   or a slot kicks; the one unsignalled write, [reaped], matters only
+   while a take is already pending.  A guest that writes without
+   kicking would only delay its own service: host safety rests on
+   [take_checked], not on the visit. *)
+
+let mark b = Sim.Bitset.set b.b_meng.busy b.b_slot
+
+(* The 16-item caps can leave queued completions or messages behind; a
+   Detaching binding is visited until it finalizes; a pending take
+   covers a backlog, an index runahead, and a rolled-back [avail],
+   which is re-scored every pass. *)
+let has_work b =
+  (not (PE.engine_queues_empty b.client))
+  ||
+  match b.tenant.Tenant.state with
+  | Tenant.Detaching -> true
+  | Tenant.Attached -> Ring.take_pending b.tenant.Tenant.tx
+  | Tenant.Detached -> false
+
 let run_meng t m =
   let ep = Engine.epoch m.core in
   if ep <> m.last_epoch then begin
     (* Ring contents and in-flight state live in the bindings, outside
        the engine incarnation: the new instance resumes where the old
-       one stopped, so a tenant observes only the blackout window. *)
+       one stopped, so a tenant observes only the blackout window.  The
+       busy set lives there too, so work that landed during the
+       blackout is served now. *)
     m.last_epoch <- ep;
     t.n_resyncs <- t.n_resyncs + 1
   end;
   let cost = ref Time.zero in
   let work = ref 0 in
-  List.iter (fun b -> service t b cost work) m.owned;
+  let i = ref (Sim.Bitset.next m.busy 0) in
+  while !i >= 0 do
+    let b = m.bound.(!i) in
+    service t b cost work;
+    if not (has_work b) then Sim.Bitset.clear m.busy !i;
+    i := Sim.Bitset.next m.busy (!i + 1)
+  done;
   if !work = 0 then Engine.No_work else Engine.Worked !cost
 
+(* A binding with an untaken descriptor has a take pending, so it is a
+   member: members are all that can raise the max. *)
 let meng_queue_delay m now =
-  List.fold_left
-    (fun acc b ->
-      if b.tenant.Tenant.state = Tenant.Detached then acc
-      else Time.max acc (Ring.oldest_pending_age b.tenant.Tenant.tx ~now))
-    0 m.owned
+  let age = ref 0 in
+  let i = ref (Sim.Bitset.next m.busy 0) in
+  while !i >= 0 do
+    let tn = m.bound.(!i).tenant in
+    if tn.Tenant.state <> Tenant.Detached then
+      age := Time.max !age (Ring.oldest_pending_age tn.Tenant.tx ~now);
+    i := Sim.Bitset.next m.busy (!i + 1)
+  done;
+  !age
 
 (* Guest-owned indices can make occupancy negative (rollback) or
    absurd (runahead); clamp to what the ring can physically hold. *)
@@ -338,12 +382,12 @@ let clamped_occ ring =
   min (Ring.capacity ring) (max 0 (Ring.occupancy ring))
 
 let meng_state_bytes m =
-  List.fold_left
+  Array.fold_left
     (fun acc b ->
       acc + 512
       + 64 * (clamped_occ b.tenant.Tenant.tx + clamped_occ b.tenant.Tenant.rx)
       + 48 * Hashtbl.length b.inflight)
-    0 m.owned
+    0 m.bound
 
 let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
     ?(quarantine_after = 12) () =
@@ -397,13 +441,28 @@ let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
           match !m_ref with Some m -> meng_state_bytes m | None -> 0)
         ()
     in
-    let m = { m_idx = i; core; owned = []; last_epoch = 0 } in
+    let m =
+      { core; bound = [||]; busy = Sim.Bitset.create (); last_epoch = 0 }
+    in
     m_ref := Some m;
     Engine.add group core;
     m.last_epoch <- Engine.epoch core;
     t.engs <- t.engs @ [ m ]
   done;
-  if Check.Invariant.enabled () then
+  if Check.Invariant.enabled () then begin
+    (* Every binding the keep rule says has work is in its engine's
+       busy set, or a pass would skip it (what the mux_skip_kick_mark
+       sabotage breaks). *)
+    Check.Invariant.register ~name:"guest.mux.busy" (fun () ->
+        let member b = Sim.Bitset.next b.b_meng.busy b.b_slot = b.b_slot in
+        match
+          List.find_opt (fun b -> has_work b && not (member b)) t.bindings
+        with
+        | Some b ->
+            Some
+              (Printf.sprintf "tenant %s has work but is not in %s's busy set"
+                 b.tenant.Tenant.owner (Engine.name b.b_meng.core))
+        | None -> None);
     (* The containment invariant: a tenant over the quarantine
        threshold must actually be quarantined (this is what the
        skip_tenant_quarantine sabotage breaks), and a quarantined
@@ -449,7 +508,8 @@ let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
                          tn.Tenant.owner)
                 | (Tenant.Healthy | Tenant.Suspect), _ -> scan rest)
         in
-        scan t.bindings);
+        scan t.bindings)
+  end;
   t
 
 let register_invariants b =
@@ -530,20 +590,30 @@ let attach ctx t ~name ~dst_host ~dst_name ?ring_slots ?buf_bytes ?max_ops
       live_ids = Hashtbl.create 32;
       frozen = None;
       b_meng = m;
+      b_slot = Array.length m.bound;
     }
   in
-  m.owned <- m.owned @ [ b ];
+  m.bound <- Array.append m.bound [| b |];
   t.bindings <- t.bindings @ [ b ];
   Hashtbl.replace t.by_name name b;
   (* Wakeups: completions/messages landing at the pony client, and
-     guest kicks on either ring, all nudge the owning mux engine.  A
-     kick with nothing behind it (empty or rolled-back backlog) is
-     scored as a spurious kick, and a quarantined tenant's notifier is
-     never rearmed — kick storms stop waking the engine. *)
-  PE.set_delivery_hook client (fun () -> Engine.notify m.core);
+     guest kicks on either ring, all mark the binding busy and nudge the
+     owning mux engine.  A kick with nothing behind it (empty or
+     rolled-back backlog) is scored as a spurious kick, and a
+     quarantined tenant's notifier is never rearmed — kick storms stop
+     waking the engine. *)
+  PE.set_delivery_hook client (fun () ->
+      mark b;
+      Engine.notify m.core);
   let rec rearm ring =
     Ring.arm_kick ring (fun () ->
         if tenant.Tenant.health <> Tenant.Quarantined then begin
+          (* Sabotage point: with "mux_skip_kick_mark" armed the engine
+             is still woken but the binding never joins its busy set,
+             so the sweep can prove the guest.mux.busy invariant fires
+             (never armed outside the checker's own non-vacuity
+             test). *)
+          if not (Check.Invariant.sabotage "mux_skip_kick_mark") then mark b;
           if Ring.backlog ring <= 0 then violate t b Tenant.Spurious_kick;
           if tenant.Tenant.health <> Tenant.Quarantined then begin
             Engine.notify m.core;
@@ -575,7 +645,10 @@ let detach ?(force = false) t tenant =
           Hashtbl.reset b.live_ids;
           finalize t b
         end
-        else Engine.notify b.b_meng.core
+        else begin
+          mark b;
+          Engine.notify b.b_meng.core
+        end
       end
 
 let group t = t.group

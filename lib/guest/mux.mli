@@ -4,14 +4,19 @@
 
     The mux owns its own engine group (so upgrades can target guest
     engines independently of the Pony engines) and assigns tenants to
-    its engines round-robin.  Per engine pass, each owned tenant gets a
-    bounded batch of: Pony completions (release the tenant's admission
-    charge, publish the tx used entry), incoming messages (fill a
-    posted rx buffer, or count an rx-ring drop), and tx descriptors
-    (admit against the {e tenant's} quota — [Rejected] completes
-    immediately on the ring; admitted descriptors become engine-side
-    Pony sends).  Ring backpressure is structural: descriptors stay in
-    the ring while the Pony command queue is full.
+    its engines round-robin.  An engine pass serves the tenants that
+    have work, in attach order, and skips the rest: each gets a bounded
+    batch of Pony completions (release the tenant's admission charge,
+    publish the tx used entry), incoming messages (fill a posted rx
+    buffer, or count an rx-ring drop), and tx descriptors (admit
+    against the {e tenant's} quota — [Rejected] completes immediately
+    on the ring; admitted descriptors become engine-side Pony sends).
+    A tenant is marked as having work by a Pony delivery, a kick on
+    either ring, or a graceful detach, and stays marked while work is
+    left after its batch.  With checking enabled, the [guest.mux.busy]
+    invariant asserts no tenant with work goes unmarked.  Ring
+    backpressure is structural: descriptors stay in the ring while the
+    Pony command queue is full.
 
     {b Trust boundary.}  Every drain consumes through
     {!Ring.take_checked}: malformed descriptors complete [Failed],
@@ -19,7 +24,7 @@
     into the engine loop.  Each verdict scores a violation against the
     tenant ({!Tenant.note_violation}), driving a watchdog-style
     escalation — past [suspect_after] total violations the tenant's tx
-    drain is throttled to one descriptor per pass, past
+    drain is throttled to a quarter batch (4 descriptors) per pass, past
     [quarantine_after] it is {e quarantined}: in-flight ops abandoned,
     pool charges bulk-reclaimed through the generation-tagged
     {!Memory.Pool.release_owner}, rings cancelled and never served
@@ -55,8 +60,8 @@ val create :
     mux engines in a fresh group named ["guest<addr>"] scheduled per
     [mode].  [suspect_after] (default 3) and [quarantine_after]
     (default 12) are the violation-count escalation thresholds; when
-    checking is enabled the [guest.quarantine] containment invariant is
-    registered here. *)
+    checking is enabled the [guest.quarantine] containment and
+    [guest.mux.busy] membership invariants are registered here. *)
 
 val attach :
   Cpu.Thread.ctx ->

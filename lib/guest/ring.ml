@@ -90,6 +90,7 @@ let region t = t.reg
 let occupancy t = t.avail - t.reaped
 let backlog t = t.avail - t.taken
 let in_flight t = t.taken - t.used
+let take_pending t = t.avail <> t.taken || t.avail <> t.max_avail
 let completions_ready t = t.used - t.reaped
 let is_full t = occupancy t >= t.cap
 let avail_idx t = t.avail

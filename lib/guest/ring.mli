@@ -137,6 +137,13 @@ val backlog : t -> int
 (** Posted and not yet taken ([avail - taken]) — the backend's queue
     depth, which engine scheduling reads as load. *)
 
+val take_pending : t -> bool
+(** [avail] differs from [taken] or from the largest avail the host has
+    observed: {!take_checked} would consume, fault or re-score a
+    rollback instead of answering a side-effect-free [Take_empty].  A
+    rolled-back ring stays pending until a [take_checked] resync brings
+    the shadow down to [avail]. *)
+
 val in_flight : t -> int
 (** Taken and not yet completed ([taken - used]). *)
 

@@ -2575,6 +2575,9 @@ let engine_post_send conn ~now ?(stream = 0) ?deadline ~bytes () =
 let engine_poll_completion client = Squeue.Spsc.pop client.comp_q
 let engine_poll_message client = Squeue.Spsc.pop client.msg_q
 
+let engine_queues_empty client =
+  Squeue.Spsc.is_empty client.comp_q && Squeue.Spsc.is_empty client.msg_q
+
 (* Admission rejections and lifecycle refusals complete locally on the
    submitting thread — the op never reaches an engine, the app sees a
    completion, never an exception. *)

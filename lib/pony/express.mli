@@ -295,6 +295,9 @@ val engine_post_send :
 val engine_poll_completion : client -> completion option
 val engine_poll_message : client -> incoming option
 
+val engine_queues_empty : client -> bool
+(** Neither a completion nor a message is waiting to be polled. *)
+
 val send_with_retry :
   Cpu.Thread.ctx ->
   conn ->

@@ -410,8 +410,10 @@ let tenants =
             ~base_lat:u.victim_latencies;
         ])
   in
-  (* The backend forgets an op's in-flight entry and admission charge;
-     the tenant's detach-quiesce invariant must notice. *)
+  (* guest_skip_release: the backend forgets an op's in-flight entry
+     and admission charge; the tenant's detach-quiesce invariant must
+     notice.  mux_skip_kick_mark: kicks wake the mux engine without
+     marking the tenant busy; guest.mux.busy must notice. *)
   let sabotage () =
     ignore
       (Tenants.run
@@ -421,7 +423,8 @@ let tenants =
   in
   entry "tenants" "Multi-tenant guest networking (Workloads.Tenants)"
     ~seed:Tenants.default_config.seed
-    ~sabotages:[ ("guest_skip_release", sabotage) ]
+    ~sabotages:
+      [ ("guest_skip_release", sabotage); ("mux_skip_kick_mark", sabotage) ]
     (fun ~seed ~tie_salt ->
       let c = { Tenants.default_config with seed; tie_salt } in
       ( c,

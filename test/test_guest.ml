@@ -213,6 +213,52 @@ let test_take_checked_reap_withhold () =
   | _ -> Alcotest.fail "expected Take_ok after reap");
   Alcotest.(check (option string)) "host indices sane" None (Ring.check_host r)
 
+let test_take_pending () =
+  (* The mux's keep rule: a binding with a pending take stays in its
+     engine's busy set, so every case where [take_checked] would do
+     more than a side-effect-free [Take_empty] must read pending. *)
+  let r = mk_ring ~slots:4 () in
+  check_bool "fresh ring" false (Ring.take_pending r);
+  for i = 0 to 2 do
+    ignore (Ring.post r ~now:T.zero ~id:i ~off:(i * 64) ~len:64)
+  done;
+  check_bool "after post" true (Ring.take_pending r);
+  for _ = 0 to 2 do
+    match Ring.take_checked r with
+    | Ring.Take_ok _ -> ()
+    | _ -> Alcotest.fail "expected Take_ok"
+  done;
+  check_bool "after the takes" false (Ring.take_pending r);
+  (* avail regresses below taken: pending until the guest grows it. *)
+  Ring.set_avail_raw r 1;
+  check_bool "after set_avail_raw below taken" true (Ring.take_pending r);
+  (match Ring.take_checked r with
+  | Ring.Take_stop Ring.Rollback -> ()
+  | _ -> Alcotest.fail "expected Take_stop Rollback");
+  (* The shadow resyncs to taken (3), still above avail (1): the next
+     take re-scores the rollback, so the ring stays pending. *)
+  check_bool "after the resync, avail still below taken" true
+    (Ring.take_pending r);
+  (match Ring.take_checked r with
+  | Ring.Take_stop Ring.Rollback -> ()
+  | _ -> Alcotest.fail "expected the rollback re-scored");
+  (* avail back at taken but below the shadow of a larger one: only the
+     shadow clause sees it, and one resync clears it. *)
+  let r2 = mk_ring ~slots:4 () in
+  for i = 0 to 2 do
+    ignore (Ring.post r2 ~now:T.zero ~id:i ~off:(i * 64) ~len:64)
+  done;
+  ignore (Ring.take_checked r2);
+  Ring.set_avail_raw r2 1;
+  check_int "no backlog" 0 (Ring.backlog r2);
+  check_bool "avail at taken, below the shadow" true (Ring.take_pending r2);
+  (match Ring.take_checked r2 with
+  | Ring.Take_stop Ring.Rollback -> ()
+  | _ -> Alcotest.fail "expected Take_stop Rollback");
+  check_bool "after take_checked's resync" false (Ring.take_pending r2);
+  Ring.set_avail_raw r2 9;
+  check_bool "after a runahead" true (Ring.take_pending r2)
+
 let test_ring_raw_wrap_around () =
   (* The raw surface drives the free-running indices several times
      around a tiny ring; the host-safety monitor must stay quiet. *)
@@ -565,6 +611,146 @@ let test_mux_quarantine_hostile_tenant () =
   | None -> Alcotest.fail "mux missing");
   Memory.Pool.assert_quiesced (PE.op_pool h_guest.Snap.Host.pony)
 
+(* A guest host with a mux and a sink server on a second host. *)
+let mk_guest_pair ~seed ?suspect_after ?quarantine_after () =
+  let loop = Sim.Loop.create ~seed () in
+  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
+  let dir = PE.Directory.create () in
+  let mk addr =
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr
+      ~mode:(Engine.Dedicating { cores = 2 })
+      ()
+  in
+  let h_guest = mk 0 in
+  let h_srv = mk 1 in
+  let mux =
+    Snap.Host.enable_guests ?suspect_after ?quarantine_after h_guest
+  in
+  ignore
+    (Snap.Host.spawn_app h_srv ~name:"sink" ~spin:true (fun ctx ->
+         let c = PE.create_client ctx h_srv.Snap.Host.pony ~name:"sink" () in
+         while true do
+           let _m = PE.await_message ctx c in
+           Cpu.Thread.compute ctx (T.us 1)
+         done));
+  (loop, h_guest, mux)
+
+(* Post [n] sends and sleep-poll until all complete, reaping as they
+   land; returns the number completed. *)
+let send_and_reap ctx tn ~first ~n =
+  let now () = Cpu.Thread.now ctx in
+  for i = first to first + n - 1 do
+    ignore
+      (Ring.post tn.Tenant.tx ~now:(now ()) ~id:i
+         ~off:(Tenant.tx_buf_off tn (i mod Ring.capacity tn.Tenant.tx))
+         ~len:256)
+  done;
+  let deadline = T.add (now ()) (T.ms 5) in
+  let reaped = ref 0 in
+  while !reaped < n && now () < deadline do
+    (match Ring.pop_used tn.Tenant.tx with
+    | Some _ -> incr reaped
+    | None -> ());
+    Cpu.Thread.sleep ctx (T.us 5)
+  done;
+  !reaped
+
+let test_mux_rollback_rescored () =
+  (* One rollback of the tx avail index below taken, one kick, then
+     silence from that guest while a neighbour keeps the mux engine
+     busy.  The rolled-back ring keeps a take pending, so its tenant
+     stays in the busy set and every pass re-scores Rollback until
+     quarantine.  A keep rule that looked only at a positive backlog
+     would drop it after one score. *)
+  let loop, h_guest, mux =
+    mk_guest_pair ~seed:12 ~suspect_after:2 ~quarantine_after:6 ()
+  in
+  let victim = ref None and settled = ref 0 in
+  let rolled = ref false and neighbour = ref None and sent = ref 0 in
+  ignore
+    (Snap.Host.spawn_app h_guest ~name:"rollback" (fun ctx ->
+         Cpu.Thread.sleep ctx (T.us 100);
+         let tn =
+           Snap.Host.attach_tenant ctx h_guest ~name:"rb" ~dst_host:1
+             ~dst_name:"sink" ~ring_slots:8 ~buf_bytes:512 ()
+         in
+         victim := Some tn;
+         settled := send_and_reap ctx tn ~first:0 ~n:3;
+         Ring.set_avail_raw tn.Tenant.tx 1;
+         rolled := true));
+  ignore
+    (Snap.Host.spawn_app h_guest ~name:"neighbour" (fun ctx ->
+         Cpu.Thread.sleep ctx (T.us 120);
+         let tn =
+           Snap.Host.attach_tenant ctx h_guest ~name:"nb" ~dst_host:1
+             ~dst_name:"sink" ~ring_slots:8 ~buf_bytes:512 ()
+         in
+         neighbour := Some tn;
+         while not !rolled do
+           Cpu.Thread.sleep ctx (T.us 10)
+         done;
+         for i = 0 to 19 do
+           sent := !sent + send_and_reap ctx tn ~first:i ~n:1
+         done));
+  Sim.Loop.run ~until:(T.ms 20) loop;
+  check_int "sends settled before the rollback" 3 !settled;
+  check_bool "rolled back" true !rolled;
+  check_int "neighbour sends completed" 20 !sent;
+  (match !neighbour with
+  | Some tn ->
+      check_bool "neighbour healthy" true (Tenant.health tn = Tenant.Healthy)
+  | None -> Alcotest.fail "neighbour never attached");
+  match !victim with
+  | None -> Alcotest.fail "guest never attached"
+  | Some tn ->
+      check_int "one spurious kick" 1
+        (Tenant.violations_by tn Tenant.Spurious_kick);
+      check_int "rollback re-scored up to the threshold" 5
+        (Tenant.violations_by tn Tenant.Rollback);
+      check_bool "quarantined" true (Tenant.health tn = Tenant.Quarantined);
+      check_int "one quarantine" 1 (Guest.Mux.quarantines mux);
+      check_int "no charges left behind" 0 (Tenant.pool_usage tn)
+
+let test_mux_post_during_engine_detach () =
+  (* A post that lands while the mux engine is detached wakes nobody;
+     its mark outlives the engine epoch, so the first pass after the
+     engine re-attaches serves it. *)
+  let loop, h_guest, mux = mk_guest_pair ~seed:13 () in
+  let e = List.hd (Guest.Mux.engines mux) in
+  let g = Guest.Mux.group mux in
+  let warm = ref 0 and taken_detached = ref (-1) and after = ref 0 in
+  ignore
+    (Snap.Host.spawn_app h_guest ~name:"guest" (fun ctx ->
+         Cpu.Thread.sleep ctx (T.us 100);
+         let tn =
+           Snap.Host.attach_tenant ctx h_guest ~name:"g" ~dst_host:1
+             ~dst_name:"sink" ~ring_slots:8 ~buf_bytes:512 ()
+         in
+         warm := send_and_reap ctx tn ~first:0 ~n:1;
+         Engine.remove g e;
+         ignore
+           (Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id:1
+              ~off:(Tenant.tx_buf_off tn 1) ~len:256);
+         Cpu.Thread.sleep ctx (T.us 200);
+         taken_detached := Ring.taken_idx tn.Tenant.tx;
+         Engine.add g e;
+         let deadline = T.add (Cpu.Thread.now ctx) (T.ms 5) in
+         while !after = 0 && Cpu.Thread.now ctx < deadline do
+           (match Ring.pop_used tn.Tenant.tx with
+           | Some u ->
+               check_bool "served Complete" true (u.Ring.u_status = Ring.Complete);
+               incr after
+           | None -> ());
+           Cpu.Thread.sleep ctx (T.us 5)
+         done;
+         Snap.Host.detach_tenant h_guest tn));
+  Sim.Loop.run ~until:(T.ms 20) loop;
+  check_int "warm-up send completed" 1 !warm;
+  check_int "not taken while detached" 1 !taken_detached;
+  check_int "served after re-attach" 1 !after;
+  check_int "one resync" 1 (Guest.Mux.resyncs mux);
+  check_int "no in-flight ops" 0 (Guest.Mux.inflight_ops mux)
+
 let () =
   Alcotest.run "guest"
     [
@@ -591,6 +777,7 @@ let () =
           Alcotest.test_case "reap withholding bounded" `Quick
             test_take_checked_reap_withhold;
           Alcotest.test_case "raw wrap-around" `Quick test_ring_raw_wrap_around;
+          Alcotest.test_case "take pending" `Quick test_take_pending;
           QCheck_alcotest.to_alcotest ring_prop_hostile_guest;
         ] );
       ( "tenant",
@@ -605,5 +792,9 @@ let () =
           Alcotest.test_case "force detach" `Quick test_mux_force_detach;
           Alcotest.test_case "hostile tenant quarantined" `Quick
             test_mux_quarantine_hostile_tenant;
+          Alcotest.test_case "rollback re-scored until quarantine" `Quick
+            test_mux_rollback_rescored;
+          Alcotest.test_case "post during engine detach served" `Quick
+            test_mux_post_during_engine_detach;
         ] );
     ]
