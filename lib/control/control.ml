@@ -137,7 +137,6 @@ module Watchdog = struct
     wd_lp : Loop.t;
     period : Time.t;
     miss_threshold : int;
-    restart_backoff : Time.t;
     max_restart_attempts : int;
     stable_window : Time.t;
     mutable entries : entry list;
@@ -152,6 +151,9 @@ module Watchdog = struct
 
   let component = "watchdog"
 
+  (* Base delay before a restart, doubled per consecutive failure. *)
+  let restart_backoff = Time.us 200
+
   let counter_names =
     [ "wd_heartbeats"; "wd_detections"; "wd_restarts"; "wd_quarantines" ]
 
@@ -160,13 +162,18 @@ module Watchdog = struct
     | Some (c, _) -> Stats.Counter.incr c
     | None -> invalid_arg ("Watchdog: unknown counter " ^ key)
 
-  let trace t fmt = Sim.Trace.emit t.wd_lp Sim.Trace.Info ~component fmt
+  (* A health decision as a Span instant.  Callers guard it with
+     [Sim.Span.enabled], so the argument strings are built only under
+     capture. *)
+  let instant t ~args name =
+    Sim.Span.emit t.wd_lp ~cat:component
+      ~track:(component ^ " " ^ t.wd_ctl.ctl_name)
+      ~args name
 
   let create ~control ?(period = Time.us 100) ?(miss_threshold = 3)
-      ?(restart_backoff = Time.us 200) ?(max_restart_attempts = 3) () =
+      ?(max_restart_attempts = 3) () =
     if period <= 0 then invalid_arg "Watchdog.create: period";
     if miss_threshold <= 0 then invalid_arg "Watchdog.create: miss_threshold";
-    if restart_backoff <= 0 then invalid_arg "Watchdog.create: restart_backoff";
     if max_restart_attempts <= 0 then
       invalid_arg "Watchdog.create: max_restart_attempts";
     {
@@ -174,7 +181,6 @@ module Watchdog = struct
       wd_lp = control.lp;
       period;
       miss_threshold;
-      restart_backoff;
       max_restart_attempts;
       stable_window = Time.scale period (float_of_int (2 * miss_threshold));
       entries = [];
@@ -236,8 +242,14 @@ module Watchdog = struct
     Stats.Histogram.record t.detect_hist latency;
     Stats.Histogram.record t.reg_detect_hist latency;
     en.consec_failures <- en.consec_failures + 1;
-    trace t "detected unresponsive engine %s (miss %d, failure %d)"
-      (Engine.name en.w_eng) en.missed en.consec_failures;
+    if Sim.Span.enabled () then
+      instant t "detected unresponsive engine"
+        ~args:
+          [
+            ("engine", Engine.name en.w_eng);
+            ("miss", string_of_int en.missed);
+            ("failure", string_of_int en.consec_failures);
+          ];
     if en.consec_failures > t.max_restart_attempts then begin
       (* Escalate: repeated restarts did not stick.  Quarantine the
          engine (degraded state, operator intervention required) instead
@@ -246,9 +258,13 @@ module Watchdog = struct
       wbump t "wd_quarantines";
       if Engine.is_attached en.w_eng then
         Engine.remove (restore_group en) en.w_eng;
-      trace t "quarantined engine %s after %d failed restarts"
-        (Engine.name en.w_eng)
-        (en.consec_failures - 1)
+      if Sim.Span.enabled () then
+        instant t "quarantined engine"
+          ~args:
+            [
+              ("engine", Engine.name en.w_eng);
+              ("failed_restarts", string_of_int (en.consec_failures - 1));
+            ]
     end
     else begin
       en.st <- Restarting;
@@ -259,7 +275,7 @@ module Watchdog = struct
       if Engine.is_attached en.w_eng then Engine.remove group en.w_eng;
       (* Exponential backoff between restart attempts. *)
       let backoff =
-        Time.scale t.restart_backoff
+        Time.scale restart_backoff
           (2.0 ** float_of_int (en.consec_failures - 1))
       in
       recover_engine t.wd_ctl ~group en.w_eng ~after:backoff
@@ -267,8 +283,13 @@ module Watchdog = struct
           en.restarts <- en.restarts + 1;
           wbump t "wd_restarts";
           heal en ~now:(Loop.now t.wd_lp);
-          trace t "restarted engine %s (attempt %d)" (Engine.name en.w_eng)
-            en.consec_failures)
+          if Sim.Span.enabled () then
+            instant t "restarted engine"
+              ~args:
+                [
+                  ("engine", Engine.name en.w_eng);
+                  ("attempt", string_of_int en.consec_failures);
+                ])
     end
 
   let miss t en ~now =
@@ -370,7 +391,6 @@ module Poller = struct
     po_period : Time.t;
     mutable probes : probe list;
     mutable timer : Loop.handle option;
-    mutable n_ticks : int;
   }
 
   let create ~control ?(period = Time.us 50) () =
@@ -381,7 +401,6 @@ module Poller = struct
       po_period = period;
       probes = [];
       timer = None;
-      n_ticks = 0;
     }
 
   let machine_label t =
@@ -400,7 +419,6 @@ module Poller = struct
      them, draws no randomness, and so cannot perturb same-seed runs. *)
   let tick t () =
     let now = Loop.now t.po_lp in
-    t.n_ticks <- t.n_ticks + 1;
     List.iter
       (fun p -> Stats.Series.add p.ser now (float_of_int (p.sample ())))
       t.probes;
@@ -425,6 +443,4 @@ module Poller = struct
         Loop.cancel t.po_lp h;
         t.timer <- None
     | None -> ()
-
-  let ticks t = t.n_ticks
 end

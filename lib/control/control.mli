@@ -44,7 +44,6 @@ val register_region : t -> client:string -> Memory.Region.t -> unit
 (** Record a shared-memory region passed over the domain socket
     (fd-passing); charges its bytes to the client's container (§2.5). *)
 
-val regions_of : t -> client:string -> Memory.Region.t list
 val memory_charged : t -> client:string -> int
 
 (** {1 Engine synchronization} *)
@@ -100,28 +99,24 @@ module Watchdog : sig
     control:control ->
     ?period:Sim.Time.t ->
     ?miss_threshold:int ->
-    ?restart_backoff:Sim.Time.t ->
     ?max_restart_attempts:int ->
     unit ->
     t
   (** [period] (default 100us) is the heartbeat interval;
       [miss_threshold] (default 3) consecutive unanswered probes declare
       an engine dead, so detection latency is bounded by about
-      [period * (miss_threshold + 1)].  [restart_backoff] (default
-      200us) is the base delay before a restart, doubled per consecutive
-      failure; after [max_restart_attempts] (default 3) failed restarts
-      the engine is quarantined.  The consecutive-failure count resets
-      only after the engine stays responsive for a stability window
-      ([2 * period * miss_threshold]), so flapping engines escalate even
-      if each restart briefly sticks.  Raises [Invalid_argument] on
+      [period * (miss_threshold + 1)].  A restart waits 200us, doubled
+      per consecutive failure; after [max_restart_attempts] (default 3)
+      failed restarts the engine is quarantined.  The consecutive-failure
+      count resets only after the engine stays responsive for a stability
+      window ([2 * period * miss_threshold]), so flapping engines escalate
+      even if each restart briefly sticks.  Raises [Invalid_argument] on
       non-positive parameters. *)
 
-  val watch : t -> group:Engine.group -> Engine.t -> unit
-  (** Start monitoring an engine ([group] is the restart target when the
-      engine has never been attached).  Idempotent. *)
-
   val watch_group : t -> Engine.group -> unit
-  (** {!watch} every engine currently in the group. *)
+  (** Start monitoring every engine currently in the group, with the
+      group as the restart target of an engine never attached.
+      Idempotent per engine. *)
 
   val start : t -> unit
   (** Arm the periodic heartbeat timer (no-op if already armed). *)
@@ -171,7 +166,4 @@ module Poller : sig
   (** Arm the periodic timer (no-op if already armed). *)
 
   val stop : t -> unit
-
-  val ticks : t -> int
-  (** Sampling passes completed so far. *)
 end

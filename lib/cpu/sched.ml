@@ -49,7 +49,7 @@ type task = {
   klass : klass;
   vr_scale : float;  (* vruntime ns per CPU ns: 1024 / weight, 0 if not fair *)
   mutable idle : idle_policy;
-  mutable step : unit -> step_result;
+  step : unit -> step_result;
   m : machine;
   mutable state : task_state;
   mutable gen : int;  (* invalidates stale step events *)
@@ -630,25 +630,10 @@ let start task = wake task
 
 let kick task = wake task
 
-let task_name t = t.t_name
-let task_machine t = t.m
-
 let task_core t =
   match t.state with
   | Running cid | Spinning cid -> Some cid
   | Created | Ready | Blocked | Throttled | Done -> None
-
-let is_blocked t =
-  match t.state with
-  | Blocked -> true
-  | Created | Ready | Running _ | Spinning _ | Throttled | Done -> false
-
-let is_spinning t =
-  match t.state with
-  | Spinning _ -> true
-  | Created | Ready | Running _ | Blocked | Throttled | Done -> false
-
-let set_step t step = t.step <- step
 
 (* -- Interrupts -------------------------------------------------------- *)
 

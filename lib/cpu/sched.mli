@@ -105,27 +105,10 @@ val kick : task -> unit
     after the poll-discovery delay; equivalent to {!wake} for a blocked
     task; no-op otherwise.  This is what queue producers call. *)
 
-val task_name : task -> string
-val task_machine : task -> machine
-
 val task_core : task -> int option
 (** Core the task currently occupies (running or spinning), if any. *)
 
 val task_busy_ns : task -> int
-val is_blocked : task -> bool
-val is_spinning : task -> bool
-
-val set_step : task -> (unit -> step_result) -> unit
-(** Replace the task's step function (used by the engine runtime when the
-    set of engines multiplexed on a thread changes). *)
-
-(** {1 Scheduler parameters} *)
-
-val cfs_slice : Sim.Time.t
-(** Timeslice granularity for CFS re-evaluation. *)
-
-val mq_period : Sim.Time.t
-(** MicroQuanta bandwidth-control period. *)
 
 val softirq_charge : machine -> Sim.Time.t -> unit
 (** Charge CPU time to the "softirq" account, stealing the time from a

@@ -5,7 +5,6 @@ type _ Effect.t +=
   | Compute_np : Time.t -> unit Effect.t
   | Wait : unit Effect.t
   | Sleep : Time.t -> unit Effect.t
-  | Yield : unit Effect.t
 
 type ctx = {
   mutable tsk : Sched.task option;
@@ -25,7 +24,6 @@ let compute _ctx cost = Effect.perform (Compute cost)
 let compute_nonpreemptible _ctx cost = Effect.perform (Compute_np cost)
 let wait _ctx = Effect.perform Wait
 let sleep _ctx d = Effect.perform (Sleep d)
-let yield _ctx = Effect.perform Yield
 
 let syscall ctx cost =
   let costs = Sched.costs ctx.m in
@@ -72,13 +70,6 @@ let spawn m ~name ~account ~klass ?(idle = Sched.Block) body =
                   ignore
                     (Sim.Loop.after (Sched.loop m) d (fun () ->
                          Sched.wake (task ctx))))
-          | Yield ->
-              Some
-                (fun k ->
-                  (* A zero-cost run gives the scheduler a boundary at
-                     which to reschedule. *)
-                  ctx.outcome <- Sched.Ran Time.zero;
-                  ctx.resume <- Some (fun () -> Effect.Deep.continue k ()))
           | _ -> None);
     }
   in

@@ -41,6 +41,3 @@ val wait : ctx -> unit
 
 val sleep : ctx -> Sim.Time.t -> unit
 (** Park for a fixed duration. *)
-
-val yield : ctx -> unit
-(** Give the scheduler a chance to run somebody else. *)

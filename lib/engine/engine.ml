@@ -19,8 +19,8 @@ let wedge_spin_cost = Time.us 1
 type t = {
   e_name : string;
   e_account : string;
-  mutable run_fn : unit -> outcome;
-  mutable qdelay : Time.t -> Time.t;
+  run_fn : unit -> outcome;
+  qdelay : Time.t -> Time.t;
   state_size : unit -> int;
   mb : Squeue.Mailbox.t;
   mutable n_steps : int;
@@ -89,8 +89,6 @@ let create ~name ?(account = "snap") ~run ?(queue_delay = fun _ -> 0)
 let name e = e.e_name
 let account e = e.e_account
 let mailbox e = e.mb
-let set_run e run = e.run_fn <- run
-let set_queue_delay e f = e.qdelay <- f
 let state_bytes e = e.state_size ()
 let steps e = e.n_steps
 let busy_ns e = e.work_ns
@@ -184,7 +182,6 @@ let spawn_thread g ~klass ~idle =
   g.threads <- g.threads @ [ ct ];
   ct
 
-let group_name g = g.g_name
 let group_mode g = g.g_mode
 let engines g = g.all
 
@@ -453,7 +450,5 @@ module Element = struct
             | Consume -> (None, cost))
       in
       go t.stages pkt Time.zero
-
-    let elements t = t.stages
   end
 end

@@ -55,8 +55,6 @@ val notify : t -> unit
     enqueueing.  Cheap for spinning threads; a scheduler wakeup for
     blocked ones; no-op when the engine is detached. *)
 
-val set_run : t -> (unit -> outcome) -> unit
-val set_queue_delay : t -> (Sim.Time.t -> Sim.Time.t) -> unit
 val state_bytes : t -> int
 val steps : t -> int
 (** Number of [run] calls that made progress. *)
@@ -119,7 +117,6 @@ type group
 val create_group :
   machine:Cpu.Sched.machine -> name:string -> mode:mode -> group
 
-val group_name : group -> string
 val group_mode : group -> mode
 
 val add : group -> t -> unit
@@ -196,7 +193,5 @@ module Element : sig
     val push : t -> Memory.Packet.t -> Memory.Packet.t option * Sim.Time.t
     (** Run a packet through every element.  Returns the surviving packet
         (None if dropped/consumed) and the total CPU cost incurred. *)
-
-    val elements : t -> element list
   end
 end

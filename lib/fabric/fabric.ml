@@ -44,7 +44,6 @@ type t = {
   mutable fault_hook : Packet.t -> fault_action;
   mutable n_fault_dropped : int;
   mutable n_fault_corrupted : int;
-  mutable n_fault_delayed : int;
 }
 
 let create ~loop ~config ~hosts =
@@ -69,11 +68,9 @@ let create ~loop ~config ~hosts =
     fault_hook = (fun _ -> Fault_pass);
     n_fault_dropped = 0;
     n_fault_corrupted = 0;
-    n_fault_delayed = 0;
   }
 
 let config t = t.cfg
-let num_hosts t = Array.length t.ports
 
 let attach t ~addr ~rx =
   if addr < 0 || addr >= Array.length t.rx_handlers then
@@ -127,7 +124,6 @@ let rec enqueue_egress t (pkt : Packet.t) =
       t.n_fault_dropped <- t.n_fault_dropped + 1;
       port.p_drops <- port.p_drops + 1
   | Fault_delay d ->
-      t.n_fault_delayed <- t.n_fault_delayed + 1;
       ignore (Loop.after t.lp d (fun () -> enqueue_port t port pkt))
   | Fault_corrupt ->
       t.n_fault_corrupted <- t.n_fault_corrupted + 1;
@@ -164,10 +160,6 @@ let dropped t = t.n_dropped
 let delivered_bytes t = t.bytes_delivered
 let fault_dropped t = t.n_fault_dropped
 let fault_corrupted t = t.n_fault_corrupted
-let fault_delayed t = t.n_fault_delayed
-
-let port_queue_bytes t ~addr =
-  Array.fold_left ( + ) 0 t.ports.(addr).class_bytes
 
 let port_drops t ~addr = t.ports.(addr).p_drops
 let port_max_queue_bytes t ~addr = t.ports.(addr).p_max_bytes

@@ -26,7 +26,6 @@ val default_config : config
 val create : loop:Sim.Loop.t -> config:config -> hosts:int -> t
 
 val config : t -> config
-val num_hosts : t -> int
 
 val attach : t -> addr:Memory.Packet.addr -> rx:(Memory.Packet.t -> unit) -> unit
 (** Register the receive callback for a host (its NIC).  Must be called
@@ -64,9 +63,6 @@ val send : t -> Memory.Packet.t -> unit
 val delivered : t -> int
 val dropped : t -> int
 val delivered_bytes : t -> int
-val port_queue_bytes : t -> addr:Memory.Packet.addr -> int
-(** Bytes currently queued toward the given host, all classes. *)
-
 val port_drops : t -> addr:Memory.Packet.addr -> int
 (** Packets lost on the egress toward the given host: drop-tail overflow,
     injected drops, and arrivals with no rx handler attached. *)
@@ -77,5 +73,4 @@ val port_max_queue_bytes : t -> addr:Memory.Packet.addr -> int
 
 val fault_dropped : t -> int
 val fault_corrupted : t -> int
-val fault_delayed : t -> int
-(** Totals of injected drop / corrupt / delay actions. *)
+(** Totals of injected drop and corrupt actions. *)

@@ -1,7 +1,6 @@
 module Time = Sim.Time
 module Loop = Sim.Loop
 module Rng = Sim.Rng
-module Trace = Sim.Trace
 module Packet = Memory.Packet
 module Sched = Cpu.Sched
 
@@ -81,19 +80,14 @@ let bump t key =
   | Some (c, _) -> Stats.Counter.incr c
   | None -> invalid_arg ("Fault.Injector.bump: " ^ key)
 
-let component = "fault"
-
-let record t ~kind detail =
-  Log.record t.log ~at:(Loop.now t.lp) ~kind ~detail;
-  Trace.emit t.lp Trace.Debug ~component "%s %s" kind detail
+let record t ~kind detail = Log.record t.log ~at:(Loop.now t.lp) ~kind ~detail
 
 let announce t ~kind detail =
-  Log.record t.log ~at:(Loop.now t.lp) ~kind ~detail;
+  record t ~kind detail;
   if Sim.Span.enabled () then
     Sim.Span.emit t.lp ~cat:"fault" ~track:"fault"
       ~args:[ ("detail", detail) ]
-      kind;
-  Trace.emit t.lp Trace.Info ~component "%s %s" kind detail
+      kind
 
 let find_host t addr =
   match List.find_opt (fun h -> h.h_addr = addr) t.hosts with

@@ -4,9 +4,9 @@
     time; packet-level decisions draw from the injector's private RNG
     (seeded from the plan) in deterministic simulation order, so two runs
     of the same seeded plan inject byte-identical fault sequences.  Every
-    transition and packet effect is appended to a {!Log} and emitted on
-    [Sim.Trace] under component ["fault"] (Info for windows, Debug for
-    per-packet effects). *)
+    transition and packet effect is appended to a {!Log}; window
+    transitions are also emitted as {!Sim.Span} instants on the
+    ["fault"] track. *)
 
 type host = {
   h_addr : int;

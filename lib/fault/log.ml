@@ -25,6 +25,3 @@ let equal a b =
          x.at = y.at && String.equal x.kind y.kind
          && String.equal x.detail y.detail)
        a.entries_rev b.entries_rev
-
-let pp_entry fmt e =
-  Format.fprintf fmt "[%a] %s: %s" Time.pp e.at e.kind e.detail

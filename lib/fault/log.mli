@@ -19,5 +19,3 @@ val length : t -> int
 val count_kind : t -> string -> int
 val equal : t -> t -> bool
 (** Structural equality of the full entry sequences. *)
-
-val pp_entry : Format.formatter -> entry -> unit

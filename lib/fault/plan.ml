@@ -143,39 +143,3 @@ let empty = { seed = 42; evs = [] }
 let seed t = t.seed
 let events t = t.evs
 let is_empty t = t.evs = []
-
-let pp_event fmt = function
-  | Link_blackout { a; b; start; duration } ->
-      Format.fprintf fmt "blackout %d<->%d @%a for %a" a b Time.pp start Time.pp
-        duration
-  | Link_blackout_oneway { src; dst; start; duration } ->
-      Format.fprintf fmt "blackout %d->%d (one-way) @%a for %a" src dst Time.pp
-        start Time.pp duration
-  | Burst_loss { port; start; duration; loss_pct } ->
-      Format.fprintf fmt "loss %.1f%% port %d @%a for %a" loss_pct port Time.pp
-        start Time.pp duration
-  | Reorder { port; start; duration; reorder_pct; max_delay } ->
-      Format.fprintf fmt "reorder %.1f%% (<=%a) port %d @%a for %a" reorder_pct
-        Time.pp max_delay port Time.pp start Time.pp duration
-  | Corrupt { port; start; duration; corrupt_pct } ->
-      Format.fprintf fmt "corrupt %.1f%% port %d @%a for %a" corrupt_pct port
-        Time.pp start Time.pp duration
-  | Rx_stall { host; queue; start; duration } ->
-      Format.fprintf fmt "rx-stall host %d q%d @%a for %a" host queue Time.pp
-        start Time.pp duration
-  | Engine_crash { host; engine; start; restart_after } ->
-      Format.fprintf fmt "crash host %d engine %d @%a restart after %a" host
-        engine Time.pp start Time.pp restart_after
-  | Straggler { host; start; duration; slowdown } ->
-      Format.fprintf fmt "straggler host %d x%.1f @%a for %a" host slowdown
-        Time.pp start Time.pp duration
-  | Engine_wedge { host; engine; start } ->
-      Format.fprintf fmt "wedge host %d engine %d @%a" host engine Time.pp
-        start
-  | Host_crash { host; start; restart_after } ->
-      Format.fprintf fmt "host-crash %d @%a restart after %a" host Time.pp
-        start Time.pp restart_after
-  | Guest_byzantine { host; tenant; start; duration; behaviors } ->
-      Format.fprintf fmt "byzantine guest %s@%d [%s] @%a for %a" tenant host
-        (String.concat "," (List.map byzantine_to_string behaviors))
-        Time.pp start Time.pp duration

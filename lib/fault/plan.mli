@@ -140,4 +140,3 @@ val empty : t
 val seed : t -> int
 val events : t -> event list
 val is_empty : t -> bool
-val pp_event : Format.formatter -> event -> unit

@@ -400,9 +400,14 @@ let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
   let group =
     Engine.create_group ~machine ~name:(Printf.sprintf "guest%d" addr) ~mode
   in
-  let c_suspects = Stats.Registry.counter "tenant_quarantine_suspects" in
-  let c_quarantines = Stats.Registry.counter "tenant_quarantines" in
-  let c_unmatched = Stats.Registry.counter "guest_unmatched_completions" in
+  let labels = [ ("host", string_of_int addr) ] in
+  let c_suspects =
+    Stats.Registry.counter ~labels "tenant_quarantine_suspects"
+  in
+  let c_quarantines = Stats.Registry.counter ~labels "tenant_quarantines" in
+  let c_unmatched =
+    Stats.Registry.counter ~labels "guest_unmatched_completions"
+  in
   let t =
     {
       lp = loop;
@@ -668,9 +673,3 @@ let quarantines t = Stats.Counter.value t.c_quarantines - t.quarantines_base
 
 let unmatched_completions t =
   Stats.Counter.value t.c_unmatched - t.unmatched_base
-
-let quarantined t =
-  List.length
-    (List.filter
-       (fun b -> b.tenant.Tenant.health = Tenant.Quarantined)
-       t.bindings)

@@ -114,9 +114,6 @@ val suspects : t -> int
 val quarantines : t -> int
 (** Quarantine decisions taken ([tenant_quarantines]). *)
 
-val quarantined : t -> int
-(** Tenants currently in the Quarantined state. *)
-
 val unmatched_completions : t -> int
 (** Pony completions with no in-flight entry (Busy-NACK seconds, or
     stragglers of abandoned ops) — [guest_unmatched_completions]. *)

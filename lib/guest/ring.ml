@@ -15,12 +15,6 @@ type used = { u_id : int; u_len : int; u_status : status }
 
 type fault_reason = Bad_range | Empty_slot | Rollback | Overcommit
 
-let fault_reason_to_string = function
-  | Bad_range -> "bad-range"
-  | Empty_slot -> "empty-slot"
-  | Rollback -> "rollback"
-  | Overcommit -> "overcommit"
-
 let fault_index = function
   | Bad_range -> 0
   | Empty_slot -> 1
@@ -145,18 +139,6 @@ let set_avail_raw t v =
   Squeue.Notifier.signal t.kick
 
 let kick_raw t = Squeue.Notifier.signal t.kick
-
-let take t =
-  (* Even the trusting path observes avail, so the rollback shadow
-     stays ahead of taken and [check_host] holds for hosts that mix
-     [take] with [take_checked]. *)
-  if t.avail > t.max_avail then t.max_avail <- t.avail;
-  if t.taken >= t.avail then None
-  else begin
-    let d = t.descs.(slot t t.taken) in
-    t.taken <- t.taken + 1;
-    d
-  end
 
 let fault t reason =
   t.faults.(fault_index reason) <- t.faults.(fault_index reason) + 1

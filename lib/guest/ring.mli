@@ -51,8 +51,6 @@ type fault_reason =
   | Rollback  (** The guest's avail index regressed. *)
   | Overcommit  (** Posted past capacity without reaping. *)
 
-val fault_reason_to_string : fault_reason -> string
-
 type take_verdict =
   | Take_empty  (** Nothing posted; not a fault. *)
   | Take_ok of desc
@@ -109,11 +107,6 @@ val kick_raw : t -> unit
 
 (** {1 Backend side} *)
 
-val take : t -> desc option
-(** Consume the oldest posted-but-untaken descriptor, trusting the
-    guest's indices.  Legacy cooperative path — the mux uses
-    {!take_checked}. *)
-
 val take_checked : t -> take_verdict
 (** Consume one descriptor, validating at the trust boundary: detects
     avail rollback (edge-triggered against the largest avail ever
@@ -123,7 +116,7 @@ val take_checked : t -> take_verdict
     {!take_faults}).  Never raises. *)
 
 val complete : t -> id:int -> len:int -> status:status -> unit
-(** Publish a used entry (any order w.r.t. [take]s) and signal the irq
+(** Publish a used entry (any order w.r.t. takes) and signal the irq
     notifier.  Raises [Invalid_argument] if it would outnumber the
     taken descriptors — host-side API misuse, not guest input. *)
 

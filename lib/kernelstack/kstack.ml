@@ -58,7 +58,6 @@ type socket = {
   mutable reader : Cpu.Sched.task option;
   (* Stats. *)
   mutable n_retx : int;
-  mutable app_sent : int;
 }
 
 and t = {
@@ -75,9 +74,8 @@ and t = {
   pending_push : socket Queue.t;
   (* Busy-poll mode: tasks parked waiting for network progress. *)
   mutable pollers : Cpu.Sched.task list;
-  (* Edge counter for epoll-style multiplexing: bumped on any socket
-     becoming readable or writable. *)
-  mutable activity_seq : int;
+  (* Tasks woken on the next activity edge: any socket becoming
+     readable or writable. *)
   mutable epoll_waiters : Cpu.Sched.task list;
 }
 
@@ -206,7 +204,6 @@ let fast_retransmit sock =
 (* -- Transmit path ----------------------------------------------------- *)
 
 let bump_activity t =
-  t.activity_seq <- t.activity_seq + 1;
   match t.epoll_waiters with
   | [] -> ()
   | waiters ->
@@ -457,7 +454,6 @@ and make_socket t ~local_port ~peer_addr ~peer_port =
     rx_delivered = 0;
     reader = None;
     n_retx = 0;
-    app_sent = 0;
   }
 
 (* -- Softirq / busy-poll ring processing -------------------------------- *)
@@ -541,7 +537,6 @@ let create ~loop ~machine ~nic ?(busy_poll = false) ?(softirq_workers = 1) () =
       gen = Packet.Id_gen.create ();
       pending_push = Queue.create ();
       pollers = [];
-      activity_seq = 0;
       epoll_waiters = [];
     }
   in
@@ -609,7 +604,6 @@ let send ctx sock ~bytes =
   done;
   Cpu.Thread.compute ctx (copy_cost t bytes);
   sock.snd_queued <- sock.snd_queued + bytes;
-  sock.app_sent <- sock.app_sent + bytes;
   push_out sock (App ctx)
 
 let recv ctx sock ~max =
@@ -640,7 +634,6 @@ let try_send ctx sock ~bytes =
   else begin
     Cpu.Thread.compute ctx (copy_cost t bytes);
     sock.snd_queued <- sock.snd_queued + bytes;
-    sock.app_sent <- sock.app_sent + bytes;
     push_out sock (App ctx);
     true
   end
@@ -658,29 +651,8 @@ let try_recv ctx sock ~max =
     n
   end
 
-let epoll_wait ctx t last_seen =
-  Cpu.Thread.syscall ctx (costs t).Sim.Costs.tcp_per_syscall;
-  while t.activity_seq <= last_seen do
-    if t.busy_poll then begin
-      ignore (poll_all_rings_app t ctx);
-      if t.activity_seq <= last_seen then park_poller t ctx
-    end
-    else begin
-      let task = Cpu.Thread.task ctx in
-      if not (List.memq task t.epoll_waiters) then
-        t.epoll_waiters <- task :: t.epoll_waiters;
-      Cpu.Thread.wait ctx
-    end
-  done;
-  t.activity_seq
-
-let activity t = t.activity_seq
-
 let peer sock = sock.peer_addr
-let bytes_sent sock = sock.app_sent
-let bytes_acked sock = sock.snd_una
 let bytes_received sock = sock.rx_delivered
-let cwnd_segments sock = sock.cwnd
 let retransmits sock = sock.n_retx
 let _ = sock_key
 

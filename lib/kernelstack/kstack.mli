@@ -63,26 +63,10 @@ val try_send : Cpu.Thread.ctx -> socket -> bytes:int -> bool
 val try_recv : Cpu.Thread.ctx -> socket -> max:int -> int
 (** Non-blocking receive: 0 when no in-order data is buffered. *)
 
-val epoll_wait : Cpu.Thread.ctx -> t -> int -> int
-(** [epoll_wait ctx t last_seen] parks the thread until the stack's
-    activity counter passes [last_seen] (any socket became readable or
-    writable), then returns the new counter.  This is how a single
-    Neper-style thread multiplexes many sockets. *)
-
-val activity : t -> int
-(** Current activity counter, for seeding {!epoll_wait}. *)
-
 val peer : socket -> Memory.Packet.addr
-val bytes_sent : socket -> int
-(** Application bytes handed to [send] so far. *)
-
-val bytes_acked : socket -> int
-(** Bytes known delivered (cumulatively acknowledged). *)
-
 val bytes_received : socket -> int
 (** In-order bytes made available to the receiver so far. *)
 
-val cwnd_segments : socket -> float
 val retransmits : socket -> int
 
 val active_streams : t -> int

@@ -35,7 +35,6 @@ let create ?(initial = 64) () =
 
 let capacity t = Array.length t.data
 let live t = t.live
-let high_water t = t.high
 
 let grow t =
   let cap = Array.length t.data in
@@ -73,11 +72,6 @@ let is_live t h =
   && t.data.(h.a_idx) <> None
 
 let get t h = if is_live t h then t.data.(h.a_idx) else None
-
-let get_exn t h =
-  match get t h with
-  | Some v -> v
-  | None -> invalid_arg "Arena.get_exn: stale handle"
 
 let free t h =
   if not (is_live t h) then false

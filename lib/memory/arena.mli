@@ -29,18 +29,12 @@ val free : 'a t -> handle -> bool
 val get : 'a t -> handle -> 'a option
 (** O(1).  [None] if the handle is stale. *)
 
-val get_exn : 'a t -> handle -> 'a
-(** @raise Invalid_argument on a stale handle. *)
-
 val is_live : 'a t -> handle -> bool
 
 val live : 'a t -> int
 (** Number of occupied slots. *)
 
 val capacity : 'a t -> int
-
-val high_water : 'a t -> int
-(** Highest slot count ever minted (iteration scans this range). *)
 
 val iter : 'a t -> (handle -> 'a -> unit) -> unit
 (** Ascending slot-index order; skips free slots. *)

@@ -36,7 +36,6 @@ let create ~name ~capacity_bytes =
 let name t = t.pool_name
 let capacity t = t.capacity_bytes
 let in_use t = t.used
-let available t = t.capacity_bytes - t.used
 
 let gen_of t owner =
   Option.value ~default:0 (Hashtbl.find_opt t.owner_gen owner)

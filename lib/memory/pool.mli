@@ -27,7 +27,6 @@ val create : name:string -> capacity_bytes:int -> t
 val name : t -> string
 val capacity : t -> int
 val in_use : t -> int
-val available : t -> int
 
 val alloc : t -> owner:string -> bytes:int -> alloc
 (** Allocate [bytes] charged to [owner].  Raises {!Exhausted} if the pool
@@ -52,9 +51,6 @@ val released_bytes : t -> int
 
 val owner_usage : t -> string -> int
 (** Bytes currently charged to the given owner. *)
-
-val owners : t -> (string * int) list
-(** All owners with non-zero usage, with their byte counts. *)
 
 val high_watermark : t -> int
 (** Maximum [in_use] ever observed. *)

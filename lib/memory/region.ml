@@ -31,12 +31,6 @@ let check_range t off len =
    of the offset, so benchmark reads are still checkable. *)
 let synthetic_byte off = Char.chr ((off * 131) land 0xff)
 
-let read_byte t off =
-  check_range t off 1;
-  match t.backing with
-  | Some b -> Bytes.get b off
-  | None -> synthetic_byte off
-
 let read t ~off ~len =
   check_range t off len;
   match t.backing with

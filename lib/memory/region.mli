@@ -28,10 +28,6 @@ val register_for_nic : t -> unit
 
 val nic_registered : t -> bool
 
-val read_byte : t -> int -> char
-(** [read_byte t off] reads one byte.  Out-of-range offsets raise
-    [Invalid_argument]. *)
-
 val read : t -> off:int -> len:int -> Bytes.t
 
 val write : t -> off:int -> Bytes.t -> unit

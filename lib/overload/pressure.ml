@@ -7,9 +7,12 @@ let level_to_string = function
 
 let level_to_int = function Nominal -> 0 | Pressured -> 1 | Saturated -> 2
 
+(* Occupancy fractions, ordered
+   0 < pressured_exit <= pressured_enter <= saturated_exit
+     <= saturated_enter <= 1. *)
 type thresholds = {
   pressured_enter : float;
-  pressured_exit : float;
+  pressured_exit : float;  (* must fall below this to leave Pressured *)
   saturated_enter : float;
   saturated_exit : float;
 }
@@ -25,24 +28,12 @@ let default_thresholds =
 type t = {
   lp : Sim.Loop.t;
   p_name : string;
-  th : thresholds;
   mutable lvl : level;
   c_transitions : Stats.Counter.t;
   transitions_base : int;
 }
 
-let validate th =
-  if
-    not
-      (0.0 < th.pressured_exit
-      && th.pressured_exit <= th.pressured_enter
-      && th.pressured_enter <= th.saturated_exit
-      && th.saturated_exit <= th.saturated_enter
-      && th.saturated_enter <= 1.0)
-  then invalid_arg "Pressure.create: thresholds must be ordered in (0,1]"
-
-let create ~loop ~name ?(thresholds = default_thresholds) () =
-  validate thresholds;
+let create ~loop ~name () =
   let labels = [ ("engine", name) ] in
   let c_transitions =
     Stats.Registry.counter ~labels "overload_pressure_transitions"
@@ -51,7 +42,6 @@ let create ~loop ~name ?(thresholds = default_thresholds) () =
     {
       lp = loop;
       p_name = name;
-      th = thresholds;
       lvl = Nominal;
       c_transitions;
       transitions_base = Stats.Counter.value c_transitions;
@@ -77,7 +67,7 @@ let next_level th lvl occupancy =
 
 let update t ~occupancy =
   let occupancy = Float.min 1.0 (Float.max 0.0 occupancy) in
-  let next = next_level t.th t.lvl occupancy in
+  let next = next_level default_thresholds t.lvl occupancy in
   if next <> t.lvl then begin
     let prev = t.lvl in
     t.lvl <- next;

@@ -21,27 +21,13 @@
 
 type level = Nominal | Pressured | Saturated
 
-val level_to_string : level -> string
-val level_to_int : level -> int
-(** 0 / 1 / 2, for gauges. *)
-
-type thresholds = {
-  pressured_enter : float;  (** Occupancy fraction entering Pressured. *)
-  pressured_exit : float;   (** Must fall below this to leave it. *)
-  saturated_enter : float;
-  saturated_exit : float;
-}
-
-val default_thresholds : thresholds
-(** Enter Pressured at 50% / leave at 35%; enter Saturated at 80% /
-    leave at 60%. *)
-
 type t
 
-val create :
-  loop:Sim.Loop.t -> name:string -> ?thresholds:thresholds -> unit -> t
+val create : loop:Sim.Loop.t -> name:string -> unit -> t
 (** [name] labels the registry metrics ([overload_pressure_level],
-    [overload_pressure_transitions]) and the span track. *)
+    [overload_pressure_transitions]) and the span track.  An engine
+    enters Pressured at 50% occupancy and leaves it below 35%; it
+    enters Saturated at 80% and leaves it below 60%. *)
 
 val update : t -> occupancy:float -> level
 (** Feed the current load signal (the max of the engine's queue

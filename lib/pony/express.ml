@@ -100,8 +100,6 @@ and client = {
       (* Engine-side consumers (the guest mux) register a hook instead
          of an app task; called on every completion/message push. *)
   mutable next_op : int;
-  mutable n_comps : int;
-  mutable n_msgs : int;
   mutable rx_bytes : int;
 }
 
@@ -276,12 +274,6 @@ let machine t = t.mach
 let addr t = Nic.addr t.nic
 let num_engines t = List.length t.engs
 let engine_handle t i = (List.nth t.engs i).core
-let client_id c = c.cid
-let client_name c = c.cname
-let client_engine c = c.c_eng.core
-let conn_peer c = (c.remote_host, c.remote_client)
-let completions_delivered c = c.n_comps
-let messages_delivered c = c.n_msgs
 let bytes_received c = c.rx_bytes
 
 let flow_versions t =
@@ -298,7 +290,6 @@ let op_pool t = t.op_pool
 let incarnation t = t.incarnation
 let host_alive t = t.alive
 let conn_state c = c.state
-let conn_last_heard c = c.last_heard
 let client_alive c = (not c.c_dead) && c.c_host.alive
 let conns_established t = Stats.Counter.value t.c_conn_est - t.conn_est_base
 let conns_closed t = Stats.Counter.value t.c_conn_closed - t.conn_closed_base
@@ -338,14 +329,11 @@ let find_client t cid =
   | Some h -> Memory.Arena.get t.clients_arena h
 let client_ops_shed c = Stats.Counter.value c.c_shed - c.shed_base
 let client_ops_expired c = Stats.Counter.value c.c_expired - c.expired_base
-let client_admission c = c.adm
 let ops_shed t = fold_clients t (fun acc c -> acc + client_ops_shed c) 0
 let ops_expired t = fold_clients t (fun acc c -> acc + client_ops_expired c) 0
 
 let quota_rejected t =
   fold_clients t (fun acc c -> acc + Overload.Admission.rejected c.adm) 0
-
-let pressure_level t i = Overload.Pressure.level (List.nth t.engs i).pressure
 
 let pressure_transitions t =
   List.fold_left
@@ -582,15 +570,12 @@ let release_charge client op_id =
 let push_completion eng cost client comp =
   ignore eng;
   release_charge client comp.comp_op;
-  if Squeue.Spsc.push client.comp_q ~now:(Loop.now client.c_host.lp) comp then begin
-    client.n_comps <- client.n_comps + 1;
+  if Squeue.Spsc.push client.comp_q ~now:(Loop.now client.c_host.lp) comp then
     notify_app cost client
-  end
 
 let push_incoming eng cost client inc =
   ignore eng;
   if Squeue.Spsc.push client.msg_q ~now:(Loop.now client.c_host.lp) inc then begin
-    client.n_msgs <- client.n_msgs + 1;
     client.rx_bytes <- client.rx_bytes + inc.msg_bytes;
     notify_app cost client;
     true
@@ -863,6 +848,14 @@ let conn_label conn =
     conn.ckey.Wire.target_client
     (if conn.we_are_initiator then ".init" else ".tgt")
 
+(* A host lifecycle event as a Span instant.  Callers guard it with
+   [Sim.Span.enabled], so the argument strings are built only under
+   capture. *)
+let host_event t ~args name =
+  Sim.Span.emit t.lp ~cat:"pony"
+    ~track:(Printf.sprintf "pony host %d" (addr t))
+    ~args name
+
 (* Every path that declares a connection dead funnels here: fail every
    stranded op with [Peer_dead] (releasing its admission charge through
    the completion path) and reclaim all transport state attributable to
@@ -880,8 +873,9 @@ let kill_conn cost conn ~reason =
     conn.state <- Dead;
     cancel_conn_timers conn;
     Stats.Counter.incr t.c_peer_death;
-    Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony" "conn %s dead: %s"
-      (conn_label conn) reason;
+    if Sim.Span.enabled () then
+      host_event t "conn dead"
+        ~args:[ ("conn", conn_label conn); ("reason", reason) ];
     if not (Check.Invariant.sabotage "skip_peer_reclaim") then begin
       (* Credit-starved ops parked on the conn. *)
       Queue.iter
@@ -1014,8 +1008,10 @@ let note_peer_inc cost t ~peer ~inc =
   | Some _ ->
       Hashtbl.replace t.peer_incs peer inc;
       Stats.Counter.incr t.c_peer_restart;
-      Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-        "host %d: peer %d restarted (incarnation %d)" (addr t) peer inc;
+      if Sim.Span.enabled () then
+        host_event t "peer restarted"
+          ~args:
+            [ ("peer", string_of_int peer); ("incarnation", string_of_int inc) ];
       forget_peer cost t ~peer ~reason:"peer restarted";
       `Current
 
@@ -1587,19 +1583,28 @@ let engine_run eng () =
           (if a.total = 0 then None
            else Memory.Pool.try_alloc t.op_pool ~owner:ename ~bytes:a.total))
       (sorted_tbl eng.assembly);
-    if reclaimed > 0 then
-      Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-        "engine %s epoch %d: reclaimed %d op-pool bytes from dead instance"
-        ename ep reclaimed;
+    if reclaimed > 0 && Sim.Span.enabled () then
+      host_event t "reclaimed dead instance"
+        ~args:
+          [
+            ("engine", ename);
+            ("epoch", string_of_int ep);
+            ("op_pool_bytes", string_of_int reclaimed);
+          ];
     let requeued =
       Array.fold_left (fun acc f -> acc + Flow.resync f ~now) 0 eng.flow_arr
     in
     if requeued > 0 then begin
       Stats.Counter.incr t.c_resync;
       worked := true;
-      Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-        "engine %s epoch %d: resynced flows, %d packets requeued"
-        (Engine.name eng.core) ep requeued
+      if Sim.Span.enabled () then
+        host_event t "resynced flows"
+          ~args:
+            [
+              ("engine", Engine.name eng.core);
+              ("epoch", string_of_int ep);
+              ("requeued", string_of_int requeued);
+            ]
     end
   end;
   (* Fold queue and pool occupancy into the engine's pressure level;
@@ -1650,10 +1655,7 @@ let engine_run eng () =
           (* End-to-end integrity check (§3.1): the payload failed
              verification, so the packet is discarded before transport
              processing.  No ack advances; the sender retransmits. *)
-          Stats.Counter.incr t.c_corrupt;
-          Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-            "corrupt packet dropped pkt#%d from %d" pkt.Packet.id
-            pkt.Packet.src
+          Stats.Counter.incr t.c_corrupt
         end
         else
         match pkt.Packet.payload with
@@ -2104,8 +2106,7 @@ let drain_ring ring =
 let crash_host t =
   if t.alive then begin
     t.alive <- false;
-    Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony" "host %d crashed"
-      (addr t);
+    if Sim.Span.enabled () then host_event t "host crashed" ~args:[];
     List.iter
       (fun eng ->
         (match eng.timer with
@@ -2157,8 +2158,9 @@ let restart_host t =
   if not t.alive then begin
     t.incarnation <- t.incarnation + 1;
     t.alive <- true;
-    Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony"
-      "host %d restarted (incarnation %d)" (addr t) t.incarnation;
+    if Sim.Span.enabled () then
+      host_event t "host restarted"
+        ~args:[ ("incarnation", string_of_int t.incarnation) ];
     List.iter
       (fun eng ->
         (* Packets that arrived while the host was down were never
@@ -2193,7 +2195,7 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
   t.next_cid <- cid + 1;
   (* The admission owner doubles as the pool accounting name; qualify
      it with the host so cross-host clients sharing a name stay
-     distinguishable in metrics and [Pool.owners]. *)
+     distinguishable in metrics and the pool's leak reports. *)
   let owner = Printf.sprintf "%s@%d" name (addr t) in
   let max_bytes =
     match max_bytes with
@@ -2230,8 +2232,6 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
       app_task = None;
       on_delivery = None;
       next_op = 0;
-      n_comps = 0;
-      n_msgs = 0;
       rx_bytes = 0;
     }
   in
@@ -2550,10 +2550,7 @@ let engine_post_send conn ~now ?(stream = 0) ?deadline ~bytes () =
             issued_at = now;
             completed_at = now;
           }
-      then begin
-        client.n_comps <- client.n_comps + 1;
-        match client.on_delivery with Some f -> f () | None -> ()
-      end;
+      then (match client.on_delivery with Some f -> f () | None -> ());
       op_id
   | None ->
       let cmd =
@@ -2583,17 +2580,16 @@ let engine_queues_empty client =
    completion, never an exception. *)
 let complete_locally ctx client ~op_id ~bytes ~status =
   let now = Cpu.Thread.now ctx in
-  if
-    Squeue.Spsc.push client.comp_q ~now
-      {
-        comp_op = op_id;
-        status;
-        bytes;
-        value = None;
-        issued_at = now;
-        completed_at = now;
-      }
-  then client.n_comps <- client.n_comps + 1
+  ignore
+    (Squeue.Spsc.push client.comp_q ~now
+       {
+         comp_op = op_id;
+         status;
+         bytes;
+         value = None;
+         issued_at = now;
+         completed_at = now;
+       })
 
 let reject_locally ctx client ~op_id ~bytes =
   complete_locally ctx client ~op_id ~bytes ~status:Wire.Rejected

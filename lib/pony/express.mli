@@ -29,8 +29,6 @@ type conn
     late packets answer with a reset instead of resurrecting state. *)
 type conn_state = Established | Draining | Dead | Closed
 
-val conn_state_to_string : conn_state -> string
-
 (** Opt-in dead-peer detection: a conn silent for [ka_interval] is
     probed; the peer is declared dead after [ka_interval *
     (ka_miss_budget + 1)] of silence.  Off by default — a keepalive
@@ -134,10 +132,6 @@ val create_client :
     keep well-behaved applications unthrottled; servers hosting
     untrusted clients set real quotas. *)
 
-val client_id : client -> int
-val client_name : client -> string
-val client_engine : client -> Engine.t
-
 val client_alive : client -> bool
 (** False once the owning host has crashed: the client's queues and
     charges are gone, and every operation on it refuses with
@@ -178,12 +172,7 @@ val connect_with_retry :
     connections carry session incarnations, a conn obtained here can
     never be confused with a pre-crash one. *)
 
-val conn_peer : conn -> Memory.Packet.addr * int
 val conn_state : conn -> conn_state
-
-val conn_last_heard : conn -> Sim.Time.t
-(** Virtual time any item for this conn last arrived (keepalive
-    freshness). *)
 
 val close : Cpu.Thread.ctx -> conn -> unit
 (** Graceful close: the conn refuses new sends immediately
@@ -318,8 +307,6 @@ val send_with_retry :
 
 (** {1 Telemetry} *)
 
-val completions_delivered : client -> int
-val messages_delivered : client -> int
 val bytes_received : client -> int
 val flow_stats : t -> (Wire.flow_key * int * int) list
 (** Per-flow (key, delivered, retransmits). *)
@@ -367,15 +354,8 @@ val zero_window_probes : t -> int
 (** Window-reopen probes sent by this host's flows (see
     {!Flow.zero_window_probes}). *)
 
-val pressure_level : t -> int -> Overload.Pressure.level
-(** Current pressure level of the i-th engine. *)
-
 val pressure_transitions : t -> int
 (** Pressure level changes across this host's engines since creation. *)
-
-val client_admission : client -> Overload.Admission.t
-val client_ops_shed : client -> int
-val client_ops_expired : client -> int
 
 (** {1 Connection lifecycle telemetry (§4.3)} *)
 

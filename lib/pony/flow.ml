@@ -412,8 +412,6 @@ let process_ack t ~now ~ack ~ts_echo ~pure =
          nothing about loss. *)
       t.dup_acks <- t.dup_acks + 1;
       if t.dup_acks = dupack_threshold then begin
-        Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony.flow"
-          "fast-retransmit seq=%d" t.last_ack_seen;
         if Sim.Span.enabled () then
           span t ~now
             ~args:[ ("seq", string_of_int t.last_ack_seen) ]
@@ -500,8 +498,6 @@ let check_timeout t ~now =
     let fe = fl_head_entry t in
       if Time.sub now fe.sent_at >= t.rto && Queue.is_empty t.retx then begin
         let n = schedule_retransmit t gbn_window in
-        Sim.Trace.emit t.lp Sim.Trace.Info ~component:"pony.flow"
-          "rto go-back-n n=%d from seq=%d" n fe.f_seq;
         if Sim.Span.enabled () then
           span t ~now
             ~args:

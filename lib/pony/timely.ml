@@ -5,9 +5,10 @@ type params = {
   t_high : Time.t;
   min_rate_gbps : float;
   max_rate_gbps : float;
-  additive_gbps : float;
-  beta : float;
+  additive_gbps : float;  (* additive increment per update *)
+  beta : float;  (* multiplicative decrease factor *)
   hai_threshold : int;
+      (* consecutive negative gradients before hyperactive increase *)
 }
 
 let default_params ~max_rate_gbps =
@@ -34,10 +35,8 @@ type t = {
 (* EWMA weight for the RTT-difference filter (Timely's alpha). *)
 let alpha = 0.46
 
-let create ?params ~max_rate_gbps () =
-  let p =
-    match params with Some p -> p | None -> default_params ~max_rate_gbps
-  in
+let create ~max_rate_gbps () =
+  let p = default_params ~max_rate_gbps in
   {
     p;
     (* Start at half line rate: new flows probe upward quickly. *)

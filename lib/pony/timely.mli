@@ -17,22 +17,11 @@
 
 type t
 
-type params = {
-  t_low : Sim.Time.t;
-  t_high : Sim.Time.t;
-  min_rate_gbps : float;
-  max_rate_gbps : float;
-  additive_gbps : float;  (** Additive increment per update. *)
-  beta : float;  (** Multiplicative decrease factor. *)
-  hai_threshold : int;
-      (** Consecutive negative gradients before hyperactive increase. *)
-}
-
-val default_params : max_rate_gbps:float -> params
-(** [t_low] 15 us, [t_high] 50 us (datacenter-scale), additive
-    0.5 Gbps, beta 0.8, HAI after 5. *)
-
-val create : ?params:params -> max_rate_gbps:float -> unit -> t
+val create : max_rate_gbps:float -> unit -> t
+(** A controller starting at half of [max_rate_gbps], with [t_low]
+    15 us, [t_high] 50 us (datacenter-scale), a 0.05 Gbps floor,
+    additive increase 0.5 Gbps, multiplicative decrease factor 0.8, and
+    hyperactive increase after 5 consecutive negative gradients. *)
 
 val on_rtt_sample : t -> Sim.Time.t -> unit
 (** Feed one RTT measurement (ack arrival). *)

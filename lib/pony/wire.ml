@@ -21,15 +21,6 @@ type conn_key = {
   session : int;
 }
 
-let conn_reverse k =
-  {
-    initiator_host = k.initiator_host;
-    initiator_client = k.initiator_client;
-    target_host = k.target_host;
-    target_client = k.target_client;
-    session = k.session;
-  }
-
 let conn_same_endpoints a b =
   a.initiator_host = b.initiator_host
   && a.initiator_client = b.initiator_client

@@ -30,8 +30,6 @@ type conn_key = {
   session : int;
 }
 
-val conn_reverse : conn_key -> conn_key
-
 val conn_same_endpoints : conn_key -> conn_key -> bool
 (** Same client pair, any session — the "is this a reconnect of that?"
     predicate. *)

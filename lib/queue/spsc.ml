@@ -53,10 +53,6 @@ let pop t =
     | None -> assert false
   end
 
-let peek t =
-  if t.size = 0 then None
-  else match t.slots.(t.head) with Some s -> Some s.value | None -> assert false
-
 let oldest_age t ~now =
   if t.size = 0 then 0
   else

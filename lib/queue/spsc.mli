@@ -23,8 +23,6 @@ val push : 'a t -> now:Sim.Time.t -> 'a -> bool
 
 val pop : 'a t -> 'a option
 
-val peek : 'a t -> 'a option
-
 val oldest_age : 'a t -> now:Sim.Time.t -> Sim.Time.t
 (** Age of the element at the head, i.e. the current queueing delay;
     zero when empty. *)

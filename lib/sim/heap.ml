@@ -105,8 +105,6 @@ let top_key h =
   if h.size = 0 then invalid_arg "Heap.top_key: empty";
   h.keys.(0)
 
-let min_key h = if h.size = 0 then None else Some h.keys.(0)
-
 let pop_exn h =
   let n = h.size - 1 in
   if n < 0 then invalid_arg "Heap.pop_exn: empty";

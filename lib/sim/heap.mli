@@ -39,9 +39,6 @@ val top_key : t -> int
 (** Key of the minimum element.
     @raise Invalid_argument if the heap is empty. *)
 
-val min_key : t -> int option
-(** Key of the minimum element, if any. *)
-
 val pop_exn : t -> int
 (** Remove and return the minimum element.
     @raise Invalid_argument if the heap is empty. *)

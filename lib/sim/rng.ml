@@ -37,11 +37,6 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
 
-let pareto t ~scale ~shape =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  scale /. (u ** (1.0 /. shape))
-
 let gaussian t ~mean ~std =
   (* Box-Muller. *)
   let u1 = Stdlib.max (float t 1.0) 1e-12 in

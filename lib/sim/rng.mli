@@ -12,9 +12,6 @@ val create : seed:int -> t
 val split : t -> t
 (** [split t] derives an independent stream from [t], advancing [t]. *)
 
-val bits64 : t -> int64
-(** Next raw 64 bits. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
@@ -26,15 +23,9 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Sample from an exponential distribution with the given mean. *)
 
-val pareto : t -> scale:float -> shape:float -> float
-(** Sample from a Pareto distribution: minimum value [scale], tail index
-    [shape] (smaller shape = heavier tail). *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Sample from a log-normal distribution with the given parameters of the
     underlying normal. *)
-
-val gaussian : t -> mean:float -> std:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -1,9 +1,9 @@
 (* Virtual-time span tracing.
 
-   Layered next to [Trace]: where Trace emits human-readable lines, Span
-   records structured events — engine batches, flow transmissions,
-   upgrade phases, fault injections — on the virtual clock, for export
-   as Chrome trace-event JSON (chrome://tracing or ui.perfetto.dev).
+   Records structured events — engine batches, flow transmissions,
+   upgrade phases, fault injections, host and watchdog lifecycle
+   decisions — on the virtual clock, for export as Chrome trace-event
+   JSON (chrome://tracing or ui.perfetto.dev).
 
    Capture is off by default and guarded by one mutable bool, so
    instrumented hot paths pay a single load+branch when disabled.  The

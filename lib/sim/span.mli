@@ -1,10 +1,11 @@
 (** Virtual-time span tracing.
 
-    Structured companion to {!Trace}: subsystems record named events —
+    The simulator's one event trace: subsystems record named events —
     engine batch executions, Pony flow transmissions, upgrade phases,
-    fault injections — stamped with the virtual clock, grouped onto
-    named tracks, and exportable as Chrome trace-event JSON (loadable in
-    [chrome://tracing] or ui.perfetto.dev).
+    fault injections, host and watchdog lifecycle decisions — stamped
+    with the virtual clock, grouped onto named tracks, and exportable as
+    Chrome trace-event JSON (loadable in [chrome://tracing] or
+    ui.perfetto.dev).
 
     Capture is global and off by default; when off, {!emit} is a single
     load-and-branch, so instrumented hot paths cost nothing measurable.

@@ -26,9 +26,6 @@ val of_float_us : float -> t
 (** [of_float_us x] is a duration of [x] microseconds, rounded to the
     nearest nanosecond. *)
 
-val of_float_sec : float -> t
-(** [of_float_sec x] is a duration of [x] seconds. *)
-
 val to_float_us : t -> float
 (** [to_float_us t] is [t] expressed in microseconds. *)
 

@@ -9,7 +9,7 @@
    The wheel is tickless: it keeps exactly one pending Loop event — at
    the earliest tick that could fire or cascade something — and none at
    all when no live timers are armed, so an idle wheel never keeps the
-   loop from quiescing.  With the default 1 ns tick, firing times are
+   loop from quiescing.  A tick is one nanosecond, so firing times are
    exact (never quantized), and same-instant timers fire in the same
    salted tie-break order as [Heap]: FIFO under salt 0, a SplitMix64
    shuffle of sequence numbers otherwise.  Cancellation is lazy — a
@@ -32,7 +32,6 @@ type timer = {
 
 and t = {
   loop : Loop.t;
-  tick_ns : int;
   salt : int;
   slots : timer list array array;
   (* Entries (live or cancelled) per level; lets the reschedule scan
@@ -47,11 +46,9 @@ and t = {
 
 let nothing () = ()
 
-let create ?(tick = 1) ~loop () =
-  if tick <= 0 then invalid_arg "Wheel.create: tick";
+let create ~loop () =
   {
     loop;
-    tick_ns = tick;
     salt = Loop.tie_salt loop;
     slots = Array.init levels (fun _ -> Array.make slot_count []);
     occ = Array.make levels 0;
@@ -68,7 +65,7 @@ let due w = w.w_due
 
 let next_wake t =
   match t.wake with
-  | Some h when Loop.is_pending t.loop h -> Some (t.wake_tick * t.tick_ns)
+  | Some h when Loop.is_pending t.loop h -> Some t.wake_tick
   | _ -> None
 
 (* The heap's own tie rank, so wheel ties replay identically under a
@@ -140,7 +137,7 @@ let rec set_wake t tk =
   | prev ->
       (match prev with Some h -> Loop.cancel t.loop h | None -> ());
       t.wake_tick <- tk;
-      t.wake <- Some (Loop.at t.loop (tk * t.tick_ns) (fun () -> advance t tk))
+      t.wake <- Some (Loop.at t.loop tk (fun () -> advance t tk))
 
 and advance t tk =
   t.wake <- None;
@@ -188,7 +185,7 @@ and advance t tk =
     | None -> ()
 
 let arm t ~at fn =
-  let due_tick = max ((at + t.tick_ns - 1) / t.tick_ns) (t.base + 1) in
+  let due_tick = max at (t.base + 1) in
   let w =
     {
       w_wheel = t;

@@ -7,7 +7,7 @@
     The wheel is tickless: it keeps at most one pending loop event (at
     the earliest tick that could fire or cascade a timer) and none when
     idle, so an armed-but-quiet wheel never stops the loop from
-    draining.  With the default 1 ns tick, timers fire at their exact
+    draining.  A tick is one nanosecond, so timers fire at their exact
     due times, and same-instant timers fire in the same salted
     tie-break order as {!Heap}: FIFO when the loop's [tie_salt] is 0,
     a deterministic shuffle of arm order otherwise. *)
@@ -15,10 +15,9 @@
 type t
 type timer
 
-val create : ?tick:Time.t -> loop:Loop.t -> unit -> t
+val create : loop:Loop.t -> unit -> t
 (** [create ~loop ()] makes an empty wheel driven by [loop], inheriting
-    its tie-break salt.  [tick] (default 1 ns) is the firing
-    granularity; with coarser ticks timers fire up to one tick late. *)
+    its tie-break salt. *)
 
 val arm : t -> at:Time.t -> (unit -> unit) -> timer
 (** O(1).  Schedule [fn] at absolute time [at] (clamped to fire no

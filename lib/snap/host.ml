@@ -47,7 +47,6 @@ let create ~loop ~fabric ~directory ~addr ?(cores = 16) ?nic_config
   in
   { loop; machine; nic; control; group; pony; poller; mux = None }
 
-let poller t = t.poller
 
 (* Fault-layer registration record for this host.  The fault library
    cannot depend on the transport, so the whole-host crash/restart

@@ -44,8 +44,6 @@ val create :
     default because the periodic timer keeps an un-bounded
     [Sim.Loop.run] from going idle. *)
 
-val poller : t -> Control.Poller.t option
-
 val fault_host : t -> Fault.Injector.host
 (** Registration record for {!Fault.Injector.install}, with whole-host
     crash/restart hooks wired to {!Pony.Express.crash_host} /

@@ -31,7 +31,6 @@ type t = {
   c_unroutable : Stats.Counter.t;
   unroutable_base : int;
   c_to_guests : Stats.Counter.t;
-  to_guests_base : int;
 }
 
 let host_labels t = [ ("host", string_of_int (Nic.addr t.nic)) ]
@@ -127,7 +126,6 @@ let create ~loop ~nic ~group ~rx_queue () =
       c_unroutable;
       unroutable_base = Stats.Counter.value c_unroutable;
       c_to_guests;
-      to_guests_base = Stats.Counter.value c_to_guests;
     }
   in
   t_ref := Some t;
@@ -177,8 +175,5 @@ let guest_transmit t g ~dst_vip ~bytes =
 let guest_rx_ring g = g.rx
 let forwarded t = Stats.Counter.value t.c_forwarded - t.forwarded_base
 let unroutable t = Stats.Counter.value t.c_unroutable - t.unroutable_base
-
-let delivered_to_guests t =
-  Stats.Counter.value t.c_to_guests - t.to_guests_base
 
 let port_drops g = Stats.Counter.value g.c_drops - g.drops_base

@@ -38,7 +38,6 @@ val guest_rx_ring : guest -> Memory.Packet.t Squeue.Spsc.t
 
 val forwarded : t -> int
 val unroutable : t -> int
-val delivered_to_guests : t -> int
 
 val port_drops : guest -> int
 (** Packets lost at this port's rings (full guest rx ring on delivery,

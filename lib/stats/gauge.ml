@@ -10,7 +10,6 @@ let set t x = t.v <- x
 let add t x = t.v <- t.v +. x
 
 let set_sampler t f = t.sampler <- Some f
-let clear_sampler t = t.sampler <- None
 
 let value t = match t.sampler with Some f -> f () | None -> t.v
 

@@ -23,8 +23,6 @@ val set_sampler : t -> (unit -> float) -> unit
     components (a fresh machine with the same name) simply re-register
     and the gauge follows the latest instance. *)
 
-val clear_sampler : t -> unit
-
 val value : t -> float
 (** The sampler's result in pull mode, the stored value otherwise. *)
 

@@ -42,7 +42,3 @@ let iter t f =
   for i = 0 to t.n - 1 do
     f t.times.(i) t.values.(i)
   done
-
-let pp_table fmt t =
-  iter t (fun time v ->
-      Format.fprintf fmt "%10.2f  %12.2f@." (Sim.Time.to_float_ms time) v)

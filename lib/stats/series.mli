@@ -20,6 +20,3 @@ val max_value : t -> float
 val last_value : t -> float
 
 val iter : t -> (Sim.Time.t -> float -> unit) -> unit
-
-val pp_table : Format.formatter -> t -> unit
-(** Render as two columns: time (ms) and value. *)

@@ -49,8 +49,6 @@ let default_config =
     retry_backoff = Time.ms 5;
   }
 
-let component = "upgrade"
-
 let serialize_time ~(costs : Sim.Costs.t) bytes =
   int_of_float
     (Float.round (float_of_int bytes /. costs.Sim.Costs.serialize_bytes_per_ns))
@@ -83,8 +81,6 @@ let upgrade ~loop ~costs ~old_group ~new_group
     let rollbacks = ref 0 in
     let track = "upgrade/" ^ name in
     let transition ph =
-      Sim.Trace.emit loop Sim.Trace.Info ~component "engine %s: %s" name
-        (phase_to_string ph);
       if Sim.Span.enabled () then
         Sim.Span.emit loop ~cat:"upgrade" ~track (phase_to_string ph);
       on_transition ~engine:name ph

@@ -9,8 +9,12 @@ type result = {
   server_engine_cores : float;
 }
 
-let run ?(clients = 4) ?(batch = 8) ?(outstanding = 32) ?(read_bytes = 64)
-    ?(duration = Time.ms 100) ?(interval = Time.ms 10) ?(seed = 5) () =
+(* Bytes fetched per indirection, and the dashboard's sampling interval. *)
+let read_bytes = 64
+let interval = Time.ms 10
+
+let run ?(clients = 4) ?(batch = 8) ?(outstanding = 32)
+    ?(duration = Time.ms 100) ?(seed = 5) () =
   let loop = Sim.Loop.create ~seed () in
   let hosts_n = clients + 1 in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:hosts_n in

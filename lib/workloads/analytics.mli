@@ -19,9 +19,7 @@ val run :
   ?clients:int ->
   ?batch:int ->
   ?outstanding:int ->
-  ?read_bytes:int ->
   ?duration:Sim.Time.t ->
-  ?interval:Sim.Time.t ->
   ?seed:int ->
   unit ->
   result

@@ -8,18 +8,13 @@
       process (Figure 7(b)). *)
 
 val spawn_md5 :
-  Cpu.Sched.machine -> ?threads:int -> ?nice:int -> unit -> Cpu.Sched.task list
-(** CPU-bound compute threads under CFS at the given niceness (default
-    4 threads at nice 5 — "reduced priority relative to the
-    load-generating network application jobs"). *)
+  Cpu.Sched.machine -> ?threads:int -> unit -> Cpu.Sched.task list
+(** CPU-bound compute threads (default 4) under CFS at nice 5 —
+    "reduced priority relative to the load-generating network
+    application jobs". *)
 
 val spawn_mmap :
-  Cpu.Sched.machine ->
-  ?threads:int ->
-  ?section:Sim.Time.t ->
-  ?gap:Sim.Time.t ->
-  unit ->
-  Cpu.Sched.task list
-(** Threads that alternate non-preemptible kernel sections of [section]
-    (default 2 ms — roughly the cost of mapping and unmapping a 50 MB
-    buffer) with short preemptible gaps. *)
+  Cpu.Sched.machine -> ?threads:int -> unit -> Cpu.Sched.task list
+(** Threads (default 2) that alternate 2 ms non-preemptible kernel
+    sections — roughly the cost of mapping and unmapping a 50 MB
+    buffer — with short preemptible gaps. *)

@@ -11,9 +11,15 @@ type interference = Idle | Mmap_antagonist of int
 
 let op_bytes = 64
 
+(* Round trips averaged per Figure 6(a) point. *)
+let iters = 200
+
+(* Figure 7's probers issue one RPC per millisecond. *)
+let probe_period = Time.ms 1
+
 (* -- Figure 6(a): closed-loop ping-pong -------------------------------- *)
 
-let tcp_rtt ~iters ~seed ~busy_poll =
+let tcp_rtt ~seed ~busy_poll =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let mk addr =
@@ -64,7 +70,7 @@ let mk_pony_pair ?(cores = 16) ~loop ~mode ~use_copy_engine () =
   in
   (mk 0, mk 1)
 
-let pony_two_sided_rtt ~iters ~seed ~app_spin =
+let pony_two_sided_rtt ~seed ~app_spin =
   let loop = Sim.Loop.create ~seed () in
   let ha, hb = mk_pony_pair ~loop ~mode:(Engine.Dedicating { cores = 1 }) ~use_copy_engine:false () in
   let sum = ref 0 and n = ref 0 in
@@ -90,7 +96,7 @@ let pony_two_sided_rtt ~iters ~seed ~app_spin =
   Loop.run ~until:(Time.sec 2) loop;
   if !n = 0 then 0 else !sum / !n
 
-let pony_one_sided_rtt ~iters ~seed =
+let pony_one_sided_rtt ~seed =
   let loop = Sim.Loop.create ~seed () in
   let ha, hb = mk_pony_pair ~loop ~mode:(Engine.Dedicating { cores = 1 }) ~use_copy_engine:false () in
   let region = Memory.Region.create ~id:1 ~size:65536 ~owner:"server" () in
@@ -116,11 +122,11 @@ let pony_one_sided_rtt ~iters ~seed =
   Loop.run ~until:(Time.sec 2) loop;
   if !n = 0 then 0 else !sum / !n
 
-let mean_rtt ?(iters = 200) ?(seed = 7) system =
+let mean_rtt ?(seed = 7) system =
   match system with
-  | Tcp_rr { busy_poll } -> tcp_rtt ~iters ~seed ~busy_poll
-  | Pony_rr { app_spin } -> pony_two_sided_rtt ~iters ~seed ~app_spin
-  | Pony_one_sided -> pony_one_sided_rtt ~iters ~seed
+  | Tcp_rr { busy_poll } -> tcp_rtt ~seed ~busy_poll
+  | Pony_rr { app_spin } -> pony_two_sided_rtt ~seed ~app_spin
+  | Pony_one_sided -> pony_one_sided_rtt ~seed
 
 (* -- Figures 7(a)/(b): open-loop low-QPS prober -------------------------- *)
 
@@ -136,7 +142,7 @@ let add_interference ~loop machines interference =
                (fun m -> ignore (Antagonist.spawn_mmap m ~threads ()))
                machines))
 
-let prober_tcp ~qps ~duration ~seed ~interference =
+let prober_tcp ~duration ~seed ~interference =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let mk addr =
@@ -150,7 +156,6 @@ let prober_tcp ~qps ~duration ~seed ~interference =
   let ma, sa = mk 0 and mb, sb = mk 1 in
   add_interference ~loop [ ma; mb ] interference;
   let hist = Stats.Histogram.create () in
-  let period = Time.sec 1 / qps in
   Kstack.listen sb ~port:80 ~on_accept:(fun sock ->
       ignore
         (Cpu.Thread.spawn mb ~name:"server" ~account:"app"
@@ -172,17 +177,16 @@ let prober_tcp ~qps ~duration ~seed ~interference =
            drain 0;
            Stats.Histogram.record hist (Cpu.Thread.now ctx - t0);
            let elapsed = Cpu.Thread.now ctx - t0 in
-           if elapsed < period then Cpu.Thread.sleep ctx (period - elapsed)
+           if elapsed < probe_period then Cpu.Thread.sleep ctx (probe_period - elapsed)
          done));
   Loop.run ~until:(Time.add duration (Time.ms 50)) loop;
   hist
 
-let prober_pony ~qps ~duration ~seed ~interference ~mode =
+let prober_pony ~duration ~seed ~interference ~mode =
   let loop = Sim.Loop.create ~seed () in
   let ha, hb = mk_pony_pair ~cores:8 ~loop ~mode ~use_copy_engine:false () in
   add_interference ~loop [ ha.Snap.Host.machine; hb.Snap.Host.machine ] interference;
   let hist = Stats.Histogram.create () in
-  let period = Time.sec 1 / qps in
   ignore
     (Snap.Host.spawn_app hb ~name:"server" ~spin:true (fun ctx ->
          let c = Pony.Express.create_client ctx hb.Snap.Host.pony ~name:"server" () in
@@ -209,13 +213,12 @@ let prober_pony ~qps ~duration ~seed ~interference ~mode =
            await ();
            Stats.Histogram.record hist (Cpu.Thread.now ctx - t0);
            let elapsed = Cpu.Thread.now ctx - t0 in
-           if elapsed < period then Cpu.Thread.sleep ctx (period - elapsed)
+           if elapsed < probe_period then Cpu.Thread.sleep ctx (probe_period - elapsed)
          done));
   Loop.run ~until:(Time.add duration (Time.ms 50)) loop;
   hist
 
-let prober ?(qps = 1000) ?(duration = Time.sec 2) ?(seed = 7) ~interference
-    system =
+let prober ?(duration = Time.sec 2) ?(seed = 7) ~interference system =
   match system with
-  | Prober_tcp -> prober_tcp ~qps ~duration ~seed ~interference
-  | Prober_pony mode -> prober_pony ~qps ~duration ~seed ~interference ~mode
+  | Prober_tcp -> prober_tcp ~duration ~seed ~interference
+  | Prober_pony mode -> prober_pony ~duration ~seed ~interference ~mode

@@ -17,8 +17,9 @@ type system =
   | Pony_rr of { app_spin : bool }
   | Pony_one_sided  (** Client always spins (§5.1's one-sided line). *)
 
-val mean_rtt : ?iters:int -> ?seed:int -> system -> Sim.Time.t
-(** Closed-loop mean round-trip time of a 64-byte operation. *)
+val mean_rtt : ?seed:int -> system -> Sim.Time.t
+(** Closed-loop mean round-trip time of a 64-byte operation, over 200
+    round trips. *)
 
 (** The systems Figures 7(a)/(b) compare. *)
 type prober_system =
@@ -28,13 +29,12 @@ type prober_system =
 type interference = Idle | Mmap_antagonist of int
 
 val prober :
-  ?qps:int ->
   ?duration:Sim.Time.t ->
   ?seed:int ->
   interference:interference ->
   prober_system ->
   Stats.Histogram.t
-(** Open-loop prober at [qps] (default 1000) with a spin-polling
+(** Open-loop prober at 1000 RPCs per second with a spin-polling
     application thread, so the distribution isolates transport wakeup
     behaviour.  [interference] selects an otherwise idle machine
     (C-states bite, Figure 7(a)) or mmap antagonist threads on every

@@ -12,7 +12,10 @@ type result = {
 let write_chunk = 65536
 let outstanding_limit = 32
 
-let measure ~loop ~warmup ~window ~machines ~delivered =
+(* Connection setup and ramp-up, excluded from the measured window. *)
+let warmup = Time.ms 10
+
+let measure ~loop ~window ~machines ~delivered =
   let base_busy = Array.make (List.length machines) 0 in
   let base_bytes = ref 0 in
   ignore
@@ -31,8 +34,8 @@ let measure ~loop ~warmup ~window ~machines ~delivered =
   in
   (float_of_int bytes *. 8.0 /. float_of_int window, cores)
 
-let run_tcp ?(streams = 1) ?(mtu = 4096) ?(warmup = Time.ms 10)
-    ?(window = Time.ms 40) ?(seed = 1) () =
+let run_tcp ?(streams = 1) ?(mtu = 4096) ?(window = Time.ms 40) ?(seed = 1)
+    () =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let mk addr =
@@ -69,7 +72,7 @@ let run_tcp ?(streams = 1) ?(mtu = 4096) ?(warmup = Time.ms 10)
            done))
   done;
   let gbps, cores =
-    measure ~loop ~warmup ~window ~machines:[ ms; mr ] ~delivered:(fun () ->
+    measure ~loop ~window ~machines:[ ms; mr ] ~delivered:(fun () ->
         !delivered)
   in
   match cores with
@@ -78,7 +81,7 @@ let run_tcp ?(streams = 1) ?(mtu = 4096) ?(warmup = Time.ms 10)
   | _ -> assert false
 
 let run_pony ?(streams = 1) ?(mtu = 4096) ?(use_copy_engine = false)
-    ?(warmup = Time.ms 10) ?(window = Time.ms 40) ?(seed = 1) () =
+    ?(window = Time.ms 40) ?(seed = 1) () =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let dir = Pony.Express.Directory.create () in
@@ -132,7 +135,7 @@ let run_pony ?(streams = 1) ?(mtu = 4096) ?(use_copy_engine = false)
          done));
   let machines = [ ha.Snap.Host.machine; hb.Snap.Host.machine ] in
   let gbps, cores =
-    measure ~loop ~warmup ~window ~machines ~delivered:(fun () -> !delivered)
+    measure ~loop ~window ~machines ~delivered:(fun () -> !delivered)
   in
   match cores with
   | [ s; r ] ->

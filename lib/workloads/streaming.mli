@@ -18,19 +18,18 @@ type result = {
 val run_tcp :
   ?streams:int ->
   ?mtu:int ->
-  ?warmup:Sim.Time.t ->
   ?window:Sim.Time.t ->
   ?seed:int ->
   unit ->
   result
 (** Defaults: 1 stream, 4096 B MTU (the kernel's "large MTU" setting in
-    §5.2), 10 ms warmup, 40 ms measurement. *)
+    §5.2), 40 ms measurement.  Both variants measure after a 10 ms
+    warmup. *)
 
 val run_pony :
   ?streams:int ->
   ?mtu:int ->
   ?use_copy_engine:bool ->
-  ?warmup:Sim.Time.t ->
   ?window:Sim.Time.t ->
   ?seed:int ->
   unit ->

@@ -21,7 +21,6 @@ val run :
   ?machines:int ->
   ?engines_per_machine:int ->
   ?state_median_mb:float ->
-  ?state_sigma:float ->
   ?seed:int ->
   unit ->
   result

@@ -43,7 +43,10 @@ let test_watchdog_detects_wedge () =
   WD.watch_group wd g;
   WD.start wd;
   ignore (Sim.Loop.at loop (T.ms 1) (fun () -> Engine.set_wedged e true));
+  Sim.Span.set_capture (Some 4096);
   Sim.Loop.run ~until:(T.ms 5) loop;
+  let spans = Sim.Span.events () in
+  Sim.Span.set_capture None;
   check_bool "healthy again" true (WD.state wd e = Some WD.Healthy);
   check_int "one restart" 1 (WD.restarts_of wd e);
   check_bool "unwedged" true (not (Engine.is_wedged e));
@@ -57,7 +60,24 @@ let test_watchdog_detects_wedge () =
   check_int "one detection latency sample" 1 (Stats.Histogram.count h);
   (* Detection is bounded by ~period * (miss_threshold + 1). *)
   check_bool "detection latency bounded" true
-    (Stats.Histogram.max_value h <= T.us 500)
+    (Stats.Histogram.max_value h <= T.us 500);
+  (* The detection lands in the span capture as one instant. *)
+  let detections =
+    List.filter
+      (fun (ev : Sim.Span.event) ->
+        ev.ev_name = "detected unresponsive engine" && ev.ev_dur = None)
+      spans
+  in
+  match detections with
+  | [ ev ] ->
+      Alcotest.(check string) "on the watchdog track" "watchdog ctl"
+        ev.ev_track;
+      Alcotest.(check (option string)) "names the engine" (Some "e0")
+        (List.assoc_opt "engine" ev.ev_args);
+      check_bool "after the wedge" true (ev.ev_ts > T.ms 1)
+  | evs ->
+      Alcotest.failf "expected one detection instant, got %d"
+        (List.length evs)
 
 let test_watchdog_crash_detection () =
   (* A crashed (detached) engine also misses heartbeats; the watchdog

@@ -7,11 +7,6 @@ module T = Sim.Time
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let mk_flow_pair () =
   let loop = Sim.Loop.create () in
   let k = { Pony.Wire.src_host = 0; src_engine = 0; dst_host = 1; dst_engine = 0 } in
@@ -35,10 +30,8 @@ let grant i = Pony.Wire.Credit_grant { conn = ck; bytes = i }
 let test_fast_retransmit () =
   (* Drop the first packet; later arrivals generate duplicate bare acks
      which must trigger a fast retransmit without waiting for the RTO.
-     Also asserts the retransmit event lands in the trace capture. *)
-  Sim.Trace.set_level (Some Sim.Trace.Info);
-  Sim.Trace.enable_component "pony.flow";
-  Sim.Trace.set_capture (Some 64);
+     Also asserts the retransmit lands in the span capture. *)
+  Sim.Span.set_capture (Some 64);
   let _loop, a, b = mk_flow_pair () in
   let gen = Memory.Packet.Id_gen.create () in
   for i = 1 to 4 do
@@ -73,12 +66,11 @@ let test_fast_retransmit () =
   | Some ack -> ignore (Pony.Flow.on_receive a ~now:(!now + 1_000) ack)
   | None -> Alcotest.fail "expected final ack");
   check_int "flight cleared" 0 (Pony.Flow.in_flight a);
-  let lines = Sim.Trace.captured () in
-  check_bool "fast-retransmit traced" true
-    (List.exists (fun l -> contains_sub l "fast-retransmit") lines);
-  Sim.Trace.set_capture None;
-  Sim.Trace.clear_components ();
-  Sim.Trace.set_level None
+  check_bool "fast_retx span recorded" true
+    (List.exists
+       (fun e -> e.Sim.Span.ev_name = "fast_retx")
+       (Sim.Span.events ()));
+  Sim.Span.set_capture None
 
 let test_rto_go_back_n () =
   (* No acks at all: the timeout must requeue a whole window and the
@@ -127,30 +119,6 @@ let test_receive_dedup () =
   check_bool "head duplicate dropped" true
     (Option.is_none (Pony.Flow.on_receive b ~now:6_000 p1));
   check_int "two deliveries" 2 (Pony.Flow.delivered b)
-
-(* -- Trace capture ------------------------------------------------------- *)
-
-let test_trace_capture () =
-  let loop = Sim.Loop.create () in
-  Sim.Trace.set_level (Some Sim.Trace.Info);
-  Sim.Trace.set_capture (Some 3);
-  for i = 1 to 5 do
-    Sim.Trace.emit loop Sim.Trace.Info ~component:"test" "line %d" i
-  done;
-  let lines = Sim.Trace.captured () in
-  check_int "ring keeps the most recent" 3 (List.length lines);
-  List.iteri
-    (fun i l ->
-      check_bool "oldest was evicted" true
-        (contains_sub l (Printf.sprintf "line %d" (i + 3))))
-    lines;
-  (* Below-threshold lines are not captured. *)
-  Sim.Trace.clear_capture ();
-  Sim.Trace.emit loop Sim.Trace.Debug ~component:"test" "hidden";
-  check_int "debug filtered out" 0 (List.length (Sim.Trace.captured ()));
-  Sim.Trace.set_capture None;
-  check_int "capture off" 0 (List.length (Sim.Trace.captured ()));
-  Sim.Trace.set_level None
 
 (* -- Fabric hooks and port counters -------------------------------------- *)
 
@@ -359,8 +327,6 @@ let () =
           Alcotest.test_case "rto go-back-n" `Quick test_rto_go_back_n;
           Alcotest.test_case "receive-side dedup" `Quick test_receive_dedup;
         ] );
-      ( "trace",
-        [ Alcotest.test_case "capture ring" `Quick test_trace_capture ] );
       ( "fabric",
         [
           Alcotest.test_case "fault hook drop" `Quick test_fabric_fault_hook;

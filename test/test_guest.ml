@@ -20,14 +20,19 @@ let mk_ring ?(slots = 4) ?region () =
 
 (* {1 Ring} *)
 
+(* Take one descriptor through the validating path, which must accept
+   it. *)
+let take_ok r =
+  match Ring.take_checked r with
+  | Ring.Take_ok d -> d
+  | _ -> Alcotest.fail "expected Take_ok"
+
 let test_ring_fifo () =
   let r = mk_ring () in
   check_bool "post 0" true (Ring.post r ~now:T.zero ~id:0 ~off:0 ~len:64);
   check_bool "post 1" true (Ring.post r ~now:T.zero ~id:1 ~off:64 ~len:64);
   check_int "backlog" 2 (Ring.backlog r);
-  (match Ring.take r with
-  | Some d -> check_int "take oldest" 0 d.Ring.d_id
-  | None -> Alcotest.fail "expected descriptor");
+  check_int "take oldest" 0 (take_ok r).Ring.d_id;
   check_int "in flight" 1 (Ring.in_flight r);
   Ring.complete r ~id:0 ~len:64 ~status:Ring.Complete;
   check_int "completion ready" 1 (Ring.completions_ready r);
@@ -45,7 +50,7 @@ let test_ring_out_of_order_completion () =
     ignore (Ring.post r ~now:T.zero ~id:i ~off:(i * 64) ~len:64)
   done;
   for _ = 0 to 2 do
-    ignore (Ring.take r)
+    ignore (take_ok r)
   done;
   (* Used entries carry descriptor ids, so the backend may publish in
      any order; the guest reaps in publication order. *)
@@ -70,8 +75,8 @@ let test_ring_fullness_until_reaped () =
   check_bool "full" true (Ring.is_full r);
   check_bool "post bounces" false (Ring.post r ~now:T.zero ~id:2 ~off:0 ~len:64);
   check_int "bounce counted" 1 (Ring.post_failures r);
-  ignore (Ring.take r);
-  ignore (Ring.take r);
+  ignore (take_ok r);
+  ignore (take_ok r);
   Ring.complete r ~id:0 ~len:64 ~status:Ring.Complete;
   Ring.complete r ~id:1 ~len:64 ~status:Ring.Complete;
   check_bool "still full before reap" false
@@ -89,7 +94,7 @@ let test_ring_wrap_indices () =
   for i = 0 to 19 do
     check_bool "post" true
       (Ring.post r ~now:T.zero ~id:i ~off:(i mod 2 * 64) ~len:64);
-    ignore (Ring.take r);
+    ignore (take_ok r);
     Ring.complete r ~id:i ~len:64 ~status:Ring.Complete;
     ignore (Ring.pop_used r);
     Alcotest.(check (option string)) "monitor happy" None (monitor ())
@@ -116,7 +121,7 @@ let test_ring_bad_post_counted () =
     (Ring.post r ~now:T.zero ~id:3 ~off:0 ~len:64);
   Alcotest.(check (option string)) "healthy" None (Ring.check r);
   (* Host-side misuse is still a programming error, not guest input. *)
-  ignore (Ring.take r);
+  ignore (take_ok r);
   Ring.complete r ~id:3 ~len:64 ~status:Ring.Complete;
   Alcotest.check_raises "completion without take raises"
     (Invalid_argument
@@ -333,7 +338,7 @@ let test_ring_notifiers () =
   ignore (Ring.post r ~now:T.zero ~id:1 ~off:64 ~len:64);
   check_int "kick coalesced" 1 !kicked;
   Ring.arm_irq r (fun () -> incr irqed);
-  ignore (Ring.take r);
+  ignore (take_ok r);
   Ring.complete r ~id:0 ~len:64 ~status:Ring.Complete;
   check_int "irq fired" 1 !irqed;
   check_int "kicks counted" 2 (Ring.kicks r);
@@ -611,6 +616,48 @@ let test_mux_quarantine_hostile_tenant () =
   | None -> Alcotest.fail "mux missing");
   Memory.Pool.assert_quiesced (PE.op_pool h_guest.Snap.Host.pony)
 
+let test_mux_counters_per_host () =
+  (* Two muxes in one simulation: host 0's quarantine must not show in
+     host 1's per-instance counters. *)
+  let loop = Sim.Loop.create ~seed:11 () in
+  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:3 in
+  let dir = PE.Directory.create () in
+  let mk addr =
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr
+      ~mode:(Engine.Dedicating { cores = 2 })
+      ()
+  in
+  let h0 = mk 0 and h1 = mk 1 and h_srv = mk 2 in
+  let mux0 = Snap.Host.enable_guests ~suspect_after:2 ~quarantine_after:5 h0 in
+  let mux1 = Snap.Host.enable_guests h1 in
+  ignore
+    (Snap.Host.spawn_app h_srv ~name:"echo" ~spin:true (fun ctx ->
+         let c = PE.create_client ctx h_srv.Snap.Host.pony ~name:"echo" () in
+         while true do
+           let m = PE.await_message ctx c in
+           ignore (PE.send_message ctx m.PE.msg_conn ~bytes:m.PE.msg_bytes ())
+         done));
+  ignore
+    (Snap.Host.spawn_app h0 ~name:"evil" (fun ctx ->
+         Cpu.Thread.sleep ctx (T.us 100);
+         let tn =
+           Snap.Host.attach_tenant ctx h0 ~name:"evil" ~dst_host:2
+             ~dst_name:"echo" ~ring_slots:8 ~buf_bytes:512 ()
+         in
+         let sz = Memory.Region.size tn.Tenant.region in
+         for i = 0 to 19 do
+           Ring.post_raw tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id:i ~off:sz
+             ~len:64;
+           Cpu.Thread.sleep ctx (T.us 50)
+         done));
+  Sim.Loop.run ~until:(T.ms 40) loop;
+  check_int "host 0 quarantined its tenant" 1 (Guest.Mux.quarantines mux0);
+  check_bool "host 0 escalated first" true (Guest.Mux.suspects mux0 >= 1);
+  check_int "host 1 quarantined nothing" 0 (Guest.Mux.quarantines mux1);
+  check_int "host 1 escalated nothing" 0 (Guest.Mux.suspects mux1);
+  check_int "host 1 matched every completion" 0
+    (Guest.Mux.unmatched_completions mux1)
+
 (* A guest host with a mux and a sink server on a second host. *)
 let mk_guest_pair ~seed ?suspect_after ?quarantine_after () =
   let loop = Sim.Loop.create ~seed () in
@@ -792,6 +839,8 @@ let () =
           Alcotest.test_case "force detach" `Quick test_mux_force_detach;
           Alcotest.test_case "hostile tenant quarantined" `Quick
             test_mux_quarantine_hostile_tenant;
+          Alcotest.test_case "counters are per mux" `Quick
+            test_mux_counters_per_host;
           Alcotest.test_case "rollback re-scored until quarantine" `Quick
             test_mux_rollback_rescored;
           Alcotest.test_case "post during engine detach served" `Quick

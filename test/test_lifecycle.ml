@@ -342,7 +342,10 @@ let test_crash_restart_reconnect () =
   ignore (Sim.Loop.at loop crash_at (fun () -> PE.crash_host hb.Snap.Host.pony));
   ignore
     (Sim.Loop.at loop restart_at (fun () -> PE.restart_host hb.Snap.Host.pony));
+  Sim.Span.set_capture (Some 4096);
   Sim.Loop.run ~until:(T.ms 20) loop;
+  let spans = Sim.Span.events () in
+  Sim.Span.set_capture None;
   check_bool "echo worked before the crash" true !pre_crash_ok;
   check_bool "echo worked after the restart" true !post_restart_ok;
   check_bool "client re-dialed" true !reconnected;
@@ -352,7 +355,31 @@ let test_crash_restart_reconnect () =
   check_bool "pre-crash client did not survive" false !old_client_alive;
   check_bool "peer restart detected" true
     (PE.peer_restarts_detected ha.Snap.Host.pony >= 1);
-  check_bool "host back up" true (PE.host_alive hb.Snap.Host.pony)
+  check_bool "host back up" true (PE.host_alive hb.Snap.Host.pony);
+  (* The lifecycle decisions land in the span capture as instants. *)
+  let instants name =
+    List.filter_map
+      (fun (e : Sim.Span.event) ->
+        if e.ev_name = name && e.ev_dur = None then
+          Some (e.ev_ts, e.ev_track, e.ev_args)
+        else None)
+      spans
+  in
+  let instant =
+    Alcotest.(list (triple int string (list (pair string string))))
+  in
+  Alcotest.check instant "crash instant"
+    [ (crash_at, "pony host 1", []) ]
+    (instants "host crashed");
+  Alcotest.check instant "restart instant"
+    [ (restart_at, "pony host 1", [ ("incarnation", "1") ]) ]
+    (instants "host restarted");
+  check_bool "conn-death instant on the surviving host" true
+    (List.exists
+       (fun (ts, track, args) ->
+         ts > restart_at && track = "pony host 0"
+         && List.assoc_opt "reason" args = Some "peer restarted")
+       (instants "conn dead"))
 
 (* -- Deadline-bounded awaits --------------------------------------------- *)
 

@@ -30,10 +30,10 @@ let test_heap_fifo_ties () =
 
 let test_heap_min_key () =
   let h = Sim.Heap.create () in
-  Alcotest.(check (option int)) "empty" None (Sim.Heap.min_key h);
+  check_bool "empty" true (Sim.Heap.is_empty h);
   Sim.Heap.add h ~key:42 0;
   Sim.Heap.add h ~key:7 1;
-  Alcotest.(check (option int)) "min" (Some 7) (Sim.Heap.min_key h);
+  check_bool "not empty" false (Sim.Heap.is_empty h);
   check_int "top key" 7 (Sim.Heap.top_key h)
 
 let heap_prop_sorted =
@@ -298,95 +298,6 @@ let loop_prop_matches_model =
     ~count:300
     QCheck.(make ~print:(Print.list print_loop_op) Gen.(list_size (int_bound 80) loop_op_gen))
     (fun ops -> List.for_all (fun salt -> run_loop_script salt ops) [ 0; 1; 7 ])
-
-(* -- Trace ------------------------------------------------------------- *)
-
-(* Every trace test restores the global filter/capture state so the rest
-   of the suite (and bench runs in the same process) see the default
-   everything-off configuration. *)
-let with_trace_reset f =
-  Fun.protect f ~finally:(fun () ->
-      Sim.Trace.set_level None;
-      Sim.Trace.clear_components ();
-      Sim.Trace.set_capture None)
-
-let test_trace_filtered_is_lazy () =
-  with_trace_reset (fun () ->
-      let loop = Sim.Loop.create () in
-      let ran = ref 0 in
-      let probe fmt_ppf =
-        incr ran;
-        Format.pp_print_string fmt_ppf "probe"
-      in
-      (* Level filter off (default): the %t printer must not run. *)
-      Sim.Trace.set_level None;
-      Sim.Trace.emit loop Sim.Trace.Error ~component:"lazy" "x=%t" probe;
-      check_int "printer skipped when level off" 0 !ran;
-      (* Level passes but the component is filtered out. *)
-      Sim.Trace.set_level (Some Sim.Trace.Debug);
-      Sim.Trace.enable_component "other";
-      Sim.Trace.emit loop Sim.Trace.Error ~component:"lazy" "x=%t" probe;
-      check_int "printer skipped when component off" 0 !ran;
-      (* Control: once the filters pass, the printer does run. *)
-      Sim.Trace.enable_component "lazy";
-      Sim.Trace.set_capture (Some 8);
-      Sim.Trace.emit loop Sim.Trace.Error ~component:"lazy" "x=%t" probe;
-      check_int "printer ran when enabled" 1 !ran)
-
-let test_trace_capture_wraparound () =
-  with_trace_reset (fun () ->
-      let loop = Sim.Loop.create () in
-      Sim.Trace.set_level (Some Sim.Trace.Info);
-      Sim.Trace.set_capture (Some 3);
-      for i = 1 to 5 do
-        Sim.Trace.emit loop Sim.Trace.Info ~component:"ring" "line %d" i
-      done;
-      let got = Sim.Trace.captured () in
-      check_int "ring keeps the newest 3" 3 (List.length got);
-      let has n =
-        List.exists
-          (fun l ->
-            String.length l >= String.length n
-            && String.sub l (String.length l - String.length n) (String.length n)
-               = n)
-          got
-      in
-      check_bool "line 1 evicted" false (has "line 1");
-      check_bool "line 2 evicted" false (has "line 2");
-      check_bool "line 3 kept" true (has "line 3");
-      check_bool "line 5 kept" true (has "line 5"))
-
-let test_trace_capture_component_filter () =
-  with_trace_reset (fun () ->
-      let loop = Sim.Loop.create () in
-      Sim.Trace.set_level (Some Sim.Trace.Info);
-      Sim.Trace.enable_component "keep";
-      Sim.Trace.set_capture (Some 8);
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"keep" "wanted";
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"drop" "unwanted";
-      let got = Sim.Trace.captured () in
-      check_int "only the enabled component" 1 (List.length got);
-      check_bool "right line" true
-        (match got with [ l ] -> String.length l > 0 && l.[String.length l - 1] = 'd' | _ -> false))
-
-let test_trace_capture_on_off () =
-  with_trace_reset (fun () ->
-      let loop = Sim.Loop.create () in
-      Sim.Trace.set_level (Some Sim.Trace.Info);
-      Alcotest.(check (list string)) "off: nothing captured" []
-        (Sim.Trace.captured ());
-      Sim.Trace.set_capture (Some 4);
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"c" "one";
-      check_int "on: captured" 1 (List.length (Sim.Trace.captured ()));
-      Sim.Trace.clear_capture ();
-      Alcotest.(check (list string)) "clear keeps capture active" []
-        (Sim.Trace.captured ());
-      Sim.Trace.emit loop Sim.Trace.Info ~component:"c" "two";
-      check_int "still capturing after clear" 1
-        (List.length (Sim.Trace.captured ()));
-      Sim.Trace.set_capture None;
-      Alcotest.(check (list string)) "off again: ring dropped" []
-        (Sim.Trace.captured ()))
 
 (* -- Span -------------------------------------------------------------- *)
 
@@ -733,16 +644,6 @@ let () =
           Alcotest.test_case "every cancelled from callback" `Quick
             test_loop_every_cancel_from_callback;
           QCheck_alcotest.to_alcotest loop_prop_matches_model;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "filtered emit is lazy" `Quick
-            test_trace_filtered_is_lazy;
-          Alcotest.test_case "capture wraparound" `Quick
-            test_trace_capture_wraparound;
-          Alcotest.test_case "capture component filter" `Quick
-            test_trace_capture_component_filter;
-          Alcotest.test_case "capture on/off" `Quick test_trace_capture_on_off;
         ] );
       ( "span",
         [

@@ -1,4 +1,4 @@
-(* Tests for histograms, summaries, and series. *)
+(* Tests for histograms, series and the registry. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -243,20 +243,6 @@ let hist_prop_mean_matches =
       in
       Float.abs (Stats.Histogram.mean h -. expect) < 1e-6)
 
-let test_summary () =
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-6)) "std" (sqrt (32.0 /. 7.0)) (Stats.Summary.std s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.Summary.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.Summary.max_value s);
-  check_int "count" 8 (Stats.Summary.count s)
-
-let test_summary_empty () =
-  let s = Stats.Summary.create () in
-  Alcotest.(check (float 1e-9)) "mean 0" 0.0 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "std 0" 0.0 (Stats.Summary.std s)
-
 let test_hist_merge_sub_bits_mismatch () =
   let a = Stats.Histogram.create ~sub_bits:5 () in
   let b = Stats.Histogram.create ~sub_bits:6 () in
@@ -428,11 +414,6 @@ let () =
           Alcotest.test_case "cdf" `Quick test_hist_cdf;
           QCheck_alcotest.to_alcotest hist_prop_quantile_bounds;
           QCheck_alcotest.to_alcotest hist_prop_mean_matches;
-        ] );
-      ( "summary",
-        [
-          Alcotest.test_case "welford" `Quick test_summary;
-          Alcotest.test_case "empty" `Quick test_summary_empty;
         ] );
       ("series", [ Alcotest.test_case "basic" `Quick test_series ]);
       ( "registry",
