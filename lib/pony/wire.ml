@@ -21,12 +21,6 @@ type conn_key = {
   session : int;
 }
 
-let conn_same_endpoints a b =
-  a.initiator_host = b.initiator_host
-  && a.initiator_client = b.initiator_client
-  && a.target_host = b.target_host
-  && a.target_client = b.target_client
-
 type one_sided =
   | Read of { region : int; off : int; len : int }
   | Write of { region : int; off : int; len : int }

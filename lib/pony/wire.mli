@@ -30,10 +30,6 @@ type conn_key = {
   session : int;
 }
 
-val conn_same_endpoints : conn_key -> conn_key -> bool
-(** Same client pair, any session — the "is this a reconnect of that?"
-    predicate. *)
-
 (** One-sided operation request bodies (§3.2).  These execute entirely
     within the remote engine against client-registered regions. *)
 type one_sided =
