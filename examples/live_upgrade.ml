@@ -56,7 +56,7 @@ let () =
            Engine.create_group ~machine ~name:"snap-v2"
              ~mode:(Engine.Dedicating { cores = 1 })
          in
-         Upgrade.upgrade ~loop ~costs:(Cpu.Sched.costs machine)
+         Upgrade.upgrade ~loop
            ~old_group:b.Snap.Host.group ~new_group
            ~extra_state_bytes:(fun _ -> 200_000_000)
            ~on_done:(fun reports ->

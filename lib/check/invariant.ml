@@ -103,9 +103,9 @@ let quiesce () =
     List.iter (fun e -> eval_entry ~now e) !entries
   end
 
-let default_period = Sim.Time.us 50
+let period = Sim.Time.us 50
 
-let install ~loop ?(period = default_period) () =
+let install ~loop () =
   if !enabled_flag then begin
     cur_loop := Some loop;
     (* The simulator's own invariants: virtual time never moves

@@ -8,7 +8,7 @@
     accounting, connection credit conservation, op-pool byte
     conservation, SPSC/mailbox occupancy bounds, engine state-machine
     legality, sim-time monotonicity, event-heap ordering); the checker
-    replays them every [period] of virtual time and once more when the
+    replays them every 50 us of virtual time and once more when the
     workload quiesces.
 
     Checking is globally off by default.  While off, {!register} is a
@@ -39,11 +39,11 @@ val register : ?kind:kind -> name:string -> (unit -> string option) -> unit
 (** [register ~name pred] adds a predicate; [pred () = Some detail]
     means violated.  No-op while checking is disabled. *)
 
-val install : loop:Sim.Loop.t -> ?period:Sim.Time.t -> unit -> unit
+val install : loop:Sim.Loop.t -> unit -> unit
 (** Bind the checker to [loop]: registers the simulator's own
     invariants (time monotonicity, heap ordering) and schedules
-    {!check_now} every [period] (default 50 us) of virtual time.
-    No-op while checking is disabled. *)
+    {!check_now} every 50 us of virtual time.  No-op while checking is
+    disabled. *)
 
 val check_now : unit -> unit
 (** Evaluate every [Cadence] invariant immediately; raises {!Violation}

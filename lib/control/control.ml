@@ -35,16 +35,14 @@ let register_service t ~service handler =
   Hashtbl.replace t.services service handler
 
 let call ctx t ~service msg =
-  let costs = Cpu.Sched.costs t.mach in
-  Cpu.Thread.syscall ctx costs.Sim.Costs.syscall;
+  Cpu.Thread.syscall ctx Sim.Costs.default.syscall;
   Cpu.Thread.sleep ctx rpc_round_trip;
   match Hashtbl.find_opt t.services service with
   | Some handler -> handler msg
   | None -> Error_no_service service
 
 let authenticate ctx t ~client =
-  let costs = Cpu.Sched.costs t.mach in
-  Cpu.Thread.syscall ctx costs.Sim.Costs.syscall;
+  Cpu.Thread.syscall ctx Sim.Costs.default.syscall;
   Cpu.Thread.sleep ctx rpc_round_trip;
   Hashtbl.replace t.clients client ()
 

@@ -1,6 +1,8 @@
 module Time = Sim.Time
 module Loop = Sim.Loop
 
+let costs = Sim.Costs.default
+
 type step_result =
   | Ran of Time.t
   | Ran_nonpreemptible of Time.t
@@ -81,7 +83,6 @@ and core = {
 
 and machine = {
   lp : Loop.t;
-  cost : Sim.Costs.t;
   m_name : string;
   cores_arr : core array;
   mq_ready : task Queue.t;
@@ -115,12 +116,11 @@ let register_core_gauges m =
            (fun () -> float_of_int core.switches)))
     m.cores_arr
 
-let create_machine ~loop ~costs ~name ~cores =
+let create_machine ~loop ~name ~cores =
   if cores <= 0 then invalid_arg "Sched.create_machine";
   let m =
   {
     lp = loop;
-    cost = costs;
     m_name = name;
     cores_arr =
       Array.init cores (fun cid ->
@@ -162,7 +162,6 @@ let scale_cost m c =
   if m.m_cost_scale = 1.0 then c
   else int_of_float (Float.round (float_of_int c *. m.m_cost_scale))
 let loop m = m.lp
-let costs m = m.cost
 
 let reserve_core m =
   let rec find i =
@@ -266,7 +265,7 @@ let vruntime_scale = function
 
 let core_asleep m core =
   core.current = None
-  && Time.sub (Loop.now m.lp) core.idle_since >= m.cost.cstate_idle_threshold
+  && Time.sub (Loop.now m.lp) core.idle_since >= costs.cstate_idle_threshold
 
 let is_mq task =
   match task.klass with
@@ -308,10 +307,10 @@ and pick_next m core =
       | None -> None
     in
     match waiter with
-    | Some task -> dispatch m core task ~delay:m.cost.context_switch
+    | Some task -> dispatch m core task ~delay:costs.context_switch
     | None -> (
         match next_ready m with
-        | Some task -> dispatch m core task ~delay:m.cost.context_switch
+        | Some task -> dispatch m core task ~delay:costs.context_switch
         | None -> ())
   end
 
@@ -348,8 +347,8 @@ and enqueue_ready m task =
       match next_ready m with
       | Some t ->
           let delay =
-            Time.add m.cost.context_switch
-              (if core_asleep m c then m.cost.cstate_exit else Time.zero)
+            Time.add costs.context_switch
+              (if core_asleep m c then costs.cstate_exit else Time.zero)
           in
           dispatch m c t ~delay
       | None -> ())
@@ -386,7 +385,7 @@ and step_event m core task gen =
       schedule_step m core task ~delay:stolen
     end
     else if should_resched m task then begin
-      charge task m.cost.context_switch;
+      charge task costs.context_switch;
       enqueue_ready m task;
       pick_next m core
     end
@@ -495,10 +494,10 @@ let spawn m ~name ~account ~klass ~idle ~step =
   m.n_tasks <- m.n_tasks + 1;
   task
 
-let class_wake_latency m task =
+let class_wake_latency task =
   match task.klass with
-  | Pinned _ | Micro_quanta _ -> m.cost.wakeup_microquanta
-  | Cfs _ -> m.cost.wakeup_cfs
+  | Pinned _ | Micro_quanta _ -> costs.wakeup_microquanta
+  | Cfs _ -> costs.wakeup_cfs
 
 (* Choose a preemption victim for a woken task that found no idle core.
    Like the kernel's wake placement, the target core is picked without
@@ -560,8 +559,8 @@ let wake task =
                    other.t_name)
           | None ->
               let delay =
-                Time.add (class_wake_latency m task)
-                  (if core_asleep m core then m.cost.cstate_exit else Time.zero)
+                Time.add (class_wake_latency task)
+                  (if core_asleep m core then costs.cstate_exit else Time.zero)
               in
               dispatch m core task ~delay)
       | Micro_quanta _ | Cfs _ -> (
@@ -578,10 +577,10 @@ let wake task =
             incr i
           done;
           if !awake >= 0 then
-            dispatch m cores.(!awake) task ~delay:(class_wake_latency m task)
+            dispatch m cores.(!awake) task ~delay:(class_wake_latency task)
           else if !asleep >= 0 then
             let delay =
-              Time.add (class_wake_latency m task) m.cost.cstate_exit
+              Time.add (class_wake_latency task) costs.cstate_exit
             in
             dispatch m cores.(!asleep) task ~delay
           else (
@@ -593,13 +592,13 @@ let wake task =
                        preempt it synchronously. *)
                     let spin = Time.sub (Loop.now m.lp) victim.spin_start in
                     charge victim spin;
-                    charge victim m.cost.context_switch;
+                    charge victim costs.context_switch;
                     enqueue_ready m victim;
                     core.current <- None;
                     dispatch m core task
                       ~delay:
-                        (Time.add (class_wake_latency m task)
-                           m.cost.context_switch)
+                        (Time.add (class_wake_latency task)
+                           costs.context_switch)
                 | Some victim -> (
                     match task.klass with
                     | Micro_quanta _ | Pinned _ ->
@@ -655,8 +654,8 @@ let interrupt m ?core ~cost f =
   in
   let core = m.cores_arr.(cid) in
   let delay =
-    Time.add m.cost.interrupt_delivery
-      (if core_asleep m core then m.cost.cstate_exit else Time.zero)
+    Time.add costs.interrupt_delivery
+      (if core_asleep m core then costs.cstate_exit else Time.zero)
   in
   ignore
     (Loop.after m.lp delay (fun () ->
@@ -700,7 +699,7 @@ let retire_spin task =
       core.idle_since <- Loop.now m.lp;
       if not core.reserved then begin
         match next_ready m with
-        | Some t -> dispatch m core t ~delay:m.cost.context_switch
+        | Some t -> dispatch m core t ~delay:costs.context_switch
         | None -> ()
       end
   | Created | Ready | Running _ | Blocked | Throttled | Done -> ()

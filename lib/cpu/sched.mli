@@ -43,13 +43,11 @@ type klass =
 
 (** {1 Machines} *)
 
-val create_machine :
-  loop:Sim.Loop.t -> costs:Sim.Costs.t -> name:string -> cores:int -> machine
+val create_machine : loop:Sim.Loop.t -> name:string -> cores:int -> machine
 
 val machine_name : machine -> string
 val num_cores : machine -> int
 val loop : machine -> Sim.Loop.t
-val costs : machine -> Sim.Costs.t
 
 val set_cost_scale : machine -> float -> unit
 (** Inflate every subsequent task-step cost on this machine by the given

@@ -25,9 +25,7 @@ let compute_nonpreemptible _ctx cost = Effect.perform (Compute_np cost)
 let wait _ctx = Effect.perform Wait
 let sleep _ctx d = Effect.perform (Sleep d)
 
-let syscall ctx cost =
-  let costs = Sched.costs ctx.m in
-  compute ctx (Time.add costs.Sim.Costs.syscall cost)
+let syscall ctx cost = compute ctx (Time.add Sim.Costs.default.syscall cost)
 
 let step ctx () =
   match ctx.resume with

@@ -18,7 +18,6 @@ let wedge_spin_cost = Time.us 1
 
 type t = {
   e_name : string;
-  e_account : string;
   run_fn : unit -> outcome;
   qdelay : Time.t -> Time.t;
   state_size : unit -> int;
@@ -59,11 +58,10 @@ and group = {
   mutable rr : int;
 }
 
-let create ~name ?(account = "snap") ~run ?(queue_delay = fun _ -> 0)
+let create ~name ~run ?(queue_delay = fun _ -> 0)
     ?(state_bytes = fun () -> 0) () =
   {
     e_name = name;
-    e_account = account;
     run_fn = run;
     qdelay = queue_delay;
     state_size = state_bytes;
@@ -87,7 +85,6 @@ let create ~name ?(account = "snap") ~run ?(queue_delay = fun _ -> 0)
   }
 
 let name e = e.e_name
-let account e = e.e_account
 let mailbox e = e.mb
 let state_bytes e = e.state_size ()
 let steps e = e.n_steps
@@ -119,7 +116,7 @@ let thread_step ct () =
     Sim.Span.emit lp ~cat:"engine"
       ~track:(Printf.sprintf "%s/t%d" ct.grp.g_name ct.tid)
       ~args:
-        (("account", e.e_account) :: ("outcome", outcome)
+        (("account", "snap") :: ("outcome", outcome)
         ::
         (match Sched.task_core ct.task with
         | Some cid -> [ ("core", string_of_int cid) ]

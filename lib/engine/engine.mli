@@ -30,7 +30,6 @@ type outcome =
 
 val create :
   name:string ->
-  ?account:string ->
   run:(unit -> outcome) ->
   ?queue_delay:(Sim.Time.t -> Sim.Time.t) ->
   ?state_bytes:(unit -> int) ->
@@ -40,10 +39,9 @@ val create :
     the age of the oldest unserviced input (the compacting scheduler's
     load signal); default reports zero.  [state_bytes ()] sizes the
     engine's serializable state for transparent upgrades (§4); default
-    0.  [account] (default "snap") is the CPU accounting container. *)
+    0.  The engine's CPU is accounted to "snap". *)
 
 val name : t -> string
-val account : t -> string
 
 val mailbox : t -> Squeue.Mailbox.t
 (** The control-plane mailbox; work posted here executes on the engine's

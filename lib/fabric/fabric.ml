@@ -2,21 +2,24 @@ module Time = Sim.Time
 module Loop = Sim.Loop
 module Packet = Memory.Packet
 
+(* One-way host-to-switch propagation. *)
+let propagation = Time.ns 500
+
+(* Forwarding latency per packet. *)
+let switch_latency = Time.ns 300
+
+(* Number of strict-priority classes (0 = highest). *)
+let qos_classes = 4
+
 type config = {
   link_gbps : float;
-  propagation : Time.t;
-  switch_latency : Time.t;
   egress_buffer_bytes : int;
-  qos_classes : int;
 }
 
 let default_config =
   {
     link_gbps = 100.0;
-    propagation = Time.ns 500;
-    switch_latency = Time.ns 300;
     egress_buffer_bytes = 1024 * 1024;
-    qos_classes = 4;
   }
 
 type fault_action =
@@ -48,15 +51,14 @@ type t = {
 
 let create ~loop ~config ~hosts =
   if hosts <= 0 then invalid_arg "Fabric.create: hosts";
-  if config.qos_classes <= 0 then invalid_arg "Fabric.create: qos_classes";
   {
     lp = loop;
     cfg = config;
     ports =
       Array.init hosts (fun _ ->
           {
-            class_queues = Array.init config.qos_classes (fun _ -> Queue.create ());
-            class_bytes = Array.make config.qos_classes 0;
+            class_queues = Array.init qos_classes (fun _ -> Queue.create ());
+            class_bytes = Array.make qos_classes 0;
             draining = false;
             p_drops = 0;
             p_max_bytes = 0;
@@ -100,7 +102,7 @@ let deliver t (pkt : Packet.t) =
    the highest non-empty class, then propagate it to the host. *)
 let rec drain_port t port =
   let rec pick cls =
-    if cls >= t.cfg.qos_classes then None
+    if cls >= qos_classes then None
     else if Queue.is_empty port.class_queues.(cls) then pick (cls + 1)
     else Some cls
   in
@@ -114,7 +116,7 @@ let rec drain_port t port =
       ignore
         (Loop.after t.lp ser (fun () ->
              ignore
-               (Loop.after t.lp t.cfg.propagation (fun () -> deliver t pkt));
+               (Loop.after t.lp propagation (fun () -> deliver t pkt));
              drain_port t port))
 
 let rec enqueue_egress t (pkt : Packet.t) =
@@ -134,7 +136,7 @@ let rec enqueue_egress t (pkt : Packet.t) =
 and enqueue_port t port (pkt : Packet.t) =
   let cls =
     let c = pkt.Packet.qos in
-    if c < 0 then 0 else if c >= t.cfg.qos_classes then t.cfg.qos_classes - 1 else c
+    if c < 0 then 0 else if c >= qos_classes then qos_classes - 1 else c
   in
   if port.class_bytes.(cls) + pkt.Packet.wire_bytes > t.cfg.egress_buffer_bytes
   then begin
@@ -152,7 +154,7 @@ and enqueue_port t port (pkt : Packet.t) =
 let send t (pkt : Packet.t) =
   if pkt.Packet.dst < 0 || pkt.Packet.dst >= Array.length t.ports then
     invalid_arg "Fabric.send: bad dst";
-  let transit = Time.add t.cfg.propagation t.cfg.switch_latency in
+  let transit = Time.add propagation switch_latency in
   ignore (Loop.after t.lp transit (fun () -> enqueue_egress t pkt))
 
 let delivered t = t.n_delivered

@@ -13,15 +13,12 @@ type t
 
 type config = {
   link_gbps : float;  (** Host link rate, both directions. *)
-  propagation : Sim.Time.t;  (** One-way host-to-switch propagation. *)
-  switch_latency : Sim.Time.t;  (** Forwarding latency per packet. *)
   egress_buffer_bytes : int;  (** Drop-tail capacity per port per class. *)
-  qos_classes : int;  (** Number of strict-priority classes (0 = highest). *)
 }
 
 val default_config : config
-(** 100 Gbps links, 500 ns propagation, 300 ns forwarding, 1 MiB buffers,
-    4 QoS classes. *)
+(** 100 Gbps links and 1 MiB buffers.  Every fabric has 500 ns
+    propagation, 300 ns forwarding and 4 QoS classes. *)
 
 val create : loop:Sim.Loop.t -> config:config -> hosts:int -> t
 

@@ -414,8 +414,7 @@ let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
       pony;
       pool = PE.op_pool pony;
       addr;
-      copy_ns_per_byte =
-        (Cpu.Sched.costs machine).Sim.Costs.snap_copy_per_byte_ns;
+      copy_ns_per_byte = Sim.Costs.default.snap_copy_per_byte_ns;
       group;
       suspect_after;
       quarantine_after;
@@ -567,15 +566,15 @@ let register_invariants b =
           Some (Printf.sprintf "%d op-pool bytes never released" usage)
         else None)
 
-let attach ctx t ~name ~dst_host ~dst_name ?ring_slots ?buf_bytes ?max_ops
-    ?max_bytes ?rate_ops_per_sec ?burst_ops () =
+let attach ctx t ~name ~dst_host ~dst_name ?ring_slots ?buf_bytes
+    ?rate_ops_per_sec ?burst_ops () =
   if Hashtbl.mem t.by_name name then
     invalid_arg (Printf.sprintf "Guest.Mux.attach: tenant %s exists" name);
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
   let tenant =
     Tenant.create ~pool:t.pool ~host_addr:t.addr ~name ~id:tid ?ring_slots
-      ?buf_bytes ?max_ops ?max_bytes ?rate_ops_per_sec ?burst_ops ()
+      ?buf_bytes ?rate_ops_per_sec ?burst_ops ()
   in
   (* The backend's Pony handle for this tenant.  Its client-side
      admission stays permissive on purpose: the tenant's handle is the

@@ -71,8 +71,6 @@ val attach :
   dst_name:string ->
   ?ring_slots:int ->
   ?buf_bytes:int ->
-  ?max_ops:int ->
-  ?max_bytes:int ->
   ?rate_ops_per_sec:float ->
   ?burst_ops:int ->
   unit ->

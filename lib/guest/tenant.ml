@@ -83,7 +83,7 @@ type t = {
 let region_id_base = 1_000_000
 
 let create ~pool ~host_addr ~name ~id ?(ring_slots = 64) ?(buf_bytes = 4096)
-    ?max_ops ?max_bytes ?rate_ops_per_sec ?burst_ops () =
+    ?rate_ops_per_sec ?burst_ops () =
   if ring_slots <= 0 then invalid_arg "Guest.Tenant.create: ring_slots";
   if buf_bytes <= 0 then invalid_arg "Guest.Tenant.create: buf_bytes";
   let owner = Printf.sprintf "tenant:%s@%d" name host_addr in
@@ -96,8 +96,7 @@ let create ~pool ~host_addr ~name ~id ?(ring_slots = 64) ?(buf_bytes = 4096)
   let tx = Ring.create ~name:(owner ^ ".tx") ~region ~slots:ring_slots () in
   let rx = Ring.create ~name:(owner ^ ".rx") ~region ~slots:ring_slots () in
   let adm =
-    Overload.Admission.create ~pool ~owner ?max_ops ?max_bytes
-      ?rate_ops_per_sec ?burst_ops ()
+    Overload.Admission.create ~pool ~owner ?rate_ops_per_sec ?burst_ops ()
   in
   let labels = [ ("tenant", owner) ] in
   let c name = Stats.Registry.counter ~labels name in

@@ -76,8 +76,6 @@ val create :
   id:int ->
   ?ring_slots:int ->
   ?buf_bytes:int ->
-  ?max_ops:int ->
-  ?max_bytes:int ->
   ?rate_ops_per_sec:float ->
   ?burst_ops:int ->
   unit ->
@@ -85,7 +83,7 @@ val create :
 (** Build a tenant with [ring_slots] (default 64) descriptors per ring
     over a fresh region of [2 * ring_slots * buf_bytes] (default 4096)
     bytes: the first half holds tx buffers, the second rx buffers.
-    Quota parameters configure the tenant's admission handle (see
+    The rate parameters configure the tenant's admission handle (see
     {!Overload.Admission.create}). *)
 
 val tx_buf_off : t -> int -> int

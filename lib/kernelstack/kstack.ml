@@ -91,29 +91,29 @@ let pay chg ns =
 let machine t = t.mach
 let addr t = Nic.addr t.nic
 let active_streams t = t.n_established
-let costs t = Cpu.Sched.costs t.mach
+let costs = Sim.Costs.default
 let mss t = Nic.mtu t.nic - header_bytes
 
 (* Per-packet cost multiplier from cache/locality degradation with many
    simultaneously active connections (Table 1). *)
 let locality_mult t =
   1.0
-  +. (costs t).Sim.Costs.tcp_locality_factor
+  +. costs.Sim.Costs.tcp_locality_factor
      *. Float.max 0.0 (log (float_of_int (max 1 t.n_established)))
 
 let scaled t base = Time.scale base (locality_mult t)
 
-let tx_cost t = scaled t (costs t).Sim.Costs.tcp_tx_per_packet
-let rx_cost t = scaled t (costs t).Sim.Costs.tcp_rx_per_packet
+let tx_cost t = scaled t costs.Sim.Costs.tcp_tx_per_packet
+let rx_cost t = scaled t costs.Sim.Costs.tcp_rx_per_packet
 
 (* Control segments (pure ACK, SYN) are cheaper than full data-path
    processing. *)
 let rx_ctl_cost t = Time.scale (rx_cost t) 0.4
 
-let copy_cost t bytes =
+let copy_cost bytes =
   Time.ns
     (int_of_float
-       (Float.round ((costs t).Sim.Costs.tcp_copy_per_byte_ns *. float_of_int bytes)))
+       (Float.round (costs.Sim.Costs.tcp_copy_per_byte_ns *. float_of_int bytes)))
 
 let in_flight_bytes sock =
   List.fold_left (fun acc f -> acc + f.len) 0 sock.flight
@@ -573,7 +573,7 @@ let connect ctx t ~dst ~port =
   t.next_port <- t.next_port + 1;
   let sock = make_socket t ~local_port ~peer_addr:dst ~peer_port:port in
   Hashtbl.replace t.conns (local_port, dst, port) sock;
-  Cpu.Thread.syscall ctx (costs t).Sim.Costs.tcp_per_syscall;
+  Cpu.Thread.syscall ctx costs.Sim.Costs.tcp_per_syscall;
   ignore (send_segment sock ~kind:Syn ~seq:0 ~len:0);
   while sock.state <> Established do
     if t.busy_poll then begin
@@ -590,7 +590,7 @@ let connect ctx t ~dst ~port =
 let send ctx sock ~bytes =
   if bytes <= 0 then invalid_arg "Kstack.send: bytes";
   let t = sock.stack in
-  Cpu.Thread.syscall ctx (costs t).Sim.Costs.tcp_per_syscall;
+  Cpu.Thread.syscall ctx costs.Sim.Costs.tcp_per_syscall;
   (* Block while the send buffer cannot take this write. *)
   while sock.snd_queued + bytes > snd_buf_cap do
     if t.busy_poll then begin
@@ -602,14 +602,14 @@ let send ctx sock ~bytes =
       Cpu.Thread.wait ctx
     end
   done;
-  Cpu.Thread.compute ctx (copy_cost t bytes);
+  Cpu.Thread.compute ctx (copy_cost bytes);
   sock.snd_queued <- sock.snd_queued + bytes;
   push_out sock (App ctx)
 
 let recv ctx sock ~max =
   if max <= 0 then invalid_arg "Kstack.recv: max";
   let t = sock.stack in
-  Cpu.Thread.syscall ctx (costs t).Sim.Costs.tcp_per_syscall;
+  Cpu.Thread.syscall ctx costs.Sim.Costs.tcp_per_syscall;
   while sock.rx_avail = 0 do
     if t.busy_poll then begin
       ignore (poll_all_rings_app t ctx);
@@ -623,16 +623,16 @@ let recv ctx sock ~max =
   let n = min max sock.rx_avail in
   sock.rx_avail <- sock.rx_avail - n;
   sock.rx_delivered <- sock.rx_delivered + n;
-  Cpu.Thread.compute ctx (copy_cost t n);
+  Cpu.Thread.compute ctx (copy_cost n);
   n
 
 let try_send ctx sock ~bytes =
   if bytes <= 0 then invalid_arg "Kstack.try_send: bytes";
   let t = sock.stack in
-  Cpu.Thread.syscall ctx (scaled t (costs t).Sim.Costs.tcp_per_syscall);
+  Cpu.Thread.syscall ctx (scaled t costs.Sim.Costs.tcp_per_syscall);
   if sock.snd_queued + bytes > snd_buf_cap then false
   else begin
-    Cpu.Thread.compute ctx (copy_cost t bytes);
+    Cpu.Thread.compute ctx (copy_cost bytes);
     sock.snd_queued <- sock.snd_queued + bytes;
     push_out sock (App ctx);
     true
@@ -641,13 +641,13 @@ let try_send ctx sock ~bytes =
 let try_recv ctx sock ~max =
   if max <= 0 then invalid_arg "Kstack.try_recv: max";
   let t = sock.stack in
-  Cpu.Thread.syscall ctx (scaled t (costs t).Sim.Costs.tcp_per_syscall);
+  Cpu.Thread.syscall ctx (scaled t costs.Sim.Costs.tcp_per_syscall);
   if sock.rx_avail = 0 then 0
   else begin
     let n = min max sock.rx_avail in
     sock.rx_avail <- sock.rx_avail - n;
     sock.rx_delivered <- sock.rx_delivered + n;
-    Cpu.Thread.compute ctx (copy_cost t n);
+    Cpu.Thread.compute ctx (copy_cost n);
     n
   end
 

@@ -2,13 +2,17 @@ module Time = Sim.Time
 module Loop = Sim.Loop
 module Packet = Memory.Packet
 
+(* Wire to rx-ring visibility (DMA, PCIe). *)
+let rx_latency = Time.us 1
+
+(* Descriptor post to wire start. *)
+let tx_latency = Time.us 1
+
 type config = {
   mtu : int;
   num_rx_queues : int;
   rx_ring_slots : int;
   tx_ring_slots : int;
-  rx_latency : Time.t;
-  tx_latency : Time.t;
 }
 
 let default_config =
@@ -17,8 +21,6 @@ let default_config =
     num_rx_queues = 8;
     rx_ring_slots = 4096;
     tx_ring_slots = 1024;
-    rx_latency = Time.us 1;
-    tx_latency = Time.us 1;
   }
 
 type rx_notify =
@@ -67,7 +69,7 @@ let notify_rx t q =
       if q.irq_armed then begin
         q.irq_armed <- false;
         Cpu.Sched.interrupt t.machine
-          ~cost:(Cpu.Sched.costs t.machine).Sim.Costs.interrupt_cpu handler
+          ~cost:Sim.Costs.default.interrupt_cpu handler
       end
       else q.pending_while_disarmed <- true
   | Soft f -> f ()
@@ -81,7 +83,7 @@ let rx_post t q (pkt : Packet.t) =
 
 let receive t (pkt : Packet.t) =
   ignore
-    (Loop.after t.lp t.cfg.rx_latency (fun () ->
+    (Loop.after t.lp rx_latency (fun () ->
          let qi = t.steer pkt in
          let qi = if qi < 0 || qi >= t.cfg.num_rx_queues then 0 else qi in
          let q = t.rx_queues.(qi) in
@@ -186,7 +188,7 @@ let try_transmit t pkt =
   else begin
     t.tx_in_flight <- t.tx_in_flight + 1;
     ignore
-      (Loop.after t.lp t.cfg.tx_latency (fun () ->
+      (Loop.after t.lp tx_latency (fun () ->
            Queue.add pkt t.tx_ring;
            if not t.tx_busy then tx_drain t));
     true

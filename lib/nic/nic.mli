@@ -16,13 +16,12 @@ type config = {
   num_rx_queues : int;
   rx_ring_slots : int;
   tx_ring_slots : int;
-  rx_latency : Sim.Time.t;  (** Wire to rx-ring visibility (DMA, PCIe). *)
-  tx_latency : Sim.Time.t;  (** Descriptor post to wire start. *)
 }
 
 val default_config : config
-(** 5000 B MTU, 8 rx queues of 4096 slots, 1024 tx slots, 1 us DMA
-    latencies. *)
+(** 5000 B MTU, 8 rx queues of 4096 slots, 1024 tx slots.  Every NIC
+    takes 1 us from wire to rx-ring visibility (DMA, PCIe) and 1 us from
+    descriptor post to wire start. *)
 
 (** How to tell the consumer of an rx ring that packets arrived. *)
 type rx_notify =

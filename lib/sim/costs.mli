@@ -4,8 +4,7 @@
     this table.  The constants are calibrated so that the end-to-end
     benchmarks land near the absolute numbers reported in the paper
     (Table 1 and Figures 6-9); each field's documentation names the paper
-    observation that pins it down.  Experiments may override individual
-    fields (e.g. the ablation benches). *)
+    observation that pins it down. *)
 
 type t = {
   (* -- Scheduling / kernel interaction ------------------------------- *)

@@ -98,9 +98,9 @@ let at t when_ fn =
 
 let after t d fn = at t (Time.add t.clock d) fn
 
-let every t ?start period fn =
+let every t period fn =
   let control = take_slot t fn in
-  let first = match start with Some s -> s | None -> Time.add t.clock period in
+  let first = Time.add t.clock period in
   let rec tick () =
     if is_pending t control then begin
       fn ();

@@ -51,10 +51,9 @@ val cancel : t -> handle -> unit
 val is_pending : t -> handle -> bool
 (** [true] until the event fires or is cancelled. *)
 
-val every : t -> ?start:Time.t -> Time.t -> (unit -> unit) -> handle
-(** [every t ~start period f] runs [f] periodically, first at [start]
-    (default [now + period]).  The returned handle cancels the whole
-    periodic activity. *)
+val every : t -> Time.t -> (unit -> unit) -> handle
+(** [every t period f] runs [f] periodically, first at [now + period].
+    The returned handle cancels the whole periodic activity. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Execute events in time order until the queue empties or the clock

@@ -241,7 +241,7 @@ let stall key which =
           | Rto -> r.r_rto <- r.r_rto + 1
           | Zero_window -> r.r_zw <- r.r_zw + 1))
 
-let finish loop ?(charge = true) key ~host ~status =
+let finish loop key ~host ~status =
   match !state with
   | None -> ()
   | Some s -> (
@@ -249,7 +249,7 @@ let finish loop ?(charge = true) key ~host ~status =
       | None -> ()
       | Some r ->
           let now = Loop.now loop in
-          charge_stage r (stage_index Completed) ~charge now;
+          charge_stage r (stage_index Completed) ~charge:true now;
           r.r_end <- now;
           r.r_status <- status;
           Hashtbl.remove s.inflight key;

@@ -87,7 +87,7 @@ val stall : key -> stall -> unit
     in-flight op.  Stalls are counters, not stages: the time they cover
     is still charged to whichever stage the op is traversing. *)
 
-val finish : Loop.t -> ?charge:bool -> key -> host:int -> status:string -> unit
+val finish : Loop.t -> key -> host:int -> status:string -> unit
 (** Close a record: stamps [Completed], sets the end time and status,
     and moves it to the completed ring.  [host] is where the op
     finished (delivery host for messages, origin for everything else)

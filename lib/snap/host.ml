@@ -11,12 +11,10 @@ type t = {
 
 let create ~loop ~fabric ~directory ~addr ?(cores = 16) ?nic_config
     ?(mode = Engine.Dedicating { cores = 2 }) ?(engines = 1)
-    ?(use_copy_engine = false) ?(costs = Sim.Costs.default) ?wire_versions
-    ?op_pool_bytes ?keepalive ?poll_period () =
+    ?(use_copy_engine = false) ?wire_versions ?op_pool_bytes ?keepalive
+    ?poll_period () =
   let machine =
-    Cpu.Sched.create_machine ~loop ~costs
-      ~name:(Printf.sprintf "host%d" addr)
-      ~cores
+    Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "host%d" addr) ~cores
   in
   let nic_config = Option.value ~default:Nic.default_config nic_config in
   let nic = Nic.create ~loop ~machine ~fabric ~addr nic_config in
@@ -82,9 +80,9 @@ let fault_host t =
                   true));
   }
 
-let spawn_app t ~name ?(klass = Cpu.Sched.Cfs { nice = 0 }) ?(spin = false)
-    body =
-  Cpu.Thread.spawn t.machine ~name ~account:"app" ~klass
+let spawn_app t ~name ?(spin = false) body =
+  Cpu.Thread.spawn t.machine ~name ~account:"app"
+    ~klass:(Cpu.Sched.Cfs { nice = 0 })
     ~idle:(if spin then Cpu.Sched.Spin else Cpu.Sched.Block)
     body
 
@@ -105,10 +103,10 @@ let enable_guests ?(engines = 1) ?(mode = Engine.Spreading { runtime_pct = 0.9 }
 let guest_mux t = t.mux
 
 let attach_tenant ctx t ~name ~dst_host ~dst_name ?ring_slots ?buf_bytes
-    ?max_ops ?max_bytes ?rate_ops_per_sec ?burst_ops () =
+    ?rate_ops_per_sec ?burst_ops () =
   let m = enable_guests t in
   Guest.Mux.attach ctx m ~name ~dst_host ~dst_name ?ring_slots ?buf_bytes
-    ?max_ops ?max_bytes ?rate_ops_per_sec ?burst_ops ()
+    ?rate_ops_per_sec ?burst_ops ()
 
 let detach_tenant ?force t tenant =
   match t.mux with

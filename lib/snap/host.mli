@@ -27,7 +27,6 @@ val create :
   ?mode:Engine.mode ->
   ?engines:int ->
   ?use_copy_engine:bool ->
-  ?costs:Sim.Costs.t ->
   ?wire_versions:int list ->
   ?op_pool_bytes:int ->
   ?keepalive:Pony.Express.keepalive ->
@@ -56,12 +55,11 @@ val fault_host : t -> Fault.Injector.host
 val spawn_app :
   t ->
   name:string ->
-  ?klass:Cpu.Sched.klass ->
   ?spin:bool ->
   (Cpu.Thread.ctx -> unit) ->
   Cpu.Sched.task
-(** Launch an application thread on this host (CFS nice 0 by default;
-    [spin] selects spin-polling waits for the lowest latency). *)
+(** Launch an application thread on this host, CFS nice 0; [spin]
+    selects spin-polling waits for the lowest latency. *)
 
 (** {1 Guest networking} *)
 
@@ -89,8 +87,6 @@ val attach_tenant :
   dst_name:string ->
   ?ring_slots:int ->
   ?buf_bytes:int ->
-  ?max_ops:int ->
-  ?max_bytes:int ->
   ?rate_ops_per_sec:float ->
   ?burst_ops:int ->
   unit ->

@@ -33,14 +33,13 @@ let run t () =
   done;
   if !n = 0 then Engine.No_work else Engine.Worked !cost
 
-let create ~loop ~nic ~group ?(rate_gbps = 10.0) ?(burst_bytes = 1 lsl 20)
-    ?(allow = fun _ -> true) () =
+let create ~loop ~nic ~group ?(rate_gbps = 10.0) ?(burst_bytes = 1 lsl 20) () =
   let input = Squeue.Spsc.create ~name:"shaper.in" ~capacity:4096 () in
   let pipeline =
     Engine.Element.Pipeline.of_list
       [
         Engine.Element.counter ~name:"ingress";
-        Engine.Element.acl ~name:"policy" ~allow;
+        Engine.Element.acl ~name:"policy" ~allow:(fun _ -> true);
         Engine.Element.token_bucket ~name:"shape" ~loop ~rate_gbps ~burst_bytes;
       ]
   in

@@ -14,7 +14,6 @@ val create :
   group:Engine.group ->
   ?rate_gbps:float ->
   ?burst_bytes:int ->
-  ?allow:(Memory.Packet.t -> bool) ->
   unit ->
   t
 (** Build the engine and add it to [group].  Default 10 Gbps rate,

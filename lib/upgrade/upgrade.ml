@@ -34,8 +34,10 @@ type report = {
   outcome : outcome;
 }
 
+(* Spacing between consecutive engine migrations. *)
+let gap = Time.ms 1
+
 type config = {
-  gap : Time.t;
   blackout_slo : Time.t option;
   max_attempts : int;
   retry_backoff : Time.t;
@@ -43,28 +45,28 @@ type config = {
 
 let default_config =
   {
-    gap = Time.ms 1;
     blackout_slo = None;
     max_attempts = 3;
     retry_backoff = Time.ms 5;
   }
 
-let serialize_time ~(costs : Sim.Costs.t) bytes =
+let serialize_time bytes =
   int_of_float
-    (Float.round (float_of_int bytes /. costs.Sim.Costs.serialize_bytes_per_ns))
+    (Float.round
+       (float_of_int bytes /. Sim.Costs.default.serialize_bytes_per_ns))
 
-let blackout_of ~costs ~state_bytes =
+let blackout_of ~state_bytes =
   (* Detach filters + serialize + attach filters + deserialize. *)
-  (2 * costs.Sim.Costs.nic_filter_update) + (2 * serialize_time ~costs state_bytes)
+  (2 * Sim.Costs.default.nic_filter_update) + (2 * serialize_time state_bytes)
 
 (* The brownout transfers control-plane connections and pre-builds the
    new engine's structures in the background; its duration scales with
    the same state but at a fraction of the cost because it does not
    quiesce anything. *)
-let brownout_of ~costs ~state_bytes =
-  Time.max (Time.ms 1) (serialize_time ~costs (state_bytes / 4))
+let brownout_of ~state_bytes =
+  Time.max (Time.ms 1) (serialize_time (state_bytes / 4))
 
-let upgrade ~loop ~costs ~old_group ~new_group
+let upgrade ~loop ~old_group ~new_group
     ?(extra_state_bytes = fun _ -> 0) ?(config = default_config)
     ?(on_transition = fun ~engine:_ _ -> ()) ~on_done () =
   if config.max_attempts <= 0 then invalid_arg "Upgrade.upgrade: max_attempts";
@@ -107,12 +109,12 @@ let upgrade ~loop ~costs ~old_group ~new_group
           outcome;
         }
         :: !reports;
-      ignore (Loop.after loop config.gap next)
+      ignore (Loop.after loop gap next)
     in
     let rec attempt n =
       let attempt_start = Loop.now loop in
       let state_bytes = Engine.state_bytes e + extra_state_bytes e in
-      let brownout_scheduled = brownout_of ~costs ~state_bytes in
+      let brownout_scheduled = brownout_of ~state_bytes in
       (* Abort the transaction: restore the old instance (state intact)
          and either retry after a backed-off delay or give up, leaving
          the engine in the old group.  [readd] is false when the
@@ -165,7 +167,7 @@ let upgrade ~loop ~costs ~old_group ~new_group
                  Engine.set_migrating e true;
                  Engine.remove old_group e;
                  transition Blackout;
-                 let blackout = blackout_of ~costs ~state_bytes in
+                 let blackout = blackout_of ~state_bytes in
                  let over_slo =
                    match config.blackout_slo with
                    | Some slo -> blackout > slo

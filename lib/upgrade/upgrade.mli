@@ -67,7 +67,6 @@ type report = {
 }
 
 type config = {
-  gap : Sim.Time.t;  (** Spacing between consecutive engine migrations. *)
   blackout_slo : Sim.Time.t option;
       (** Abort (at the deadline) any blackout that would run longer
           than this; [None] disables the check. *)
@@ -77,11 +76,11 @@ type config = {
 }
 
 val default_config : config
-(** gap 1 ms, no blackout SLO, 3 attempts, 5 ms base backoff. *)
+(** No blackout SLO, 3 attempts, 5 ms base backoff.  Consecutive
+    engine migrations are always spaced 1 ms apart. *)
 
 val upgrade :
   loop:Sim.Loop.t ->
-  costs:Sim.Costs.t ->
   old_group:Engine.group ->
   new_group:Engine.group ->
   ?extra_state_bytes:(Engine.t -> int) ->
@@ -100,7 +99,7 @@ val upgrade :
     state-machine transition (for logging and tests).  [on_done]
     receives one report per engine, committed or given up. *)
 
-val blackout_of : costs:Sim.Costs.t -> state_bytes:int -> Sim.Time.t
+val blackout_of : state_bytes:int -> Sim.Time.t
 (** The blackout duration the model assigns to a given amount of
     serialized state: filter detach + serialize + filter attach +
     deserialize. *)

@@ -5,35 +5,32 @@ module PE = Pony.Express
 type transport = Tcp | Pony of Engine.mode
 type antagonist = No_antagonist | Md5 of int
 
+(* Response size (1 MB in the paper). *)
+let rpc_bytes = 1 lsl 20
+let request_bytes = 1000
+let prober_qps = 2000
+let warmup = Time.ms 10
+
+(* Cores per machine under TCP: a Snap.Host's default. *)
+let cores = 16
+let link_gbps = 50.0
+let seed = 11
+
 type config = {
   hosts : int;
   jobs_per_host : int;
-  rpc_bytes : int;
-  request_bytes : int;
   offered_gbps_per_host : float;
-  prober_qps : int;
-  warmup : Time.t;
   window : Time.t;
   antagonist : antagonist;
-  cores : int;
-  link_gbps : float;
-  seed : int;
 }
 
 let default_config =
   {
     hosts = 8;
     jobs_per_host = 4;
-    rpc_bytes = 1 lsl 20;
-    request_bytes = 1000;
     offered_gbps_per_host = 8.0;
-    prober_qps = 2000;
-    warmup = Time.ms 10;
     window = Time.ms 30;
     antagonist = No_antagonist;
-    cores = 16;
-    link_gbps = 50.0;
-    seed = 11;
   }
 
 type result = {
@@ -57,7 +54,7 @@ let antagonist_at = Time.ms 5
 let job_interarrival cfg =
   if cfg.offered_gbps_per_host <= 0.0 then None
   else begin
-    let bits_per_rpc = float_of_int (8 * (cfg.rpc_bytes + cfg.request_bytes)) in
+    let bits_per_rpc = float_of_int (8 * (rpc_bytes + request_bytes)) in
     let per_host_rpc_rate =
       cfg.offered_gbps_per_host /. (2.0 *. bits_per_rpc) *. 1e9
       (* RPCs per second per host, counting rx+tx. *)
@@ -89,10 +86,10 @@ let mk_meter () =
 let finish_measure ~loop ~cfg ~machines ~meter =
   let base = Array.make (List.length machines) 0 in
   ignore
-    (Loop.at loop cfg.warmup (fun () ->
+    (Loop.at loop warmup (fun () ->
          meter.in_window <- true;
          List.iteri (fun i m -> base.(i) <- Cpu.Sched.busy_ns m) machines));
-  let finish = Time.add cfg.warmup cfg.window in
+  let finish = Time.add warmup cfg.window in
   ignore (Loop.at loop finish (fun () -> meter.in_window <- false));
   Loop.run ~until:(Time.add finish (Time.ms 1)) loop;
   let cores =
@@ -129,10 +126,10 @@ let is_response stream = stream land 1 = 1
 let is_probe stream = stream land 2 = 2
 
 let run_pony mode cfg =
-  let loop = Sim.Loop.create ~seed:cfg.seed () in
+  let loop = Sim.Loop.create ~seed () in
   let fab =
     Fabric.create ~loop
-      ~config:{ Fabric.default_config with Fabric.link_gbps = cfg.link_gbps }
+      ~config:{ Fabric.default_config with Fabric.link_gbps }
       ~hosts:cfg.hosts
   in
   let dir = PE.Directory.create () in
@@ -141,13 +138,13 @@ let run_pony mode cfg =
   in
   let hosts =
     List.init cfg.hosts (fun addr ->
-        Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~cores:cfg.cores
-          ~nic_config ~mode ~engines:1 ())
+        Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~nic_config
+          ~mode ~engines:1 ())
   in
   let machines = List.map (fun h -> h.Snap.Host.machine) hosts in
   spawn_antagonists ~loop machines cfg.antagonist;
   let meter = mk_meter () in
-  let stop_at = Time.add cfg.warmup cfg.window in
+  let stop_at = Time.add warmup cfg.window in
   let rng = Sim.Loop.rng loop in
   (* One thread per job: creates its exclusive-engine client, connects
      to every job on every other host, then serves and issues RPCs. *)
@@ -179,7 +176,7 @@ let run_pony mode cfg =
            let now = Cpu.Thread.now ctx in
            if now < traffic_at then Cpu.Thread.sleep ctx (Time.sub traffic_at now);
            let mean_gap =
-             if probe then Some (1e9 /. float_of_int cfg.prober_qps)
+             if probe then Some (1e9 /. float_of_int prober_qps)
              else job_interarrival cfg
            in
            let next_arrival = ref (Cpu.Thread.now ctx) in
@@ -217,7 +214,7 @@ let run_pony mode cfg =
                  end
                  else begin
                    let resp =
-                     if is_probe m.PE.stream then probe_bytes else cfg.rpc_bytes
+                     if is_probe m.PE.stream then probe_bytes else rpc_bytes
                    in
                    ignore
                      (PE.send_message ctx m.PE.msg_conn
@@ -237,7 +234,7 @@ let run_pony mode cfg =
                next_stream := stream + 4;
                Hashtbl.replace outstanding stream (Cpu.Thread.now ctx);
                ignore
-                 (PE.send_message ctx conn ~stream ~bytes:cfg.request_bytes ());
+                 (PE.send_message ctx conn ~stream ~bytes:request_bytes ());
                advance_arrival ()
              end;
              if not !progressed then begin
@@ -268,16 +265,15 @@ type tcp_sock_state = {
 }
 
 let run_tcp cfg =
-  let loop = Sim.Loop.create ~seed:cfg.seed () in
+  let loop = Sim.Loop.create ~seed () in
   let fab =
     Fabric.create ~loop
-      ~config:{ Fabric.default_config with Fabric.link_gbps = cfg.link_gbps }
+      ~config:{ Fabric.default_config with Fabric.link_gbps }
       ~hosts:cfg.hosts
   in
   let mk addr =
     let m =
-      Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default
-        ~name:(Printf.sprintf "m%d" addr) ~cores:cfg.cores
+      Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "m%d" addr) ~cores
     in
     let nic =
       Nic.create ~loop ~machine:m ~fabric:fab ~addr
@@ -294,7 +290,7 @@ let run_tcp cfg =
   let stacks = Array.of_list (List.map snd pairs) in
   spawn_antagonists ~loop machines cfg.antagonist;
   let meter = mk_meter () in
-  let stop_at = Time.add cfg.warmup cfg.window in
+  let stop_at = Time.add warmup cfg.window in
   let rng = Sim.Loop.rng loop in
   let bulk_port j = 100 + j in
   let probe_port j = 500 + j in
@@ -339,7 +335,7 @@ let run_tcp cfg =
            let now = Cpu.Thread.now ctx in
            if now < traffic_at then Cpu.Thread.sleep ctx (Time.sub traffic_at now);
            let mean_gap =
-             if probe then Some (1e9 /. float_of_int cfg.prober_qps)
+             if probe then Some (1e9 /. float_of_int prober_qps)
              else job_interarrival cfg
            in
            let next_arrival = ref (Cpu.Thread.now ctx) in
@@ -352,7 +348,7 @@ let run_tcp cfg =
                      (Time.ns (int_of_float (Sim.Rng.exponential job_rng ~mean)))
            in
            advance_arrival ();
-           let resp_bytes = if probe then probe_bytes else cfg.rpc_bytes in
+           let resp_bytes = if probe then probe_bytes else rpc_bytes in
            while Cpu.Thread.now ctx < stop_at do
              let progressed = ref false in
              (* Serve requests on accepted sockets. *)
@@ -364,8 +360,8 @@ let run_tcp cfg =
                in
                if got > 0 then progressed := true;
                st.acc <- st.acc + got;
-               while st.acc >= cfg.request_bytes do
-                 st.acc <- st.acc - cfg.request_bytes;
+               while st.acc >= request_bytes do
+                 st.acc <- st.acc - request_bytes;
                  st.pending_out <- st.pending_out + 1
                done;
                while
@@ -377,7 +373,7 @@ let run_tcp cfg =
                  st.pending_out <- st.pending_out - 1
                done
              in
-             List.iter (serve cfg.rpc_bytes) !bulk_served;
+             List.iter (serve rpc_bytes) !bulk_served;
              List.iter (serve probe_bytes) !probe_served;
              (* Reap responses on client connections. *)
              Array.iter
@@ -407,7 +403,7 @@ let run_tcp cfg =
              if Cpu.Thread.now ctx >= !next_arrival && Array.length conns > 0
              then begin
                let st = conns.(Sim.Rng.int job_rng (Array.length conns)) in
-               if Kstack.try_send ctx st.sock ~bytes:cfg.request_bytes then begin
+               if Kstack.try_send ctx st.sock ~bytes:request_bytes then begin
                  progressed := true;
                  Queue.add (Cpu.Thread.now ctx) st.pending_times;
                  advance_arrival ()

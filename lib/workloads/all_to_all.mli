@@ -22,23 +22,16 @@ type antagonist = No_antagonist | Md5 of int
 type config = {
   hosts : int;
   jobs_per_host : int;
-  rpc_bytes : int;  (** Response size (1 MB in the paper). *)
-  request_bytes : int;
   offered_gbps_per_host : float;
       (** Target per-machine load, both directions combined (the
           x-axis of Figure 6(b)-(d)). *)
-  prober_qps : int;
-  warmup : Sim.Time.t;
   window : Sim.Time.t;
   antagonist : antagonist;
-  cores : int;
-  link_gbps : float;
-  seed : int;
 }
 
 val default_config : config
-(** 8 hosts x 4 jobs, 1 MB RPCs, 50 Gbps links, 16 cores, 10 ms warmup,
-    30 ms window. *)
+(** 8 hosts x 4 jobs, 30 ms window.  Every run uses 1 MB RPCs, 50 Gbps
+    links, 16 cores per machine and a 10 ms warmup. *)
 
 type result = {
   cpu_cores : float;  (** Mean busy cores per machine over the window. *)

@@ -12,9 +12,10 @@ type result = {
 (* Bytes fetched per indirection, and the dashboard's sampling interval. *)
 let read_bytes = 64
 let interval = Time.ms 10
+let seed = 5
 
 let run ?(clients = 4) ?(batch = 8) ?(outstanding = 32)
-    ?(duration = Time.ms 100) ?(seed = 5) () =
+    ?(duration = Time.ms 100) () =
   let loop = Sim.Loop.create ~seed () in
   let hosts_n = clients + 1 in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:hosts_n in

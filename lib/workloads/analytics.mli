@@ -20,7 +20,6 @@ val run :
   ?batch:int ->
   ?outstanding:int ->
   ?duration:Sim.Time.t ->
-  ?seed:int ->
   unit ->
   result
 (** Defaults: 4 client hosts, batch 8, 32 outstanding requests per

@@ -1,20 +1,27 @@
 module Time = Sim.Time
 module Loop = Sim.Loop
 
+(* Request and reply size. *)
+let op_bytes = 1024
+
+(* Engine scheduling mode for both hosts. *)
+let mode = Engine.Dedicating { cores = 1 }
+
+(* Telemetry sampling period for each host's {!Control.Poller} (rx-ring
+   depths, per-account CPU). *)
+let poll_period = Time.us 100
+
 type config = {
   clients : int;
   ops_per_client : int;
-  op_bytes : int;
   seed : int;
   tie_salt : int;
-  mode : Engine.mode;
   plan : Fault.Plan.t;
   run_cap : Time.t;
-  poll_period : Time.t option;
 }
 
-let default_plan ?(seed = 11) () =
-  Fault.Plan.make ~seed
+let default_plan =
+  Fault.Plan.make ~seed:11
     [
       (* Bursty loss toward the server across most of the steady state. *)
       Fault.Plan.Burst_loss
@@ -50,13 +57,10 @@ let default_config =
   {
     clients = 2;
     ops_per_client = 1500;
-    op_bytes = 1024;
     seed = 7;
     tie_salt = 0;
-    mode = Engine.Dedicating { cores = 1 };
-    plan = default_plan ();
+    plan = default_plan;
     run_cap = Time.ms 500;
-    poll_period = Some (Time.us 100);
   }
 
 type result = {
@@ -83,8 +87,8 @@ let run (cfg : config) : result =
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let dir = Pony.Express.Directory.create () in
   let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ?poll_period:cfg.poll_period ()
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~poll_period
+      ()
   in
   let ha = mk 0 and hb = mk 1 in
   let inj =
@@ -108,7 +112,7 @@ let run (cfg : config) : result =
            let m = Pony.Express.await_message ctx c in
            ignore
              (Pony.Express.send_message ctx m.Pony.Express.msg_conn
-                ~bytes:cfg.op_bytes ())
+                ~bytes:op_bytes ())
          done));
   for i = 0 to cfg.clients - 1 do
     ignore
@@ -127,7 +131,7 @@ let run (cfg : config) : result =
            in
            for _ = 1 to cfg.ops_per_client do
              let t0 = Cpu.Thread.now ctx in
-             ignore (Pony.Express.send_message ctx conn ~bytes:cfg.op_bytes ());
+             ignore (Pony.Express.send_message ctx conn ~bytes:op_bytes ());
              let _m = Pony.Express.await_message ctx c in
              let lat = Cpu.Thread.now ctx - t0 in
              Stats.Histogram.record hist lat;
@@ -154,7 +158,7 @@ let run (cfg : config) : result =
     if !last_done = 0 then 0.0
     else
       (* Request + echoed reply both carry [op_bytes] of goodput. *)
-      float_of_int (!completed * cfg.op_bytes * 2 * 8)
+      float_of_int (!completed * op_bytes * 2 * 8)
       /. float_of_int !last_done
   in
   {

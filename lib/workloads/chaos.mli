@@ -12,29 +12,21 @@
 type config = {
   clients : int;  (** Concurrent closed-loop clients on host 0. *)
   ops_per_client : int;
-  op_bytes : int;  (** Request and reply size. *)
   seed : int;  (** Sim-loop seed (the plan carries its own). *)
   tie_salt : int;
       (** Event-loop tie-break perturbation (see {!Sim.Loop.create});
           0 keeps FIFO order.  Used by the determinism sweep. *)
-  mode : Engine.mode;  (** Engine scheduling mode for both hosts. *)
   plan : Fault.Plan.t;
   run_cap : Sim.Time.t;
       (** Virtual-time budget; generous so recovery can finish. *)
-  poll_period : Sim.Time.t option;
-      (** Telemetry sampling period for each host's {!Control.Poller}
-          (rx-ring depths, per-account CPU); [None] disables polling. *)
 }
 
-val default_plan : ?seed:int -> unit -> Fault.Plan.t
-(** The acceptance scenario: 2% bursty loss for 30 ms, a 5% corruption
+val default_config : config
+(** 2 clients x 1500 ops of 1 KiB on dedicated engine cores, under the
+    acceptance scenario: 2% bursty loss for 30 ms, a 5% corruption
     window, a reordering window, one 10 ms link blackout, one engine
     crash + restart, an rx stall and a straggler window — staged across
     the first ~30 ms so every fault overlaps live traffic. *)
-
-val default_config : config
-(** 2 clients x 1500 ops of 1 KiB under {!default_plan}, dedicated
-    engine cores. *)
 
 type result = {
   ops_expected : int;

@@ -2,25 +2,27 @@ module Time = Sim.Time
 module Loop = Sim.Loop
 module PE = Pony.Express
 
-type config = {
-  clients : int;
-  ops_per_client : int;
-  op_bytes : int;
-  think : Time.t;
-  seed : int;
-  tie_salt : int;
-  mode : Engine.mode;
-  state_bytes : int;
-  upgrade_at : (int * Time.t) list;
-  upgrade_config : Upgrade.config;
-  watchdog_period : Time.t;
-  plan : Fault.Plan.t;
-  run_cap : Time.t;
-  poll_period : Time.t option;
-}
+(* Concurrent closed-loop clients on host 0. *)
+let clients = 2
 
-let default_plan ?(seed = 13) () =
-  Fault.Plan.make ~seed
+(* Request and reply size. *)
+let op_bytes = 1024
+
+(* Per-op think time, so traffic spans the upgrade window. *)
+let think = Time.us 50
+
+(* Scheduling mode for old and new groups. *)
+let mode = Engine.Dedicating { cores = 1 }
+
+(* Synthetic serialized state per engine (sets the blackout). *)
+let state_bytes = 4_000_000
+
+(* Staggered fleet rollout: (host addr, upgrade start). *)
+let upgrade_at = [ (1, Time.ms 10); (0, Time.ms 40) ]
+
+(* The fault plan, crafted to hit the windows that matter. *)
+let plan =
+  Fault.Plan.make ~seed:13
     [
       (* A link flap exactly across the server upgrade's brownout. *)
       Fault.Plan.Link_blackout
@@ -36,22 +38,24 @@ let default_plan ?(seed = 13) () =
       Fault.Plan.Engine_wedge { host = 0; engine = 0; start = Time.ms 60 };
     ]
 
+(* Virtual-time budget; generous so retries can finish. *)
+let run_cap = Time.ms 500
+
+(* Telemetry sampling period for each host's {!Control.Poller} (rx-ring
+   depths, per-account CPU). *)
+let poll_period = Time.us 100
+
+type config = {
+  ops_per_client : int;
+  seed : int;
+  tie_salt : int;
+}
+
 let default_config =
   {
-    clients = 2;
     ops_per_client = 1200;
-    op_bytes = 1024;
-    think = Time.us 50;
     seed = 7;
     tie_salt = 0;
-    mode = Engine.Dedicating { cores = 1 };
-    state_bytes = 4_000_000;
-    upgrade_at = [ (1, Time.ms 10); (0, Time.ms 40) ];
-    upgrade_config = Upgrade.default_config;
-    watchdog_period = Time.us 100;
-    plan = default_plan ();
-    run_cap = Time.ms 500;
-    poll_period = Some (Time.us 100);
   }
 
 type result = {
@@ -81,15 +85,15 @@ let run (cfg : config) : result =
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let dir = PE.Directory.create () in
   let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ?poll_period:cfg.poll_period ()
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~poll_period
+      ()
   in
   let ha = mk 0 and hb = mk 1 in
   let host_of = function 0 -> ha | 1 -> hb | a ->
     invalid_arg (Printf.sprintf "Chaos_upgrade: no host %d" a)
   in
   let inj =
-    Fault.Injector.install ~loop ~plan:cfg.plan ~fabric:fab
+    Fault.Injector.install ~loop ~plan ~fabric:fab
       ~hosts:[ Snap.Host.fault_host ha; Snap.Host.fault_host hb ]
   in
   (* Watchdogs: one per host, monitoring the Pony engines.  They must
@@ -98,10 +102,7 @@ let run (cfg : config) : result =
   let watchdogs =
     List.map
       (fun h ->
-        let wd =
-          Control.Watchdog.create ~control:h.Snap.Host.control
-            ~period:cfg.watchdog_period ()
-        in
+        let wd = Control.Watchdog.create ~control:h.Snap.Host.control () in
         Control.Watchdog.watch_group wd h.Snap.Host.group;
         Control.Watchdog.start wd;
         wd)
@@ -121,13 +122,11 @@ let run (cfg : config) : result =
              let ng =
                Engine.create_group ~machine
                  ~name:(Printf.sprintf "snap-v2-h%d" addr)
-                 ~mode:cfg.mode
+                 ~mode
              in
              new_groups := ng :: !new_groups;
-             Upgrade.upgrade ~loop ~costs:(Cpu.Sched.costs machine)
-               ~old_group:h.Snap.Host.group ~new_group:ng
-               ~extra_state_bytes:(fun _ -> cfg.state_bytes)
-               ~config:cfg.upgrade_config
+             Upgrade.upgrade ~loop ~old_group:h.Snap.Host.group ~new_group:ng
+               ~extra_state_bytes:(fun _ -> state_bytes)
                ~on_transition:(fun ~engine ph ->
                  Fault.Log.record transition_log ~at:(Loop.now loop)
                    ~kind:"upgrade"
@@ -136,7 +135,7 @@ let run (cfg : config) : result =
                         (Upgrade.phase_to_string ph)))
                ~on_done:(fun rs -> reports := (addr, rs) :: !reports)
                ())))
-    cfg.upgrade_at;
+    upgrade_at;
   (* Closed-loop RR traffic underneath it all. *)
   let hist = Stats.Histogram.create () in
   let reg_hist =
@@ -151,9 +150,9 @@ let run (cfg : config) : result =
          let c = PE.create_client ctx hb.Snap.Host.pony ~name:"server" () in
          while true do
            let m = PE.await_message ctx c in
-           ignore (PE.send_message ctx m.PE.msg_conn ~bytes:cfg.op_bytes ())
+           ignore (PE.send_message ctx m.PE.msg_conn ~bytes:op_bytes ())
          done));
-  for i = 0 to cfg.clients - 1 do
+  for i = 0 to clients - 1 do
     ignore
       (Snap.Host.spawn_app ha
          ~name:(Printf.sprintf "client%d" i)
@@ -168,7 +167,7 @@ let run (cfg : config) : result =
            let conn = PE.connect_by_name ctx c ~dst_host:1 ~dst_name:"server" in
            for _ = 1 to cfg.ops_per_client do
              let t0 = Cpu.Thread.now ctx in
-             ignore (PE.send_message ctx conn ~bytes:cfg.op_bytes ());
+             ignore (PE.send_message ctx conn ~bytes:op_bytes ());
              let _m = PE.await_message ctx c in
              let lat = Cpu.Thread.now ctx - t0 in
              Stats.Histogram.record hist lat;
@@ -177,17 +176,17 @@ let run (cfg : config) : result =
              last_done := Loop.now loop;
              (* Think time keeps the closed loop issuing across the
                 whole upgrade window instead of draining early. *)
-             if cfg.think > 0 then Cpu.Thread.sleep ctx cfg.think
+             if think > 0 then Cpu.Thread.sleep ctx think
            done))
   done;
-  Loop.run ~until:cfg.run_cap loop;
+  Loop.run ~until:run_cap loop;
   Check.Invariant.quiesce ();
   (* Upgrades restart engines mid-flight; restarted incarnations must
      reconcile the old ones' op-pool charges or this raises. *)
   List.iter
     (fun h -> Memory.Pool.assert_quiesced (Pony.Express.op_pool h.Snap.Host.pony))
     [ ha; hb ];
-  let expected = cfg.clients * cfg.ops_per_client in
+  let expected = clients * cfg.ops_per_client in
   let all_reports = List.concat_map snd !reports in
   let committed =
     List.length

@@ -17,39 +17,23 @@
     deterministic — same config, byte-identical {!fingerprint}. *)
 
 type config = {
-  clients : int;  (** Concurrent closed-loop clients on host 0. *)
   ops_per_client : int;
-  op_bytes : int;  (** Request and reply size. *)
-  think : Sim.Time.t;
-      (** Per-op think time, so traffic spans the upgrade window. *)
   seed : int;  (** Sim-loop seed (the plan carries its own). *)
   tie_salt : int;  (** Event-loop tie-break perturbation; 0 keeps FIFO. *)
-  mode : Engine.mode;  (** Scheduling mode for old and new groups. *)
-  state_bytes : int;
-      (** Synthetic serialized state per engine (sets the blackout). *)
-  upgrade_at : (int * Sim.Time.t) list;
-      (** Staggered fleet rollout: (host addr, upgrade start). *)
-  upgrade_config : Upgrade.config;
-  watchdog_period : Sim.Time.t;
-  plan : Fault.Plan.t;
-  run_cap : Sim.Time.t;
-      (** Virtual-time budget; generous so retries can finish. *)
-  poll_period : Sim.Time.t option;
-      (** Telemetry sampling period for each host's {!Control.Poller}
-          (rx-ring depths, per-account CPU); [None] disables polling. *)
 }
-
-val default_plan : ?seed:int -> unit -> Fault.Plan.t
-(** The acceptance scenario: a 2 ms link blackout over the server's
-    brownout, an engine crash at 15 ms that lands mid-blackout of the
-    server's migration (aborting the transaction), and an engine wedge
-    at 60 ms on the already-upgraded client host. *)
 
 val default_config : config
 (** 2 clients x 1200 ops of 1 KiB with 50 us think time (traffic spans
     ~70 ms); server upgrades at 10 ms, clients' host at 40 ms, 4 MB of
     synthetic state per engine (12 ms modeled blackout); default
-    transactional-upgrade config and a 100 us watchdog heartbeat. *)
+    transactional-upgrade config and a 100 us watchdog heartbeat.  The
+    fault plan is a 2 ms link blackout over the server's brownout, an
+    engine crash at 15 ms that lands mid-blackout of the server's
+    migration (aborting the transaction), and an engine wedge at 60 ms
+    on the already-upgraded client host. *)
+
+val op_bytes : int
+(** Request and reply size: 1 KiB. *)
 
 type result = {
   ops_expected : int;

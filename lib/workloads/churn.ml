@@ -23,20 +23,26 @@ module PE = Pony.Express
    rendezvous on a counter before traffic starts, so the measured
    window sees every connection live and every driver mid-loop. *)
 
+(* Connect/disconnect storms after the window. *)
+let storm_rounds = 2
+
+(* Every k-th conn per driver per storm. *)
+let storm_close_every = 8
+
+(* Bounded wait for each op's completion. *)
+let op_timeout = Time.ms 5
+let mode = Engine.Dedicating { cores = 2 }
+let op_pool_bytes = 1 lsl 30
+
 type config = {
   clients_per_side : int;
       (** Drivers on host 0 and sinks on host 1; live connections on
           host 0 = clients_per_side^2. *)
   ops_per_driver : int;  (** Closed-loop steady-state ops per driver. *)
-  storm_rounds : int;  (** Connect/disconnect storms after the window. *)
-  storm_close_every : int;  (** Every k-th conn per driver per storm. *)
-  op_timeout : Time.t;  (** Bounded wait for each op's completion. *)
   seed : int;
   tie_salt : int;
-  mode : Engine.mode;
   stop_at : Time.t;  (** Drivers stop submitting here. *)
   run_cap : Time.t;
-  op_pool_bytes : int;
 }
 
 let default_config =
@@ -44,15 +50,10 @@ let default_config =
     (* 320 x 320 = 102_400 live connection halves on host 0. *)
     clients_per_side = 320;
     ops_per_driver = 40;
-    storm_rounds = 2;
-    storm_close_every = 8;
-    op_timeout = Time.ms 5;
     seed = 17;
     tie_salt = 0;
-    mode = Engine.Dedicating { cores = 2 };
     stop_at = Time.ms 60;
     run_cap = Time.ms 120;
-    op_pool_bytes = 1 lsl 30;
   }
 
 type result = {
@@ -100,8 +101,8 @@ let run (cfg : config) : result =
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let dir = PE.Directory.create () in
   let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~op_pool_bytes:cfg.op_pool_bytes ()
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~op_pool_bytes
+      ()
   in
   let h_cli = mk 0 in
   let h_srv = mk 1 in
@@ -171,7 +172,7 @@ let run (cfg : config) : result =
      ids).  Timeouts leave the op to resolve as a future stray. *)
   let do_op ctx client conn ~bytes =
     let id = PE.send_message ctx conn ~bytes () in
-    let deadline = Time.add (Cpu.Thread.now ctx) cfg.op_timeout in
+    let deadline = Time.add (Cpu.Thread.now ctx) op_timeout in
     let rec wait () =
       match PE.await_completion_until ctx client ~deadline with
       | None -> false
@@ -229,8 +230,8 @@ let run (cfg : config) : result =
     (* Connect/disconnect storms: close every k-th conn (offset walks
        per round), re-dial it, and prove the replacement carries
        traffic with one small op. *)
-    for r = 0 to cfg.storm_rounds - 1 do
-      let sel j = j mod cfg.storm_close_every = (r + i) mod cfg.storm_close_every in
+    for r = 0 to storm_rounds - 1 do
+      let sel j = j mod storm_close_every = (r + i) mod storm_close_every in
       for j = 0 to n - 1 do
         if sel j && Cpu.Thread.now ctx < cfg.stop_at then begin
           PE.close ctx conns.(j);

@@ -20,15 +20,10 @@ type config = {
       (** Drivers on host 0 and sinks on host 1; live connections on
           host 0 = clients_per_side^2. *)
   ops_per_driver : int;  (** Closed-loop steady-state ops per driver. *)
-  storm_rounds : int;  (** Connect/disconnect storms after the window. *)
-  storm_close_every : int;  (** Every k-th conn per driver per storm. *)
-  op_timeout : Sim.Time.t;  (** Bounded wait for each op's completion. *)
   seed : int;
   tie_salt : int;  (** Event-loop tie-break perturbation; 0 keeps FIFO. *)
-  mode : Engine.mode;
   stop_at : Sim.Time.t;  (** Drivers stop submitting here. *)
   run_cap : Sim.Time.t;
-  op_pool_bytes : int;
 }
 
 val default_config : config

@@ -18,60 +18,51 @@ module Mux = Guest.Mux
    generation-tagged owner release, and the victims score zero
    violations of their own. *)
 
+(* Every k-th tenant is a byzantine attacker. *)
+let attacker_every = 2
+let victim_bytes = 1024
+
+(* Pause between victim ops, stretching the cohort's activity across the
+   attack window. *)
+let victim_gap = Time.us 300
+let ring_slots = 16
+let buf_bytes = 4096
+let mux_engines = 2
+let mux_mode = Engine.Spreading { runtime_pct = 0.9 }
+
+(* Scheduling mode of the Pony groups. *)
+let mode = Engine.Dedicating { cores = 2 }
+let suspect_after = 3
+let quarantine_after = 12
+let attack_start = Time.ms 2
+let attack_duration = Time.ms 3
+
+(* Max allowed quarantine latency from attack start. *)
+let detect_bound = Time.ms 2
+
+(* Rate of the [Kick_storm] behavior. *)
+let kick_hz = 200_000.
+let stop_at = Time.ms 10
+let run_cap = Time.ms 25
+let op_pool_bytes = 256 lsl 20
+
 type config = {
   tenants : int;
-  attacker_every : int;  (** Every k-th tenant is a byzantine attacker. *)
   victim_ops : int;  (** Closed-loop echoes per victim. *)
-  victim_bytes : int;
-  victim_gap : Time.t;
-      (** Pause between victim ops, stretching the cohort's activity
-          across the attack window. *)
-  ring_slots : int;
-  buf_bytes : int;
-  mux_engines : int;
-  mux_mode : Engine.mode;
-  mode : Engine.mode;  (** Scheduling mode of the Pony groups. *)
-  suspect_after : int;
-  quarantine_after : int;
   byzantine : bool;
       (** [false] runs the clean same-seed baseline: identical cohorts
           and schedule, empty fault plan. *)
-  attack_start : Time.t;
-  attack_duration : Time.t;
-  detect_bound : Time.t;
-      (** Max allowed quarantine latency from attack start. *)
-  kick_hz : float;
   seed : int;
   tie_salt : int;
-  stop_at : Time.t;
-  run_cap : Time.t;
-  op_pool_bytes : int;
 }
 
 let default_config =
   {
     tenants = 40;
-    attacker_every = 2;
     victim_ops = 12;
-    victim_bytes = 1024;
-    victim_gap = Time.us 300;
-    ring_slots = 16;
-    buf_bytes = 4096;
-    mux_engines = 2;
-    mux_mode = Engine.Spreading { runtime_pct = 0.9 };
-    mode = Engine.Dedicating { cores = 2 };
-    suspect_after = 3;
-    quarantine_after = 12;
     byzantine = true;
-    attack_start = Time.ms 2;
-    attack_duration = Time.ms 3;
-    detect_bound = Time.ms 2;
-    kick_hz = 200_000.;
     seed = 33;
     tie_salt = 0;
-    stop_at = Time.ms 10;
-    run_cap = Time.ms 25;
-    op_pool_bytes = 256 lsl 20;
   }
 
 type result = {
@@ -116,16 +107,15 @@ let run (cfg : config) : result =
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let dir = PE.Directory.create () in
   let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~op_pool_bytes:cfg.op_pool_bytes ()
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~op_pool_bytes
+      ()
   in
   let h_guest = mk 0 in
   let h_srv = mk 1 in
   ignore
-    (Snap.Host.enable_guests ~engines:cfg.mux_engines ~mode:cfg.mux_mode
-       ~suspect_after:cfg.suspect_after ~quarantine_after:cfg.quarantine_after
-       h_guest);
-  let is_attacker i = i mod cfg.attacker_every = cfg.attacker_every - 1 in
+    (Snap.Host.enable_guests ~engines:mux_engines ~mode:mux_mode ~suspect_after
+       ~quarantine_after h_guest);
+  let is_attacker i = i mod attacker_every = attacker_every - 1 in
   let attacker_rank i =
     let r = ref 0 in
     for j = 0 to i - 1 do
@@ -147,7 +137,7 @@ let run (cfg : config) : result =
     | 1 -> [ Fault.Plan.Avail_rollback; Fault.Plan.Bad_desc_range ]
     | 2 -> [ Fault.Plan.Avail_runahead ]
     | 3 -> [ Fault.Plan.Reap_withhold ]
-    | 4 -> [ Fault.Plan.Kick_storm { hz = cfg.kick_hz } ]
+    | 4 -> [ Fault.Plan.Kick_storm { hz = kick_hz } ]
     | _ -> [ Fault.Plan.Desc_id_alias ]
   in
   let victim_ok = ref 0 in
@@ -208,27 +198,26 @@ let run (cfg : config) : result =
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "v%d" i)
-        ~dst_host:1 ~dst_name:"backend-v" ~ring_slots:cfg.ring_slots
-        ~buf_bytes:cfg.buf_bytes ()
+        ~dst_host:1 ~dst_name:"backend-v" ~ring_slots ~buf_bytes ()
     in
     tenant_of.(i) <- Some tn;
     prime_rx tn;
     let n = ref 0 in
     let next_id = ref 0 in
-    while !n < cfg.victim_ops && Cpu.Thread.now ctx < cfg.stop_at do
+    while !n < cfg.victim_ops && Cpu.Thread.now ctx < stop_at do
       incr n;
       let t0 = Cpu.Thread.now ctx in
       let rec attempt k =
         if k > 3 then incr victim_failed
         else begin
           if k > 1 then incr victim_retries;
-          let slot = !n mod cfg.ring_slots in
+          let slot = !n mod ring_slots in
           incr next_id;
           let id = !next_id in
           if
             not
               (Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id
-                 ~off:(Tenant.tx_buf_off tn slot) ~len:cfg.victim_bytes)
+                 ~off:(Tenant.tx_buf_off tn slot) ~len:victim_bytes)
           then begin
             Cpu.Thread.sleep ctx (Time.us 50);
             attempt (k + 1)
@@ -265,7 +254,7 @@ let run (cfg : config) : result =
         end
       in
       attempt 1;
-      Cpu.Thread.sleep ctx cfg.victim_gap
+      Cpu.Thread.sleep ctx victim_gap
     done;
     Snap.Host.detach_tenant h_guest tn
   in
@@ -280,8 +269,7 @@ let run (cfg : config) : result =
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "x%d" i)
-        ~dst_host:1 ~dst_name:"backend-a" ~ring_slots:cfg.ring_slots
-        ~buf_bytes:cfg.buf_bytes ()
+        ~dst_host:1 ~dst_name:"backend-a" ~ring_slots ~buf_bytes ()
     in
     tenant_of.(i) <- Some tn;
     let accepted =
@@ -291,17 +279,17 @@ let run (cfg : config) : result =
     in
     assert (not accepted);
     let posted = ref 0 in
-    while Tenant.state tn = Tenant.Attached && Cpu.Thread.now ctx < cfg.stop_at
+    while Tenant.state tn = Tenant.Attached && Cpu.Thread.now ctx < stop_at
     do
       (* The cooperative guest driver owns the rings only until the
          byzantine window opens; after that the attack driver does
          (reaping here would defeat Reap_withhold). *)
-      if (not cfg.byzantine) || Cpu.Thread.now ctx < cfg.attack_start then begin
+      if (not cfg.byzantine) || Cpu.Thread.now ctx < attack_start then begin
         let rec reap () =
           match Ring.pop_used tn.Tenant.tx with Some _ -> reap () | None -> ()
         in
         reap ();
-        if Cpu.Thread.now ctx < cfg.attack_start then begin
+        if Cpu.Thread.now ctx < attack_start then begin
           incr posted;
           ignore
             (Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx)
@@ -337,8 +325,8 @@ let run (cfg : config) : result =
                     {
                       host = 0;
                       tenant = Printf.sprintf "x%d" i;
-                      start = cfg.attack_start;
-                      duration = cfg.attack_duration;
+                      start = attack_start;
+                      duration = attack_duration;
                       behaviors = behaviors_of (attacker_rank i);
                     })
              else None)
@@ -348,7 +336,7 @@ let run (cfg : config) : result =
     Fault.Injector.install ~loop ~plan ~fabric:fab
       ~hosts:[ Snap.Host.fault_host h_guest; Snap.Host.fault_host h_srv ]
   in
-  Loop.run ~until:cfg.run_cap loop;
+  Loop.run ~until:run_cap loop;
   Check.Invariant.quiesce ();
   let all_tenants = Array.to_list tenant_of |> List.filter_map (fun x -> x) in
   let split p = List.filter p all_tenants in
@@ -367,13 +355,13 @@ let run (cfg : config) : result =
     List.fold_left
       (fun acc tn ->
         match Tenant.quarantined_at tn with
-        | Some at -> Time.max acc (Time.sub at cfg.attack_start)
+        | Some at -> Time.max acc (Time.sub at attack_start)
         | None -> acc)
       Time.zero attackers
   in
   let detection_ok =
     (not cfg.byzantine)
-    || (attackers_quarantined = n_attackers && max_detection <= cfg.detect_bound)
+    || (attackers_quarantined = n_attackers && max_detection <= detect_bound)
   in
   let pool_leak_bytes =
     Memory.Pool.in_use (PE.op_pool h_guest.Snap.Host.pony)
@@ -385,7 +373,7 @@ let run (cfg : config) : result =
   let victim_goodput_gbps =
     if !victim_last_done = 0 then 0.0
     else
-      float_of_int (!victim_ok * cfg.victim_bytes * 2 * 8)
+      float_of_int (!victim_ok * victim_bytes * 2 * 8)
       /. float_of_int !victim_last_done
   in
   let mux = Snap.Host.guest_mux h_guest in

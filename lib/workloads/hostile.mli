@@ -27,38 +27,21 @@
 
 type config = {
   tenants : int;
-  attacker_every : int;  (** Every k-th tenant is a byzantine attacker. *)
   victim_ops : int;  (** Closed-loop echoes per victim. *)
-  victim_bytes : int;
-  victim_gap : Sim.Time.t;
-      (** Pause between victim ops, stretching the cohort's activity
-          across the attack window. *)
-  ring_slots : int;
-  buf_bytes : int;
-  mux_engines : int;
-  mux_mode : Engine.mode;
-  mode : Engine.mode;  (** Scheduling mode of the Pony groups. *)
-  suspect_after : int;
-  quarantine_after : int;
   byzantine : bool;
       (** [false] runs the clean same-seed baseline: identical cohorts
           and schedule, empty fault plan. *)
-  attack_start : Sim.Time.t;
-  attack_duration : Sim.Time.t;
-  detect_bound : Sim.Time.t;
-      (** Max allowed quarantine latency from attack start. *)
-  kick_hz : float;  (** Rate of the [Kick_storm] behavior. *)
   seed : int;
   tie_salt : int;
-  stop_at : Sim.Time.t;
-  run_cap : Sim.Time.t;
-  op_pool_bytes : int;
 }
 
 val default_config : config
-(** 40 tenants, alternating victim/attacker; attack window
-    [2 ms, 5 ms); quarantine after 12 violations (suspect after 3);
-    detection bound 2 ms. *)
+(** 40 tenants, 12 echoes per victim.  Every run alternates victim and
+    attacker, opens the attack window over [2 ms, 5 ms), and
+    quarantines after 12 violations (suspect after 3). *)
+
+val detect_bound : Sim.Time.t
+(** Max allowed quarantine latency from attack start: 2 ms. *)
 
 type result = {
   n_tenants : int;

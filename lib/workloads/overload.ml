@@ -12,24 +12,24 @@ module PE = Pony.Express
    goodput and tail latency measure how well the overload is
    contained. *)
 
+let victim_bytes = 4096
+let mode = Engine.Dedicating { cores = 2 }
+let server_pool_bytes = 32 lsl 20
+
 type config = {
   aggressors : int;
   load_factor : float;  (** Offered load as a multiple of link capacity. *)
   aggressor_bytes : int;
   aggressor_quota_ops : int;
   aggressor_quota_bytes : int;
-  aggressor_rate_ops_per_sec : float option;
   aggressor_deadline : Time.t;  (** Relative deadline on every aggressor op. *)
   victim_ops : int;
-  victim_bytes : int;
   server_service_time : Time.t;  (** Slow server's per-message think time. *)
   seed : int;
   tie_salt : int;
-  mode : Engine.mode;
   stop_at : Time.t;  (** Aggressors and victim stop offering load here. *)
   run_cap : Time.t;  (** Hard stop; [run_cap - stop_at] is the drain window. *)
   aggressor_pool_bytes : int;  (** Host 0's op pool (small, to pressure it). *)
-  server_pool_bytes : int;
 }
 
 let default_config =
@@ -39,20 +39,16 @@ let default_config =
     aggressor_bytes = 8192;
     aggressor_quota_ops = 64;
     aggressor_quota_bytes = 256 * 1024;
-    aggressor_rate_ops_per_sec = None;
     aggressor_deadline = Time.ms 2;
     victim_ops = 300;
-    victim_bytes = 4096;
     server_service_time = Time.us 20;
     seed = 13;
     tie_salt = 0;
-    mode = Engine.Dedicating { cores = 2 };
     stop_at = Time.ms 30;
     run_cap = Time.ms 90;
     (* Smaller than the sum of aggressor byte quotas, so sustained
        overload saturates the pool and the pressure state machine. *)
     aggressor_pool_bytes = 1 lsl 20;
-    server_pool_bytes = 32 lsl 20;
   }
 
 type result = {
@@ -83,11 +79,11 @@ let run (cfg : config) : result =
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:3 in
   let dir = PE.Directory.create () in
   let mk addr ~pool =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode
       ~op_pool_bytes:pool ()
   in
   let h_agg = mk 0 ~pool:cfg.aggressor_pool_bytes in
-  let h_srv = mk 1 ~pool:cfg.server_pool_bytes in
+  let h_srv = mk 1 ~pool:server_pool_bytes in
   let h_vic = mk 2 ~pool:(1 lsl 30) in
   let offered = ref 0 in
   let agg_ok = ref 0 in
@@ -137,12 +133,12 @@ let run (cfg : config) : result =
          while true do
            let m = PE.await_message ctx c in
            ignore
-             (PE.send_message ctx m.PE.msg_conn ~bytes:cfg.victim_bytes ())
+             (PE.send_message ctx m.PE.msg_conn ~bytes:victim_bytes ())
          done));
   (* Open-loop aggressors: submit at a fixed interval implied by
-     [load_factor] regardless of completions, with quotas, a rate
-     limit, and a deadline on every op; completions are polled
-     opportunistically and tallied by status. *)
+     [load_factor] regardless of completions, with quotas and a
+     deadline on every op; completions are polled opportunistically and
+     tallied by status. *)
   let link_gbps = Nic.link_gbps h_agg.Snap.Host.nic in
   let interval =
     max 1
@@ -160,8 +156,7 @@ let run (cfg : config) : result =
              PE.create_client ctx h_agg.Snap.Host.pony
                ~name:(Printf.sprintf "aggressor%d" i)
                ~max_ops:cfg.aggressor_quota_ops
-               ~max_bytes:cfg.aggressor_quota_bytes
-               ?rate_ops_per_sec:cfg.aggressor_rate_ops_per_sec ()
+               ~max_bytes:cfg.aggressor_quota_bytes ()
            in
            Cpu.Thread.sleep ctx (Time.us 500);
            (* By name: both server apps register at the same instant, so
@@ -205,7 +200,7 @@ let run (cfg : config) : result =
          while !n < cfg.victim_ops && Cpu.Thread.now ctx < cfg.stop_at do
            incr n;
            let t0 = Cpu.Thread.now ctx in
-           match PE.send_with_retry ctx conn ~bytes:cfg.victim_bytes () with
+           match PE.send_with_retry ctx conn ~bytes:victim_bytes () with
            | Error _ -> incr victim_failed
            | Ok _ ->
                let _echo = PE.await_message ctx c in
@@ -230,7 +225,7 @@ let run (cfg : config) : result =
     if !victim_last_done = 0 then 0.0
     else
       (* Request and echo both carry [victim_bytes] of goodput. *)
-      float_of_int (!victim_ok * cfg.victim_bytes * 2 * 8)
+      float_of_int (!victim_ok * victim_bytes * 2 * 8)
       /. float_of_int !victim_last_done
   in
   {

@@ -24,22 +24,18 @@ type config = {
   aggressor_bytes : int;
   aggressor_quota_ops : int;
   aggressor_quota_bytes : int;
-  aggressor_rate_ops_per_sec : float option;
   aggressor_deadline : Sim.Time.t;
       (** Relative deadline attached to every aggressor op. *)
   victim_ops : int;
-  victim_bytes : int;
   server_service_time : Sim.Time.t;
       (** Slow server's per-message think time (the choke point). *)
   seed : int;
   tie_salt : int;  (** Event-loop tie-break perturbation; 0 keeps FIFO. *)
-  mode : Engine.mode;
   stop_at : Sim.Time.t;  (** Load stops here. *)
   run_cap : Sim.Time.t;  (** Hard stop; the tail is the drain window. *)
   aggressor_pool_bytes : int;
       (** Host 0's op pool — deliberately smaller than the sum of
           aggressor byte quotas so sustained overload saturates it. *)
-  server_pool_bytes : int;
 }
 
 val default_config : config

@@ -28,24 +28,32 @@ module PE = Pony.Express
 let server_addr = 2
 let server_name = "server"
 
+(* Detection window: 200us * (3 + 1) = 800us of silence. *)
+let ka_interval = Time.us 200
+let ka_miss_budget = 3
+
+(* Bounded wait for the echo after an [Ok] send. *)
+let echo_timeout = Time.us 800
+
+(* Symmetric host 0 <-> server windows (start, duration). *)
+let blackouts = [ (Time.ms 2, Time.ms 2); (Time.ms 8, Time.us 1500) ]
+
+(* Half-open window: host 1 -> server packets dropped. *)
+let oneway = (Time.ms 5, Time.ms 2)
+
+(* Server host crash instant, and how long the host stays down. *)
+let crash_at = Time.ms 12
+let restart_after = Time.ms 4
+let mode = Engine.Dedicating { cores = 2 }
+
 type config = {
   ops_per_victim : int;
   op_interval : Time.t;
       (** Closed-loop pacing, so the victims stay active across the
           whole fault timeline instead of finishing before it starts. *)
   bytes : int;
-  ka_interval : Time.t;
-  ka_miss_budget : int;
-  echo_timeout : Time.t;  (** Bounded wait for the echo after an [Ok] send. *)
-  blackouts : (Time.t * Time.t) list;
-      (** Symmetric host 0 <-> server windows (start, duration). *)
-  oneway : (Time.t * Time.t) option;
-      (** Half-open window: host 1 -> server packets dropped. *)
-  crash_at : Time.t option;  (** Server host crash instant. *)
-  restart_after : Time.t;
   seed : int;
   tie_salt : int;
-  mode : Engine.mode;
   stop_at : Time.t;  (** Victims stop submitting here. *)
   run_cap : Time.t;
 }
@@ -55,17 +63,8 @@ let default_config =
     ops_per_victim = 250;
     op_interval = Time.us 100;
     bytes = 2048;
-    (* Detection window: 200us * (3 + 1) = 800us of silence. *)
-    ka_interval = Time.us 200;
-    ka_miss_budget = 3;
-    echo_timeout = Time.us 800;
-    blackouts = [ (Time.ms 2, Time.ms 2); (Time.ms 8, Time.us 1500) ];
-    oneway = Some (Time.ms 5, Time.ms 2);
-    crash_at = Some (Time.ms 12);
-    restart_after = Time.ms 4;
     seed = 11;
     tie_salt = 0;
-    mode = Engine.Dedicating { cores = 2 };
     stop_at = Time.ms 30;
     run_cap = Time.ms 60;
   }
@@ -113,8 +112,8 @@ type result = {
    the keepalive declaration (silence window), plus every retry attempt
    spending its full per-op timeout, plus the backoff between attempts,
    plus loose scheduling slack. *)
-let resolution_bound ~(cfg : config) ~(policy : PE.Retry.policy) =
-  let detect = cfg.ka_interval * (cfg.ka_miss_budget + 1) in
+let resolution_bound ~(policy : PE.Retry.policy) =
+  let detect = ka_interval * (ka_miss_budget + 1) in
   let backoffs = ref 0 in
   for n = 2 to policy.PE.Retry.max_attempts do
     backoffs := !backoffs + PE.Retry.delay_before policy ~attempt:n
@@ -129,15 +128,14 @@ let resolution_bound ~(cfg : config) ~(policy : PE.Retry.policy) =
 (* A victim goes quiet for at most: the longest fault window (no echo
    can cross it), plus declaring the peer dead, plus one echo wait that
    straddled the window's start, plus re-dial backoff and setup. *)
-let outage_bound ~(cfg : config) =
+let outage_bound =
   let worst_window =
     List.fold_left
       (fun acc (_, d) -> Time.max acc d)
-      (match cfg.crash_at with Some _ -> cfg.restart_after | None -> Time.zero)
-      (cfg.blackouts @ Option.to_list cfg.oneway)
+      restart_after (blackouts @ [ oneway ])
   in
-  let detect = cfg.ka_interval * (cfg.ka_miss_budget + 1) in
-  worst_window + detect + cfg.echo_timeout + Time.ms 2
+  let detect = ka_interval * (ka_miss_budget + 1) in
+  worst_window + detect + echo_timeout + Time.ms 2
 
 let send_policy =
   {
@@ -166,12 +164,9 @@ let run (cfg : config) : result =
   Check.Invariant.install ~loop ();
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:3 in
   let dir = PE.Directory.create () in
-  let keepalive =
-    { PE.ka_interval = cfg.ka_interval; ka_miss_budget = cfg.ka_miss_budget }
-  in
+  let keepalive = { PE.ka_interval; ka_miss_budget } in
   let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~keepalive ()
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~keepalive ()
   in
   let h0 = mk 0 and h1 = mk 1 and h_srv = mk server_addr in
   let hosts = [ h0; h1; h_srv ] in
@@ -180,22 +175,14 @@ let run (cfg : config) : result =
       (List.map
          (fun (start, duration) ->
            Fault.Plan.Link_blackout { a = 0; b = server_addr; start; duration })
-         cfg.blackouts
-      @ (match cfg.oneway with
-        | Some (start, duration) ->
-            [
-              Fault.Plan.Link_blackout_oneway
-                { src = 1; dst = server_addr; start; duration };
-            ]
-        | None -> [])
-      @
-      match cfg.crash_at with
-      | Some start ->
-          [
-            Fault.Plan.Host_crash
-              { host = server_addr; start; restart_after = cfg.restart_after };
-          ]
-      | None -> [])
+         blackouts
+      @ [
+          (let start, duration = oneway in
+           Fault.Plan.Link_blackout_oneway
+             { src = 1; dst = server_addr; start; duration });
+          Fault.Plan.Host_crash
+            { host = server_addr; start = crash_at; restart_after };
+        ])
   in
   let inj =
     Fault.Injector.install ~loop ~plan ~fabric:fab
@@ -305,7 +292,7 @@ let run (cfg : config) : result =
                      match
                        PE.await_message_until ctx c
                          ~deadline:
-                           (Time.add (Cpu.Thread.now ctx) cfg.echo_timeout)
+                           (Time.add (Cpu.Thread.now ctx) echo_timeout)
                      with
                      | Some _echo ->
                          let now = Cpu.Thread.now ctx in
@@ -353,8 +340,7 @@ let run (cfg : config) : result =
   List.iter
     (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
     hosts;
-  let bound = resolution_bound ~cfg ~policy:send_policy in
-  let o_bound = outage_bound ~cfg in
+  let bound = resolution_bound ~policy:send_policy in
   {
     ops_attempted = !attempted;
     ops_resolved = !resolved;
@@ -379,8 +365,8 @@ let run (cfg : config) : result =
     max_failed_resolution = !max_failed;
     resolution_bound = bound;
     max_outage = !max_outage;
-    outage_bound = o_bound;
-    detection_ok = !max_failed <= bound && !max_outage <= o_bound;
+    outage_bound;
+    detection_ok = !max_failed <= bound && !max_outage <= outage_bound;
     last_echo_done = !last_echo_done;
     pool_leak_bytes;
     latencies = hist;

@@ -29,27 +29,16 @@ type config = {
       (** Closed-loop pacing, so the victims stay active across the
           whole fault timeline instead of finishing before it starts. *)
   bytes : int;
-  ka_interval : Sim.Time.t;
-  ka_miss_budget : int;
-  echo_timeout : Sim.Time.t;
-      (** Bounded wait for the echo after an [Ok] send. *)
-  blackouts : (Sim.Time.t * Sim.Time.t) list;
-      (** Symmetric host 0 <-> server windows (start, duration). *)
-  oneway : (Sim.Time.t * Sim.Time.t) option;
-      (** Half-open window: host 1 -> server packets dropped. *)
-  crash_at : Sim.Time.t option;  (** Server host crash instant. *)
-  restart_after : Sim.Time.t;
   seed : int;
   tie_salt : int;  (** Event-loop tie-break perturbation; 0 keeps FIFO. *)
-  mode : Engine.mode;
   stop_at : Sim.Time.t;  (** Victims stop submitting here. *)
   run_cap : Sim.Time.t;
 }
 
 val default_config : config
-(** 250 ops per victim, 200 us keepalives with a miss budget of 3
-    (800 us detection), two rolling blackouts, one half-open window,
-    and a 4 ms server-host outage at 12 ms. *)
+(** 250 ops per victim.  Every run uses 200 us keepalives with a miss
+    budget of 3 (800 us detection), two rolling blackouts, one
+    half-open window, and a 4 ms server-host outage at 12 ms. *)
 
 type result = {
   ops_attempted : int;
@@ -78,10 +67,16 @@ type result = {
   max_failed_resolution : Sim.Time.t;
       (** Slowest failed send episode, submission to [Error]. *)
   resolution_bound : Sim.Time.t;
+      (** [ka_interval * (ka_miss_budget + 1)] of silence to declare the
+          peer dead, plus the send policy's worst case (every attempt
+          spending its full op timeout plus inter-attempt backoff), plus
+          scheduling slack. *)
   max_outage : Sim.Time.t;
       (** Longest gap between a victim's successive successful echoes —
           the end-to-end blast radius of a fault window. *)
   outage_bound : Sim.Time.t;
+      (** Longest fault window, plus the keepalive declaration window,
+          plus one straddling echo wait, plus re-dial slack. *)
   detection_ok : bool;
       (** Failed ops within [resolution_bound] and outages within
           [outage_bound]. *)
@@ -94,16 +89,6 @@ type result = {
   fault_log : Fault.Log.t;
   fault_counters : (string * int) list;
 }
-
-val resolution_bound :
-  cfg:config -> policy:Pony.Express.Retry.policy -> Sim.Time.t
-(** [ka_interval * (ka_miss_budget + 1)] of silence to declare the peer
-    dead, plus the policy's worst case (every attempt spending its full
-    op timeout plus inter-attempt backoff), plus scheduling slack. *)
-
-val outage_bound : cfg:config -> Sim.Time.t
-(** Longest fault window, plus the keepalive declaration window, plus
-    one straddling echo wait, plus re-dial slack. *)
 
 val run : config -> result
 (** Raises [Failure] at quiesce if any op-pool byte leaked. *)

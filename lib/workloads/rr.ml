@@ -16,16 +16,16 @@ let iters = 200
 
 (* Figure 7's probers issue one RPC per millisecond. *)
 let probe_period = Time.ms 1
+let seed = 7
 
 (* -- Figure 6(a): closed-loop ping-pong -------------------------------- *)
 
-let tcp_rtt ~seed ~busy_poll =
+let tcp_rtt ~busy_poll =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let mk addr =
     let m =
-      Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default
-        ~name:(Printf.sprintf "m%d" addr) ~cores:8
+      Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "m%d" addr) ~cores:8
     in
     let nic = Nic.create ~loop ~machine:m ~fabric:fab ~addr Nic.default_config in
     (m, Kstack.create ~loop ~machine:m ~nic ~busy_poll ())
@@ -70,7 +70,7 @@ let mk_pony_pair ?(cores = 16) ~loop ~mode ~use_copy_engine () =
   in
   (mk 0, mk 1)
 
-let pony_two_sided_rtt ~seed ~app_spin =
+let pony_two_sided_rtt ~app_spin =
   let loop = Sim.Loop.create ~seed () in
   let ha, hb = mk_pony_pair ~loop ~mode:(Engine.Dedicating { cores = 1 }) ~use_copy_engine:false () in
   let sum = ref 0 and n = ref 0 in
@@ -96,7 +96,7 @@ let pony_two_sided_rtt ~seed ~app_spin =
   Loop.run ~until:(Time.sec 2) loop;
   if !n = 0 then 0 else !sum / !n
 
-let pony_one_sided_rtt ~seed =
+let pony_one_sided_rtt () =
   let loop = Sim.Loop.create ~seed () in
   let ha, hb = mk_pony_pair ~loop ~mode:(Engine.Dedicating { cores = 1 }) ~use_copy_engine:false () in
   let region = Memory.Region.create ~id:1 ~size:65536 ~owner:"server" () in
@@ -122,11 +122,11 @@ let pony_one_sided_rtt ~seed =
   Loop.run ~until:(Time.sec 2) loop;
   if !n = 0 then 0 else !sum / !n
 
-let mean_rtt ?(seed = 7) system =
+let mean_rtt system =
   match system with
-  | Tcp_rr { busy_poll } -> tcp_rtt ~seed ~busy_poll
-  | Pony_rr { app_spin } -> pony_two_sided_rtt ~seed ~app_spin
-  | Pony_one_sided -> pony_one_sided_rtt ~seed
+  | Tcp_rr { busy_poll } -> tcp_rtt ~busy_poll
+  | Pony_rr { app_spin } -> pony_two_sided_rtt ~app_spin
+  | Pony_one_sided -> pony_one_sided_rtt ()
 
 (* -- Figures 7(a)/(b): open-loop low-QPS prober -------------------------- *)
 
@@ -142,13 +142,12 @@ let add_interference ~loop machines interference =
                (fun m -> ignore (Antagonist.spawn_mmap m ~threads ()))
                machines))
 
-let prober_tcp ~duration ~seed ~interference =
+let prober_tcp ~duration ~interference =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let mk addr =
     let m =
-      Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default
-        ~name:(Printf.sprintf "m%d" addr) ~cores:8
+      Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "m%d" addr) ~cores:8
     in
     let nic = Nic.create ~loop ~machine:m ~fabric:fab ~addr Nic.default_config in
     (m, Kstack.create ~loop ~machine:m ~nic ())
@@ -182,7 +181,7 @@ let prober_tcp ~duration ~seed ~interference =
   Loop.run ~until:(Time.add duration (Time.ms 50)) loop;
   hist
 
-let prober_pony ~duration ~seed ~interference ~mode =
+let prober_pony ~duration ~interference ~mode =
   let loop = Sim.Loop.create ~seed () in
   let ha, hb = mk_pony_pair ~cores:8 ~loop ~mode ~use_copy_engine:false () in
   add_interference ~loop [ ha.Snap.Host.machine; hb.Snap.Host.machine ] interference;
@@ -218,7 +217,7 @@ let prober_pony ~duration ~seed ~interference ~mode =
   Loop.run ~until:(Time.add duration (Time.ms 50)) loop;
   hist
 
-let prober ?(duration = Time.sec 2) ?(seed = 7) ~interference system =
+let prober ?(duration = Time.sec 2) ~interference system =
   match system with
-  | Prober_tcp -> prober_tcp ~duration ~seed ~interference
-  | Prober_pony mode -> prober_pony ~duration ~seed ~interference ~mode
+  | Prober_tcp -> prober_tcp ~duration ~interference
+  | Prober_pony mode -> prober_pony ~duration ~interference ~mode

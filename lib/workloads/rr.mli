@@ -17,7 +17,7 @@ type system =
   | Pony_rr of { app_spin : bool }
   | Pony_one_sided  (** Client always spins (§5.1's one-sided line). *)
 
-val mean_rtt : ?seed:int -> system -> Sim.Time.t
+val mean_rtt : system -> Sim.Time.t
 (** Closed-loop mean round-trip time of a 64-byte operation, over 200
     round trips. *)
 
@@ -30,7 +30,6 @@ type interference = Idle | Mmap_antagonist of int
 
 val prober :
   ?duration:Sim.Time.t ->
-  ?seed:int ->
   interference:interference ->
   prober_system ->
   Stats.Histogram.t

@@ -14,6 +14,7 @@ let outstanding_limit = 32
 
 (* Connection setup and ramp-up, excluded from the measured window. *)
 let warmup = Time.ms 10
+let seed = 1
 
 let measure ~loop ~window ~machines ~delivered =
   let base_busy = Array.make (List.length machines) 0 in
@@ -34,14 +35,12 @@ let measure ~loop ~window ~machines ~delivered =
   in
   (float_of_int bytes *. 8.0 /. float_of_int window, cores)
 
-let run_tcp ?(streams = 1) ?(mtu = 4096) ?(window = Time.ms 40) ?(seed = 1)
-    () =
+let run_tcp ?(streams = 1) ?(mtu = 4096) ?(window = Time.ms 40) () =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let mk addr =
     let m =
-      Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default
-        ~name:(Printf.sprintf "m%d" addr) ~cores:16
+      Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "m%d" addr) ~cores:16
     in
     let nic =
       Nic.create ~loop ~machine:m ~fabric:fab ~addr
@@ -81,7 +80,7 @@ let run_tcp ?(streams = 1) ?(mtu = 4096) ?(window = Time.ms 40) ?(seed = 1)
   | _ -> assert false
 
 let run_pony ?(streams = 1) ?(mtu = 4096) ?(use_copy_engine = false)
-    ?(window = Time.ms 40) ?(seed = 1) () =
+    ?(window = Time.ms 40) () =
   let loop = Sim.Loop.create ~seed () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let dir = Pony.Express.Directory.create () in

@@ -19,7 +19,6 @@ val run_tcp :
   ?streams:int ->
   ?mtu:int ->
   ?window:Sim.Time.t ->
-  ?seed:int ->
   unit ->
   result
 (** Defaults: 1 stream, 4096 B MTU (the kernel's "large MTU" setting in
@@ -31,7 +30,6 @@ val run_pony :
   ?mtu:int ->
   ?use_copy_engine:bool ->
   ?window:Sim.Time.t ->
-  ?seed:int ->
   unit ->
   result
 (** Defaults: 1 stream, 4096 B MTU, no copy engine.  Table 1's third

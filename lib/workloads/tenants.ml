@@ -18,64 +18,57 @@ module Mux = Guest.Mux
    zero in-flight ops — the per-tenant isolation invariants enforce it
    when checking is on, and [pool_leak_bytes] reports it always. *)
 
+(* Every k-th tenant is an aggressor. *)
+let aggressor_every = 2
+let victim_bytes = 1024
+let aggressor_bytes = 4096
+let aggressor_interval = Time.us 40
+
+(* The containment quota: posts above this rate are [Rejected] on the
+   aggressor's own ring.  Half the offered rate: steady-state, every
+   other aggressor post bounces off the token bucket. *)
+let aggressor_rate_ops_per_sec = 12_500.
+let aggressor_burst_ops = 4
+let ring_slots = 32
+let buf_bytes = 4096
+let mux_engines = 2
+let mux_mode = Engine.Spreading { runtime_pct = 0.9 }
+
+(* Scheduling mode of the Pony groups. *)
+let mode = Engine.Dedicating { cores = 2 }
+let upgrade_state_bytes = 200_000
+
+(* Every j-th aggressor is force-detached. *)
+let force_detach_every = 4
+
+(* Generous: containment must come from per-tenant quotas, not from the
+   shared pool running dry. *)
+let op_pool_bytes = 256 lsl 20
+
 type config = {
   tenants : int;
-  aggressor_every : int;  (** Every k-th tenant is an aggressor. *)
   victim_ops : int;  (** Closed-loop echoes per victim. *)
-  victim_bytes : int;
   aggressor_ops : int;  (** Open-loop posts per aggressor. *)
-  aggressor_bytes : int;
-  aggressor_interval : Time.t;
-  aggressor_rate_ops_per_sec : float option;
-      (** The containment quota: posts above this rate are [Rejected]
-          on the aggressor's own ring. *)
-  aggressor_burst_ops : int;
-  ring_slots : int;
-  buf_bytes : int;
-  mux_engines : int;
-  mux_mode : Engine.mode;
-  mode : Engine.mode;  (** Scheduling mode of the Pony groups. *)
   upgrade_at : Time.t option;
       (** Transparent upgrade of the guest engine group. *)
-  upgrade_state_bytes : int;
   force_detach_at : Time.t option;
-  force_detach_every : int;  (** Every j-th aggressor is force-detached. *)
   seed : int;
   tie_salt : int;
   stop_at : Time.t;
   run_cap : Time.t;
-  op_pool_bytes : int;
 }
 
 let default_config =
   {
     tenants = 256;
-    aggressor_every = 2;
     victim_ops = 20;
-    victim_bytes = 1024;
     aggressor_ops = 60;
-    aggressor_bytes = 4096;
-    aggressor_interval = Time.us 40;
-    (* Half the offered rate: steady-state, every other aggressor post
-       bounces off the token bucket. *)
-    aggressor_rate_ops_per_sec = Some 12_500.;
-    aggressor_burst_ops = 4;
-    ring_slots = 32;
-    buf_bytes = 4096;
-    mux_engines = 2;
-    mux_mode = Engine.Spreading { runtime_pct = 0.9 };
-    mode = Engine.Dedicating { cores = 2 };
     upgrade_at = Some (Time.ms 3);
-    upgrade_state_bytes = 200_000;
     force_detach_at = Some (Time.ms 4);
-    force_detach_every = 4;
     seed = 21;
     tie_salt = 0;
     stop_at = Time.ms 12;
     run_cap = Time.ms 30;
-    (* Generous: containment must come from per-tenant quotas, not from
-       the shared pool running dry. *)
-    op_pool_bytes = 256 lsl 20;
   }
 
 type result = {
@@ -111,13 +104,13 @@ let run (cfg : config) : result =
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
   let dir = PE.Directory.create () in
   let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode:cfg.mode
-      ~op_pool_bytes:cfg.op_pool_bytes ()
+    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~op_pool_bytes
+      ()
   in
   let h_guest = mk 0 in
   let h_srv = mk 1 in
-  ignore (Snap.Host.enable_guests ~engines:cfg.mux_engines ~mode:cfg.mux_mode h_guest);
-  let is_aggressor i = i mod cfg.aggressor_every = cfg.aggressor_every - 1 in
+  ignore (Snap.Host.enable_guests ~engines:mux_engines ~mode:mux_mode h_guest);
+  let is_aggressor i = i mod aggressor_every = aggressor_every - 1 in
   let n_aggressors =
     let n = ref 0 in
     for i = 0 to cfg.tenants - 1 do
@@ -193,8 +186,7 @@ let run (cfg : config) : result =
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "v%d" i)
-        ~dst_host:1 ~dst_name:"backend-v" ~ring_slots:cfg.ring_slots
-        ~buf_bytes:cfg.buf_bytes ()
+        ~dst_host:1 ~dst_name:"backend-v" ~ring_slots ~buf_bytes ()
     in
     tenant_of.(i) <- Some tn;
     prime_rx tn;
@@ -207,7 +199,7 @@ let run (cfg : config) : result =
         if k > 3 then incr victim_failed
         else begin
           if k > 1 then incr victim_retries;
-          let slot = !n mod cfg.ring_slots in
+          let slot = !n mod ring_slots in
           (* Fresh id per attempt: a timed-out attempt's descriptor may
              still be in flight, and reusing its id would be scored as
              id aliasing by the hardened mux.  The id is a label; the
@@ -217,7 +209,7 @@ let run (cfg : config) : result =
           if
             not
               (Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id
-                 ~off:(Tenant.tx_buf_off tn slot) ~len:cfg.victim_bytes)
+                 ~off:(Tenant.tx_buf_off tn slot) ~len:victim_bytes)
           then begin
             (* Single outstanding op: a full tx ring means cancelled
                completions from a detach are pending; nothing to do. *)
@@ -278,10 +270,9 @@ let run (cfg : config) : result =
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "a%d" i)
-        ~dst_host:1 ~dst_name:"backend-a" ~ring_slots:cfg.ring_slots
-        ~buf_bytes:cfg.buf_bytes
-        ?rate_ops_per_sec:cfg.aggressor_rate_ops_per_sec
-        ~burst_ops:cfg.aggressor_burst_ops ()
+        ~dst_host:1 ~dst_name:"backend-a" ~ring_slots ~buf_bytes
+        ~rate_ops_per_sec:aggressor_rate_ops_per_sec
+        ~burst_ops:aggressor_burst_ops ()
     in
     tenant_of.(i) <- Some tn;
     let posted = ref 0 in
@@ -299,9 +290,9 @@ let run (cfg : config) : result =
          its id while live reads as aliasing. *)
       if
         Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id:!posted
-          ~off:(Tenant.tx_buf_off tn !posted) ~len:cfg.aggressor_bytes
+          ~off:(Tenant.tx_buf_off tn !posted) ~len:aggressor_bytes
       then incr posted;
-      Cpu.Thread.sleep ctx cfg.aggressor_interval
+      Cpu.Thread.sleep ctx aggressor_interval
     done;
     (* Drain: keep reaping so the mux can finish, then detach.  A
        force-detached tenant skips this — its reclaim already ran. *)
@@ -337,11 +328,11 @@ let run (cfg : config) : result =
                  let machine = h_guest.Snap.Host.machine in
                  let ng =
                    Engine.create_group ~machine ~name:"guest-v2"
-                     ~mode:cfg.mux_mode
+                     ~mode:mux_mode
                  in
-                 Upgrade.upgrade ~loop ~costs:(Cpu.Sched.costs machine)
+                 Upgrade.upgrade ~loop
                    ~old_group:(Mux.group mux) ~new_group:ng
-                   ~extra_state_bytes:(fun _ -> cfg.upgrade_state_bytes)
+                   ~extra_state_bytes:(fun _ -> upgrade_state_bytes)
                    ~on_done:(fun rs -> upgrade_reports := rs)
                    ())));
   (* Forced detach of part of the aggressor cohort: abandoned in-flight
@@ -358,7 +349,7 @@ let run (cfg : config) : result =
                  | Some tn when is_aggressor i ->
                      incr k;
                      if
-                       !k mod cfg.force_detach_every = 0
+                       !k mod force_detach_every = 0
                        && Tenant.state tn = Tenant.Attached
                      then begin
                        Snap.Host.detach_tenant ~force:true h_guest tn;
@@ -404,7 +395,7 @@ let run (cfg : config) : result =
   let victim_goodput_gbps =
     if !victim_last_done = 0 then 0.0
     else
-      float_of_int (!victim_ok * cfg.victim_bytes * 2 * 8)
+      float_of_int (!victim_ok * victim_bytes * 2 * 8)
       /. float_of_int !victim_last_done
   in
   {

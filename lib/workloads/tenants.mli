@@ -21,31 +21,15 @@
 
 type config = {
   tenants : int;
-  aggressor_every : int;  (** Every k-th tenant is an aggressor. *)
   victim_ops : int;  (** Closed-loop echoes per victim. *)
-  victim_bytes : int;
   aggressor_ops : int;  (** Open-loop posts per aggressor. *)
-  aggressor_bytes : int;
-  aggressor_interval : Sim.Time.t;
-  aggressor_rate_ops_per_sec : float option;
-      (** The containment quota: posts above this rate are [Rejected]
-          on the aggressor's own ring. *)
-  aggressor_burst_ops : int;
-  ring_slots : int;
-  buf_bytes : int;
-  mux_engines : int;
-  mux_mode : Engine.mode;
-  mode : Engine.mode;  (** Scheduling mode of the Pony groups. *)
   upgrade_at : Sim.Time.t option;
       (** Transparent upgrade of the guest engine group. *)
-  upgrade_state_bytes : int;
   force_detach_at : Sim.Time.t option;
-  force_detach_every : int;  (** Every j-th aggressor is force-detached. *)
   seed : int;
   tie_salt : int;
   stop_at : Sim.Time.t;
   run_cap : Sim.Time.t;
-  op_pool_bytes : int;
 }
 
 val default_config : config

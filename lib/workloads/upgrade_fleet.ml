@@ -12,9 +12,10 @@ type result = {
 (* Log-normal shape of the serialized state sizes; with the 270 MB
    median it pins the paper's 250 ms median blackout and heavy tail. *)
 let state_sigma = 0.6
+let seed = 23
 
 let run ?(machines = 10) ?(engines_per_machine = 4) ?(state_median_mb = 270.0)
-    ?(seed = 23) () =
+    () =
   if machines < 2 || machines mod 2 <> 0 then
     invalid_arg "Upgrade_fleet.run: machines must be even and >= 2";
   let loop = Sim.Loop.create ~seed () in
@@ -77,7 +78,7 @@ let run ?(machines = 10) ?(engines_per_machine = 4) ?(state_median_mb = 270.0)
         ~mode:(Engine.Dedicating { cores = 2 })
     in
     incr upgrading;
-    Upgrade.upgrade ~loop ~costs:(Cpu.Sched.costs machine)
+    Upgrade.upgrade ~loop
       ~old_group:h.Snap.Host.group ~new_group
       ~extra_state_bytes:(fun _ ->
         int_of_float (Sim.Rng.lognormal rng ~mu ~sigma:state_sigma))

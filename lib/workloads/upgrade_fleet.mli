@@ -21,7 +21,6 @@ val run :
   ?machines:int ->
   ?engines_per_machine:int ->
   ?state_median_mb:float ->
-  ?seed:int ->
   unit ->
   result
 (** Defaults: 10 machines x 4 engines, median 270 MB of serialized

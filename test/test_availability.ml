@@ -18,7 +18,7 @@ let contains_sub s sub =
 let mk ?(cores = 4) () =
   let loop = Sim.Loop.create () in
   let m =
-    Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default ~name:"m" ~cores
+    Cpu.Sched.create_machine ~loop ~name:"m" ~cores
   in
   (loop, m)
 
@@ -133,8 +133,6 @@ let test_watchdog_create_validation () =
 
 (* -- Transactional upgrade ----------------------------------------------- *)
 
-let costs = Sim.Costs.default
-
 let test_upgrade_clean_commit () =
   (* Happy path: every engine commits on the first attempt, and the
      report carries the measured (not just scheduled) brownout. *)
@@ -144,7 +142,7 @@ let test_upgrade_clean_commit () =
   Engine.add og e1;
   Engine.add og e2;
   let got = ref [] in
-  Upgrade.upgrade ~loop ~costs ~old_group:og ~new_group:ng
+  Upgrade.upgrade ~loop ~old_group:og ~new_group:ng
     ~extra_state_bytes:(fun _ -> 2_000_000)
     ~on_done:(fun rs -> got := rs)
     ();
@@ -158,7 +156,7 @@ let test_upgrade_clean_commit () =
       check_int "measured brownout" r.Upgrade.brownout_scheduled
         r.Upgrade.brownout;
       check_int "measured blackout matches model"
-        (Upgrade.blackout_of ~costs ~state_bytes:r.Upgrade.state_bytes)
+        (Upgrade.blackout_of ~state_bytes:r.Upgrade.state_bytes)
         r.Upgrade.blackout)
     !got;
   check_int "old group empty" 0 (List.length (Engine.engines og));
@@ -176,7 +174,7 @@ let test_upgrade_rollback_on_fault_mid_blackout () =
   ignore (Sim.Loop.at loop (T.ms 5) (fun () -> Engine.mark_failed e));
   let transitions = ref [] in
   let got = ref [] in
-  Upgrade.upgrade ~loop ~costs ~old_group:og ~new_group:ng
+  Upgrade.upgrade ~loop ~old_group:og ~new_group:ng
     ~extra_state_bytes:(fun _ -> 2_000_000)
     ~config:{ Upgrade.default_config with Upgrade.retry_backoff = T.ms 1 }
     ~on_transition:(fun ~engine:_ ph -> transitions := ph :: !transitions)
@@ -206,10 +204,9 @@ let test_upgrade_slo_give_up () =
   let e = idle_engine ~name:"e" () in
   Engine.add og e;
   let got = ref [] in
-  Upgrade.upgrade ~loop ~costs ~old_group:og ~new_group:ng
+  Upgrade.upgrade ~loop ~old_group:og ~new_group:ng
     ~config:
       {
-        Upgrade.default_config with
         Upgrade.blackout_slo = Some (T.ms 4);
         max_attempts = 2;
         retry_backoff = T.ms 1;
@@ -263,7 +260,7 @@ let test_recover_races_upgrade () =
     ~on_recovered:(fun () -> incr recovered);
   let transitions = ref [] in
   let got = ref [] in
-  Upgrade.upgrade ~loop ~costs ~old_group:og ~new_group:ng
+  Upgrade.upgrade ~loop ~old_group:og ~new_group:ng
     ~extra_state_bytes:(fun _ -> 2_000_000)
     ~config:{ Upgrade.default_config with Upgrade.retry_backoff = T.ms 1 }
     ~on_transition:(fun ~engine:_ ph -> transitions := ph :: !transitions)

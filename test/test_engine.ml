@@ -9,7 +9,7 @@ let check_bool = Alcotest.(check bool)
 let mk ?(cores = 6) () =
   let loop = Sim.Loop.create () in
   let m =
-    Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default ~name:"m" ~cores
+    Cpu.Sched.create_machine ~loop ~name:"m" ~cores
   in
   (loop, m)
 

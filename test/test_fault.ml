@@ -191,7 +191,7 @@ let test_fabric_overflow_port_counter () =
 let test_cost_scale () =
   let loop = Sim.Loop.create () in
   let m =
-    Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default ~name:"m" ~cores:2
+    Cpu.Sched.create_machine ~loop ~name:"m" ~cores:2
   in
   Alcotest.(check (float 0.0001)) "default scale" 1.0 (Cpu.Sched.cost_scale m);
   let ran_for = ref 0 in

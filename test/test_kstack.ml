@@ -13,8 +13,7 @@ let mk_pair ?(busy_poll = false) ?(mtu = 4096) ?(rx_slots = 4096)
   let fab = Fabric.create ~loop ~config:fab_cfg ~hosts:2 in
   let mk addr =
     let m =
-      Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default
-        ~name:(Printf.sprintf "m%d" addr) ~cores:8
+      Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "m%d" addr) ~cores:8
     in
     let nic =
       Nic.create ~loop ~machine:m ~fabric:fab ~addr

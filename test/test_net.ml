@@ -78,8 +78,7 @@ let mk_host ?(hosts = 2) ?(nic_cfg = Nic.default_config) () =
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts in
   let mks addr =
     let m =
-      Cpu.Sched.create_machine ~loop ~costs:Sim.Costs.default
-        ~name:(Printf.sprintf "m%d" addr) ~cores:4
+      Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "m%d" addr) ~cores:4
     in
     let nic = Nic.create ~loop ~machine:m ~fabric:fab ~addr nic_cfg in
     (m, nic)

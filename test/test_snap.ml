@@ -145,8 +145,7 @@ let test_vswitch_routes_guest_traffic () =
 (* -- Upgrade ---------------------------------------------------------------- *)
 
 let test_upgrade_blackout_model () =
-  let costs = Sim.Costs.default in
-  let b = Upgrade.blackout_of ~costs ~state_bytes:400_000_000 in
+  let b = Upgrade.blackout_of ~state_bytes:400_000_000 in
   (* 2 x 4ms filter updates + 2 x (400MB / 2B-per-ns) = 8ms + 400ms. *)
   check_int "blackout formula" (T.ms 408) b
 
@@ -191,7 +190,7 @@ let test_upgrade_engine_processes_after_move () =
            Engine.create_group ~machine ~name:"v2"
              ~mode:(Engine.Dedicating { cores = 1 })
          in
-         Upgrade.upgrade ~loop ~costs:(Cpu.Sched.costs machine)
+         Upgrade.upgrade ~loop
            ~old_group:b.Snap.Host.group ~new_group:ng
            ~extra_state_bytes:(fun _ -> 1_000_000)
            ~on_done:(fun rs -> report := rs)
