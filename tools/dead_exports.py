@@ -1,18 +1,32 @@
 #!/usr/bin/env python3
-"""Fail when a library exports a value that no other module names.
+"""Fail when a library exports a value, an optional argument or a
+config field that nothing uses.
 
 Usage, from the repository root:
 
     python3 tools/dead_exports.py
 
-Every `val` declared in a `lib/**/*.mli` must be named in some `.ml`
-under lib, bin, bench, snapbench, test or examples other than its own
-module's implementation.  A value only its own module uses belongs out
-of the interface; a value nothing uses belongs out of the code.  The
-check is by identifier, after comments and string literals are
-stripped, so a value shares a name with anything else that is called
-the same: it catches the values no one could be calling, not every
-unused one.  Exits 1 and lists the offenders, 0 when there are none.
+Three checks over the `.ml` sources under lib, bin, bench, snapbench,
+test and examples, after comments and string literals are stripped:
+
+- Every `val` declared in a `lib/**/*.mli` is named in some `.ml`
+  other than its own module's implementation.  A value only its own
+  module uses belongs out of the interface; a value nothing uses belongs
+  out of the code.  The check is by identifier, so a value shares a
+  name with anything else that is called the same: it catches the
+  values no one could be calling, not every unused one.
+- Every optional argument `?x` of such a `val` is passed, as `~x` or
+  `?x`, by at least one call site.  A call site is the value's name
+  (qualified by its module, through any `module M = ...` alias, or bare
+  in its own module or a file that opens it) anywhere but its own
+  definition, scanned to the end of its application.  An option no
+  caller passes always takes its default, so it is a constant.
+- Every field of a `type config` record declared in a `lib/**/*.mli`
+  is set by some code outside its own module, in a `{ e with ... }`
+  update or a record literal.  A field no one sets always holds its
+  default, so it is a constant too.
+
+Exits 1 and lists the offenders, 0 when there are none.
 """
 
 import os
@@ -21,9 +35,11 @@ import sys
 
 CALLER_DIRS = ["lib", "bin", "bench", "snapbench", "test", "examples"]
 
-# Values kept without a caller, as "<mli path>:<name>".  The CPU
-# accessors wait for the per-layer CPU ledger (ROADMAP.md, item 3),
-# which either calls them or deletes them.
+# Items kept without a user, as "<mli path>:<name>" for a value,
+# "<mli path>:<name>?<arg>" for an optional argument and
+# "<mli path>:config.<field>" for a config field.  The CPU accessors
+# wait for the per-layer CPU ledger (ROADMAP.md, item 3), which either
+# calls them or deletes them.
 EXEMPT = {
     "lib/snap/host.mli:snap_cpu_ns",
     "lib/snap/host.mli:app_cpu_ns",
@@ -32,15 +48,33 @@ EXEMPT = {
 }
 
 TOKEN = re.compile(
-    r"""\(\*|\*\)|"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\[^']+)'|[A-Za-z_][A-Za-z0-9_']*""",
+    r"""\(\*|\*\)|"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\[^']+)'"""
+    r"""|[~?][a-z_][A-Za-z0-9_']*:?"""
+    r"""|[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)*"""
+    r"""|[0-9][0-9A-Za-z_.]*"""
+    r"""|\[\||\|\]|;;|[()\[\]{};,]"""
+    r"""|[-+*/<>=@^|&$%!:.#~?]+""",
     re.S,
 )
-VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
+IDENT = re.compile(r"[A-Za-z_]")
+OPENERS = {"(": ")", "[": "]", "{": "}", "[|": "|]", "begin": "end",
+           "sig": "end", "struct": "end", "object": "end"}
+CLOSERS = {")", "]", "}", "|]", "end"}
+# Tokens that end an application at its own nesting depth.
+ENDS = {"in", ";", ";;", ",", "|", "then", "else", "with", "do", "done",
+        "to", "downto", "and", "let", "->", "of", "when", "val", "type",
+        "module", "open", "if", "match", "function", "external"}
+# Operator tokens that continue an argument rather than end the
+# application: prefix dereference and negation.
+PREFIX_OPS = {"!", "-", "-."}
+# Keywords that start a top-level signature item.
+SIG_ITEMS = {"val", "type", "module", "exception", "include", "external",
+             "class", "end", "open"}
 
 
-def identifiers(text):
-    """The identifiers of an OCaml source outside comments and strings."""
-    names = set()
+def tokens(text):
+    """The tokens of an OCaml source outside comments and strings."""
+    out = []
     depth = 0
     for m in TOKEN.finditer(text):
         tok = m.group(0)
@@ -49,8 +83,22 @@ def identifiers(text):
         elif tok == "*)":
             depth = max(0, depth - 1)
         elif depth == 0 and tok[0] not in "\"'":
-            names.add(tok)
-    return names
+            out.append(tok)
+    return out
+
+
+def is_ident(tok):
+    return IDENT.match(tok) is not None
+
+
+def last(tok):
+    return tok.rsplit(".", 1)[-1]
+
+
+def qualifier(tok):
+    """The module component just before the last one, or None."""
+    parts = tok.split(".")
+    return parts[-2] if len(parts) > 1 else None
 
 
 def sources(root):
@@ -62,33 +110,295 @@ def sources(root):
                     yield os.path.relpath(os.path.join(dirpath, f), root)
 
 
+def module_of(path):
+    return os.path.basename(path).split(".")[0].capitalize()
+
+
+# -- interfaces ----------------------------------------------------------
+
+
+def signature(toks, i):
+    """The tokens of the `val` whose name is at [i], up to the next
+    signature item."""
+    j = i + 1
+    depth = 0
+    while j < len(toks):
+        t = toks[j]
+        if t in ("(", "[", "{", "[|"):
+            depth += 1
+        elif t in (")", "]", "}", "|]"):
+            depth -= 1
+        elif depth == 0 and t in SIG_ITEMS:
+            break
+        j += 1
+    return toks[i + 1:j]
+
+
+def vals(path, toks):
+    """(name, innermost module, optional argument names) of each `val`."""
+    out = []
+    stack = [module_of(path)]
+    pending = None
+    for i, t in enumerate(toks):
+        if t == "module" and i + 1 < len(toks):
+            pending = toks[i + 1]
+        elif t == "sig" and pending is not None:
+            stack.append(pending)
+            pending = None
+        elif t == "end" and len(stack) > 1:
+            stack.pop()
+        elif t == "val" and i + 1 < len(toks):
+            sig = signature(toks, i + 1)
+            depth = 0
+            opts = []
+            for s in sig:
+                if s in ("(", "[", "{"):
+                    depth += 1
+                elif s in (")", "]", "}"):
+                    depth -= 1
+                elif depth == 0 and s.startswith("?") and s.endswith(":"):
+                    opts.append(s[1:-1])
+            out.append((toks[i + 1], stack[-1], opts))
+    return out
+
+
+def configs(path, toks):
+    """Field names of a top-level `type config = { ... }`."""
+    for i in range(len(toks) - 3):
+        if toks[i:i + 4] == ["type", "config", "=", "{"]:
+            fields = []
+            j = i + 4
+            depth = 0
+            while j < len(toks) and not (depth == 0 and toks[j] == "}"):
+                t = toks[j]
+                if t in ("(", "[", "{"):
+                    depth += 1
+                elif t in (")", "]", "}"):
+                    depth -= 1
+                elif (depth == 0 and is_ident(t) and t != "mutable"
+                      and j + 1 < len(toks) and toks[j + 1] == ":"
+                      and toks[j - 1] in ("{", ";", "mutable")):
+                    fields.append(t)
+                j += 1
+            return fields
+    return None
+
+
+# -- implementations -----------------------------------------------------
+
+
+def aliases(toks):
+    """Module name visible in a file -> the module it names."""
+    out = {}
+    for i in range(len(toks) - 3):
+        if toks[i] == "module" and toks[i + 2] == "=" and is_ident(toks[i + 3]):
+            if toks[i + 3] not in ("struct", "functor"):
+                out[toks[i + 1]] = last(toks[i + 3])
+    return out
+
+
+def opened(toks):
+    return {last(toks[i + 1]) for i in range(len(toks) - 1)
+            if toks[i] == "open"}
+
+
+def resolve(mod, alias):
+    seen = set()
+    while mod in alias and mod not in seen:
+        seen.add(mod)
+        mod = alias[mod]
+    return mod
+
+
+def application_labels(toks, i):
+    """Labels passed at depth 0 of the application headed at [i]."""
+    labels = set()
+    depth = 0
+    j = i + 1
+    while j < len(toks):
+        t = toks[j]
+        if t in OPENERS:
+            depth += 1
+        elif t in CLOSERS:
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0:
+            if t[0] in "~?" and len(t) > 1 and is_ident(t[1:]):
+                labels.add(t[1:].rstrip(":"))
+            elif t in ENDS:
+                break
+            elif not is_ident(t) and not t[0].isdigit() and t not in PREFIX_OPS:
+                break
+        j += 1
+    return labels
+
+
+def record_setters(path, toks, alias, field_owner):
+    """(module, field) pairs set by record updates and literals."""
+    out = set()
+    for i, t in enumerate(toks):
+        # Skip the inline record of a constructor, [Dedicating { ... }].
+        if t != "{" or (i > 0 and last(toks[i - 1])[:1].isupper()):
+            continue
+        # Find the matching brace and a top-level `with`.
+        depth = 0
+        j = i + 1
+        with_at = None
+        while j < len(toks):
+            u = toks[j]
+            if u in OPENERS:
+                depth += 1
+            elif u in CLOSERS:
+                if depth == 0:
+                    break
+                depth -= 1
+            elif depth == 0 and u == "with" and with_at is None:
+                with_at = j
+            j += 1
+        close = j
+        start = with_at + 1 if with_at is not None else i + 1
+        labels = []
+        expect_label = True
+        depth = 0
+        for k in range(start, close):
+            u = toks[k]
+            if u in OPENERS:
+                depth += 1
+            elif u in CLOSERS:
+                depth -= 1
+            elif depth == 0 and u == ";":
+                expect_label = True
+                continue
+            if expect_label and depth == 0:
+                expect_label = False
+                nxt = toks[k + 1] if k + 1 < close else "}"
+                if is_ident(u) and (nxt in ("=", ";", "}") or k + 1 == close):
+                    labels.append(u)
+                elif with_at is None:
+                    labels = []
+                    break
+        if not labels:
+            continue
+        mod = None
+        for lab in labels:
+            if qualifier(lab):
+                mod = resolve(qualifier(lab), alias)
+        if mod is None and with_at is None:
+            # An unqualified literal builds a type of its own module.
+            mod = module_of(path)
+        if mod is None and with_at == i + 2:
+            base = toks[i + 1]
+            if qualifier(base):
+                mod = resolve(qualifier(base), alias)
+            else:
+                mod = binding_module(toks, i, base, alias)
+        names = {last(lab) for lab in labels}
+        if mod is not None:
+            out |= {(mod, n) for n in names}
+        else:
+            # Unresolved: credit every config type that has all the
+            # fields, so an ambiguous update never reads as dead.
+            for owner, fields in field_owner.items():
+                if names <= fields:
+                    out |= {(owner, n) for n in names}
+    return out
+
+
+def binding_module(toks, i, var, alias):
+    """The module of the record bound to [var] before position [i]:
+    from `(var : M.config)` or `let var = { M.x ...`."""
+    for k in range(i - 1, 1, -1):
+        if toks[k] != var:
+            continue
+        if toks[k + 1] == ":" and qualifier(toks[k + 2]):
+            return resolve(qualifier(toks[k + 2]), alias)
+        if toks[k - 1] == "let" and toks[k + 1] == "=" and toks[k + 2] == "{":
+            for u in toks[k + 3:k + 6]:
+                if qualifier(u):
+                    return resolve(qualifier(u), alias)
+            return None
+    return None
+
+
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     used_in = {}
     exports = []
+    config_fields = {}
+    impls = {}
     for path in sorted(sources(root)):
         with open(os.path.join(root, path), encoding="utf-8") as fh:
-            text = fh.read()
+            toks = tokens(fh.read())
         if path.endswith(".mli"):
             if path.startswith("lib/"):
-                exports += [(path, m.group(1)) for m in VAL.finditer(text)]
+                exports += [(path, v) for v in vals(path, toks)]
+                fields = configs(path, toks)
+                if fields is not None:
+                    config_fields[path] = fields
             continue
-        for name in identifiers(text):
-            used_in.setdefault(name, set()).add(path)
+        impls[path] = toks
+        for tok in toks:
+            if tok[0] in "~?":
+                tok = tok[1:].rstrip(":")
+            if is_ident(tok):
+                for part in tok.split("."):
+                    used_in.setdefault(part, set()).add(path)
+
     dead = []
-    for mli, name in exports:
-        own = mli[:-1]
+    for mli, (name, _, _) in exports:
         if f"{mli}:{name}" in EXEMPT:
             continue
-        if not (used_in.get(name, set()) - {own}):
+        if not (used_in.get(name, set()) - {mli[:-1]}):
             dead.append(f"{mli}: val {name} is named by no other module")
+
+    # Optional arguments: collect the labels of every call site.
+    wanted = {}
+    for mli, (name, inner, opts) in exports:
+        if opts:
+            wanted.setdefault(name, []).append((mli, inner, opts))
+    passed = {}
+    field_owner = {module_of(p): set(f) for p, f in config_fields.items()}
+    setters = {}
+    for path, toks in impls.items():
+        alias = aliases(toks)
+        opens = {resolve(m, alias) for m in opened(toks)}
+        for i, tok in enumerate(toks):
+            if not is_ident(tok) or last(tok) not in wanted:
+                continue
+            if i > 0 and toks[i - 1] in ("let", "rec", "and", "val", "external"):
+                continue
+            q = qualifier(tok)
+            mod = resolve(q, alias) if q else None
+            labels = None
+            for mli, inner, _ in wanted[last(tok)]:
+                own = path == mli[:-1]
+                if mod == inner or (mod is None and (own or inner in opens)):
+                    if labels is None:
+                        labels = application_labels(toks, i)
+                    passed.setdefault((mli, last(tok)), set()).update(labels)
+        for mod, field in record_setters(path, toks, alias, field_owner):
+            setters.setdefault(mod, {}).setdefault(field, set()).add(path)
+    for mli, (name, _, opts) in exports:
+        got = passed.get((mli, name), set())
+        for o in opts:
+            if o not in got and f"{mli}:{name}?{o}" not in EXEMPT:
+                dead.append(f"{mli}: val {name}: no caller passes ?{o}")
+
+    for mli, fields in config_fields.items():
+        by = setters.get(module_of(mli), {})
+        for f in fields:
+            outside = by.get(f, set()) - {mli[:-1]}
+            if not outside and f"{mli}:config.{f}" not in EXEMPT:
+                dead.append(f"{mli}: config field {f} is set by no other module")
+
     for line in dead:
         print(line)
     if dead:
         print(
-            f"{len(dead)} exported value(s) have no caller outside their own "
-            "module: delete them, or drop them from the .mli if the module "
-            "still uses them."
+            f"{len(dead)} export(s) unused outside their module: delete a "
+            "value no one calls or drop it from the .mli; make an option "
+            "no caller passes, or a config field no one sets, a constant."
         )
         return 1
     return 0
