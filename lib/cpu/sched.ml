@@ -68,6 +68,10 @@ type task = {
 
 and core = {
   cid : int;
+  (* [Running cid] and [Spinning cid], built once: a task enters one of
+     them on nearly every step. *)
+  st_running : task_state;
+  st_spinning : task_state;
   mutable current : task option;
   mutable reserved : bool;
   mutable idle_since : Time.t;
@@ -84,6 +88,9 @@ and core = {
 and machine = {
   lp : Loop.t;
   m_name : string;
+  (* The step event of every task: the argument packs (generation, task
+     id, core id), see [pack_step]. *)
+  on_step : Loop.handler;
   cores_arr : core array;
   mq_ready : task Queue.t;
   cfs_ready : Sim.Heap.t;  (* task ids keyed by vruntime *)
@@ -115,39 +122,6 @@ let register_core_gauges m =
         (Stats.Registry.gauge_fn ~labels "cpu_core_context_switches"
            (fun () -> float_of_int core.switches)))
     m.cores_arr
-
-let create_machine ~loop ~name ~cores =
-  if cores <= 0 then invalid_arg "Sched.create_machine";
-  let m =
-  {
-    lp = loop;
-    m_name = name;
-    cores_arr =
-      Array.init cores (fun cid ->
-          {
-            cid;
-            current = None;
-            reserved = false;
-            idle_since = Time.zero;
-            steal = 0;
-            nonpreempt_until = Time.zero;
-            core_busy = 0;
-            switches = 0;
-            waiter = None;
-          });
-    mq_ready = Queue.create ();
-    cfs_ready = Sim.Heap.create ();
-    tasks = [||];
-    n_tasks = 0;
-    account_tbl = Hashtbl.create 16;
-    vr_clock = 0.0;
-    rr_interrupt = 0;
-    total_busy = 0;
-    m_cost_scale = 1.0;
-  }
-  in
-  register_core_gauges m;
-  m
 
 let machine_name m = m.m_name
 let num_cores m = Array.length m.cores_arr
@@ -274,15 +248,28 @@ let is_mq task =
 
 let bump_gen task = task.gen <- task.gen + 1
 
+(* A step event's argument: the task's generation at scheduling time,
+   its id and its core, so one handler per machine serves every task.
+   The generation keeps its low 31 bits; a stale event would need 2^31
+   bumps of its task while pending to alias. *)
+let core_bits = 10
+let tid_bits = 22
+let gen_shift = core_bits + tid_bits
+let gen_mask = (1 lsl 31) - 1
+
+let pack_step ~gen ~tid ~cid =
+  ((gen land gen_mask) lsl gen_shift) lor (tid lsl core_bits) lor cid
+
 let rec schedule_step m core task ~delay =
   bump_gen task;
-  let gen = task.gen in
-  ignore (Loop.after m.lp delay (fun () -> step_event m core task gen))
+  ignore
+    (Loop.after_h m.lp delay m.on_step
+       (pack_step ~gen:task.gen ~tid:task.tid ~cid:core.cid))
 
 and dispatch m core task ~delay =
   core.current <- Some task;
   core.switches <- core.switches + 1;
-  task.state <- Running core.cid;
+  task.state <- core.st_running;
   task.slice_used <- 0;
   task.preempt_rt <- false;
   task.preempt_fair <- false;
@@ -375,8 +362,13 @@ and mq_budget _m task =
 and core_runs core task =
   match core.current with Some t -> t == task | None -> false
 
+and step_fired m a =
+  let task = m.tasks.((a lsr core_bits) land ((1 lsl tid_bits) - 1)) in
+  let core = m.cores_arr.(a land ((1 lsl core_bits) - 1)) in
+  step_event m core task (a lsr gen_shift)
+
 and step_event m core task gen =
-  if task.gen = gen && core_runs core task then
+  if task.gen land gen_mask = gen && core_runs core task then
     if core.steal > 0 then begin
       (* Interrupt context stole time from this core; the task's step is
          pushed back by the stolen amount. *)
@@ -404,7 +396,7 @@ and step_event m core task gen =
           else (
             match task.idle with
             | Spin ->
-                task.state <- Spinning core.cid;
+                task.state <- core.st_spinning;
                 bump_gen task;
                 task.spin_start <- Loop.now m.lp
             | Block ->
@@ -420,7 +412,10 @@ and step_event m core task gen =
 and after_run m core task cost ~nonpreempt =
   charge task cost;
   task.slice_used <- task.slice_used + cost;
-  task.vruntime <- task.vruntime +. (float_of_int cost *. task.vr_scale);
+  (* Only fair tasks move: the others' scale is 0, and storing the
+     unchanged sum would still box it. *)
+  if task.vr_scale <> 0.0 then
+    task.vruntime <- task.vruntime +. (float_of_int cost *. task.vr_scale);
   if nonpreempt then core.nonpreempt_until <- Time.add (Loop.now m.lp) cost;
   (* MicroQuanta bandwidth control. *)
   let now = Loop.now m.lp in
@@ -446,6 +441,49 @@ and after_run m core task cost ~nonpreempt =
     pick_next m core
   end
   else schedule_step m core task ~delay:cost
+
+let create_machine ~loop ~name ~cores =
+  if cores <= 0 || cores >= 1 lsl core_bits then
+    invalid_arg "Sched.create_machine";
+  let self = ref None in
+  let on_step =
+    Loop.handler loop (fun a ->
+        match !self with Some m -> step_fired m a | None -> ())
+  in
+  let m =
+  {
+    lp = loop;
+    m_name = name;
+    on_step;
+    cores_arr =
+      Array.init cores (fun cid ->
+          {
+            cid;
+            st_running = Running cid;
+            st_spinning = Spinning cid;
+            current = None;
+            reserved = false;
+            idle_since = Time.zero;
+            steal = 0;
+            nonpreempt_until = Time.zero;
+            core_busy = 0;
+            switches = 0;
+            waiter = None;
+          });
+    mq_ready = Queue.create ();
+    cfs_ready = Sim.Heap.create ();
+    tasks = [||];
+    n_tasks = 0;
+    account_tbl = Hashtbl.create 16;
+    vr_clock = 0.0;
+    rr_interrupt = 0;
+    total_busy = 0;
+    m_cost_scale = 1.0;
+  }
+  in
+  self := Some m;
+  register_core_gauges m;
+  m
 
 (* -- Task lifecycle ---------------------------------------------------- *)
 
@@ -485,6 +523,7 @@ let spawn m ~name ~account ~klass ~idle ~step =
       wake_pending = false;
     }
   in
+  if m.n_tasks >= 1 lsl tid_bits then invalid_arg "Sched.spawn: too many tasks";
   if m.n_tasks = Array.length m.tasks then begin
     let fresh = Array.make (max 8 (2 * m.n_tasks)) task in
     Array.blit m.tasks 0 fresh 0 m.n_tasks;
@@ -620,7 +659,7 @@ let wake task =
       let spin = Time.sub (Loop.now m.lp) task.spin_start in
       charge task spin;
       let core = m.cores_arr.(cid) in
-      task.state <- Running cid;
+      task.state <- core.st_running;
       schedule_step m core task ~delay:spin_discovery
   | Ready | Running _ | Throttled -> task.wake_pending <- true
   | Done -> ()

@@ -105,60 +105,61 @@ let notify e =
 
 let owner_task e = Option.map (fun ct -> ct.task) e.owner
 
+(* One engine batch as a span, built only while capture is on; the
+   track identifies the lane (group/thread) the batch ran on. *)
+let batch_span ct e ~now ~outcome ~dur =
+  Sim.Span.emit ct.grp.lp ~cat:"engine"
+    ~track:(Printf.sprintf "%s/t%d" ct.grp.g_name ct.tid)
+    ~args:
+      (("account", "snap") :: ("outcome", outcome)
+      ::
+      (match Sched.task_core ct.task with
+      | Some cid -> [ ("core", string_of_int cid) ]
+      | None -> []))
+    ~start:now ~dur e.e_name
+
+(* One engine's share of a quantum: the CPU it spent. *)
+let step_engine ct now e =
+  if e.wedged then begin
+    (* A wedged engine spins without servicing its mailbox or making
+       progress: the silent failure mode the watchdog's heartbeats exist
+       to detect. *)
+    if Sim.Span.enabled () then
+      batch_span ct e ~now ~outcome:"wedged" ~dur:wedge_spin_cost;
+    wedge_spin_cost
+  end
+  else begin
+    if Check.Invariant.enabled () && e.migrating && e.owner = None then
+      (* An upgrade transaction owns a migrating engine (blackout) and
+         detached it; a scheduler thread still stepping it means a stale
+         owned-list reference survived the detach.  (A migrating engine
+         that crash recovery re-attached is legal — the upgrade aborts
+         that race at commit.) *)
+      raise
+        (Check.Invariant.Violation
+           (Printf.sprintf "engine %s stepped while migrating detached"
+              e.e_name));
+    let mailbox = if Squeue.Mailbox.service e.mb then mailbox_service_cost else 0 in
+    match e.run_fn () with
+    | Worked c ->
+        e.n_steps <- e.n_steps + 1;
+        e.work_ns <- e.work_ns + c;
+        Stats.Histogram.record e.h_delay (e.qdelay now);
+        Stats.Histogram.record e.h_cost c;
+        if Sim.Span.enabled () then batch_span ct e ~now ~outcome:"worked" ~dur:c;
+        mailbox + c
+    | No_work -> mailbox
+  end
+
+let rec step_engines ct now cost = function
+  | [] -> cost
+  | e :: rest -> step_engines ct now (cost + step_engine ct now e) rest
+
 (* One scheduling quantum of a thread: service mailboxes, then give each
    owned engine one bounded batch. *)
 let thread_step ct () =
-  let lp = ct.grp.lp in
-  let now = Loop.now lp in
-  (* Built only when span capture is on; the track identifies the lane
-     (group/thread) the batch ran on. *)
-  let batch_span e ~outcome ~dur =
-    Sim.Span.emit lp ~cat:"engine"
-      ~track:(Printf.sprintf "%s/t%d" ct.grp.g_name ct.tid)
-      ~args:
-        (("account", "snap") :: ("outcome", outcome)
-        ::
-        (match Sched.task_core ct.task with
-        | Some cid -> [ ("core", string_of_int cid) ]
-        | None -> []))
-      ~start:now ~dur e.e_name
-  in
-  let cost = ref 0 in
-  List.iter
-    (fun e ->
-      if e.wedged then begin
-        (* A wedged engine spins without servicing its mailbox or making
-           progress: the silent failure mode the watchdog's heartbeats
-           exist to detect. *)
-        cost := !cost + wedge_spin_cost;
-        if Sim.Span.enabled () then
-          batch_span e ~outcome:"wedged" ~dur:wedge_spin_cost
-      end
-      else begin
-        if Check.Invariant.enabled () && e.migrating && e.owner = None then
-          (* An upgrade transaction owns a migrating engine (blackout)
-             and detached it; a scheduler thread still stepping it means
-             a stale owned-list reference survived the detach.  (A
-             migrating engine that crash recovery re-attached is legal —
-             the upgrade aborts that race at commit.) *)
-          raise
-            (Check.Invariant.Violation
-               (Printf.sprintf "engine %s stepped while migrating detached"
-                  e.e_name));
-        if Squeue.Mailbox.service e.mb then
-          cost := !cost + mailbox_service_cost;
-        match e.run_fn () with
-        | Worked c ->
-            e.n_steps <- e.n_steps + 1;
-            e.work_ns <- e.work_ns + c;
-            Stats.Histogram.record e.h_delay (e.qdelay now);
-            Stats.Histogram.record e.h_cost c;
-            if Sim.Span.enabled () then batch_span e ~outcome:"worked" ~dur:c;
-            cost := !cost + c
-        | No_work -> ()
-      end)
-    ct.owned;
-  if !cost > 0 then Sched.Ran !cost else Sched.Idle
+  let cost = step_engines ct (Loop.now ct.grp.lp) 0 ct.owned in
+  if cost > 0 then Sched.Ran cost else Sched.Idle
 
 let spawn_thread g ~klass ~idle =
   let tid = g.next_tid in

@@ -8,6 +8,9 @@ let propagation = Time.ns 500
 (* Forwarding latency per packet. *)
 let switch_latency = Time.ns 300
 
+(* Uplink to egress enqueue. *)
+let transit = Time.add propagation switch_latency
+
 (* Number of strict-priority classes (0 = highest). *)
 let qos_classes = 4
 
@@ -29,18 +32,29 @@ type fault_action =
   | Fault_delay of Time.t
 
 type port = {
+  p_addr : Packet.addr;
   class_queues : Packet.t Queue.t array;
   class_bytes : int array;
   mutable draining : bool;
+  mutable on_wire : Packet.t;  (* being serialized, or [Packet.none] *)
   mutable p_drops : int;
   mutable p_max_bytes : int;
 }
 
+(* Every per-packet delay is a handler event.  Packets in transit and
+   propagation (many pending at once) are parked in [parked] and the
+   event carries the handle; a port serializes one packet at a time, so
+   that one sits in the port's [on_wire] and the event names the
+   port. *)
 type t = {
   lp : Loop.t;
   cfg : config;
   ports : port array;
   rx_handlers : (Packet.t -> unit) option array;
+  parked : Packet.t Memory.Arena.t;
+  on_transit : Loop.handler;  (* arg: parked handle *)
+  on_serialized : Loop.handler;  (* arg: port address *)
+  on_propagated : Loop.handler;  (* arg: parked handle *)
   mutable n_delivered : int;
   mutable n_dropped : int;
   mutable bytes_delivered : int;
@@ -48,29 +62,6 @@ type t = {
   mutable n_fault_dropped : int;
   mutable n_fault_corrupted : int;
 }
-
-let create ~loop ~config ~hosts =
-  if hosts <= 0 then invalid_arg "Fabric.create: hosts";
-  {
-    lp = loop;
-    cfg = config;
-    ports =
-      Array.init hosts (fun _ ->
-          {
-            class_queues = Array.init qos_classes (fun _ -> Queue.create ());
-            class_bytes = Array.make qos_classes 0;
-            draining = false;
-            p_drops = 0;
-            p_max_bytes = 0;
-          });
-    rx_handlers = Array.make hosts None;
-    n_delivered = 0;
-    n_dropped = 0;
-    bytes_delivered = 0;
-    fault_hook = (fun _ -> Fault_pass);
-    n_fault_dropped = 0;
-    n_fault_corrupted = 0;
-  }
 
 let config t = t.cfg
 
@@ -100,24 +91,36 @@ let deliver t (pkt : Packet.t) =
 
 (* Strict-priority drain of one egress port: serialize the head packet of
    the highest non-empty class, then propagate it to the host. *)
-let rec drain_port t port =
-  let rec pick cls =
-    if cls >= qos_classes then None
-    else if Queue.is_empty port.class_queues.(cls) then pick (cls + 1)
-    else Some cls
-  in
-  match pick 0 with
-  | None -> port.draining <- false
-  | Some cls ->
-      port.draining <- true;
-      let pkt = Queue.take port.class_queues.(cls) in
-      port.class_bytes.(cls) <- port.class_bytes.(cls) - pkt.Packet.wire_bytes;
-      let ser = wire_time t.cfg pkt.Packet.wire_bytes in
-      ignore
-        (Loop.after t.lp ser (fun () ->
-             ignore
-               (Loop.after t.lp propagation (fun () -> deliver t pkt));
-             drain_port t port))
+let drain_port t port =
+  let cls = ref 0 in
+  while !cls < qos_classes && Queue.is_empty port.class_queues.(!cls) do
+    incr cls
+  done;
+  let cls = !cls in
+  if cls = qos_classes then port.draining <- false
+  else begin
+    port.draining <- true;
+    let pkt = Queue.take port.class_queues.(cls) in
+    port.class_bytes.(cls) <- port.class_bytes.(cls) - pkt.Packet.wire_bytes;
+    port.on_wire <- pkt;
+    ignore
+      (Loop.after_h t.lp (wire_time t.cfg pkt.Packet.wire_bytes)
+         t.on_serialized port.p_addr)
+  end
+
+let serialized t addr =
+  let port = t.ports.(addr) in
+  let pkt = port.on_wire in
+  port.on_wire <- Packet.none;
+  ignore
+    (Loop.after_h t.lp propagation t.on_propagated
+       (Memory.Arena.alloc t.parked pkt));
+  drain_port t port
+
+let propagated t h =
+  match Memory.Arena.take t.parked h with
+  | Some pkt -> deliver t pkt
+  | None -> ()
 
 let rec enqueue_egress t (pkt : Packet.t) =
   let port = t.ports.(pkt.Packet.dst) in
@@ -154,8 +157,50 @@ and enqueue_port t port (pkt : Packet.t) =
 let send t (pkt : Packet.t) =
   if pkt.Packet.dst < 0 || pkt.Packet.dst >= Array.length t.ports then
     invalid_arg "Fabric.send: bad dst";
-  let transit = Time.add propagation switch_latency in
-  ignore (Loop.after t.lp transit (fun () -> enqueue_egress t pkt))
+  ignore
+    (Loop.after_h t.lp transit t.on_transit (Memory.Arena.alloc t.parked pkt))
+
+let transited t h =
+  match Memory.Arena.take t.parked h with
+  | Some pkt -> enqueue_egress t pkt
+  | None -> ()
+
+let create ~loop ~config ~hosts =
+  if hosts <= 0 then invalid_arg "Fabric.create: hosts";
+  let self = ref None in
+  let on f =
+    Loop.handler loop (fun a -> match !self with Some t -> f t a | None -> ())
+  in
+  let t =
+    {
+      lp = loop;
+      cfg = config;
+      ports =
+        Array.init hosts (fun p_addr ->
+            {
+              p_addr;
+              class_queues = Array.init qos_classes (fun _ -> Queue.create ());
+              class_bytes = Array.make qos_classes 0;
+              draining = false;
+              on_wire = Packet.none;
+              p_drops = 0;
+              p_max_bytes = 0;
+            });
+      rx_handlers = Array.make hosts None;
+      parked = Memory.Arena.create ();
+      on_transit = on transited;
+      on_serialized = on serialized;
+      on_propagated = on propagated;
+      n_delivered = 0;
+      n_dropped = 0;
+      bytes_delivered = 0;
+      fault_hook = (fun _ -> Fault_pass);
+      n_fault_dropped = 0;
+      n_fault_corrupted = 0;
+    }
+  in
+  self := Some t;
+  t
 
 let delivered t = t.n_delivered
 let dropped t = t.n_dropped

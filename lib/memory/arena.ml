@@ -6,11 +6,18 @@
    [get] returns [None], [free] returns [false].  Stale access is a
    checked no-op, never a use-after-free.
 
+   A handle packs (generation, index) into an immediate int, so
+   minting, storing and comparing one allocates nothing.
+
    Iteration walks slots in ascending index order, which depends only
    on the allocation/free history — never on hash seeds — so scans
    stay deterministic under [OCAMLRUNPARAM=R]. *)
 
-type handle = { a_idx : int; a_gen : int }
+type handle = int
+
+let idx_bits = 30
+let idx_mask = (1 lsl idx_bits) - 1
+let gen_mask = max_int lsr idx_bits
 
 type 'a t = {
   mutable data : 'a option array;
@@ -21,6 +28,8 @@ type 'a t = {
   mutable high : int;  (* slots [0, high) have been minted at least once *)
   mutable live : int;
 }
+
+let handle_of t i = (t.gens.(i) lsl idx_bits) lor i
 
 let create ?(initial = 64) () =
   let initial = max 8 initial in
@@ -56,7 +65,10 @@ let alloc t v =
       t.free_slots.(t.free_top)
     end
     else begin
-      if t.high = Array.length t.data then grow t;
+      if t.high = Array.length t.data then begin
+        if t.high > idx_mask then failwith "Arena: too many slots";
+        grow t
+      end;
       let i = t.high in
       t.high <- t.high + 1;
       i
@@ -64,32 +76,45 @@ let alloc t v =
   in
   t.data.(idx) <- Some v;
   t.live <- t.live + 1;
-  { a_idx = idx; a_gen = t.gens.(idx) }
+  handle_of t idx
 
 let is_live t h =
-  h.a_idx >= 0 && h.a_idx < t.high
-  && t.gens.(h.a_idx) = h.a_gen
-  && t.data.(h.a_idx) <> None
+  let i = h land idx_mask in
+  h >= 0 && i < t.high
+  && t.gens.(i) = h lsr idx_bits
+  && match t.data.(i) with Some _ -> true | None -> false
 
-let get t h = if is_live t h then t.data.(h.a_idx) else None
+let get t h = if is_live t h then t.data.(h land idx_mask) else None
+
+(* Vacate live slot [i]: bump the generation so handles minted for its
+   previous occupant miss forever. *)
+let release t i =
+  t.data.(i) <- None;
+  t.gens.(i) <- (t.gens.(i) + 1) land gen_mask;
+  t.free_slots.(t.free_top) <- i;
+  t.free_top <- t.free_top + 1;
+  t.live <- t.live - 1
 
 let free t h =
   if not (is_live t h) then false
   else begin
-    t.data.(h.a_idx) <- None;
-    (* Bump the generation so handles minted for this slot's previous
-       occupant miss forever. *)
-    t.gens.(h.a_idx) <- t.gens.(h.a_idx) + 1;
-    t.free_slots.(t.free_top) <- h.a_idx;
-    t.free_top <- t.free_top + 1;
-    t.live <- t.live - 1;
+    release t (h land idx_mask);
     true
+  end
+
+let take t h =
+  if not (is_live t h) then None
+  else begin
+    let i = h land idx_mask in
+    let v = t.data.(i) in
+    release t i;
+    v
   end
 
 let iter t f =
   for i = 0 to t.high - 1 do
     match t.data.(i) with
-    | Some v -> f { a_idx = i; a_gen = t.gens.(i) } v
+    | Some v -> f (handle_of t i) v
     | None -> ()
   done
 
@@ -100,10 +125,11 @@ let fold t f acc =
 
 let clear t =
   for i = 0 to t.high - 1 do
-    if t.data.(i) <> None then begin
-      t.data.(i) <- None;
-      t.gens.(i) <- t.gens.(i) + 1
-    end
+    match t.data.(i) with
+    | Some _ ->
+        t.data.(i) <- None;
+        t.gens.(i) <- (t.gens.(i) + 1) land gen_mask
+    | None -> ()
   done;
   t.free_top <- 0;
   t.high <- 0;

@@ -10,8 +10,11 @@
     allocation/free history — deterministic under [OCAMLRUNPARAM=R],
     unlike [Hashtbl] folds. *)
 
-type handle
-(** A generation-tagged reference to an arena slot. *)
+type handle = int
+(** A generation-tagged reference to an arena slot: an int packing
+    (generation, index), so it can travel as a {!Sim.Loop} handler
+    event's argument.  Any int is safe to pass back: one that names no
+    live slot of this generation is stale. *)
 
 type 'a t
 
@@ -27,7 +30,13 @@ val free : 'a t -> handle -> bool
     the slot was already freed, possibly reused by a newer occupant. *)
 
 val get : 'a t -> handle -> 'a option
-(** O(1).  [None] if the handle is stale. *)
+(** O(1).  [None] if the handle is stale.  Allocates nothing: the
+    option is the one stored at [alloc]. *)
+
+val take : 'a t -> handle -> 'a option
+(** [get] then [free]: the value, with its slot vacated so the arena no
+    longer retains it.  [None] (and no effect) if the handle is stale.
+    Allocates nothing. *)
 
 val is_live : 'a t -> handle -> bool
 

@@ -31,6 +31,20 @@ let make ~id ~src ~dst ?(flow_hash = 0) ?(qos = 0) ~wire_bytes ?(payload_bytes =
     corrupted = false;
   }
 
+let none =
+  {
+    id = -1;
+    src = -1;
+    dst = -1;
+    flow_hash = 0;
+    qos = 0;
+    wire_bytes = 0;
+    payload_bytes = 0;
+    payload = Empty;
+    sent_at = 0;
+    corrupted = false;
+  }
+
 let pp fmt p =
   Format.fprintf fmt "pkt#%d %d->%d %dB(qos %d)" p.id p.src p.dst p.wire_bytes
     p.qos

@@ -45,6 +45,10 @@ val make :
   unit ->
   t
 
+val none : t
+(** A placeholder that is never sent: marks an empty packet field,
+    compared with [==].  Never mutate it. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Id_gen : sig

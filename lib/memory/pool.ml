@@ -51,6 +51,17 @@ let try_alloc t ~owner ~bytes =
     Some { pool = t; owner; bytes; live = true; gen = gen_of t owner }
   end
 
+let try_hold t ~bytes =
+  if bytes <= 0 then invalid_arg "Pool.try_hold: bytes"
+  else if t.used + bytes > t.capacity_bytes then false
+  else begin
+    t.used <- t.used + bytes;
+    if t.used > t.watermark then t.watermark <- t.used;
+    true
+  end
+
+let unhold t ~bytes = t.used <- t.used - bytes
+
 let alloc t ~owner ~bytes =
   match try_alloc t ~owner ~bytes with
   | Some a -> a

@@ -34,6 +34,18 @@ val alloc : t -> owner:string -> bytes:int -> alloc
 
 val try_alloc : t -> owner:string -> bytes:int -> alloc option
 
+val try_hold : t -> bytes:int -> bool
+(** Take [bytes] from the pool for the duration of one synchronous step,
+    with no owner and no [alloc] record: [in_use] and the high
+    watermark move exactly as {!try_alloc} would move them.  [false]
+    (and no effect) when the pool cannot cover it.  Return the bytes
+    with {!unhold} before control leaves the step: until then the
+    per-owner charges do not sum to [in_use], so the hold must never
+    span an event boundary, where the invariant checker runs. *)
+
+val unhold : t -> bytes:int -> unit
+(** Return bytes taken with {!try_hold}. *)
+
 val free : alloc -> unit
 (** Return an allocation.  Double-free raises [Invalid_argument].
     Freeing an allocation whose owner was since bulk-reclaimed with

@@ -37,6 +37,10 @@ type rx_queue = {
   mutable stalled_until : Time.t;
 }
 
+(* Every per-packet delay is a handler event.  Packets in the DMA
+   latencies (many pending at once) are parked in [parked] and the event
+   carries the handle; the one packet being serialized sits in
+   [tx_wire], since at most one serialization is pending. *)
 type t = {
   lp : Loop.t;
   machine : Cpu.Sched.machine;
@@ -49,7 +53,12 @@ type t = {
   tx_ring : Packet.t Queue.t;
   mutable tx_in_flight : int;  (* posted but not yet on the wire *)
   mutable tx_busy : bool;
+  mutable tx_wire : Packet.t;  (* being serialized, or [Packet.none] *)
   mutable tx_drain_hook : unit -> unit;
+  parked : Packet.t Memory.Arena.t;
+  on_rx : Loop.handler;  (* arg: parked handle *)
+  on_tx_post : Loop.handler;  (* arg: parked handle *)
+  on_tx_wire : Loop.handler;  (* arg unused *)
   mutable n_rx : int;
   mutable n_tx : int;
   mutable n_rx_dropped : int;
@@ -83,21 +92,57 @@ let rx_post t q (pkt : Packet.t) =
 
 let receive t (pkt : Packet.t) =
   ignore
-    (Loop.after t.lp rx_latency (fun () ->
-         let qi = t.steer pkt in
-         let qi = if qi < 0 || qi >= t.cfg.num_rx_queues then 0 else qi in
-         let q = t.rx_queues.(qi) in
-         if Loop.now t.lp < q.stalled_until then begin
-           (* Queue stalled (fault injection): the DMA write is held back
-              until the stall lifts; arrival order within the queue is
-              preserved by the loop's FIFO tie-break. *)
-           t.n_rx_stalled <- t.n_rx_stalled + 1;
-           ignore (Loop.at t.lp q.stalled_until (fun () -> rx_post t q pkt))
-         end
-         else rx_post t q pkt))
+    (Loop.after_h t.lp rx_latency t.on_rx (Memory.Arena.alloc t.parked pkt))
+
+let rx_arrive t h =
+  match Memory.Arena.take t.parked h with
+  | None -> ()
+  | Some pkt ->
+      let qi = t.steer pkt in
+      let qi = if qi < 0 || qi >= t.cfg.num_rx_queues then 0 else qi in
+      let q = t.rx_queues.(qi) in
+      if Loop.now t.lp < q.stalled_until then begin
+        (* Queue stalled (fault injection): the DMA write is held back
+           until the stall lifts; arrival order within the queue is
+           preserved by the loop's FIFO tie-break. *)
+        t.n_rx_stalled <- t.n_rx_stalled + 1;
+        ignore (Loop.at t.lp q.stalled_until (fun () -> rx_post t q pkt))
+      end
+      else rx_post t q pkt
+
+(* Serialize queued packets onto the wire one at a time at link rate. *)
+let tx_drain t =
+  if Queue.is_empty t.tx_ring then t.tx_busy <- false
+  else begin
+    let pkt = Queue.take t.tx_ring in
+    t.tx_busy <- true;
+    t.tx_wire <- pkt;
+    ignore (Loop.after_h t.lp (wire_time t pkt.Packet.wire_bytes) t.on_tx_wire 0)
+  end
+
+let tx_on_wire t (_ : int) =
+  let pkt = t.tx_wire in
+  t.tx_wire <- Packet.none;
+  pkt.Packet.sent_at <- Loop.now t.lp;
+  t.tx_in_flight <- t.tx_in_flight - 1;
+  t.n_tx <- t.n_tx + 1;
+  Fabric.send t.fabric pkt;
+  t.tx_drain_hook ();
+  tx_drain t
+
+let tx_posted t h =
+  match Memory.Arena.take t.parked h with
+  | None -> ()
+  | Some pkt ->
+      Queue.add pkt t.tx_ring;
+      if not t.tx_busy then tx_drain t
 
 let create ~loop ~machine ~fabric ~addr (config : config) =
   if config.num_rx_queues <= 0 then invalid_arg "Nic.create: num_rx_queues";
+  let self = ref None in
+  let on f =
+    Loop.handler loop (fun a -> match !self with Some t -> f t a | None -> ())
+  in
   let t =
     {
       lp = loop;
@@ -121,13 +166,19 @@ let create ~loop ~machine ~fabric ~addr (config : config) =
       tx_ring = Queue.create ();
       tx_in_flight = 0;
       tx_busy = false;
+      tx_wire = Packet.none;
       tx_drain_hook = (fun () -> ());
+      parked = Memory.Arena.create ();
+      on_rx = on rx_arrive;
+      on_tx_post = on tx_posted;
+      on_tx_wire = on tx_on_wire;
       n_rx = 0;
       n_tx = 0;
       n_rx_dropped = 0;
       n_rx_stalled = 0;
     }
   in
+  self := Some t;
   Fabric.attach fabric ~addr ~rx:(receive t);
   t
 
@@ -150,11 +201,6 @@ let rearm_rx_interrupt t ~queue =
 
 let rx_ring t ~queue = t.rx_queues.(queue).ring
 
-let rx_occupancy t ~queue =
-  let ring = t.rx_queues.(queue).ring in
-  float_of_int (Squeue.Spsc.length ring)
-  /. float_of_int (Squeue.Spsc.capacity ring)
-
 let install_steering t steer = t.steer <- steer
 
 let stall_rx t ~queue ~until =
@@ -165,22 +211,6 @@ let stall_rx t ~queue ~until =
 
 let tx_slots_free t = t.cfg.tx_ring_slots - t.tx_in_flight
 
-(* Serialize queued packets onto the wire one at a time at link rate. *)
-let rec tx_drain t =
-  match Queue.take_opt t.tx_ring with
-  | None -> t.tx_busy <- false
-  | Some pkt ->
-      t.tx_busy <- true;
-      let ser = wire_time t pkt.Packet.wire_bytes in
-      ignore
-        (Loop.after t.lp ser (fun () ->
-             pkt.Packet.sent_at <- Loop.now t.lp;
-             t.tx_in_flight <- t.tx_in_flight - 1;
-             t.n_tx <- t.n_tx + 1;
-             Fabric.send t.fabric pkt;
-             t.tx_drain_hook ();
-             tx_drain t))
-
 let try_transmit t pkt =
   if pkt.Packet.wire_bytes > t.cfg.mtu then
     invalid_arg "Nic.try_transmit: packet exceeds MTU";
@@ -188,9 +218,8 @@ let try_transmit t pkt =
   else begin
     t.tx_in_flight <- t.tx_in_flight + 1;
     ignore
-      (Loop.after t.lp tx_latency (fun () ->
-           Queue.add pkt t.tx_ring;
-           if not t.tx_busy then tx_drain t));
+      (Loop.after_h t.lp tx_latency t.on_tx_post
+         (Memory.Arena.alloc t.parked pkt));
     true
   end
 

@@ -62,11 +62,6 @@ val rearm_rx_interrupt : t -> queue:int -> unit
 val rx_ring : t -> queue:int -> Memory.Packet.t Squeue.Spsc.t
 (** Direct access to a receive ring for polling consumers. *)
 
-val rx_occupancy : t -> queue:int -> float
-(** Occupancy fraction of an rx ring in [0,1]: the receive-side load
-    signal engines fold into their pressure level and advertised
-    windows (receiver back-pressure). *)
-
 val install_steering : t -> (Memory.Packet.t -> int) -> unit
 (** Replace the default steering function (flow hash modulo queue
     count).  Used by Snap to direct flow groups at specific engines

@@ -158,6 +158,10 @@ and eng = {
   (* Flows in creation order; rebuilt only when the flow set changes
      (rare), never per pass. *)
   mutable flow_arr : Flow.t array;
+  (* Receive-side flow lookup by the sender's (host, engine), filled on
+     first use and reset with the flow set, so a received packet finds
+     its flow without building the reversed key. *)
+  mutable rx_flows : Flow.t option array array;
   (* Per-pass membership, indexed like [flow_arr] and [eclients]: every
      flow that is not idle (see [Flow.set_activity_hook]) and every
      client whose [cmd_q] is non-empty is a member (members may have
@@ -171,7 +175,9 @@ and eng = {
      them — sorted iteration survives solely in cold paths (snapshots,
      peer teardown, checker invariants). *)
   conn_arena : conn Memory.Arena.t;
-  conns : (Wire.conn_key * bool, Memory.Arena.handle) Hashtbl.t;
+  (* Both halves of a conn never share an engine (no loopback), so the
+     key alone names at most one conn here. *)
+  conns : (Wire.conn_key, Memory.Arena.handle) Hashtbl.t;
   (* Reassembly of messages and one-sided responses, keyed by
      (conn, from_initiator, op id). *)
   assembly : (Wire.conn_key * bool * int, asm) Hashtbl.t;
@@ -182,7 +188,9 @@ and eng = {
   wheel : Sim.Wheel.t;
   deadline_due : conn Queue.t;
   ka_due : conn Queue.t;
-  mutable timer : Loop.handle option;
+  mutable timer : Loop.handle;
+  wake : unit -> unit;  (* the timer's event, made once *)
+  pass_cost : int ref;  (* the running pass's CPU cost *)
   mutable served_one_sided : int;
   mutable tx_rr : int;
   mutable last_epoch : int;  (* engine restart detection (§4.3) *)
@@ -386,10 +394,15 @@ let ot_start conn op_id ~kind ~bytes =
     Sim.Optrace.start conn.local.c_host.lp (ot_key conn op_id) ~kind ~bytes
   end
 
-let ot_stamp conn key stage =
+(* Key of [op_id] on [conn]: submitted by the local client, or with
+   [~remote] by the peer's (receive path).  Built only under capture. *)
+let ot_op_key conn ~remote op_id =
+  if remote then ot_rkey conn op_id else ot_key conn op_id
+
+let ot_stamp conn ~remote op_id stage =
   if Sim.Optrace.enabled () then begin
     ot_count conn stage;
-    Sim.Optrace.stamp conn.local.c_host.lp key stage
+    Sim.Optrace.stamp conn.local.c_host.lp (ot_op_key conn ~remote op_id) stage
   end
 
 let ot_dequeued conn op_id =
@@ -404,13 +417,17 @@ let ot_dequeued conn op_id =
       (ot_key conn op_id) Sim.Optrace.Dequeued
   end
 
-let ot_finish conn key ~status =
+let ot_finish_key conn key ~status =
   if Sim.Optrace.enabled () then begin
     ot_count conn Sim.Optrace.Completed;
     Sim.Optrace.finish conn.local.c_host.lp key
       ~host:(addr conn.local.c_host)
       ~status:(Wire.status_to_string status)
   end
+
+let ot_finish conn ~remote op_id ~status =
+  if Sim.Optrace.enabled () then
+    ot_finish_key conn (ot_op_key conn ~remote op_id) ~status
 
 (* Age of the oldest attribution record still open on [conn]'s submit
    side, for [debug_snapshot]. *)
@@ -508,6 +525,7 @@ let advertised_window eng =
 let install_flows eng flows =
   Array.iter (fun f -> Flow.set_activity_hook f ignore) eng.flow_arr;
   eng.flow_arr <- flows;
+  eng.rx_flows <- [||];
   Sim.Bitset.reset eng.active_flows;
   Array.iteri
     (fun i f ->
@@ -538,6 +556,34 @@ let get_flow eng key =
       Hashtbl.add eng.flows key f;
       install_flows eng (Array.append eng.flow_arr [| f |]);
       Flow.set_window_provider f (fun () -> advertised_window eng);
+      f
+
+(* The flow a packet of the peer's flow [k] belongs to, [get_flow eng
+   (Wire.reverse k)], cached in [eng.rx_flows].  Flows build every
+   packet with [dst_host] = the key's, so only the engine is checked. *)
+let rx_flow eng (k : Wire.flow_key) =
+  let h = k.Wire.src_host and e = k.Wire.src_engine in
+  let ours = k.Wire.dst_engine = eng.eid in
+  let row = if h < Array.length eng.rx_flows then eng.rx_flows.(h) else [||] in
+  match if ours && e < Array.length row then row.(e) else None with
+  | Some f -> f
+  | None ->
+      let f = get_flow eng (Wire.reverse k) in
+      if ours then begin
+        (* After [get_flow], which resets the table when it adds a flow. *)
+        let fit a i fill =
+          if i < Array.length a then a
+          else begin
+            let b = Array.make (i + 1) fill in
+            Array.blit a 0 b 0 (Array.length a);
+            b
+          end
+        in
+        eng.rx_flows <- fit eng.rx_flows h [||];
+        let row = fit eng.rx_flows.(h) e None in
+        eng.rx_flows.(h) <- row;
+        row.(e) <- Some f
+      end;
       f
 
 (* -- Completion / message delivery to the application ------------------- *)
@@ -716,15 +762,20 @@ let exec_one_sided cost client (op : Wire.one_sided) =
 
 (* -- Receive-side upper layer ------------------------------------------- *)
 
+(* Returns the option stored in the arena, so a lookup allocates
+   nothing. *)
 let find_conn eng ckey ~we_init =
-  match Hashtbl.find_opt eng.conns (ckey, we_init) with
-  | None -> None
-  | Some h -> Memory.Arena.get eng.conn_arena h
+  match Hashtbl.find eng.conns ckey with
+  | h -> (
+      match Memory.Arena.get eng.conn_arena h with
+      | Some c as found when c.we_are_initiator = we_init -> found
+      | Some _ | None -> None)
+  | exception Not_found -> None
 
 (* Install a conn into the arena and lookup tables. *)
 let add_conn eng conn =
   let h = Memory.Arena.alloc eng.conn_arena conn in
-  Hashtbl.replace eng.conns (conn.ckey, conn.we_are_initiator) h
+  Hashtbl.replace eng.conns conn.ckey h
 
 (* Cancel a conn's wheel timers; every terminal transition funnels
    through here so dead conns never wake the wheel again. *)
@@ -763,8 +814,8 @@ let deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow =
     (* The message reached the destination application: this is the
        end-to-end completion point of a two-sided op (the sender's [Ok]
        completion at segmentation only covered transport take-over). *)
-    ot_stamp conn (ot_rkey conn op_id) Sim.Optrace.Delivered;
-    ot_finish conn (ot_rkey conn op_id) ~status:Wire.Ok;
+    ot_stamp conn ~remote:true op_id Sim.Optrace.Delivered;
+    ot_finish conn ~remote:true op_id ~status:Wire.Ok;
     (* Receiver-driven replenishment once the message is handed to the
        application (§3.3). *)
     grant_credit eng reverse_flow conn.ckey total
@@ -807,17 +858,6 @@ let item_for_conn ckey = function
   | Wire.Keepalive { conn }
   | Wire.Keepalive_ack { conn } -> conn = ckey
   | Wire.Bare_ack -> false
-
-let item_ckey = function
-  | Wire.Msg_chunk { conn; _ }
-  | Wire.One_sided_req { conn; _ }
-  | Wire.One_sided_resp { conn; _ }
-  | Wire.Credit_grant { conn; _ }
-  | Wire.Busy_nack { conn; _ }
-  | Wire.Conn_reset { conn }
-  | Wire.Keepalive { conn }
-  | Wire.Keepalive_ack { conn } -> Some conn
-  | Wire.Bare_ack -> None
 
 let peer_dead_completion client ~op_id ~bytes ~issued ~now =
   Stats.Counter.incr client.c_host.c_peer_dead_op;
@@ -870,11 +910,11 @@ let kill_conn cost conn ~reason =
         (fun cmd ->
           match cmd with
           | C_send { op_id; bytes; issued; _ } ->
-              ot_finish conn (ot_key conn op_id) ~status:Wire.Peer_dead;
+              ot_finish conn ~remote:false op_id ~status:Wire.Peer_dead;
               push_completion eng cost conn.local
                 (peer_dead_completion conn.local ~op_id ~bytes ~issued ~now)
           | C_one_sided { op_id; issued; _ } ->
-              ot_finish conn (ot_key conn op_id) ~status:Wire.Peer_dead;
+              ot_finish conn ~remote:false op_id ~status:Wire.Peer_dead;
               push_completion eng cost conn.local
                 (peer_dead_completion conn.local ~op_id ~bytes:0 ~issued ~now)
           | C_close _ -> ())
@@ -893,7 +933,7 @@ let kill_conn cost conn ~reason =
             if ck = conn.ckey then begin
               Hashtbl.remove conn.local.outstanding op_id;
               conn.n_outstanding <- conn.n_outstanding - 1;
-              ot_finish conn (ot_key conn op_id) ~status:Wire.Peer_dead;
+              ot_finish conn ~remote:false op_id ~status:Wire.Peer_dead;
               push_completion eng cost conn.local
                 (peer_dead_completion conn.local ~op_id ~bytes:0 ~issued ~now)
             end)
@@ -930,7 +970,7 @@ let kill_conn cost conn ~reason =
                   && k.Sim.Optrace.k_peer = addr t
                   && k.Sim.Optrace.k_origin_init = not conn.we_are_initiator))
           then stale := k :: !stale);
-      List.iter (fun k -> ot_finish conn k ~status:Wire.Peer_dead) !stale
+      List.iter (fun k -> ot_finish_key conn k ~status:Wire.Peer_dead) !stale
     end
   end
 
@@ -987,13 +1027,13 @@ let forget_peer cost t ~peer ~reason =
    than the recorded one proves the peer restarted, so everything held
    about it is torn down before the packet is processed. *)
 let note_peer_inc cost t ~peer ~inc =
-  match Hashtbl.find_opt t.peer_incs peer with
-  | None ->
+  match Hashtbl.find t.peer_incs peer with
+  | exception Not_found ->
       Hashtbl.replace t.peer_incs peer inc;
       `Current
-  | Some known when inc = known -> `Current
-  | Some known when inc < known -> `Stale
-  | Some _ ->
+  | known when inc = known -> `Current
+  | known when inc < known -> `Stale
+  | _ ->
       Hashtbl.replace t.peer_incs peer inc;
       Stats.Counter.incr t.c_peer_restart;
       if Sim.Span.enabled () then
@@ -1137,7 +1177,7 @@ let drain_waiting eng cost conn =
            work, without consuming credit. *)
         ignore (Queue.pop conn.waiting);
         Stats.Counter.incr conn.local.c_expired;
-        ot_finish conn (ot_key conn op_id) ~status:Wire.Timed_out;
+        ot_finish conn ~remote:false op_id ~status:Wire.Timed_out;
         push_completion eng cost conn.local
           {
             comp_op = op_id;
@@ -1152,7 +1192,7 @@ let drain_waiting eng cost conn =
         ignore (Queue.pop conn.waiting);
         conn.credit <- conn.credit - bytes;
         cost := !cost + costs.Sim.Costs.pony_per_op;
-        ot_stamp conn (ot_key conn op_id) Sim.Optrace.Credit;
+        ot_stamp conn ~remote:false op_id Sim.Optrace.Credit;
         segment_message t conn ~op_id ~stream ~bytes;
         push_completion eng cost conn.local
           {
@@ -1189,7 +1229,7 @@ let process_deadline_due eng cost ~now =
             ignore (Queue.pop conn.waiting);
             incr expired;
             Stats.Counter.incr conn.local.c_expired;
-            ot_finish conn (ot_key conn op_id) ~status:Wire.Timed_out;
+            ot_finish conn ~remote:false op_id ~status:Wire.Timed_out;
             push_completion eng cost conn.local
               {
                 comp_op = op_id;
@@ -1207,190 +1247,175 @@ let process_deadline_due eng cost ~now =
   done;
   !expired
 
-let handle_item eng cost ~from_host (item : Wire.item) ~reverse_flow =
+(* An item on [conn], a live half found under the item's key [ckey]. *)
+let conn_item eng cost conn ckey ~from_host (item : Wire.item) ~reverse_flow =
   let t = eng.e_host in
   let now = Loop.now t.lp in
-  (* The item's conn, live halves only: traffic for an unknown or
-     Dead/Closed conn answers with a reset — except a reset itself,
-     which is never echoed, so two tombstones cannot ping-pong. *)
-  let live_conn ckey =
-    let we_init = not (ckey.Wire.initiator_host = from_host) in
-    match find_conn eng ckey ~we_init with
-    | Some c when not (conn_is_dead c) -> Some c
-    | Some _ | None -> None
-  in
   (* Any item carried on a live conn counts as life for dead-peer
      detection. *)
-  (match item_ckey item with
-  | Some ckey -> (
-      match live_conn ckey with
-      | Some c -> (
-          c.last_heard <- now;
-          (* Traffic (re)starts the quiesce-aware keepalive watch —
-             except the probe cycle itself.  A probe or its answer is
-             proof of life, not interest: feeding it back into
-             [ensure_ka] would let the watches on two idle hosts
-             restart each other forever (probe restarts the peer's
-             watch, whose probe restarts ours), and the pair never
-             quiesces. *)
-          match item with
-          | Wire.Keepalive _ | Wire.Keepalive_ack _ -> ()
-          | _ -> ensure_ka eng c ~now)
-      | None -> ())
-  | None -> ());
+  conn.last_heard <- now;
+  (* Traffic (re)starts the quiesce-aware keepalive watch — except the
+     probe cycle itself.  A probe or its answer is proof of life, not
+     interest: feeding it back into [ensure_ka] would let the watches on
+     two idle hosts restart each other forever (probe restarts the
+     peer's watch, whose probe restarts ours), and the pair never
+     quiesces. *)
+  (match item with
+  | Wire.Keepalive _ | Wire.Keepalive_ack _ -> ()
+  | _ -> ensure_ka eng conn ~now);
   match item with
   | Wire.Bare_ack -> ()
-  | Wire.Conn_reset { conn = ckey } -> (
-      match live_conn ckey with
-      | Some conn -> kill_conn cost conn ~reason:"reset by peer"
-      | None -> ())
-  | Wire.Keepalive { conn = ckey } -> (
-      match live_conn ckey with
-      | Some _ ->
-          Flow.enqueue reverse_flow (Wire.Keepalive_ack { conn = ckey })
-            ~payload_bytes:0
-      | None -> reset_back eng ckey ~reverse_flow)
-  | Wire.Keepalive_ack { conn = ckey } -> (
+  | Wire.Conn_reset _ -> kill_conn cost conn ~reason:"reset by peer"
+  | Wire.Keepalive _ ->
+      Flow.enqueue reverse_flow (Wire.Keepalive_ack { conn = ckey })
+        ~payload_bytes:0
+  | Wire.Keepalive_ack _ ->
       (* The probe answer itself already refreshed [last_heard]. *)
-      match live_conn ckey with
-      | Some _ -> ()
-      | None -> reset_back eng ckey ~reverse_flow)
-  | Wire.Msg_chunk { conn = ckey; op_id; stream; offset = _; len; total } -> (
-      match live_conn ckey with
-      | None -> reset_back eng ckey ~reverse_flow
-      | Some conn ->
-          let from_initiator = ckey.Wire.initiator_host = from_host in
-          rx_copy_cost eng cost len;
-          let akey = (ckey, from_initiator, op_id) in
-          let a =
-            match Hashtbl.find_opt eng.assembly akey with
-            | Some a -> a
-            | None ->
-                let a =
-                  {
-                    got = 0;
-                    total;
-                    first_value = None;
-                    asm_status = Wire.Ok;
-                    asm_charge = charge_assembly eng ~total;
-                  }
-                in
-                Hashtbl.add eng.assembly akey a;
-                ot_stamp conn (ot_rkey conn op_id) Sim.Optrace.Rx_first;
-                a
-          in
-          a.got <- a.got + len;
-          if a.got >= a.total then begin
-            Hashtbl.remove eng.assembly akey;
-            free_assembly a;
-            ot_stamp conn (ot_rkey conn op_id) Sim.Optrace.Rx_done;
-            let deliver () =
-              let cost' = ref 0 in
-              deliver_message eng cost' ~conn ~op_id ~stream ~total ~reverse_flow;
-              Sched.softirq_charge t.mach 0;
-              ignore cost'
-            in
-            if t.use_ce then begin
-              match t.ce with
-              | Some ce ->
-                  (* The copy engine moves the payload asynchronously;
-                     delivery happens when it lands. *)
-                  Nic.Copy_engine.submit ce ~bytes:total ~on_complete:(fun () ->
-                      deliver ();
-                      Engine.notify eng.core)
-              | None -> deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow
-            end
-            else deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow
-          end)
-  | Wire.One_sided_req { conn = ckey; op_id; op } -> (
-      match live_conn ckey with
-      | None -> reset_back eng ckey ~reverse_flow
-      | Some conn ->
-          eng.served_one_sided <- eng.served_one_sided + 1;
-          (* The conn's local half serves against its own client's
-             regions, whichever side initiated. *)
-          let status, total, value = exec_one_sided cost conn.local op in
-          segment_response t reverse_flow ~ckey ~op_id ~status ~total ~value)
-  | Wire.One_sided_resp { conn = ckey; op_id; status; chunk_offset; chunk_len; total; value }
-    -> (
-      match live_conn ckey with
-      | None -> reset_back eng ckey ~reverse_flow
-      | Some conn ->
-          let from_initiator = ckey.Wire.initiator_host = from_host in
-          rx_copy_cost eng cost chunk_len;
-          let akey = (ckey, from_initiator, op_id) in
-          let a =
-            match Hashtbl.find_opt eng.assembly akey with
-            | Some a -> a
-            | None ->
-                let a =
-                  {
-                    got = 0;
-                    total;
-                    first_value = None;
-                    asm_status = status;
-                    asm_charge = charge_assembly eng ~total;
-                  }
-                in
-                Hashtbl.add eng.assembly akey a;
-                (* A one-sided response reassembles at the op's origin. *)
-                ot_stamp conn (ot_key conn op_id) Sim.Optrace.Rx_first;
-                a
-          in
-          a.got <- a.got + chunk_len;
-          if chunk_offset = 0 then begin
-            a.first_value <- value;
-            a.asm_status <- status
-          end;
-          if a.got >= a.total then begin
-            Hashtbl.remove eng.assembly akey;
-            free_assembly a;
-            let issued =
-              match Hashtbl.find_opt conn.local.outstanding op_id with
-              | Some (ts, _) ->
-                  Hashtbl.remove conn.local.outstanding op_id;
-                  conn.n_outstanding <- conn.n_outstanding - 1;
-                  ts
-              | None -> now
-            in
-            ot_stamp conn (ot_key conn op_id) Sim.Optrace.Rx_done;
-            ot_finish conn (ot_key conn op_id) ~status:a.asm_status;
-            push_completion eng cost conn.local
+      ()
+  | Wire.Msg_chunk { conn = _; op_id; stream; offset = _; len; total } ->
+      let from_initiator = ckey.Wire.initiator_host = from_host in
+      rx_copy_cost eng cost len;
+      let akey = (ckey, from_initiator, op_id) in
+      let a =
+        match Hashtbl.find eng.assembly akey with
+        | a -> a
+        | exception Not_found ->
+            let a =
               {
-                comp_op = op_id;
-                status = a.asm_status;
-                bytes = a.total;
-                value = a.first_value;
-                issued_at = issued;
-                completed_at = now;
+                got = 0;
+                total;
+                first_value = None;
+                asm_status = Wire.Ok;
+                asm_charge = charge_assembly eng ~total;
               }
-          end)
-  | Wire.Credit_grant { conn = ckey; bytes } -> (
-      match live_conn ckey with
-      | Some conn ->
-          conn.credit <- conn.credit + bytes;
-          drain_waiting eng cost conn
-      | None -> reset_back eng ckey ~reverse_flow)
-  | Wire.Busy_nack { conn = ckey; op_id; bytes } -> (
-      match live_conn ckey with
-      | Some conn ->
-          (* The receiver shed this op at delivery: reclaim the
-             connection credit the send consumed and surface a [Busy]
-             completion (a second completion for the op — the first,
-             [Ok], only covered transport take-over). *)
-          conn.credit <- conn.credit + bytes;
-          ot_finish conn (ot_key conn op_id) ~status:Wire.Busy;
-          push_completion eng cost conn.local
-            {
-              comp_op = op_id;
-              status = Wire.Busy;
-              bytes;
-              value = None;
-              issued_at = now;
-              completed_at = now;
-            };
-          drain_waiting eng cost conn
-      | None -> reset_back eng ckey ~reverse_flow)
+            in
+            Hashtbl.add eng.assembly akey a;
+            ot_stamp conn ~remote:true op_id Sim.Optrace.Rx_first;
+            a
+      in
+      a.got <- a.got + len;
+      if a.got >= a.total then begin
+        Hashtbl.remove eng.assembly akey;
+        free_assembly a;
+        ot_stamp conn ~remote:true op_id Sim.Optrace.Rx_done;
+        let deliver () =
+          let cost' = ref 0 in
+          deliver_message eng cost' ~conn ~op_id ~stream ~total ~reverse_flow;
+          Sched.softirq_charge t.mach 0;
+          ignore cost'
+        in
+        if t.use_ce then begin
+          match t.ce with
+          | Some ce ->
+              (* The copy engine moves the payload asynchronously;
+                 delivery happens when it lands. *)
+              Nic.Copy_engine.submit ce ~bytes:total ~on_complete:(fun () ->
+                  deliver ();
+                  Engine.notify eng.core)
+          | None -> deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow
+        end
+        else deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow
+      end
+  | Wire.One_sided_req { conn = _; op_id; op } ->
+      eng.served_one_sided <- eng.served_one_sided + 1;
+      (* The conn's local half serves against its own client's regions,
+         whichever side initiated. *)
+      let status, total, value = exec_one_sided cost conn.local op in
+      segment_response t reverse_flow ~ckey ~op_id ~status ~total ~value
+  | Wire.One_sided_resp
+      { conn = _; op_id; status; chunk_offset; chunk_len; total; value } ->
+      let from_initiator = ckey.Wire.initiator_host = from_host in
+      rx_copy_cost eng cost chunk_len;
+      let akey = (ckey, from_initiator, op_id) in
+      let a =
+        match Hashtbl.find eng.assembly akey with
+        | a -> a
+        | exception Not_found ->
+            let a =
+              {
+                got = 0;
+                total;
+                first_value = None;
+                asm_status = status;
+                asm_charge = charge_assembly eng ~total;
+              }
+            in
+            Hashtbl.add eng.assembly akey a;
+            (* A one-sided response reassembles at the op's origin. *)
+            ot_stamp conn ~remote:false op_id Sim.Optrace.Rx_first;
+            a
+      in
+      a.got <- a.got + chunk_len;
+      if chunk_offset = 0 then begin
+        a.first_value <- value;
+        a.asm_status <- status
+      end;
+      if a.got >= a.total then begin
+        Hashtbl.remove eng.assembly akey;
+        free_assembly a;
+        let issued =
+          match Hashtbl.find conn.local.outstanding op_id with
+          | ts, _ ->
+              Hashtbl.remove conn.local.outstanding op_id;
+              conn.n_outstanding <- conn.n_outstanding - 1;
+              ts
+          | exception Not_found -> now
+        in
+        ot_stamp conn ~remote:false op_id Sim.Optrace.Rx_done;
+        ot_finish conn ~remote:false op_id ~status:a.asm_status;
+        push_completion eng cost conn.local
+          {
+            comp_op = op_id;
+            status = a.asm_status;
+            bytes = a.total;
+            value = a.first_value;
+            issued_at = issued;
+            completed_at = now;
+          }
+      end
+  | Wire.Credit_grant { conn = _; bytes } ->
+      conn.credit <- conn.credit + bytes;
+      drain_waiting eng cost conn
+  | Wire.Busy_nack { conn = _; op_id; bytes } ->
+      (* The receiver shed this op at delivery: reclaim the connection
+         credit the send consumed and surface a [Busy] completion (a
+         second completion for the op — the first, [Ok], only covered
+         transport take-over). *)
+      conn.credit <- conn.credit + bytes;
+      ot_finish conn ~remote:false op_id ~status:Wire.Busy;
+      push_completion eng cost conn.local
+        {
+          comp_op = op_id;
+          status = Wire.Busy;
+          bytes;
+          value = None;
+          issued_at = now;
+          completed_at = now;
+        };
+      drain_waiting eng cost conn
+
+(* Route an item to its conn, looked up once.  Traffic for an unknown or
+   Dead/Closed conn answers with a reset — except a reset itself, which
+   is never echoed, so two tombstones cannot ping-pong. *)
+let handle_item eng cost ~from_host (item : Wire.item) ~reverse_flow =
+  match item with
+  | Wire.Bare_ack -> ()
+  | Wire.Msg_chunk { conn = ckey; _ }
+  | Wire.One_sided_req { conn = ckey; _ }
+  | Wire.One_sided_resp { conn = ckey; _ }
+  | Wire.Credit_grant { conn = ckey; _ }
+  | Wire.Busy_nack { conn = ckey; _ }
+  | Wire.Conn_reset { conn = ckey }
+  | Wire.Keepalive { conn = ckey }
+  | Wire.Keepalive_ack { conn = ckey } -> (
+      let we_init = not (ckey.Wire.initiator_host = from_host) in
+      match find_conn eng ckey ~we_init with
+      | Some conn when not (conn_is_dead conn) ->
+          conn_item eng cost conn ckey ~from_host item ~reverse_flow
+      | Some _ | None -> (
+          match item with
+          | Wire.Conn_reset _ -> ()
+          | _ -> reset_back eng ckey ~reverse_flow))
 
 (* -- Command handling ---------------------------------------------------- *)
 
@@ -1407,7 +1432,7 @@ let complete_unstarted eng cost cmd ~status ~now =
     | C_one_sided { cmd_conn; op_id; issued; _ } -> (cmd_conn, op_id, 0, issued)
     | C_close _ -> invalid_arg "Pony: complete_unstarted on a close"
   in
-  ot_finish conn (ot_key conn op_id) ~status;
+  ot_finish conn ~remote:false op_id ~status;
   push_completion eng cost conn.local
     {
       comp_op = op_id;
@@ -1481,7 +1506,7 @@ let handle_command eng cost cmd =
             ensure_ka eng conn ~now;
             if bytes <= conn.credit then begin
               conn.credit <- conn.credit - bytes;
-              ot_stamp conn (ot_key conn op_id) Sim.Optrace.Credit;
+              ot_stamp conn ~remote:false op_id Sim.Optrace.Credit;
               segment_message t conn ~op_id ~stream ~bytes;
               push_completion eng cost conn.local
                 {
@@ -1519,31 +1544,27 @@ let handle_command eng cost cmd =
    events. *)
 let arm_timer eng =
   let t = eng.e_host in
-  (match eng.timer with
-  | Some h ->
-      Loop.cancel t.lp h;
-      eng.timer <- None
-  | None -> ());
-  let deadline = ref None in
-  Sim.Bitset.iter eng.active_flows (fun i ->
-      let f = eng.flow_arr.(i) in
-      if Flow.settle f then Sim.Bitset.clear eng.active_flows i
-      else
-        match Flow.next_deadline f with
-        | None -> ()
-        | Some d -> (
-            match !deadline with
-            | None -> deadline := Some d
-            | Some a -> if d < a then deadline := Some d));
-  match !deadline with
-  | Some d when d > Loop.now t.lp ->
-      eng.timer <- Some (Loop.at t.lp d (fun () -> Engine.notify eng.core))
-  | Some _ | None -> ()
+  Loop.cancel t.lp eng.timer;
+  eng.timer <- Loop.none;
+  let deadline = ref max_int in
+  let i = ref (Sim.Bitset.next eng.active_flows 0) in
+  while !i >= 0 do
+    let f = eng.flow_arr.(!i) in
+    if Flow.settle f then Sim.Bitset.clear eng.active_flows !i
+    else begin
+      let d = Flow.next_deadline f in
+      if d < !deadline then deadline := d
+    end;
+    i := Sim.Bitset.next eng.active_flows (!i + 1)
+  done;
+  if !deadline <> max_int && !deadline > Loop.now t.lp then
+    eng.timer <- Loop.at t.lp !deadline eng.wake
 
-let engine_run eng () =
+let engine_run eng =
   let t = eng.e_host in
   let now = Loop.now t.lp in
-  let cost = ref 0 in
+  let cost = eng.pass_cost in
+  cost := 0;
   let pkts = ref 0 in
   let worked = ref false in
   (* 0. Restart detection: an epoch bump means this engine was reloaded
@@ -1595,34 +1616,33 @@ let engine_run eng () =
   end;
   (* Fold queue and pool occupancy into the engine's pressure level;
      everything downstream (admission windows, shedding) gates on it. *)
+  let ring = Nic.rx_ring t.nic ~queue:eng.rxq in
   let occupancy =
-    let ring_frac = Nic.rx_occupancy t.nic ~queue:eng.rxq in
-    (* The fullest command queue, compared as exact fractions so the
-       scan allocates no floats; rounding is monotone, so the one
-       division at the end equals the largest rounded fraction. *)
-    let cmd_frac =
-      let len = ref 0 and cap = ref 1 in
-      let i = ref (Sim.Bitset.next eng.busy_clients 0) in
-      while !i >= 0 do
-        let q = eng.eclients.(!i).cmd_q in
-        let l = Squeue.Spsc.length q and c = Squeue.Spsc.capacity q in
-        if l * !cap > !len * c then begin
-          len := l;
-          cap := c
-        end;
-        i := Sim.Bitset.next eng.busy_clients (!i + 1)
-      done;
-      float_of_int !len /. float_of_int !cap
-    in
-    let pool_frac =
-      float_of_int (Memory.Pool.in_use t.op_pool)
-      /. float_of_int (Memory.Pool.capacity t.op_pool)
-    in
-    Float.max ring_frac (Float.max cmd_frac pool_frac)
+    (* The fullest of the rx ring, the command queues and the op pool,
+       compared as exact fractions so the scan allocates no floats;
+       rounding is monotone, so the one division at the end equals the
+       largest rounded fraction. *)
+    let len = ref (Squeue.Spsc.length ring) in
+    let cap = ref (Squeue.Spsc.capacity ring) in
+    let i = ref (Sim.Bitset.next eng.busy_clients 0) in
+    while !i >= 0 do
+      let q = eng.eclients.(!i).cmd_q in
+      let l = Squeue.Spsc.length q and c = Squeue.Spsc.capacity q in
+      if l * !cap > !len * c then begin
+        len := l;
+        cap := c
+      end;
+      i := Sim.Bitset.next eng.busy_clients (!i + 1)
+    done;
+    let l = Memory.Pool.in_use t.op_pool and c = Memory.Pool.capacity t.op_pool in
+    if l * !cap > !len * c then begin
+      len := l;
+      cap := c
+    end;
+    float_of_int !len /. float_of_int !cap
   in
   ignore (Overload.Pressure.update eng.pressure ~occupancy);
   (* 1. Receive a bounded batch from this engine's NIC ring. *)
-  let ring = Nic.rx_ring t.nic ~queue:eng.rxq in
   let n = ref 0 in
   let continue = ref true in
   while !continue && !n < rx_batch do
@@ -1661,48 +1681,38 @@ let engine_run eng () =
                    advances, so the sender retransmits once pressure
                    clears. *)
                 let pb = pkt.Packet.payload_bytes in
-                let ingest =
-                  if pb = 0 then Some None
-                  else
-                    match
-                      Memory.Pool.try_alloc t.op_pool
-                        ~owner:(Engine.name eng.core) ~bytes:pb
-                    with
-                    | Some a -> Some (Some a)
-                    | None -> None
-                in
-                match ingest with
-                | None -> Stats.Counter.incr t.c_pool_drop
-                | Some charge -> (
-                    (let f = get_flow eng (Wire.reverse k) in
-                     match Flow.on_receive f ~now pkt with
-                     | Some item ->
-                         handle_item eng cost ~from_host:pkt.Packet.src item
-                           ~reverse_flow:f
-                     | None -> ());
-                    match charge with
-                    | Some a -> if a.Memory.Pool.live then Memory.Pool.free a
-                    | None -> ())))
+                if pb > 0 && not (Memory.Pool.try_hold t.op_pool ~bytes:pb)
+                then Stats.Counter.incr t.c_pool_drop
+                else begin
+                  (* [Bare_ack] when nothing is new: a no-op below. *)
+                  let f = rx_flow eng k in
+                  handle_item eng cost ~from_host:pkt.Packet.src
+                    (Flow.receive f ~now pkt) ~reverse_flow:f;
+                  if pb > 0 then Memory.Pool.unhold t.op_pool ~bytes:pb
+                end))
         | _ -> ())
     | None -> continue := false
   done;
   if Squeue.Spsc.is_empty ring then Nic.rearm_rx_interrupt t.nic ~queue:eng.rxq;
   (* 2. Application command queues, in client order; a client whose
      queue this drains leaves the set. *)
-  Sim.Bitset.iter eng.busy_clients (fun i ->
-      let client = eng.eclients.(i) in
-      let c = ref 0 in
-      let go = ref true in
-      while !go && !c < cmd_batch do
-        match Squeue.Spsc.pop client.cmd_q with
-        | Some cmd ->
-            incr c;
-            worked := true;
-            handle_command eng cost cmd
-        | None -> go := false
-      done;
-      if Squeue.Spsc.is_empty client.cmd_q then
-        Sim.Bitset.clear eng.busy_clients i);
+  let i = ref (Sim.Bitset.next eng.busy_clients 0) in
+  while !i >= 0 do
+    let client = eng.eclients.(!i) in
+    let c = ref 0 in
+    let go = ref true in
+    while !go && !c < cmd_batch do
+      match Squeue.Spsc.pop client.cmd_q with
+      | Some cmd ->
+          incr c;
+          worked := true;
+          handle_command eng cost cmd
+      | None -> go := false
+    done;
+    if Squeue.Spsc.is_empty client.cmd_q then
+      Sim.Bitset.clear eng.busy_clients !i;
+    i := Sim.Bitset.next eng.busy_clients (!i + 1)
+  done;
   if process_deadline_due eng cost ~now > 0 then worked := true;
   (* 2b. Dead-peer detection (opt-in keepalives, §4.3): conns surface
      on [eng.ka_due] when their wheel timer fires — only watched conns
@@ -1767,8 +1777,11 @@ let engine_run eng () =
   (* 3. Retransmission timeouts (only a member can have a flight). *)
   let flows = eng.flow_arr in
   let active = eng.active_flows in
-  Sim.Bitset.iter active (fun i ->
-      if Flow.check_timeout flows.(i) ~now > 0 then worked := true);
+  let i = ref (Sim.Bitset.next active 0) in
+  while !i >= 0 do
+    if Flow.check_timeout flows.(!i) ~now > 0 then worked := true;
+    i := Sim.Bitset.next active (!i + 1)
+  done;
   (* 4. Just-in-time transmission against NIC descriptor slots (§3.1),
      round-robin over every flow.  A non-member has nothing queued, so
      visiting it only advances [tx_rr] and [idle_rounds] by one; a run
@@ -1795,31 +1808,32 @@ let engine_run eng () =
         let f = flows.(eng.tx_rr mod nf) in
         eng.tx_rr <- eng.tx_rr + 1;
         if Flow.ready_to_emit f ~now then begin
-          match Flow.emit f ~now ~gen:t.gen with
-          | Some pkt ->
-              if Nic.try_transmit t.nic pkt then begin
-                incr pkts;
-                worked := true;
-                cost := !cost + costs.Sim.Costs.pony_tx_per_packet;
-                idle_rounds := 0
-              end
-          | None -> incr idle_rounds
+          let pkt = Flow.transmit f ~now ~gen:t.gen in
+          if pkt == Packet.none then incr idle_rounds
+          else if Nic.try_transmit t.nic pkt then begin
+            incr pkts;
+            worked := true;
+            cost := !cost + costs.Sim.Costs.pony_tx_per_packet;
+            idle_rounds := 0
+          end
         end
         else incr idle_rounds
       end
     done;
     (* Bare acks for flows that owe one and sent nothing. *)
-    Sim.Bitset.iter active (fun i ->
-        let f = flows.(i) in
-        if Flow.ack_owed f && Nic.tx_slots_free t.nic > 0 then begin
-          match Flow.make_ack f ~now ~gen:t.gen with
-          | Some pkt ->
-              if Nic.try_transmit t.nic pkt then begin
-                worked := true;
-                cost := !cost + Time.scale costs.Sim.Costs.pony_tx_per_packet 0.4
-              end
-          | None -> ()
-        end)
+    let i = ref (Sim.Bitset.next active 0) in
+    while !i >= 0 do
+      let f = flows.(!i) in
+      (if Flow.ack_owed f && Nic.tx_slots_free t.nic > 0 then
+         match Flow.make_ack f ~now ~gen:t.gen with
+         | Some pkt ->
+             if Nic.try_transmit t.nic pkt then begin
+               worked := true;
+               cost := !cost + Time.scale costs.Sim.Costs.pony_tx_per_packet 0.4
+             end
+         | None -> ());
+      i := Sim.Bitset.next active (!i + 1)
+    done
   end;
   (* 5. Re-arm the pacing/retransmit timer. *)
   arm_timer eng;
@@ -1844,10 +1858,16 @@ let engine_queue_delay eng now =
      max.  Transmit backlog counts too: a flow with queued segments it
      cannot drain is just as CPU-bottlenecked as a full receive ring. *)
   let age = ref ring_age in
-  Sim.Bitset.iter eng.busy_clients (fun i ->
-      age := Time.max !age (Squeue.Spsc.oldest_age eng.eclients.(i).cmd_q ~now));
-  Sim.Bitset.iter eng.active_flows (fun i ->
-      age := Time.max !age (Flow.queue_age eng.flow_arr.(i) ~now));
+  let i = ref (Sim.Bitset.next eng.busy_clients 0) in
+  while !i >= 0 do
+    age := Time.max !age (Squeue.Spsc.oldest_age eng.eclients.(!i).cmd_q ~now);
+    i := Sim.Bitset.next eng.busy_clients (!i + 1)
+  done;
+  let i = ref (Sim.Bitset.next eng.active_flows 0) in
+  while !i >= 0 do
+    age := Time.max !age (Flow.queue_age eng.flow_arr.(!i) ~now);
+    i := Sim.Bitset.next eng.active_flows (!i + 1)
+  done;
   !age
 
 let new_engine t =
@@ -1856,17 +1876,17 @@ let new_engine t =
   if eid >= nq then failwith "Pony: more engines than NIC rx queues";
   (* Tie the knot between the engine record and its run closure. *)
   let eng_ref = ref None in
-  let with_eng f default = match !eng_ref with Some e -> f e | None -> default in
   let ename = Printf.sprintf "pony%d@%d" eid (Nic.addr t.nic) in
   let core =
     Engine.create ~name:ename
-      ~run:(fun () -> with_eng (fun e -> engine_run e ()) Engine.No_work)
-      ~queue_delay:(fun now -> with_eng (fun e -> engine_queue_delay e now) 0)
+      ~run:(fun () ->
+        match !eng_ref with Some e -> engine_run e | None -> Engine.No_work)
+      ~queue_delay:(fun now ->
+        match !eng_ref with Some e -> engine_queue_delay e now | None -> 0)
       ~state_bytes:(fun () ->
-        with_eng
-          (fun e ->
-            (2048 * Array.length e.flow_arr) + (512 * Array.length e.eclients))
-          0)
+        match !eng_ref with
+        | Some e -> (2048 * Array.length e.flow_arr) + (512 * Array.length e.eclients)
+        | None -> 0)
       ()
   in
   let eng =
@@ -1878,6 +1898,7 @@ let new_engine t =
       eclients = [||];
       flows = Hashtbl.create 16;
       flow_arr = [||];
+      rx_flows = [||];
       active_flows = Sim.Bitset.create ();
       busy_clients = Sim.Bitset.create ();
       conn_arena = Memory.Arena.create ~initial:64 ();
@@ -1886,7 +1907,9 @@ let new_engine t =
       wheel = Sim.Wheel.create ~loop:t.lp ();
       deadline_due = Queue.create ();
       ka_due = Queue.create ();
-      timer = None;
+      timer = Loop.none;
+      wake = (fun () -> Engine.notify core);
+      pass_cost = ref 0;
       served_one_sided = 0;
       tx_rr = 0;
       last_epoch = 0;
@@ -2093,11 +2116,8 @@ let crash_host t =
     if Sim.Span.enabled () then host_event t "host crashed" ~args:[];
     List.iter
       (fun eng ->
-        (match eng.timer with
-        | Some h ->
-            Loop.cancel t.lp h;
-            eng.timer <- None
-        | None -> ());
+        Loop.cancel t.lp eng.timer;
+        eng.timer <- Loop.none;
         if Engine.is_attached eng.core then Engine.remove t.group eng.core;
         (* Packets in the rx ring die with the host's memory. *)
         drain_ring (Nic.rx_ring t.nic ~queue:eng.rxq);
@@ -2499,7 +2519,7 @@ let engine_post_send conn ~now ~bytes () =
   match conn_refusal conn with
   | Some status ->
       (* Lifecycle refusal, completed inline (no thread ctx here). *)
-      ot_finish conn (ot_key conn op_id) ~status;
+      ot_finish conn ~remote:false op_id ~status;
       if status = Wire.Peer_dead then
         Stats.Counter.incr client.c_host.c_peer_dead_op;
       if
@@ -2570,18 +2590,18 @@ let send_message ctx conn ?(stream = 0) ?deadline ~bytes () =
   ot_start conn op_id ~kind:"send" ~bytes;
   (match conn_refusal conn with
   | Some status ->
-      ot_finish conn (ot_key conn op_id) ~status;
+      ot_finish conn ~remote:false op_id ~status;
       refuse_locally ctx conn ~op_id ~bytes ~status
   | None -> (
       match
         Overload.Admission.admit client.adm ~now:(Cpu.Thread.now ctx) ~bytes
       with
       | Overload.Admission.Rejected _ ->
-          ot_finish conn (ot_key conn op_id) ~status:Wire.Rejected;
+          ot_finish conn ~remote:false op_id ~status:Wire.Rejected;
           reject_locally ctx client ~op_id ~bytes
       | Overload.Admission.Admitted charge ->
           Hashtbl.replace client.charges op_id charge;
-          ot_stamp conn (ot_key conn op_id) Sim.Optrace.Admitted;
+          ot_stamp conn ~remote:false op_id Sim.Optrace.Admitted;
           post_command ctx conn
             (C_send
                {
@@ -2607,18 +2627,18 @@ let one_sided ?deadline ctx conn op =
   ot_start conn op_id ~kind:"one_sided" ~bytes;
   (match conn_refusal conn with
   | Some status ->
-      ot_finish conn (ot_key conn op_id) ~status;
+      ot_finish conn ~remote:false op_id ~status;
       refuse_locally ctx conn ~op_id ~bytes ~status
   | None -> (
       match
         Overload.Admission.admit client.adm ~now:(Cpu.Thread.now ctx) ~bytes
       with
       | Overload.Admission.Rejected _ ->
-          ot_finish conn (ot_key conn op_id) ~status:Wire.Rejected;
+          ot_finish conn ~remote:false op_id ~status:Wire.Rejected;
           reject_locally ctx client ~op_id ~bytes
       | Overload.Admission.Admitted charge ->
           Hashtbl.replace client.charges op_id charge;
-          ot_stamp conn (ot_key conn op_id) Sim.Optrace.Admitted;
+          ot_stamp conn ~remote:false op_id Sim.Optrace.Admitted;
           post_command ctx conn
             (C_one_sided
                { cmd_conn = conn; op_id; op; issued = Cpu.Thread.now ctx; deadline })));

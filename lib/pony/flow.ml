@@ -13,20 +13,24 @@ let dupack_threshold = 3
    means no acks, no acks means no window update. *)
 let zero_window_probe_interval = Time.us 200
 
-type flight_entry = {
-  f_seq : int;
-  f_item : Wire.item;
-  f_payload : int;
-  mutable sent_at : Time.t;
-}
+(* What a vacated send-queue or flight slot holds, so the ring retains
+   no dead wire item.  Compared with [==]: no real item is this value. *)
+let vacant =
+  Wire.Conn_reset
+    {
+      conn =
+        {
+          Wire.initiator_host = -1;
+          initiator_client = -1;
+          target_host = -1;
+          target_client = -1;
+          session = -1;
+        };
+    }
 
-(* Flight ring capacity: a power of two ≥ [max_flight] so the index
-   math is a mask.  The flight never exceeds [max_flight] (fresh sends
-   are window-gated; retransmissions reuse their slots). *)
-let flight_cap = 256
-let flight_mask = flight_cap - 1
-
-let dummy_fe = { f_seq = -1; f_item = Wire.Bare_ack; f_payload = 0; sent_at = 0 }
+(* Floats a flow updates per packet live in an all-float record, so a
+   store does not box. *)
+type rtt = { mutable srtt_ns : float }
 
 type t = {
   lp : Loop.t;
@@ -37,19 +41,25 @@ type t = {
      outlives the incarnation it was born under. *)
   f_inc : int;
   timely : Timely.t;
-  (* Transmit. *)
-  queue : (Wire.item * int * Time.t) Queue.t;  (* item, payload, enqueued *)
-  retx : flight_entry Queue.t;
+  f_hash : int;  (* NIC steering hash of [fkey] *)
+  (* Transmit.  The send queue is a ring of parallel arrays: item,
+     payload bytes and enqueue time of the [q_len] entries from
+     [q_head], with a power-of-two length that doubles when full. *)
+  mutable q_item : Wire.item array;
+  mutable q_payload : int array;
+  mutable q_enq : Time.t array;
+  mutable q_head : int;
+  mutable q_len : int;
+  retx : int Queue.t;  (* seqs awaiting retransmission *)
   mutable snd_nxt : int;
-  (* Flight as a preallocated circular buffer of [flight_cap] slots:
-     entries live at ring indices [fl_head, fl_head + flight_len) mod
-     [flight_cap], in ascending (contiguous) seq order.  Appending a
-     fresh send and dropping the acked prefix are O(1) and allocate
-     nothing — the old list representation rebuilt the whole flight on
-     every send ([flight @ [fe]]) and every cumulative ack
-     ([List.filter]), which dominated per-packet allocation. *)
-  fl_ring : flight_entry array;
-  mutable fl_head : int;
+  (* The flight is the contiguous seqs [snd_nxt - flight_len, snd_nxt):
+     seq [s] lives in slot [s land (length - 1)] of parallel arrays
+     whose power-of-two length doubles whenever the flight would
+     outgrow it.  A fresh send and a cumulative ack's prefix pop are a
+     few stores, and a retransmission names its entry by seq. *)
+  mutable fl_item : Wire.item array;
+  mutable fl_payload : int array;
+  mutable fl_sent : Time.t array;
   mutable flight_len : int;
   mutable next_release : Time.t;
   mutable dup_acks : int;
@@ -74,7 +84,7 @@ type t = {
   mutable owe_ack : bool;
   mutable latest_rx_ts : Time.t;
   (* RTT / RTO. *)
-  mutable srtt_ns : float;
+  rtt : rtt;
   mutable rto : Time.t;
   (* Stats. *)
   mutable n_retx : int;
@@ -99,11 +109,17 @@ let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
     ver = version;
     f_inc = incarnation;
     timely = Timely.create ~max_rate_gbps ();
-    queue = Queue.create ();
+    f_hash = Hashtbl.hash key;
+    q_item = [||];
+    q_payload = [||];
+    q_enq = [||];
+    q_head = 0;
+    q_len = 0;
     retx = Queue.create ();
     snd_nxt = 0;
-    fl_ring = Array.make flight_cap dummy_fe;
-    fl_head = 0;
+    fl_item = [||];
+    fl_payload = [||];
+    fl_sent = [||];
     flight_len = 0;
     next_release = Time.zero;
     dup_acks = 0;
@@ -118,7 +134,7 @@ let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
     rcv_ooo = [];
     owe_ack = false;
     latest_rx_ts = Time.zero;
-    srtt_ns = 0.0;
+    rtt = { srtt_ns = 0.0 };
     rto = min_rto;
     n_retx = 0;
     n_delivered = 0;
@@ -134,30 +150,59 @@ let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
         Some
           (Printf.sprintf "flight %d outside [0, %d]" t.flight_len max_flight)
       else begin
-        (* Ring window must hold contiguous ascending seqs (go-back-N
-           never punches holes) and no occupied slot may be the dummy. *)
+        (* Seqs map to slots, so the flight is contiguous by
+           construction; every seq in it must still hold its item. *)
         let bad = ref None in
         for i = 0 to t.flight_len - 1 do
-          let fe = t.fl_ring.((t.fl_head + i) land flight_mask) in
-          if !bad = None then
-            if fe == dummy_fe then
-              bad := Some (Printf.sprintf "flight slot %d empty" i)
-            else begin
-              let base = t.fl_ring.(t.fl_head land flight_mask).f_seq in
-              if fe.f_seq <> base + i then
-                bad :=
-                  Some
-                    (Printf.sprintf
-                       "flight seqs not contiguous: slot %d holds %d, head %d"
-                       i fe.f_seq base)
-            end
+          let seq = t.snd_nxt - t.flight_len + i in
+          if !bad = None && t.fl_item.(seq land (Array.length t.fl_item - 1)) == vacant
+          then bad := Some (Printf.sprintf "flight slot %d (seq %d) empty" i seq)
         done;
         !bad
       end);
   t
 
-let fl_nth t i = t.fl_ring.((t.fl_head + i) land flight_mask)
-let fl_head_entry t = t.fl_ring.(t.fl_head land flight_mask)
+(* Slot of in-flight seq [seq], and the oldest unacked seq. *)
+let fl_slot t seq = seq land (Array.length t.fl_item - 1)
+let fl_una t = t.snd_nxt - t.flight_len
+
+(* Double the flight arrays, re-slotting the in-flight seqs. *)
+let fl_grow t =
+  let cap = max 8 (2 * Array.length t.fl_item) in
+  let item = Array.make cap vacant in
+  let payload = Array.make cap 0 and sent = Array.make cap 0 in
+  for seq = fl_una t to t.snd_nxt - 1 do
+    let j = fl_slot t seq and j' = seq land (cap - 1) in
+    item.(j') <- t.fl_item.(j);
+    payload.(j') <- t.fl_payload.(j);
+    sent.(j') <- t.fl_sent.(j)
+  done;
+  t.fl_item <- item;
+  t.fl_payload <- payload;
+  t.fl_sent <- sent
+
+(* Double the send-queue arrays, unwrapping the ring to start at 0. *)
+let q_grow t =
+  let old = Array.length t.q_item in
+  let cap = max 8 (2 * old) in
+  let item = Array.make cap vacant in
+  let payload = Array.make cap 0 and enq = Array.make cap 0 in
+  for i = 0 to t.q_len - 1 do
+    let j = (t.q_head + i) land (old - 1) in
+    item.(i) <- t.q_item.(j);
+    payload.(i) <- t.q_payload.(j);
+    enq.(i) <- t.q_enq.(j)
+  done;
+  t.q_item <- item;
+  t.q_payload <- payload;
+  t.q_enq <- enq;
+  t.q_head <- 0
+
+(* Drop the queue's head entry (its fields already read). *)
+let q_drop_head t =
+  t.q_item.(t.q_head) <- vacant;
+  t.q_head <- (t.q_head + 1) land (Array.length t.q_item - 1);
+  t.q_len <- t.q_len - 1
 
 (* Flow events share one track per flow so chrome://tracing shows each
    flow as its own lane. *)
@@ -168,7 +213,7 @@ let span t ~now ?(args = []) name =
 let key t = t.fkey
 let version t = t.ver
 let cc t = t.timely
-let pending t = Queue.length t.queue + Queue.length t.retx
+let pending t = t.q_len + Queue.length t.retx
 let in_flight t = t.flight_len
 
 let effective_window t = min max_flight (max 0 t.peer_wnd)
@@ -179,20 +224,19 @@ let effective_window t = min max_flight (max 0 t.peer_wnd)
 let zw_probe_due t ~now =
   effective_window t = 0
   && t.flight_len = 0
-  && (not (Queue.is_empty t.queue))
+  && t.q_len > 0
   && Time.sub now t.wnd_update_at >= zero_window_probe_interval
 
 let ready_to_emit t ~now =
   (not (Queue.is_empty t.retx))
-  || ((not (Queue.is_empty t.queue))
+  || (t.q_len > 0
      && now >= t.next_release
      && (t.flight_len < effective_window t || zw_probe_due t ~now))
 
 (* -- Engine membership ---------------------------------------------------- *)
 
 let is_idle t =
-  Queue.is_empty t.queue && Queue.is_empty t.retx && t.flight_len = 0
-  && not t.owe_ack
+  t.q_len = 0 && Queue.is_empty t.retx && t.flight_len = 0 && not t.owe_ack
 
 let note_active t =
   if not t.marked then begin
@@ -213,7 +257,12 @@ let settle t =
   idle
 
 let enqueue t item ~payload_bytes =
-  Queue.add (item, payload_bytes, Loop.now t.lp) t.queue;
+  if t.q_len = Array.length t.q_item then q_grow t;
+  let j = (t.q_head + t.q_len) land (Array.length t.q_item - 1) in
+  t.q_item.(j) <- item;
+  t.q_payload.(j) <- payload_bytes;
+  t.q_enq.(j) <- Loop.now t.lp;
+  t.q_len <- t.q_len + 1;
   note_active t
 
 (* Age of the oldest queued (unsent) item: the transmit-side component
@@ -223,41 +272,42 @@ let enqueue t item ~payload_bytes =
    starvation, so the age is measured from the moment the pacer would
    have allowed the send. *)
 let queue_age t ~now =
-  match Queue.peek_opt t.queue with
-  | Some (_, _, enq) ->
-      if t.flight_len >= max_flight then 0
-      else Time.max 0 (Time.sub now (Time.max enq t.next_release))
-  | None -> 0
+  if t.q_len = 0 || t.flight_len >= max_flight then 0
+  else Time.max 0 (Time.sub now (Time.max t.q_enq.(t.q_head) t.next_release))
 
 let item_wire item payload = Wire.header_bytes + Wire.item_wire_bytes item + payload
 
+(* The record is built directly: [Packet.make]'s optional arguments
+   would box three ints per packet. *)
 let build_packet t ~now ~gen ~seq ~item ~payload =
-  let wire = item_wire item payload in
-  Packet.make
-    ~id:(Packet.Id_gen.next gen)
-    ~src:t.fkey.Wire.src_host ~dst:t.fkey.Wire.dst_host
-    ~flow_hash:(Hashtbl.hash t.fkey)
-    ~qos:1 ~wire_bytes:wire ~payload_bytes:payload
-    (Wire.Pony
-       {
-         flow = t.fkey;
-         seq;
-         ack = t.rcv_cum;
-         wnd = max 0 (t.wnd_provider ());
-         ts = now;
-         ts_echo = t.latest_rx_ts;
-         version = t.ver;
-         inc = t.f_inc;
-         item;
-       })
-    ()
+  {
+    Packet.id = Packet.Id_gen.next gen;
+    src = t.fkey.Wire.src_host;
+    dst = t.fkey.Wire.dst_host;
+    flow_hash = t.f_hash;
+    qos = 1;
+    wire_bytes = item_wire item payload;
+    payload_bytes = payload;
+    payload =
+      Wire.Pony
+        {
+          flow = t.fkey;
+          seq;
+          ack = t.rcv_cum;
+          wnd = max 0 (t.wnd_provider ());
+          ts = now;
+          ts_echo = t.latest_rx_ts;
+          version = t.ver;
+          inc = t.f_inc;
+          item;
+        };
+    sent_at = 0;
+    corrupted = false;
+  }
 
 let advance_pacer t ~now wire_bytes =
-  let rate = Timely.rate_bytes_per_ns t.timely in
-  let gap =
-    int_of_float (Float.round (float_of_int wire_bytes /. Float.max 1e-6 rate))
-  in
-  t.next_release <- Time.add (Time.max now t.next_release) gap
+  t.next_release <-
+    Time.add (Time.max now t.next_release) (Timely.pacing_gap t.timely wire_bytes)
 
 (* Latency-attribution hooks: transmissions stamp the op's first-tx
    stage; retransmissions, RTO recoveries, and zero-window probes count
@@ -276,65 +326,79 @@ let op_first_tx t item =
     | Some k -> Sim.Optrace.stamp t.lp k Sim.Optrace.First_tx
     | None -> ()
 
-let rec emit t ~now ~gen =
+let rec transmit t ~now ~gen =
   (* Retransmissions go first and bypass the window check (their slots
      are already accounted in the flight). *)
-  match Queue.take_opt t.retx with
-  | Some fe when fe.f_seq < t.last_ack_seen ->
+  if not (Queue.is_empty t.retx) then begin
+    let seq = Queue.take t.retx in
+    if seq < t.last_ack_seen then
       (* Acked while queued for retransmission: skip it. *)
-      emit t ~now ~gen
-  | Some fe ->
-      fe.sent_at <- now;
+      transmit t ~now ~gen
+    else begin
+      let j = fl_slot t seq in
+      let item = t.fl_item.(j) in
+      t.fl_sent.(j) <- now;
       t.owe_ack <- false;
-      let pkt = build_packet t ~now ~gen ~seq:fe.f_seq ~item:fe.f_item ~payload:fe.f_payload in
+      let pkt = build_packet t ~now ~gen ~seq ~item ~payload:t.fl_payload.(j) in
       advance_pacer t ~now pkt.Packet.wire_bytes;
       Stats.Histogram.record t.h_flight t.flight_len;
       if Sim.Span.enabled () then
-        span t ~now ~args:[ ("seq", string_of_int fe.f_seq) ] "retx";
-      op_stall t fe.f_item Sim.Optrace.Retx;
-      Some pkt
-  | None ->
-      let probe = zw_probe_due t ~now in
-      if
-        Queue.is_empty t.queue
-        || now < t.next_release
-        || (t.flight_len >= effective_window t && not probe)
-      then None
-      else begin
-        if probe then begin
-          t.n_zw_probes <- t.n_zw_probes + 1;
-          (* Restart the idle clock so at most one probe is in flight
-             per interval even if the probe itself is lost. *)
-          t.wnd_update_at <- now;
-          if Sim.Span.enabled () then span t ~now "zw_probe"
-        end;
-        let item, payload, _enq = Queue.take t.queue in
-        if probe then op_stall t item Sim.Optrace.Zero_window;
-        op_first_tx t item;
-        let seq = t.snd_nxt in
-        t.snd_nxt <- seq + 1;
-        let fe = { f_seq = seq; f_item = item; f_payload = payload; sent_at = now } in
-        t.fl_ring.((t.fl_head + t.flight_len) land flight_mask) <- fe;
-        t.flight_len <- t.flight_len + 1;
-        t.owe_ack <- false;
-        if Check.Invariant.enabled () && not probe then
-          (* Window legality at send time: a fresh (non-retransmitted,
-             non-probe) packet must fit under the peer's advertised
-             window.  Retransmissions are exempt — their slots were
-             charged when first sent. *)
-          (if t.flight_len > effective_window t then
-             raise
-               (Check.Invariant.Violation
-                  (Printf.sprintf
-                     "flow %s: flight %d exceeds advertised window %d on fresh send"
-                     t.fl_label t.flight_len (effective_window t))));
-        let pkt = build_packet t ~now ~gen ~seq ~item ~payload in
-        advance_pacer t ~now pkt.Packet.wire_bytes;
-        Stats.Histogram.record t.h_flight t.flight_len;
-        if Sim.Span.enabled () then
-          span t ~now ~args:[ ("seq", string_of_int seq) ] "tx";
-        Some pkt
-      end
+        span t ~now ~args:[ ("seq", string_of_int seq) ] "retx";
+      op_stall t item Sim.Optrace.Retx;
+      pkt
+    end
+  end
+  else begin
+    let probe = zw_probe_due t ~now in
+    if
+      t.q_len = 0
+      || now < t.next_release
+      || (t.flight_len >= effective_window t && not probe)
+    then Packet.none
+    else begin
+      if probe then begin
+        t.n_zw_probes <- t.n_zw_probes + 1;
+        (* Restart the idle clock so at most one probe is in flight per
+           interval even if the probe itself is lost. *)
+        t.wnd_update_at <- now;
+        if Sim.Span.enabled () then span t ~now "zw_probe"
+      end;
+      let item = t.q_item.(t.q_head) and payload = t.q_payload.(t.q_head) in
+      q_drop_head t;
+      if probe then op_stall t item Sim.Optrace.Zero_window;
+      op_first_tx t item;
+      let seq = t.snd_nxt in
+      if t.flight_len = Array.length t.fl_item then fl_grow t;
+      let j = fl_slot t seq in
+      t.fl_item.(j) <- item;
+      t.fl_payload.(j) <- payload;
+      t.fl_sent.(j) <- now;
+      t.snd_nxt <- seq + 1;
+      t.flight_len <- t.flight_len + 1;
+      t.owe_ack <- false;
+      if Check.Invariant.enabled () && not probe then
+        (* Window legality at send time: a fresh (non-retransmitted,
+           non-probe) packet must fit under the peer's advertised
+           window.  Retransmissions are exempt — their slots were
+           charged when first sent. *)
+        (if t.flight_len > effective_window t then
+           raise
+             (Check.Invariant.Violation
+                (Printf.sprintf
+                   "flow %s: flight %d exceeds advertised window %d on fresh send"
+                   t.fl_label t.flight_len (effective_window t))));
+      let pkt = build_packet t ~now ~gen ~seq ~item ~payload in
+      advance_pacer t ~now pkt.Packet.wire_bytes;
+      Stats.Histogram.record t.h_flight t.flight_len;
+      if Sim.Span.enabled () then
+        span t ~now ~args:[ ("seq", string_of_int seq) ] "tx";
+      pkt
+    end
+  end
+
+let emit t ~now ~gen =
+  let pkt = transmit t ~now ~gen in
+  if pkt == Packet.none then None else Some pkt
 
 let ack_owed t = t.owe_ack
 
@@ -350,9 +414,10 @@ let make_ack t ~now ~gen =
 let schedule_retransmit t n =
   (* Requeue up to [n] unacked head packets (bounded go-back-N). *)
   let count = min n t.flight_len in
+  let una = fl_una t in
   for i = 0 to count - 1 do
     t.n_retx <- t.n_retx + 1;
-    Queue.add (fl_nth t i) t.retx
+    Queue.add (una + i) t.retx
   done;
   if count > 0 then note_active t;
   count
@@ -381,10 +446,11 @@ let sample_rtt t ~now ~ts_echo =
     if rtt > 0 then begin
       Stats.Histogram.record t.h_rtt rtt;
       Timely.on_rtt_sample t.timely rtt;
-      t.srtt_ns <-
-        (if t.srtt_ns = 0.0 then float_of_int rtt
-         else (0.875 *. t.srtt_ns) +. (0.125 *. float_of_int rtt));
-      t.rto <- Time.max min_rto (int_of_float (3.0 *. t.srtt_ns))
+      let r = t.rtt in
+      r.srtt_ns <-
+        (if r.srtt_ns = 0.0 then float_of_int rtt
+         else (0.875 *. r.srtt_ns) +. (0.125 *. float_of_int rtt));
+      t.rto <- Time.max min_rto (int_of_float (3.0 *. r.srtt_ns))
     end
   end
 
@@ -395,13 +461,10 @@ let process_ack t ~now ~ack ~ts_echo ~pure =
       t.last_ack_seen <- ack;
       t.dup_acks <- 0;
       (* The flight holds contiguous ascending seqs, so a cumulative
-         ack always strips a prefix: pop head slots in place.  Slots
-         are reset to the dummy so acked wire items are not retained. *)
-      while
-        t.flight_len > 0 && (fl_head_entry t).f_seq < ack
-      do
-        t.fl_ring.(t.fl_head land flight_mask) <- dummy_fe;
-        t.fl_head <- (t.fl_head + 1) land flight_mask;
+         ack always strips a prefix.  Slots are reset to [vacant] so
+         acked wire items are not retained. *)
+      while t.flight_len > 0 && fl_una t < ack do
+        t.fl_item.(fl_slot t (fl_una t)) <- vacant;
         t.flight_len <- t.flight_len - 1;
         t.n_acked <- t.n_acked + 1
       done
@@ -425,35 +488,33 @@ let process_ack t ~now ~ack ~ts_echo ~pure =
 
 (* Receiver-side sequencing: advance the cumulative counter over any
    now-contiguous out-of-order arrivals. *)
-let absorb_ooo t =
-  let rec go () =
-    match t.rcv_ooo with
-    | s :: rest when s = t.rcv_cum ->
-        t.rcv_cum <- t.rcv_cum + 1;
-        t.rcv_ooo <- rest;
-        go ()
-    | s :: rest when s < t.rcv_cum ->
-        t.rcv_ooo <- rest;
-        go ()
-    | _ -> ()
-  in
-  go ()
+let rec absorb_ooo t =
+  match t.rcv_ooo with
+  | s :: rest when s = t.rcv_cum ->
+      t.rcv_cum <- t.rcv_cum + 1;
+      t.rcv_ooo <- rest;
+      absorb_ooo t
+  | s :: rest when s < t.rcv_cum ->
+      t.rcv_ooo <- rest;
+      absorb_ooo t
+  | _ -> ()
 
-let on_receive t ~now pkt =
+let receive t ~now pkt =
   match pkt.Packet.payload with
   | Wire.Pony { flow = _; seq; ack; wnd; ts; ts_echo; version = _; inc = _; item }
     -> (
       t.peer_wnd <- wnd;
       t.wnd_update_at <- now;
-      process_ack t ~now ~ack ~ts_echo ~pure:(item = Wire.Bare_ack);
+      process_ack t ~now ~ack ~ts_echo
+        ~pure:(match item with Wire.Bare_ack -> true | _ -> false);
       match item with
-      | Wire.Bare_ack -> None
+      | Wire.Bare_ack -> Wire.Bare_ack
       | _ ->
           if seq < t.rcv_cum || List.mem seq t.rcv_ooo then begin
             (* Duplicate: re-ack so the sender advances. *)
             t.owe_ack <- true;
             note_active t;
-            None
+            Wire.Bare_ack
           end
           else begin
             t.latest_rx_ts <- ts;
@@ -465,45 +526,41 @@ let on_receive t ~now pkt =
             t.owe_ack <- true;
             note_active t;
             t.n_delivered <- t.n_delivered + 1;
-            Some item
+            item
           end)
-  | _ -> None
+  | _ -> Wire.Bare_ack
+
+let on_receive t ~now pkt =
+  match receive t ~now pkt with Wire.Bare_ack -> None | item -> Some item
 
 let next_deadline t =
   let pace =
-    if Queue.is_empty t.queue && Queue.is_empty t.retx then None
+    if t.q_len = 0 && Queue.is_empty t.retx then max_int
     else if effective_window t = 0 && t.flight_len = 0 && Queue.is_empty t.retx
     then
       (* Quenched: the next useful service time is the window probe,
          not the pacer release.  Without this the engine timer never
          fires and a zero window livelocks an otherwise idle flow. *)
-      Some
-        (Time.max t.next_release
-           (Time.add t.wnd_update_at zero_window_probe_interval))
-    else Some t.next_release
+      Time.max t.next_release
+        (Time.add t.wnd_update_at zero_window_probe_interval)
+    else t.next_release
   in
-  let rto =
-    if t.flight_len = 0 then None
-    else Some (Time.add (fl_head_entry t).sent_at t.rto)
-  in
-  match (pace, rto) with
-  | None, None -> None
-  | Some a, None -> Some a
-  | None, Some b -> Some b
-  | Some a, Some b -> Some (Time.min a b)
+  if t.flight_len = 0 then pace
+  else Time.min pace (Time.add t.fl_sent.(fl_slot t (fl_una t)) t.rto)
 
 let check_timeout t ~now =
   if t.flight_len = 0 then 0
   else
-    let fe = fl_head_entry t in
-      if Time.sub now fe.sent_at >= t.rto && Queue.is_empty t.retx then begin
+    let una = fl_una t in
+    let j = fl_slot t una in
+      if Time.sub now t.fl_sent.(j) >= t.rto && Queue.is_empty t.retx then begin
         let n = schedule_retransmit t gbn_window in
         if Sim.Span.enabled () then
           span t ~now
             ~args:
-              [ ("n", string_of_int n); ("seq", string_of_int fe.f_seq) ]
+              [ ("n", string_of_int n); ("seq", string_of_int una) ]
             "rto_gbn";
-        op_stall t fe.f_item Sim.Optrace.Rto;
+        op_stall t t.fl_item.(j) Sim.Optrace.Rto;
         Timely.on_loss t.timely;
         (* Back off the timer so a stalled peer is not hammered. *)
         t.rto <- Time.min (Time.ms 50) (2 * t.rto);
@@ -514,7 +571,7 @@ let check_timeout t ~now =
 let retransmits t = t.n_retx
 let delivered t = t.n_delivered
 let acked_packets t = t.n_acked
-let srtt t = int_of_float t.srtt_ns
+let srtt t = int_of_float t.rtt.srtt_ns
 
 let set_window_provider t f = t.wnd_provider <- f
 let peer_window t = t.peer_wnd
@@ -527,13 +584,26 @@ let purge_queue t ~drop =
      alone: removing them would punch holes in the go-back-N sequence
      space.  Returns the dropped items with their payload sizes so the
      caller can settle their ops. *)
-  let kept = Queue.create () in
   let dropped = ref [] in
-  Queue.iter
-    (fun ((item, payload, _enq) as e) ->
-      if drop item then dropped := (item, payload) :: !dropped
-      else Queue.add e kept)
-    t.queue;
-  Queue.clear t.queue;
-  Queue.transfer kept t.queue;
+  let n = t.q_len in
+  let mask = Array.length t.q_item - 1 in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let j = (t.q_head + i) land mask in
+    let item = t.q_item.(j) in
+    if drop item then dropped := (item, t.q_payload.(j)) :: !dropped
+    else begin
+      (* Compact in place: the kept entry moves to the [kept]-th slot,
+         never ahead of one not yet read. *)
+      let k = (t.q_head + !kept) land mask in
+      t.q_item.(k) <- item;
+      t.q_payload.(k) <- t.q_payload.(j);
+      t.q_enq.(k) <- t.q_enq.(j);
+      incr kept
+    end
+  done;
+  for i = !kept to n - 1 do
+    t.q_item.((t.q_head + i) land mask) <- vacant
+  done;
+  t.q_len <- !kept;
   List.rev !dropped

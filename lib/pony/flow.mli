@@ -64,9 +64,14 @@ val ready_to_emit : t -> now:Sim.Time.t -> bool
     transmission now.  A flow quenched by a zero advertised window
     becomes ready again once the window-reopen probe interval elapses. *)
 
+val transmit : t -> now:Sim.Time.t -> gen:Memory.Packet.Id_gen.t -> Memory.Packet.t
+(** Build the next packet (a queued retransmission first, else one
+    queued item), advancing the pacer and flight buffer;
+    {!Memory.Packet.none} when nothing may go now.  Allocates the packet
+    and its header only. *)
+
 val emit : t -> now:Sim.Time.t -> gen:Memory.Packet.Id_gen.t -> Memory.Packet.t option
-(** Build the next packet (consuming one queued item), advancing the
-    pacer and flight buffer.  [None] if {!ready_to_emit} is false. *)
+(** {!transmit} as an option: [None] if nothing may go now. *)
 
 val make_ack : t -> now:Sim.Time.t -> gen:Memory.Packet.Id_gen.t -> Memory.Packet.t option
 (** Build a bare-ack packet if one is owed, else [None]. *)
@@ -75,17 +80,22 @@ val ack_owed : t -> bool
 
 (** {1 Receive side} *)
 
-val on_receive : t -> now:Sim.Time.t -> Memory.Packet.t -> Wire.item option
+val receive : t -> now:Sim.Time.t -> Memory.Packet.t -> Wire.item
 (** Process an incoming packet of this flow: handles the piggybacked
     ack (congestion control, flight trimming, fast retransmit) and
-    returns the upper-layer item if it has not been seen before
-    ([None] for duplicates and bare acks). *)
+    returns the upper-layer item if it has not been seen before, or
+    [Wire.Bare_ack] when there is none to deliver (a duplicate, a bare
+    ack, an item that is itself [Bare_ack], or a foreign payload).
+    Allocates nothing. *)
+
+val on_receive : t -> now:Sim.Time.t -> Memory.Packet.t -> Wire.item option
+(** {!receive} as an option: [None] when there is no item to deliver. *)
 
 (** {1 Engine membership}
 
     A flow is idle when nothing is queued or awaiting retransmission,
     nothing is in flight and no ack is owed: an engine pass has nothing
-    to do for it, and {!next_deadline} is [None]. *)
+    to do for it, and {!next_deadline} is [max_int]. *)
 
 val set_activity_hook : t -> (unit -> unit) -> unit
 (** Install the function that marks this flow in its engine's
@@ -105,9 +115,10 @@ val settle : t -> bool
 
 (** {1 Timers} *)
 
-val next_deadline : t -> Sim.Time.t option
+val next_deadline : t -> Sim.Time.t
 (** Earliest time this flow needs service again (pacing release or
-    retransmission timeout); [None] when fully idle. *)
+    retransmission timeout); [max_int] when nothing is queued or in
+    flight. *)
 
 val check_timeout : t -> now:Sim.Time.t -> int
 (** Fire the retransmission timeout if due: requeues up to a bounded

@@ -30,7 +30,10 @@ val on_loss : t -> unit
 (** Retransmission-detected loss: treat as a severe congestion signal. *)
 
 val rate_gbps : t -> float
-val rate_bytes_per_ns : t -> float
+
+val pacing_gap : t -> int -> Sim.Time.t
+(** Time to send that many wire bytes at the current rate, rounded to
+    the nearest ns: the pacer's gap after a packet. *)
 
 val min_rtt : t -> Sim.Time.t
 (** Smallest RTT observed so far (0 when none). *)

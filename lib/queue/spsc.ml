@@ -1,9 +1,13 @@
-type 'a slot = { value : 'a; enqueued_at : Sim.Time.t }
+(* Slots are two parallel arrays: [items] keeps the option [push]
+   built, so [pop] returns it without allocating, and [times] the
+   enqueue times.  Both start empty and double on demand up to [cap], so
+   a mostly idle ring costs a few words rather than [cap] slots. *)
 
 type 'a t = {
   ring_name : string;
   cap : int;
-  mutable slots : 'a slot option array;
+  mutable items : 'a option array;
+  mutable times : int array;
   mutable head : int;  (* next pop position *)
   mutable size : int;
   mutable n_pushed : int;
@@ -15,7 +19,8 @@ let create ?(name = "") ~capacity () =
   {
     ring_name = name;
     cap = capacity;
-    slots = Array.make capacity None;
+    items = [||];
+    times = [||];
     head = 0;
     size = 0;
     n_pushed = 0;
@@ -28,14 +33,33 @@ let length t = t.size
 let is_empty t = t.size = 0
 let is_full t = t.size = t.cap
 
+(* Room for one more: grow, unwrapping the ring to start at 0. *)
+let grow t =
+  let n = Array.length t.items in
+  let n' = min t.cap (max 8 (2 * n)) in
+  let items = Array.make n' None and times = Array.make n' 0 in
+  for i = 0 to t.size - 1 do
+    let j = t.head + i in
+    let j = if j >= n then j - n else j in
+    items.(i) <- t.items.(j);
+    times.(i) <- t.times.(j)
+  done;
+  t.items <- items;
+  t.times <- times;
+  t.head <- 0
+
 let push t ~now v =
   if t.size = t.cap then begin
     t.n_dropped <- t.n_dropped + 1;
     false
   end
   else begin
-    let tail = (t.head + t.size) mod t.cap in
-    t.slots.(tail) <- Some { value = v; enqueued_at = now };
+    if t.size = Array.length t.items then grow t;
+    let n = Array.length t.items in
+    let tail = t.head + t.size in
+    let tail = if tail >= n then tail - n else tail in
+    t.items.(tail) <- Some v;
+    t.times.(tail) <- now;
     t.size <- t.size + 1;
     t.n_pushed <- t.n_pushed + 1;
     true
@@ -44,21 +68,16 @@ let push t ~now v =
 let pop t =
   if t.size = 0 then None
   else begin
-    let slot = t.slots.(t.head) in
-    t.slots.(t.head) <- None;
-    t.head <- (t.head + 1) mod t.cap;
+    let slot = t.items.(t.head) in
+    t.items.(t.head) <- None;
+    let next = t.head + 1 in
+    t.head <- (if next = Array.length t.items then 0 else next);
     t.size <- t.size - 1;
-    match slot with
-    | Some s -> Some s.value
-    | None -> assert false
+    slot
   end
 
 let oldest_age t ~now =
-  if t.size = 0 then 0
-  else
-    match t.slots.(t.head) with
-    | Some s -> Sim.Time.sub now s.enqueued_at
-    | None -> assert false
+  if t.size = 0 then 0 else Sim.Time.sub now t.times.(t.head)
 
 let pushed t = t.n_pushed
 let dropped t = t.n_dropped

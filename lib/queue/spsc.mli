@@ -4,7 +4,12 @@
     queues (Figure 2): command queues, completion queues, packet rings,
     and engine-to-engine links all use it.  Each element is timestamped
     on enqueue so consumers (in particular the compacting engine
-    scheduler, §2.4) can estimate queueing delay. *)
+    scheduler, §2.4) can estimate queueing delay.
+
+    A push allocates only the [Some v] the ring keeps; [pop] returns
+    that same option, allocating nothing.  Slot storage grows on demand
+    up to [capacity], so an idle ring is a few words however large its
+    capacity. *)
 
 type 'a t
 

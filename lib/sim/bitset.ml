@@ -67,19 +67,3 @@ let next t i =
       if !x = 0 then -1 else (!w lsl shift) lor lowest_bit !x
     end
   end
-
-(* Word by word, re-reading the current word after each visit so [f]'s
-   own sets and clears ahead of the cursor are seen. *)
-let iter t f =
-  if t.count > 0 then begin
-    let w = ref 0 in
-    while !w < Array.length t.words do
-      let x = ref t.words.(!w) in
-      while !x <> 0 do
-        let b = lowest_bit !x in
-        f ((!w lsl shift) lor b);
-        x := t.words.(!w) land ((-1) lsl (b + 1))
-      done;
-      incr w
-    done
-  end

@@ -25,9 +25,3 @@ val reset : t -> unit
 val next : t -> int -> int
 (** [next t i] is the smallest member [>= i], or [-1] when there is
     none. *)
-
-val iter : t -> (int -> unit) -> unit
-(** Visit members in ascending order.  [f] may set or clear members:
-    each step resumes at the smallest member above the one just
-    visited, so members added ahead of the cursor are visited and
-    members added behind it are not. *)

@@ -1,9 +1,12 @@
 (** The discrete-event simulation driver.
 
-    A [Loop.t] owns the virtual clock and the pending-event queue.  All
-    simulated components schedule closures against it.  Events scheduled
-    for the same instant fire in scheduling order (FIFO), which keeps runs
-    deterministic. *)
+    A [Loop.t] owns the virtual clock and the pending-event queue.
+    Components schedule either closures or handler events against it: a
+    handler is an [int -> unit] function registered once, and a handler
+    event names it with an int argument, so scheduling and firing one
+    allocate nothing.  Both kinds share one queue and one ordering.
+    Events scheduled for the same instant fire in scheduling order
+    (FIFO), which keeps runs deterministic. *)
 
 type t
 
@@ -12,6 +15,13 @@ type handle [@@immediate]
     the event's slot in the loop's closure table with that slot's
     generation, so a handle that outlives its event never matches the
     slot's next occupant. *)
+
+val none : handle
+(** A handle that is never pending: a placeholder for "no event". *)
+
+type handler [@@immediate]
+(** A registered [int -> unit] function, named by its index in the
+    loop's handler table. *)
 
 val create : ?seed:int -> ?tie_salt:int -> unit -> t
 (** [create ~seed ()] makes a fresh simulation at time zero.  [seed]
@@ -42,6 +52,19 @@ val at : t -> Time.t -> (unit -> unit) -> handle
 
 val after : t -> Time.t -> (unit -> unit) -> handle
 (** [after t d f] schedules [f] at [now t + d]. *)
+
+val handler : t -> (int -> unit) -> handler
+(** Register a handler for the loop's lifetime.  Register once per
+    component, not per event: the table never shrinks. *)
+
+val at_h : t -> Time.t -> handler -> int -> handle
+(** [at_h t when_ h arg] schedules [h arg] at [when_], as {!at} would
+    schedule a closure: same clamping, same tie order.  Allocates
+    nothing once the slot table and heap have grown to the pending
+    peak. *)
+
+val after_h : t -> Time.t -> handler -> int -> handle
+(** [after_h t d h arg] schedules [h arg] at [now t + d]. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event.  Cancelling an event that has already fired

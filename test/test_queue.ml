@@ -137,6 +137,67 @@ let spsc_prop_fifo =
         ops;
       !ok)
 
+(* Slot storage grows on demand.  Grow while the ring is wrapped (head
+   past 0, tail behind it), keep growing up to a capacity that is not a
+   power of two, and check order, ages and the capacity bound
+   throughout. *)
+let test_spsc_growth () =
+  let cap = 100 in
+  let q = Squeue.Spsc.create ~capacity:cap () in
+  let next = ref 0 and expect = ref 0 in
+  let push () =
+    check_bool "push" true (Squeue.Spsc.push q ~now:(10 * !next) !next);
+    incr next
+  in
+  let pop () =
+    Alcotest.(check (option int)) "pop in order" (Some !expect) (Squeue.Spsc.pop q);
+    incr expect
+  in
+  for _ = 1 to 6 do push () done;
+  for _ = 1 to 4 do pop () done;
+  (* Head is 4; these wrap the tail round to slot 3, then outgrow the
+     storage with the ring wrapped. *)
+  for _ = 1 to 7 do push () done;
+  check_int "length across growth" 9 (Squeue.Spsc.length q);
+  check_int "oldest age after growth" (1000 - (10 * !expect))
+    (Squeue.Spsc.oldest_age q ~now:1000);
+  for _ = 1 to 3 do pop () done;
+  (* Slide the window through several more growths and wraps. *)
+  for round = 1 to 50 do
+    for _ = 1 to round mod 7 + 2 do
+      if Squeue.Spsc.length q < cap then push ()
+    done;
+    for _ = 1 to round mod 5 do
+      if not (Squeue.Spsc.is_empty q) then pop ()
+    done
+  done;
+  while Squeue.Spsc.length q < cap do push () done;
+  check_bool "full at capacity" true (Squeue.Spsc.is_full q);
+  check_bool "push at capacity rejected" false (Squeue.Spsc.push q ~now:0 (-1));
+  check_int "drop counted" 1 (Squeue.Spsc.dropped q);
+  check_int "oldest age at capacity" (100_000 - (10 * !expect))
+    (Squeue.Spsc.oldest_age q ~now:100_000);
+  while not (Squeue.Spsc.is_empty q) do pop () done;
+  check_int "every push popped" !next !expect;
+  check_int "pushed" !next (Squeue.Spsc.pushed q)
+
+let test_spsc_footprint () =
+  let q = Squeue.Spsc.create ~name:"q" ~capacity:4096 () in
+  let words = Obj.reachable_words (Obj.repr q) in
+  check_bool
+    (Printf.sprintf "a fresh 4096-slot ring holds %d < 64 words" words)
+    true (words < 64);
+  for i = 1 to 1000 do
+    ignore (Squeue.Spsc.push q ~now:i i)
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Squeue.Spsc.pop q)
+  done;
+  let popped = Gc.minor_words () -. before in
+  check_int "minor words for 1000 pops" 0 (int_of_float popped);
+  check_bool "drained" true (Squeue.Spsc.is_empty q)
+
 let test_mailbox () =
   let mb = Squeue.Mailbox.create () in
   let ran = ref 0 in
@@ -203,6 +264,10 @@ let () =
           Alcotest.test_case "drain" `Quick test_spsc_drain;
           Alcotest.test_case "wrap-around" `Quick test_spsc_wraparound;
           Alcotest.test_case "full ring at wrap" `Quick test_spsc_full_ring_wrap;
+          Alcotest.test_case "growth keeps order and bounds" `Quick
+            test_spsc_growth;
+          Alcotest.test_case "small when fresh, pop allocates nothing" `Quick
+            test_spsc_footprint;
           QCheck_alcotest.to_alcotest spsc_prop_occupancy;
           QCheck_alcotest.to_alcotest spsc_prop_fifo;
         ] );

@@ -207,6 +207,90 @@ let test_loop_every_cancel_from_callback () =
   check_bool "handle stale" false (Sim.Loop.is_pending loop h);
   check_int "no tick left queued" 0 (Sim.Loop.pending_events loop)
 
+(* -- Handler events ------------------------------------------------------ *)
+
+(* Forty events over four instants, every fifth one cancelled (handler
+   and closure events alike), and each of the first ten scheduling a
+   follow-up at its own instant.  With [mixed] the even ids go through a
+   registered handler, otherwise every event is a closure; the firing
+   order must not tell them apart. *)
+let mixed_schedule ~salt ~mixed =
+  let loop = Sim.Loop.create ~tie_salt:salt () in
+  let fired = ref [] in
+  let self = ref None in
+  let rec fire i =
+    fired := i :: !fired;
+    if i < 10 then ignore (schedule (Sim.Loop.now loop) (i + 100))
+  and schedule at i =
+    match !self with
+    | Some h when mixed && i mod 2 = 0 -> Sim.Loop.at_h loop at h i
+    | Some _ | None -> Sim.Loop.at loop at (fun () -> fire i)
+  in
+  self := Some (Sim.Loop.handler loop fire);
+  for i = 0 to 39 do
+    let h = schedule (Sim.Time.us ((i * 7) mod 4)) i in
+    if i mod 5 = 3 then Sim.Loop.cancel loop h
+  done;
+  Sim.Loop.run loop;
+  List.rev !fired
+
+let test_loop_handler_order () =
+  List.iter
+    (fun salt ->
+      let closures = mixed_schedule ~salt ~mixed:false in
+      check_int "every live event fired" 40 (List.length closures);
+      Alcotest.(check (list int))
+        (Printf.sprintf "salt %d: same order as all closures" salt)
+        closures
+        (mixed_schedule ~salt ~mixed:true))
+    [ 0; 1; 2; 3 ]
+
+let test_loop_handler_cancel () =
+  let loop = Sim.Loop.create () in
+  let hits = ref [] in
+  let h = Sim.Loop.handler loop (fun i -> hits := i :: !hits) in
+  let fired = Sim.Loop.after_h loop (Sim.Time.us 5) h 1 in
+  let cancelled = Sim.Loop.after_h loop (Sim.Time.us 5) h 2 in
+  check_bool "pending before it fires" true (Sim.Loop.is_pending loop fired);
+  Sim.Loop.cancel loop cancelled;
+  check_bool "stale after cancel" false (Sim.Loop.is_pending loop cancelled);
+  check_int "cancelled entry still queued" 2 (Sim.Loop.pending_events loop);
+  Sim.Loop.run loop;
+  Alcotest.(check (list int)) "only the live event ran" [ 1 ] !hits;
+  check_bool "stale after firing" false (Sim.Loop.is_pending loop fired);
+  (* The old handles' slots are reused; cancelling them must leave the
+     new occupants alone. *)
+  let fresh =
+    List.init 4 (fun i -> Sim.Loop.after_h loop (Sim.Time.us 1) h (10 + i))
+  in
+  Sim.Loop.cancel loop fired;
+  Sim.Loop.cancel loop cancelled;
+  Sim.Loop.cancel loop Sim.Loop.none;
+  check_bool "none is never pending" false (Sim.Loop.is_pending loop Sim.Loop.none);
+  List.iter
+    (fun h -> check_bool "new event still pending" true (Sim.Loop.is_pending loop h))
+    fresh;
+  Sim.Loop.run loop;
+  Alcotest.(check (list int)) "every new event ran" [ 13; 12; 11; 10; 1 ] !hits
+
+let test_loop_handler_no_alloc () =
+  let loop = Sim.Loop.create () in
+  let sum = ref 0 in
+  let h = Sim.Loop.handler loop (fun i -> sum := !sum + i) in
+  let pairs () =
+    for i = 1 to 10_000 do
+      ignore (Sim.Loop.at_h loop (Sim.Loop.now loop + 1) h i);
+      ignore (Sim.Loop.step loop)
+    done
+  in
+  (* Warm-up grows the slot table and the heap to size. *)
+  pairs ();
+  let before = Gc.minor_words () in
+  pairs ();
+  let words = Gc.minor_words () -. before in
+  check_int "every event fired" (2 * 50_005_000) !sum;
+  check_int "minor words for 10,000 at_h+step pairs" 0 (int_of_float words)
+
 (* Random at/after/cancel/step/run-until scripts against a sorted-list
    reference: same firing order, clock, pending count and liveness. *)
 type loop_op =
@@ -510,9 +594,14 @@ let wheel_prop_matches_heap =
 
 (* -- Bitset ------------------------------------------------------------ *)
 
+(* Members by a [next] walk, as engine passes visit them. *)
 let members b =
   let acc = ref [] in
-  Sim.Bitset.iter b (fun i -> acc := i :: !acc);
+  let i = ref (Sim.Bitset.next b 0) in
+  while !i >= 0 do
+    acc := !i :: !acc;
+    i := Sim.Bitset.next b (!i + 1)
+  done;
   List.rev !acc
 
 let test_bitset_basics () =
@@ -546,16 +635,21 @@ let test_bitset_iter_mutation () =
   let b = Sim.Bitset.create () in
   List.iter (Sim.Bitset.set b) [ 2; 9; 40 ];
   let seen = ref [] in
-  (* Changes in the visited word and in later words, ahead and behind. *)
-  Sim.Bitset.iter b (fun i ->
-      seen := i :: !seen;
-      if i = 2 then begin
-        Sim.Bitset.set b 1;
-        Sim.Bitset.set b 5;
-        Sim.Bitset.set b 70;
-        Sim.Bitset.clear b 9;
-        Sim.Bitset.clear b 40
-      end);
+  (* A [next] walk resumes above the member just visited, so changes in
+     the visited word and in later words, ahead and behind, show as
+     they would to an engine pass that sets and clears members. *)
+  let i = ref (Sim.Bitset.next b 0) in
+  while !i >= 0 do
+    seen := !i :: !seen;
+    if !i = 2 then begin
+      Sim.Bitset.set b 1;
+      Sim.Bitset.set b 5;
+      Sim.Bitset.set b 70;
+      Sim.Bitset.clear b 9;
+      Sim.Bitset.clear b 40
+    end;
+    i := Sim.Bitset.next b (!i + 1)
+  done;
   Alcotest.(check (list int))
     "added ahead visited, behind and cleared not" [ 2; 5; 70 ] (List.rev !seen)
 
@@ -643,6 +737,12 @@ let () =
             test_loop_cancel_stale_after_reuse;
           Alcotest.test_case "every cancelled from callback" `Quick
             test_loop_every_cancel_from_callback;
+          Alcotest.test_case "handler events keep the closure order" `Quick
+            test_loop_handler_order;
+          Alcotest.test_case "handler cancel and stale handles" `Quick
+            test_loop_handler_cancel;
+          Alcotest.test_case "handler events allocate nothing" `Quick
+            test_loop_handler_no_alloc;
           QCheck_alcotest.to_alcotest loop_prop_matches_model;
         ] );
       ( "span",
