@@ -525,7 +525,7 @@ let spawn m ~name ~account ~klass ~idle ~step =
   in
   if m.n_tasks >= 1 lsl tid_bits then invalid_arg "Sched.spawn: too many tasks";
   if m.n_tasks = Array.length m.tasks then begin
-    let fresh = Array.make (max 8 (2 * m.n_tasks)) task in
+    let fresh = Array.make (Int.max 8 (2 * m.n_tasks)) task in
     Array.blit m.tasks 0 fresh 0 m.n_tasks;
     m.tasks <- fresh
   end;

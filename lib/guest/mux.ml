@@ -184,7 +184,7 @@ let rec drain_messages t b cost work n =
         let tn = b.tenant in
         (match Ring.take_checked tn.Tenant.rx with
         | Ring.Take_ok d ->
-            let len = min m.PE.msg_bytes d.Ring.d_len in
+            let len = Int.min m.PE.msg_bytes d.Ring.d_len in
             cost :=
               Time.add !cost
                 (Time.ns
@@ -301,7 +301,7 @@ let service t b cost work =
          single take per pass would stretch the evidence-gathering
          window (and quarantine latency) by that same factor. *)
       let limit =
-        if tn.Tenant.health = Tenant.Suspect then max 1 (batch / 4) else batch
+        if tn.Tenant.health = Tenant.Suspect then Int.max 1 (batch / 4) else batch
       in
       drain_tx t b cost work ~limit 0
   | Tenant.Detaching ->
@@ -379,7 +379,7 @@ let meng_queue_delay m now =
 (* Guest-owned indices can make occupancy negative (rollback) or
    absurd (runahead); clamp to what the ring can physically hold. *)
 let clamped_occ ring =
-  min (Ring.capacity ring) (max 0 (Ring.occupancy ring))
+  Int.min (Ring.capacity ring) (Int.max 0 (Ring.occupancy ring))
 
 let meng_state_bytes m =
   Array.fold_left

@@ -150,7 +150,7 @@ let take_checked t =
        covers the whole regression — but never below [taken]: the host
        really consumed that many entries, and the shadow is the host's
        record of it ([check_host] asserts taken <= max_avail). *)
-    t.max_avail <- max t.avail t.taken;
+    t.max_avail <- Int.max t.avail t.taken;
     fault t Rollback;
     Take_stop Rollback
   end

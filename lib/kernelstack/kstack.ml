@@ -99,7 +99,7 @@ let mss t = Nic.mtu t.nic - header_bytes
 let locality_mult t =
   1.0
   +. costs.Sim.Costs.tcp_locality_factor
-     *. Float.max 0.0 (log (float_of_int (max 1 t.n_established)))
+     *. Float.max 0.0 (log (float_of_int (Int.max 1 t.n_established)))
 
 let scaled t base = Time.scale base (locality_mult t)
 
@@ -118,7 +118,7 @@ let copy_cost bytes =
 let in_flight_bytes sock =
   List.fold_left (fun acc f -> acc + f.len) 0 sock.flight
 
-let rcv_window sock = max 0 (rcv_buf_cap - sock.rx_avail)
+let rcv_window sock = Int.max 0 (rcv_buf_cap - sock.rx_avail)
 
 let send_segment sock ~kind ~seq ~len =
   let t = sock.stack in
@@ -224,14 +224,14 @@ let rec push_out sock chg =
     if
       sock.snd_queued > 0
       && float_of_int fl_segs < sock.cwnd
-      && fl_bytes + m <= max m sock.peer_wnd
+      && fl_bytes + m <= Int.max m sock.peer_wnd
       && Nic.tx_slots_free t.nic > 0
     then begin
       pay chg (tx_cost t);
       (* Paying in app context suspends the thread, and a softirq may
          have transmitted for this socket meanwhile: re-read the state
          before committing to a segment. *)
-      let len = min m sock.snd_queued in
+      let len = Int.min m sock.snd_queued in
       if
         len > 0
         && float_of_int (List.length sock.flight) < sock.cwnd
@@ -306,7 +306,7 @@ let absorb_ooo sock =
   let rec go () =
     match sock.ooo with
     | (s, l) :: rest when s <= sock.rcv_nxt ->
-        let advance = max 0 (s + l - sock.rcv_nxt) in
+        let advance = Int.max 0 (s + l - sock.rcv_nxt) in
         sock.rcv_nxt <- sock.rcv_nxt + advance;
         sock.rx_avail <- sock.rx_avail + advance;
         sock.ooo <- rest;
@@ -546,8 +546,8 @@ let create ~loop ~machine ~nic ?(busy_poll = false) ?(softirq_workers = 1) () =
      paper), so softirq work serializes per worker rather than scaling
      with the number of rx queues.  One worker per application job. *)
   let workers =
-    Array.init (min softirq_workers nq) (fun w ->
-        spawn_softirq_worker t ~worker:w ~stride:(min softirq_workers nq) ~queues:nq)
+    Array.init (Int.min softirq_workers nq) (fun w ->
+        spawn_softirq_worker t ~worker:w ~stride:(Int.min softirq_workers nq) ~queues:nq)
   in
   for qi = 0 to nq - 1 do
     let task = workers.(qi mod Array.length workers) in
@@ -620,7 +620,7 @@ let recv ctx sock ~max =
       Cpu.Thread.wait ctx
     end
   done;
-  let n = min max sock.rx_avail in
+  let n = Int.min max sock.rx_avail in
   sock.rx_avail <- sock.rx_avail - n;
   sock.rx_delivered <- sock.rx_delivered + n;
   Cpu.Thread.compute ctx (copy_cost n);
@@ -644,7 +644,7 @@ let try_recv ctx sock ~max =
   Cpu.Thread.syscall ctx (scaled t costs.Sim.Costs.tcp_per_syscall);
   if sock.rx_avail = 0 then 0
   else begin
-    let n = min max sock.rx_avail in
+    let n = Int.min max sock.rx_avail in
     sock.rx_avail <- sock.rx_avail - n;
     sock.rx_delivered <- sock.rx_delivered + n;
     Cpu.Thread.compute ctx (copy_cost n);

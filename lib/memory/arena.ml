@@ -32,7 +32,7 @@ type 'a t = {
 let handle_of t i = (t.gens.(i) lsl idx_bits) lor i
 
 let create ?(initial = 64) () =
-  let initial = max 8 initial in
+  let initial = Int.max 8 initial in
   {
     data = Array.make initial None;
     gens = Array.make initial 0;

@@ -23,7 +23,7 @@ let delay_before p ~attempt =
        unspecified (observed going negative).  The exponent itself is
        capped so pathological attempt values cannot even overflow the
        float range into [infinity *. 0.0 = nan] territory. *)
-    let exponent = float_of_int (min (attempt - 2) 1024) in
+    let exponent = float_of_int (Int.min (attempt - 2) 1024) in
     let scaled = float_of_int p.base_delay *. (p.multiplier ** exponent) in
     if Float.is_nan scaled then p.max_delay
     else if scaled >= float_of_int p.max_delay then p.max_delay

@@ -168,7 +168,7 @@ let fl_una t = t.snd_nxt - t.flight_len
 
 (* Double the flight arrays, re-slotting the in-flight seqs. *)
 let fl_grow t =
-  let cap = max 8 (2 * Array.length t.fl_item) in
+  let cap = Int.max 8 (2 * Array.length t.fl_item) in
   let item = Array.make cap vacant in
   let payload = Array.make cap 0 and sent = Array.make cap 0 in
   for seq = fl_una t to t.snd_nxt - 1 do
@@ -184,7 +184,7 @@ let fl_grow t =
 (* Double the send-queue arrays, unwrapping the ring to start at 0. *)
 let q_grow t =
   let old = Array.length t.q_item in
-  let cap = max 8 (2 * old) in
+  let cap = Int.max 8 (2 * old) in
   let item = Array.make cap vacant in
   let payload = Array.make cap 0 and enq = Array.make cap 0 in
   for i = 0 to t.q_len - 1 do
@@ -216,7 +216,7 @@ let cc t = t.timely
 let pending t = t.q_len + Queue.length t.retx
 let in_flight t = t.flight_len
 
-let effective_window t = min max_flight (max 0 t.peer_wnd)
+let effective_window t = Int.min max_flight (Int.max 0 t.peer_wnd)
 
 (* A quenched idle flow (zero window, empty flight, data waiting) may
    send one probe packet after an idle interval; the probe's ack
@@ -294,7 +294,7 @@ let build_packet t ~now ~gen ~seq ~item ~payload =
           flow = t.fkey;
           seq;
           ack = t.rcv_cum;
-          wnd = max 0 (t.wnd_provider ());
+          wnd = Int.max 0 (t.wnd_provider ());
           ts = now;
           ts_echo = t.latest_rx_ts;
           version = t.ver;
@@ -413,7 +413,7 @@ let make_ack t ~now ~gen =
 
 let schedule_retransmit t n =
   (* Requeue up to [n] unacked head packets (bounded go-back-N). *)
-  let count = min n t.flight_len in
+  let count = Int.min n t.flight_len in
   let una = fl_una t in
   for i = 0 to count - 1 do
     t.n_retx <- t.n_retx + 1;

@@ -36,7 +36,7 @@ let is_full t = t.size = t.cap
 (* Room for one more: grow, unwrapping the ring to start at 0. *)
 let grow t =
   let n = Array.length t.items in
-  let n' = min t.cap (max 8 (2 * n)) in
+  let n' = Int.min t.cap (Int.max 8 (2 * n)) in
   let items = Array.make n' None and times = Array.make n' 0 in
   for i = 0 to t.size - 1 do
     let j = t.head + i in

@@ -15,7 +15,7 @@ let set t i =
   let w = i lsr shift in
   let n = Array.length t.words in
   if w >= n then begin
-    let fresh = Array.make (max (w + 1) (2 * n)) 0 in
+    let fresh = Array.make (Int.max (w + 1) (2 * n)) 0 in
     Array.blit t.words 0 fresh 0 n;
     t.words <- fresh
   end;
@@ -54,7 +54,7 @@ let lowest_bit x =
 let next t i =
   if t.count = 0 then -1
   else begin
-    let i = max i 0 in
+    let i = Int.max i 0 in
     let n = Array.length t.words in
     let w = ref (i lsr shift) in
     if !w >= n then -1

@@ -115,7 +115,7 @@ let set_capture = function
       state :=
         Some
           {
-            inflight = Hashtbl.create (min cap 1024);
+            inflight = Hashtbl.create (Int.min cap 1024);
             order = Queue.create ();
             ring = Queue.create ();
             cap;

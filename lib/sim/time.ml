@@ -11,8 +11,8 @@ let to_float_ms t = float_of_int t /. 1_000_000.
 let to_float_sec t = float_of_int t /. 1e9
 let add = ( + )
 let sub = ( - )
-let max = Stdlib.max
-let min = Stdlib.min
+let max = Int.max
+let min = Int.min
 let scale t f = int_of_float (Float.round (float_of_int t *. f))
 
 let pp fmt t =

@@ -185,7 +185,7 @@ and advance t tk =
     | None -> ()
 
 let arm t ~at fn =
-  let due_tick = max at (t.base + 1) in
+  let due_tick = Int.max at (t.base + 1) in
   let w =
     {
       w_wheel = t;

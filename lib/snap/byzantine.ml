@@ -17,7 +17,7 @@ module Tenant = Guest.Tenant
 
 let tick = Time.us 20
 
-let buf_len tn = min 64 (Memory.Region.size tn.Tenant.region)
+let buf_len tn = Int.min 64 (Memory.Region.size tn.Tenant.region)
 
 let strike ~loop ~rng tn behavior =
   let tx = tn.Tenant.tx in
@@ -31,7 +31,7 @@ let strike ~loop ~rng tn behavior =
         match Rng.int rng 3 with
         | 0 -> (-64 - Rng.int rng 4096, 64)
         | 1 -> (region_size - 8, 64 + Rng.int rng 4096)
-        | _ -> (Rng.int rng (max 1 region_size), -(1 + Rng.int rng 512))
+        | _ -> (Rng.int rng (Int.max 1 region_size), -(1 + Rng.int rng 512))
       in
       Ring.post_raw tx ~now ~id:(Rng.int rng 1024) ~off ~len
   | Fault.Plan.Desc_id_alias ->
@@ -71,7 +71,7 @@ let launch ~loop ~rng ~tenant:tn ~behaviors ~until =
     (fun b ->
       match (b : Fault.Plan.byzantine) with
       | Fault.Plan.Kick_storm { hz } ->
-          let period = Time.ns (max 1 (int_of_float (1e9 /. hz))) in
+          let period = Time.ns (Int.max 1 (int_of_float (1e9 /. hz))) in
           let rec storm () =
             if Loop.now loop < until then begin
               Ring.kick_raw tn.Tenant.tx;

@@ -163,7 +163,7 @@ let guest_transmit t g ~dst_vip ~bytes =
       ~id:(Packet.Id_gen.next t.gen)
       ~src:(Nic.addr t.nic) ~dst:0 ~flow_hash:(g.vip * 1021)
       ~qos:3
-      ~wire_bytes:(min (Nic.mtu t.nic) (bytes + 60))
+      ~wire_bytes:(Int.min (Nic.mtu t.nic) (bytes + 60))
       ~payload_bytes:bytes
       (Vnet { src_vip = g.vip; dst_vip })
       ()

@@ -270,7 +270,7 @@ let run (cfg : config) : result =
   List.iter
     (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
     [ h_cli; h_srv ];
-  let steady_ops = max 1 (t1_ops - t0_ops) in
+  let steady_ops = Int.max 1 (t1_ops - t0_ops) in
   let steady_gc, steady_cpu =
     match (!snap0, !snap1) with
     | Some (gc0, c0), Some (gc1, c1) ->

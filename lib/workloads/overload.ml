@@ -141,7 +141,7 @@ let run (cfg : config) : result =
      tallied by status. *)
   let link_gbps = Nic.link_gbps h_agg.Snap.Host.nic in
   let interval =
-    max 1
+    Int.max 1
       (int_of_float
          (float_of_int (cfg.aggressor_bytes * 8 * cfg.aggressors)
          /. (link_gbps *. cfg.load_factor)))

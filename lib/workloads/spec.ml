@@ -134,7 +134,7 @@ let measure f =
    measured its own [steady] per-op window. *)
 let outcome ?steady ~fingerprint ~checks ~ops ~goodput_gbps ~latencies
     (cost, gc) report =
-  let n = float_of_int (max 1 ops) in
+  let n = float_of_int (Int.max 1 ops) in
   let cpu_ns_per_op, gc_words_per_op =
     Option.value steady ~default:(cost /. n, gc /. n)
   in
