@@ -381,6 +381,93 @@ let test_crash_restart_reconnect () =
          && List.assoc_opt "reason" args = Some "peer restarted")
        (instants "conn dead"))
 
+(* A conn's key outlives the crash of one end: an item of the pre-crash
+   conn still in the fabric when the crashed host has restarted and
+   re-dialed must miss the new conn and draw a reset.  Host 0 dials the
+   server and sends one message; the fault hook holds that packet for
+   3 ms.  Host 1 crashes at 1 ms, restarts at 2 ms, re-registers and
+   dials host 0's client back; the late item reaches it after that.  It
+   must draw a reset and leave the new conn alone: the conn stays
+   established, carries exactly its own echoes, and its halves' credit
+   invariants (armed by the checker) hold throughout.  The late item
+   does take a sequence number in the restarted host's new flow, so
+   the surviving host's item with that number is later dropped as a
+   duplicate; that flow-layer gap is why the test does not ask for the
+   whole initial credit back. *)
+let test_stale_key_after_restart () =
+  Check.Invariant.set_enabled true;
+  Check.Invariant.begin_run ();
+  Fun.protect
+    ~finally:(fun () ->
+      Check.Invariant.begin_run ();
+      Check.Invariant.set_enabled false)
+    (fun () ->
+      let loop, fab, hosts = mk_cluster () in
+      Check.Invariant.install ~loop ();
+      let ha = List.hd hosts and hb = List.nth hosts 1 in
+      let late_at = ref T.zero in
+      Fabric.set_fault_hook fab (fun pkt ->
+          match pkt.Memory.Packet.payload with
+          | Pony.Wire.Pony { item = Pony.Wire.Msg_chunk _; _ }
+            when pkt.Memory.Packet.src = 0 && !late_at = T.zero ->
+              late_at := T.add (Sim.Loop.now loop) (T.ms 3);
+              Fabric.Fault_delay (T.ms 3)
+          | _ -> Fabric.Fault_pass);
+      let n = 8 and bytes = 1 lsl 20 in
+      let redial_at = ref T.zero and resets_at_redial = ref 0 in
+      let sends_ok = ref 0 and echoes = ref 0 and foreign = ref 0 in
+      let new_conn = ref None in
+      ignore
+        (Snap.Host.spawn_app ha ~name:"a" ~spin:true (fun ctx ->
+             let c = PE.create_client ctx ha.Snap.Host.pony ~name:"a" () in
+             sleep_until ctx (T.us 300);
+             let cn0 = PE.connect_by_name ctx c ~dst_host:1 ~dst_name:"srv" in
+             ignore (PE.send_message ctx cn0 ~bytes:64 ());
+             while true do
+               let m = PE.await_message ctx c in
+               ignore (PE.send_message ctx m.PE.msg_conn ~bytes:64 ())
+             done));
+      ignore
+        (Snap.Host.spawn_app hb ~name:"srv" ~spin:true (fun ctx ->
+             ignore (PE.create_client ctx hb.Snap.Host.pony ~name:"srv" ());
+             sleep_until ctx (T.ms 2);
+             while not (PE.host_alive hb.Snap.Host.pony) do
+               Cpu.Thread.sleep ctx (T.us 50)
+             done;
+             let c = PE.create_client ctx hb.Snap.Host.pony ~name:"srv" () in
+             let cn =
+               Option.get (PE.connect_with_retry ctx c ~dst_host:0 ~dst_name:"a" ())
+             in
+             new_conn := Some cn;
+             redial_at := Cpu.Thread.now ctx;
+             resets_at_redial := PE.conn_resets_sent hb.Snap.Host.pony;
+             sleep_until ctx (T.ms 4);
+             for _ = 1 to n do
+               ignore (PE.send_message ctx cn ~bytes ())
+             done;
+             while Cpu.Thread.now ctx < T.ms 25 do
+               (match PE.poll_completion ctx c with
+               | Some comp when comp.PE.status = Pony.Wire.Ok -> incr sends_ok
+               | Some _ | None -> ());
+               match PE.poll_message ctx c with
+               | Some m -> if m.PE.msg_conn == cn then incr echoes else incr foreign
+               | None -> Cpu.Thread.sleep ctx (T.us 5)
+             done));
+      ignore (Sim.Loop.at loop (T.ms 1) (fun () -> PE.crash_host hb.Snap.Host.pony));
+      ignore (Sim.Loop.at loop (T.ms 2) (fun () -> PE.restart_host hb.Snap.Host.pony));
+      Sim.Loop.run ~until:(T.ms 30) loop;
+      check_bool "the late item was held past the re-dial" true
+        (!redial_at > T.ms 2 && !late_at > !redial_at);
+      check_bool "the late item drew a reset" true
+        (PE.conn_resets_sent hb.Snap.Host.pony > !resets_at_redial);
+      let cn = Option.get !new_conn in
+      check_bool "the new conn is still established" true
+        (PE.conn_state cn = PE.Established);
+      check_int "every send on the new conn completed Ok" n !sends_ok;
+      check_int "exactly the echoes arrived on the new conn" n !echoes;
+      check_int "no message on any other conn" 0 !foreign;
+      Check.Invariant.check_now ())
+
 (* -- Deadline-bounded awaits --------------------------------------------- *)
 
 let test_await_until () =
@@ -505,6 +592,8 @@ let () =
         [
           Alcotest.test_case "restart, incarnation fence, reconnect" `Quick
             test_crash_restart_reconnect;
+          Alcotest.test_case "stale key after restart" `Quick
+            test_stale_key_after_restart;
         ] );
       ( "await",
         [ Alcotest.test_case "deadline-bounded awaits" `Quick test_await_until ]
