@@ -3,13 +3,23 @@ module Loop = Sim.Loop
 
 let costs = Sim.Costs.default
 
-type step_result =
-  | Ran of Time.t
-  | Ran_nonpreemptible of Time.t
-  | Idle
-  | Finished
+(* A step result packs its cost above a two-bit tag, so a step returns
+   an immediate and allocates nothing. *)
+type step_result = int
+
+let tag_bits = 2
+let tag_mask = (1 lsl tag_bits) - 1
+let tag_ran_nonpreemptible = 1
+let idle = 2
+let finished = 3
+let ran cost = cost lsl tag_bits
+let ran_nonpreemptible cost = (cost lsl tag_bits) lor tag_ran_nonpreemptible
 
 type idle_policy = Spin | Block
+
+(* A float alone in a record is stored flat, so updating it allocates
+   nothing; a mutable float field of a mixed record boxes every store. *)
+type fcell = { mutable f : float }
 
 type klass =
   | Pinned of int
@@ -57,7 +67,7 @@ type task = {
   mutable gen : int;  (* invalidates stale step events *)
   mutable busy : int;
   mutable spin_start : Time.t;
-  mutable vruntime : float;
+  vruntime : fcell;
   mutable slice_used : int;
   mutable mq_consumed : int;
   mutable mq_period_start : Time.t;
@@ -96,8 +106,13 @@ and machine = {
   cfs_ready : Sim.Heap.t;  (* task ids keyed by vruntime *)
   mutable tasks : task array;  (* by [tid]; ids are never reused *)
   mutable n_tasks : int;
+  (* Every sleeping thread's wake: the argument is the task id. *)
+  on_wake : Loop.handler;
   account_tbl : (string, int ref) Hashtbl.t;
-  mutable vr_clock : float;
+  (* The "softirq" counter, resolved on its first charge as a task
+     resolves [acct]. *)
+  mutable softirq : int ref option;
+  vr_clock : fcell;
   mutable rr_interrupt : int;
   mutable total_busy : int;
   mutable m_cost_scale : float;
@@ -167,9 +182,16 @@ let account_ref m account =
       Hashtbl.add m.account_tbl account r;
       r
 
-let account_add m account cost =
+let softirq_add m cost =
   m.total_busy <- m.total_busy + cost;
-  let r = account_ref m account in
+  let r =
+    match m.softirq with
+    | Some r -> r
+    | None ->
+        let r = account_ref m "softirq" in
+        m.softirq <- Some r;
+        r
+  in
   r := !r + cost
 
 let charge task cost =
@@ -274,7 +296,7 @@ and dispatch m core task ~delay =
   task.preempt_rt <- false;
   task.preempt_fair <- false;
   task.wake_pending <- false;
-  m.vr_clock <- Float.max m.vr_clock task.vruntime;
+  m.vr_clock.f <- Float.max m.vr_clock.f task.vruntime.f;
   schedule_step m core task ~delay
 
 (* Pick the next task for a newly free core: its affine waiter first,
@@ -301,45 +323,46 @@ and pick_next m core =
         | None -> ())
   end
 
+(* MicroQuanta has strict priority over CFS.  Neither walk is a local
+   closure, which would be allocated on every call. *)
 and next_ready m =
-  (* MicroQuanta has strict priority over CFS. *)
-  let rec from_mq () =
-    match Queue.take_opt m.mq_ready with
-    | Some t when t.state = Ready -> Some t
-    | Some _ -> from_mq ()
-    | None -> from_cfs ()
-  and from_cfs () =
-    if Sim.Heap.is_empty m.cfs_ready then None
-    else
-      let t = m.tasks.(Sim.Heap.pop_exn m.cfs_ready) in
-      if t.state = Ready then Some t else from_cfs ()
-  in
-  from_mq ()
+  match Queue.take_opt m.mq_ready with
+  | Some t when t.state = Ready -> Some t
+  | Some _ -> next_ready m
+  | None -> next_ready_cfs m
+
+and next_ready_cfs m =
+  if Sim.Heap.is_empty m.cfs_ready then None
+  else
+    let t = m.tasks.(Sim.Heap.pop_exn m.cfs_ready) in
+    if t.state = Ready then Some t else next_ready_cfs m
+
+(* The first floating core with nothing on it, from index [i]; -1 if
+   none. *)
+and free_core m i =
+  if i >= Array.length m.cores_arr then -1
+  else
+    let c = m.cores_arr.(i) in
+    if (not c.reserved) && c.current = None then i else free_core m (i + 1)
 
 and enqueue_ready m task =
   task.state <- Ready;
   bump_gen task;
   (match task.klass with
   | Micro_quanta _ | Pinned _ -> Queue.add task m.mq_ready
-  | Cfs _ -> Sim.Heap.add m.cfs_ready ~key:(int_of_float task.vruntime) task.tid);
+  | Cfs _ -> Sim.Heap.add m.cfs_ready ~key:(int_of_float task.vruntime.f) task.tid);
   (* If a core is idle, take it immediately. *)
-  let rec find_idle i =
-    if i >= Array.length m.cores_arr then None
-    else
-      let c = m.cores_arr.(i) in
-      if (not c.reserved) && c.current = None then Some c else find_idle (i + 1)
-  in
-  match find_idle 0 with
-  | Some c -> (
-      match next_ready m with
-      | Some t ->
-          let delay =
-            Time.add costs.context_switch
-              (if core_asleep m c then costs.cstate_exit else Time.zero)
-          in
-          dispatch m c t ~delay
-      | None -> ())
-  | None -> ()
+  let cid = free_core m 0 in
+  if cid >= 0 then
+    match next_ready m with
+    | Some t ->
+        let c = m.cores_arr.(cid) in
+        let delay =
+          Time.add costs.context_switch
+            (if core_asleep m c then costs.cstate_exit else Time.zero)
+        in
+        dispatch m c t ~delay
+    | None -> ()
 
 and should_resched m task =
   if task.preempt_rt then true
@@ -382,40 +405,40 @@ and step_event m core task gen =
       pick_next m core
     end
     else begin
-      match task.step () with
-      | Ran cost -> after_run m core task (scale_cost m cost) ~nonpreempt:false
-      | Ran_nonpreemptible cost ->
-          after_run m core task (scale_cost m cost) ~nonpreempt:true
-      | Idle ->
-          if task.wake_pending then begin
-            (* A wake raced with this step; poll once more rather than
-               losing it. *)
-            task.wake_pending <- false;
-            schedule_step m core task ~delay:spin_discovery
-          end
-          else (
-            match task.idle with
-            | Spin ->
-                task.state <- core.st_spinning;
-                bump_gen task;
-                task.spin_start <- Loop.now m.lp
-            | Block ->
-                task.state <- Blocked;
-                bump_gen task;
-                pick_next m core)
-      | Finished ->
-          task.state <- Done;
-          bump_gen task;
-          pick_next m core
+      let r = task.step () in
+      if r = idle then begin
+        if task.wake_pending then begin
+          (* A wake raced with this step; poll once more rather than
+             losing it. *)
+          task.wake_pending <- false;
+          schedule_step m core task ~delay:spin_discovery
+        end
+        else
+          match task.idle with
+          | Spin ->
+              task.state <- core.st_spinning;
+              bump_gen task;
+              task.spin_start <- Loop.now m.lp
+          | Block ->
+              task.state <- Blocked;
+              bump_gen task;
+              pick_next m core
+      end
+      else if r = finished then begin
+        task.state <- Done;
+        bump_gen task;
+        pick_next m core
+      end
+      else
+        after_run m core task
+          (scale_cost m (r asr tag_bits))
+          ~nonpreempt:(r land tag_mask = tag_ran_nonpreemptible)
     end
 
 and after_run m core task cost ~nonpreempt =
   charge task cost;
   task.slice_used <- task.slice_used + cost;
-  (* Only fair tasks move: the others' scale is 0, and storing the
-     unchanged sum would still box it. *)
-  if task.vr_scale <> 0.0 then
-    task.vruntime <- task.vruntime +. (float_of_int cost *. task.vr_scale);
+  task.vruntime.f <- task.vruntime.f +. (float_of_int cost *. task.vr_scale);
   if nonpreempt then core.nonpreempt_until <- Time.add (Loop.now m.lp) cost;
   (* MicroQuanta bandwidth control. *)
   let now = Loop.now m.lp in
@@ -441,49 +464,6 @@ and after_run m core task cost ~nonpreempt =
     pick_next m core
   end
   else schedule_step m core task ~delay:cost
-
-let create_machine ~loop ~name ~cores =
-  if cores <= 0 || cores >= 1 lsl core_bits then
-    invalid_arg "Sched.create_machine";
-  let self = ref None in
-  let on_step =
-    Loop.handler loop (fun a ->
-        match !self with Some m -> step_fired m a | None -> ())
-  in
-  let m =
-  {
-    lp = loop;
-    m_name = name;
-    on_step;
-    cores_arr =
-      Array.init cores (fun cid ->
-          {
-            cid;
-            st_running = Running cid;
-            st_spinning = Spinning cid;
-            current = None;
-            reserved = false;
-            idle_since = Time.zero;
-            steal = 0;
-            nonpreempt_until = Time.zero;
-            core_busy = 0;
-            switches = 0;
-            waiter = None;
-          });
-    mq_ready = Queue.create ();
-    cfs_ready = Sim.Heap.create ();
-    tasks = [||];
-    n_tasks = 0;
-    account_tbl = Hashtbl.create 16;
-    vr_clock = 0.0;
-    rr_interrupt = 0;
-    total_busy = 0;
-    m_cost_scale = 1.0;
-  }
-  in
-  self := Some m;
-  register_core_gauges m;
-  m
 
 (* -- Task lifecycle ---------------------------------------------------- *)
 
@@ -514,7 +494,7 @@ let spawn m ~name ~account ~klass ~idle ~step =
       gen = 0;
       busy = 0;
       spin_start = Time.zero;
-      vruntime = 0.0;
+      vruntime = { f = 0.0 };
       slice_used = 0;
       mq_consumed = 0;
       mq_period_start = Time.zero;
@@ -585,8 +565,8 @@ let wake task =
       (* CFS wakeup placement credit keeps long sleepers competitive. *)
       (match task.klass with
       | Cfs _ ->
-          task.vruntime <-
-            Float.max task.vruntime (m.vr_clock -. wake_vruntime_bonus)
+          task.vruntime.f <-
+            Float.max task.vruntime.f (m.vr_clock.f -. wake_vruntime_bonus)
       | Pinned _ | Micro_quanta _ -> ());
       (match task.klass with
       | Pinned cid ->
@@ -668,6 +648,57 @@ let start task = wake task
 
 let kick task = wake task
 
+let wake_after task d = ignore (Loop.after_h task.m.lp d task.m.on_wake task.tid)
+
+let create_machine ~loop ~name ~cores =
+  if cores <= 0 || cores >= 1 lsl core_bits then
+    invalid_arg "Sched.create_machine";
+  let self = ref None in
+  let on_step =
+    Loop.handler loop (fun a ->
+        match !self with Some m -> step_fired m a | None -> ())
+  in
+  let on_wake =
+    Loop.handler loop (fun tid ->
+        match !self with Some m -> wake m.tasks.(tid) | None -> ())
+  in
+  let m =
+  {
+    lp = loop;
+    m_name = name;
+    on_step;
+    on_wake;
+    cores_arr =
+      Array.init cores (fun cid ->
+          {
+            cid;
+            st_running = Running cid;
+            st_spinning = Spinning cid;
+            current = None;
+            reserved = false;
+            idle_since = Time.zero;
+            steal = 0;
+            nonpreempt_until = Time.zero;
+            core_busy = 0;
+            switches = 0;
+            waiter = None;
+          });
+    mq_ready = Queue.create ();
+    cfs_ready = Sim.Heap.create ();
+    tasks = [||];
+    n_tasks = 0;
+    account_tbl = Hashtbl.create 16;
+    softirq = None;
+    vr_clock = { f = 0.0 };
+    rr_interrupt = 0;
+    total_busy = 0;
+    m_cost_scale = 1.0;
+  }
+  in
+  self := Some m;
+  register_core_gauges m;
+  m
+
 let task_core t =
   match t.state with
   | Running cid | Spinning cid -> Some cid
@@ -675,22 +706,20 @@ let task_core t =
 
 (* -- Interrupts -------------------------------------------------------- *)
 
+(* The next core round-robin over non-reserved cores, like RSS
+   spreading; the cursor's core when every core is reserved. *)
+let rr_core m =
+  let n = Array.length m.cores_arr in
+  let c = ref (m.rr_interrupt mod n) and tries = ref 0 in
+  while !tries < n && m.cores_arr.(!c).reserved do
+    incr tries;
+    c := (!c + 1) mod n
+  done;
+  m.rr_interrupt <- m.rr_interrupt + 1;
+  !c
+
 let interrupt m ?core ~cost f =
-  let cid =
-    match core with
-    | Some c -> c
-    | None ->
-        (* Round-robin over non-reserved cores, like RSS spreading. *)
-        let n = Array.length m.cores_arr in
-        let rec pick tries c =
-          if tries >= n then c
-          else if m.cores_arr.(c).reserved then pick (tries + 1) ((c + 1) mod n)
-          else c
-        in
-        let c = pick 0 (m.rr_interrupt mod n) in
-        m.rr_interrupt <- m.rr_interrupt + 1;
-        c
-  in
+  let cid = match core with Some c -> c | None -> rr_core m in
   let core = m.cores_arr.(cid) in
   let delay =
     Time.add costs.interrupt_delivery
@@ -698,7 +727,7 @@ let interrupt m ?core ~cost f =
   in
   ignore
     (Loop.after m.lp delay (fun () ->
-         account_add m "softirq" cost;
+         softirq_add m cost;
          core.core_busy <- core.core_busy + cost;
          (match core.current with
          | Some _ -> core.steal <- core.steal + cost
@@ -707,16 +736,8 @@ let interrupt m ?core ~cost f =
 
 let softirq_charge m cost =
   if cost > 0 then begin
-    account_add m "softirq" cost;
-    let n = Array.length m.cores_arr in
-    let rec pick tries c =
-      if tries >= n then c
-      else if m.cores_arr.(c).reserved then pick (tries + 1) ((c + 1) mod n)
-      else c
-    in
-    let cid = pick 0 (m.rr_interrupt mod n) in
-    m.rr_interrupt <- m.rr_interrupt + 1;
-    let core = m.cores_arr.(cid) in
+    softirq_add m cost;
+    let core = m.cores_arr.(rr_core m) in
     core.core_busy <- core.core_busy + cost;
     match core.current with
     | Some _ -> core.steal <- core.steal + cost

@@ -17,16 +17,24 @@
 type machine
 type task
 
-(** What one [step] call did. *)
-type step_result =
-  | Ran of Sim.Time.t  (** Performed work costing this much CPU time. *)
-  | Ran_nonpreemptible of Sim.Time.t
-      (** As [Ran], but the core cannot be preempted for the duration
-          (kernel section, cf. Figure 7(b)). *)
-  | Idle  (** No work available right now. *)
-  | Finished  (** The task is done and will never run again. *)
+type step_result = private int
+(** What one [step] call did, packed into an immediate so that a step
+    allocates nothing.  Only the four values below build one. *)
 
-(** Behaviour when [step] reports [Idle]. *)
+val ran : Sim.Time.t -> step_result
+(** Performed work costing this much CPU time. *)
+
+val ran_nonpreemptible : Sim.Time.t -> step_result
+(** As {!ran}, but the core cannot be preempted for the duration
+    (kernel section, cf. Figure 7(b)). *)
+
+val idle : step_result
+(** No work available right now. *)
+
+val finished : step_result
+(** The task is done and will never run again. *)
+
+(** Behaviour when [step] reports {!idle}. *)
 type idle_policy =
   | Spin  (** Busy-poll: hold the core (its time counts as busy). *)
   | Block  (** Release the core and wait for {!wake}. *)
@@ -103,6 +111,11 @@ val kick : task -> unit
     after the poll-discovery delay; equivalent to {!wake} for a blocked
     task; no-op otherwise.  This is what queue producers call. *)
 
+val wake_after : task -> Sim.Time.t -> unit
+(** [wake_after t d] calls {!wake} on [t] after [d].  The wake is a
+    handler event of the machine keyed by the task, so arming one
+    allocates nothing; it cannot be cancelled. *)
+
 val task_core : task -> int option
 (** Core the task currently occupies (running or spinning), if any. *)
 
@@ -115,7 +128,7 @@ val softirq_charge : machine -> Sim.Time.t -> unit
     receive-path protocol processing. *)
 
 val set_idle_policy : task -> idle_policy -> unit
-(** Change what happens the next time the task reports [Idle].  Used by
+(** Change what happens the next time the task reports {!idle}.  Used by
     the compacting engine scheduler to let drained threads block instead
     of spinning. *)
 

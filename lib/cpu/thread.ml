@@ -1,18 +1,17 @@
 module Time = Sim.Time
 
-type _ Effect.t +=
-  | Compute : Time.t -> unit Effect.t
-  | Compute_np : Time.t -> unit Effect.t
-  | Wait : unit Effect.t
-  | Sleep : Time.t -> unit Effect.t
+(* The one effect a thread performs: hand the core back to [step].  What
+   the segment did is written into the ctx first, so the effect is a
+   constant and a switch allocates only the continuation and its
+   [Some]. *)
+type _ Effect.t += Yield : unit Effect.t
 
 type ctx = {
   mutable tsk : Sched.task option;
   m : Sched.machine;
-  (* Continuation to run on the next [step] call, set each time the body
-     performs an effect. *)
-  mutable resume : (unit -> unit) option;
-  (* Step result produced by the last segment of the body. *)
+  (* The parked body, resumed by the next [step] call. *)
+  mutable k : (unit, unit) Effect.Deep.continuation option;
+  (* Step result of the segment the body is running. *)
   mutable outcome : Sched.step_result;
 }
 
@@ -20,58 +19,53 @@ let task ctx = match ctx.tsk with Some t -> t | None -> assert false
 let machine ctx = ctx.m
 let now ctx = Sim.Loop.now (Sched.loop ctx.m)
 
-let compute _ctx cost = Effect.perform (Compute cost)
-let compute_nonpreemptible _ctx cost = Effect.perform (Compute_np cost)
-let wait _ctx = Effect.perform Wait
-let sleep _ctx d = Effect.perform (Sleep d)
+let yield ctx outcome =
+  ctx.outcome <- outcome;
+  Effect.perform Yield
+
+let compute ctx cost = yield ctx (Sched.ran cost)
+let compute_nonpreemptible ctx cost = yield ctx (Sched.ran_nonpreemptible cost)
+let wait ctx = yield ctx Sched.idle
+
+let sleep ctx d =
+  Sched.wake_after (task ctx) d;
+  yield ctx Sched.idle
 
 let syscall ctx cost = compute ctx (Time.add Sim.Costs.default.syscall cost)
 
 let step ctx () =
-  match ctx.resume with
-  | None -> Sched.Finished
-  | Some f ->
-      ctx.resume <- None;
-      ctx.outcome <- Sched.Finished;
-      f ();
+  match ctx.k with
+  | None -> Sched.finished
+  | Some k ->
+      ctx.k <- None;
+      (* Left as it is when the body returns. *)
+      ctx.outcome <- Sched.finished;
+      Effect.Deep.continue k ();
+      if ctx.outcome = Sched.finished && Option.is_some ctx.k then
+        invalid_arg "Thread: yielded through another thread's ctx";
       ctx.outcome
 
 let spawn m ~name ~account ~klass ?(idle = Sched.Block) body =
-  let ctx = { tsk = None; m; resume = None; outcome = Sched.Finished } in
+  let ctx = { tsk = None; m; k = None; outcome = Sched.finished } in
+  let park = Some (fun k -> ctx.k <- Some k) in
   let handler : (unit, unit) Effect.Deep.handler =
     {
-      retc = (fun () -> ctx.outcome <- Sched.Finished);
-      exnc = (fun e -> raise e);
+      retc = ignore;
+      exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Compute cost ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  ctx.outcome <- Sched.Ran cost;
-                  ctx.resume <- Some (fun () -> Effect.Deep.continue k ()))
-          | Compute_np cost ->
-              Some
-                (fun k ->
-                  ctx.outcome <- Sched.Ran_nonpreemptible cost;
-                  ctx.resume <- Some (fun () -> Effect.Deep.continue k ()))
-          | Wait ->
-              Some
-                (fun k ->
-                  ctx.outcome <- Sched.Idle;
-                  ctx.resume <- Some (fun () -> Effect.Deep.continue k ()))
-          | Sleep d ->
-              Some
-                (fun k ->
-                  ctx.outcome <- Sched.Idle;
-                  ctx.resume <- Some (fun () -> Effect.Deep.continue k ());
-                  ignore
-                    (Sim.Loop.after (Sched.loop m) d (fun () ->
-                         Sched.wake (task ctx))))
+          | Yield -> (park : ((a, unit) Effect.Deep.continuation -> unit) option)
           | _ -> None);
     }
   in
-  ctx.resume <- Some (fun () -> Effect.Deep.match_with body ctx handler);
+  (* Start the body parked before its first line, so every step resumes
+     a continuation. *)
+  Effect.Deep.match_with
+    (fun ctx ->
+      Effect.perform Yield;
+      body ctx)
+    ctx handler;
   let t = Sched.spawn m ~name ~account ~klass ~idle ~step:(step ctx) in
   ctx.tsk <- Some t;
   Sched.start t;

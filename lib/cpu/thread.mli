@@ -5,7 +5,9 @@
     step state machine.  [Thread] wraps a {!Sched.task} around an OCaml
     effects-based coroutine: the body performs {!compute}, {!wait} and
     {!sleep} operations and the scheduler interleaves it with everything
-    else on the machine. *)
+    else on the machine.  Each of them records its step result in the
+    ctx and performs one constant effect, so a switch allocates only
+    the parked continuation. *)
 
 type ctx
 (** Handle passed to the thread body. *)
@@ -40,4 +42,12 @@ val wait : ctx -> unit
     idle policy [Spin] the core is held (spin-polling) while parked. *)
 
 val sleep : ctx -> Sim.Time.t -> unit
-(** Park for a fixed duration. *)
+(** [sleep ctx d] parks the thread and arms a {!Sched.wake_after} of
+    [d].  It returns at the task's first wake, which can come before
+    [d] has passed: any {!Sched.wake} or {!Sched.kick} of the task ends
+    the sleep, and Pony kicks a client's app task on every completion
+    and message it delivers.  An early wake does not cancel the timer;
+    it still fires at [d] and wakes the task again, cutting short
+    whatever wait or sleep the task is in by then.  A caller that needs
+    an absolute instant [t] loops on {!now}:
+    [while now ctx < t do sleep ctx (Sim.Time.sub t (now ctx)) done]. *)

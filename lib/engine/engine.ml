@@ -2,7 +2,14 @@ module Time = Sim.Time
 module Loop = Sim.Loop
 module Sched = Cpu.Sched
 
-type outcome = Worked of Time.t | No_work
+(* A batch's cost, or [no_work]: an immediate, so a step allocates
+   nothing. *)
+type outcome = int
+
+let no_work = -1
+
+let worked cost =
+  if cost < 0 then invalid_arg "Engine.worked: negative cost" else cost
 
 (* Cost of servicing one posted mailbox item on the engine thread. *)
 let mailbox_service_cost = Time.ns 250
@@ -140,15 +147,16 @@ let step_engine ct now e =
            (Printf.sprintf "engine %s stepped while migrating detached"
               e.e_name));
     let mailbox = if Squeue.Mailbox.service e.mb then mailbox_service_cost else 0 in
-    match e.run_fn () with
-    | Worked c ->
-        e.n_steps <- e.n_steps + 1;
-        e.work_ns <- e.work_ns + c;
-        Stats.Histogram.record e.h_delay (e.qdelay now);
-        Stats.Histogram.record e.h_cost c;
-        if Sim.Span.enabled () then batch_span ct e ~now ~outcome:"worked" ~dur:c;
-        mailbox + c
-    | No_work -> mailbox
+    let c = e.run_fn () in
+    if c = no_work then mailbox
+    else begin
+      e.n_steps <- e.n_steps + 1;
+      e.work_ns <- e.work_ns + c;
+      Stats.Histogram.record e.h_delay (e.qdelay now);
+      Stats.Histogram.record e.h_cost c;
+      if Sim.Span.enabled () then batch_span ct e ~now ~outcome:"worked" ~dur:c;
+      mailbox + c
+    end
   end
 
 let rec step_engines ct now cost = function
@@ -159,7 +167,7 @@ let rec step_engines ct now cost = function
    owned engine one bounded batch. *)
 let thread_step ct () =
   let cost = step_engines ct (Loop.now ct.grp.lp) 0 ct.owned in
-  if cost > 0 then Sched.Ran cost else Sched.Idle
+  if cost > 0 then Sched.ran cost else Sched.idle
 
 let spawn_thread g ~klass ~idle =
   let tid = g.next_tid in
@@ -168,7 +176,7 @@ let spawn_thread g ~klass ~idle =
      a forward reference. *)
   let ct_ref = ref None in
   let step () =
-    match !ct_ref with Some ct -> thread_step ct () | None -> Sched.Idle
+    match !ct_ref with Some ct -> thread_step ct () | None -> Sched.idle
   in
   let task =
     Sched.spawn g.m

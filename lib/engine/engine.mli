@@ -23,10 +23,16 @@
 type t
 (** An engine. *)
 
-type outcome =
-  | Worked of Sim.Time.t
-      (** The engine processed a bounded batch costing this much CPU. *)
-  | No_work  (** Nothing to do right now. *)
+type outcome = private int
+(** What one [run] call did, as an immediate so that a step allocates
+    nothing.  Only {!worked} and {!no_work} build one. *)
+
+val worked : Sim.Time.t -> outcome
+(** The engine processed a bounded batch costing this much CPU.  Raises
+    [Invalid_argument] on a negative cost. *)
+
+val no_work : outcome
+(** Nothing to do right now. *)
 
 val create :
   name:string ->

@@ -361,7 +361,7 @@ let run_meng t m =
     if not (has_work b) then Sim.Bitset.clear m.busy !i;
     i := Sim.Bitset.next m.busy (!i + 1)
   done;
-  if !work = 0 then Engine.No_work else Engine.Worked !cost
+  if !work = 0 then Engine.no_work else Engine.worked !cost
 
 (* A binding with an untaken descriptor has a take pending, so it is a
    member: members are all that can raise the max. *)
@@ -438,7 +438,7 @@ let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
       Engine.create
         ~name:(Printf.sprintf "mux%d" i)
         ~run:(fun () ->
-          match !m_ref with Some m -> run_meng t m | None -> Engine.No_work)
+          match !m_ref with Some m -> run_meng t m | None -> Engine.no_work)
         ~queue_delay:(fun now ->
           match !m_ref with Some m -> meng_queue_delay m now | None -> 0)
         ~state_bytes:(fun () ->

@@ -492,9 +492,9 @@ let spawn_softirq_worker t ~worker ~stride ~queues =
         Nic.rearm_rx_interrupt t.nic ~queue:!qi;
         qi := !qi + stride
       done;
-      Cpu.Sched.Idle
+      Cpu.Sched.idle
     end
-    else Cpu.Sched.Ran !acc
+    else Cpu.Sched.ran !acc
   in
   Cpu.Sched.spawn t.mach
     ~name:(Printf.sprintf "ksoftirqd/%d" worker)

@@ -1,19 +1,26 @@
-type t = {
+type account = {
+  a_pool : t;
+  a_owner : string;
+  mutable charged : int;
+  (* Bumped by [release_owner]: allocations minted under an older
+     generation were already reclaimed in bulk, so their individual
+     [free]s must not subtract again. *)
+  mutable a_gen : int;
+}
+
+and t = {
   pool_name : string;
   capacity_bytes : int;
   mutable used : int;
   mutable watermark : int;
-  per_owner : (string, int) Hashtbl.t;
-  (* Bumped by [release_owner]: allocations minted under an older
-     generation were already reclaimed in bulk, so their individual
-     [free]s must not subtract again. *)
-  owner_gen : (string, int) Hashtbl.t;
+  (* Every owner ever resolved, charged or not: an account outlives a
+     zero charge, so its generation survives too. *)
+  accounts : (string, account) Hashtbl.t;
   mutable n_released : int;
 }
 
 type alloc = {
-  pool : t;
-  owner : string;
+  account : account;
   bytes : int;
   mutable live : bool;
   gen : int;
@@ -28,8 +35,7 @@ let create ~name ~capacity_bytes =
     capacity_bytes;
     used = 0;
     watermark = 0;
-    per_owner = Hashtbl.create 16;
-    owner_gen = Hashtbl.create 16;
+    accounts = Hashtbl.create 16;
     n_released = 0;
   }
 
@@ -37,19 +43,26 @@ let name t = t.pool_name
 let capacity t = t.capacity_bytes
 let in_use t = t.used
 
-let gen_of t owner =
-  Option.value ~default:0 (Hashtbl.find_opt t.owner_gen owner)
+let account t ~owner =
+  match Hashtbl.find t.accounts owner with
+  | a -> a
+  | exception Not_found ->
+      let a = { a_pool = t; a_owner = owner; charged = 0; a_gen = 0 } in
+      Hashtbl.add t.accounts owner a;
+      a
 
-let try_alloc t ~owner ~bytes =
+let try_alloc_from a ~bytes =
+  let t = a.a_pool in
   if bytes <= 0 then invalid_arg "Pool.alloc: bytes"
   else if t.used + bytes > t.capacity_bytes then None
   else begin
     t.used <- t.used + bytes;
     if t.used > t.watermark then t.watermark <- t.used;
-    let prev = Option.value ~default:0 (Hashtbl.find_opt t.per_owner owner) in
-    Hashtbl.replace t.per_owner owner (prev + bytes);
-    Some { pool = t; owner; bytes; live = true; gen = gen_of t owner }
+    a.charged <- a.charged + bytes;
+    Some { account = a; bytes; live = true; gen = a.a_gen }
   end
+
+let try_alloc t ~owner ~bytes = try_alloc_from (account t ~owner) ~bytes
 
 let try_hold t ~bytes =
   if bytes <= 0 then invalid_arg "Pool.try_hold: bytes"
@@ -67,47 +80,45 @@ let alloc t ~owner ~bytes =
   | Some a -> a
   | None -> raise (Exhausted t.pool_name)
 
-let free a =
-  if not a.live then invalid_arg "Pool.free: double free";
-  a.live <- false;
-  let t = a.pool in
+let free x =
+  if not x.live then invalid_arg "Pool.free: double free";
+  x.live <- false;
+  let a = x.account in
   (* A stale-generation allocation was already reclaimed in bulk by
      [release_owner]; subtracting again would corrupt the accounting. *)
-  if a.gen = gen_of t a.owner then begin
-    t.used <- t.used - a.bytes;
-    let prev = Option.value ~default:0 (Hashtbl.find_opt t.per_owner a.owner) in
-    let next = prev - a.bytes in
-    if next <= 0 then Hashtbl.remove t.per_owner a.owner
-    else Hashtbl.replace t.per_owner a.owner next
+  if x.gen = a.a_gen then begin
+    a.a_pool.used <- a.a_pool.used - x.bytes;
+    a.charged <- a.charged - x.bytes
   end
 
 let release_owner t ~owner =
-  match Hashtbl.find_opt t.per_owner owner with
-  | None ->
-      (* Nothing charged; still bump the generation so allocations
-         handed out earlier (and already freed to zero) stay invalid. *)
-      Hashtbl.replace t.owner_gen owner (gen_of t owner + 1);
-      0
-  | Some bytes ->
-      Hashtbl.remove t.per_owner owner;
-      Hashtbl.replace t.owner_gen owner (gen_of t owner + 1);
-      t.used <- t.used - bytes;
-      t.n_released <- t.n_released + bytes;
-      bytes
+  let a = account t ~owner in
+  let bytes = a.charged in
+  (* Bump the generation even when nothing is charged, so allocations
+     handed out earlier (and already freed to zero) stay invalid. *)
+  a.a_gen <- a.a_gen + 1;
+  a.charged <- 0;
+  t.used <- t.used - bytes;
+  t.n_released <- t.n_released + bytes;
+  bytes
 
 let released_bytes t = t.n_released
 
 let owner_usage t owner =
-  Option.value ~default:0 (Hashtbl.find_opt t.per_owner owner)
+  match Hashtbl.find t.accounts owner with
+  | a -> a.charged
+  | exception Not_found -> 0
 
 let owners t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.per_owner []
+  Hashtbl.fold
+    (fun k a acc -> if a.charged <> 0 then (k, a.charged) :: acc else acc)
+    t.accounts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let high_watermark t = t.watermark
 
 let check_consistency t =
-  let owner_sum = Hashtbl.fold (fun _ b acc -> acc + b) t.per_owner 0 in
+  let owner_sum = Hashtbl.fold (fun _ a acc -> acc + a.charged) t.accounts 0 in
   if t.used < 0 then Some (Printf.sprintf "pool %s used %d < 0" t.pool_name t.used)
   else if t.used > t.capacity_bytes then
     Some
@@ -124,8 +135,9 @@ let check_consistency t =
     Some
       (Printf.sprintf "pool %s watermark %d below used %d" t.pool_name
          t.watermark t.used)
-  else if Hashtbl.fold (fun _ b acc -> acc || b <= 0) t.per_owner false then
-    Some (Printf.sprintf "pool %s holds a non-positive owner charge" t.pool_name)
+  else if Hashtbl.fold (fun _ a acc -> acc || a.charged < 0) t.accounts false
+  then
+    Some (Printf.sprintf "pool %s holds a negative owner charge" t.pool_name)
   else None
 
 let check_quiesced t =

@@ -8,9 +8,13 @@
 
 type t
 
+type account
+(** One owner's charge and generation in one pool.  Resolve it once with
+    {!account} and allocate through {!try_alloc_from}: no per-op path
+    then hashes the owner's name. *)
+
 type alloc = private {
-  pool : t;
-  owner : string;
+  account : account;
   bytes : int;
   mutable live : bool;
   gen : int;
@@ -28,11 +32,20 @@ val name : t -> string
 val capacity : t -> int
 val in_use : t -> int
 
-val alloc : t -> owner:string -> bytes:int -> alloc
-(** Allocate [bytes] charged to [owner].  Raises {!Exhausted} if the pool
+val account : t -> owner:string -> account
+(** The owner's account, made on first use.  It lives as long as the
+    pool, and {!release_owner} acts on it. *)
+
+val try_alloc_from : account -> bytes:int -> alloc option
+(** Allocate [bytes] charged to the account, or [None] if the pool
     cannot satisfy the request. *)
 
+val alloc : t -> owner:string -> bytes:int -> alloc
+(** Allocate [bytes] charged to [owner], resolving its account.  Raises
+    {!Exhausted} if the pool cannot satisfy the request. *)
+
 val try_alloc : t -> owner:string -> bytes:int -> alloc option
+(** {!try_alloc_from} on the owner's account. *)
 
 val try_hold : t -> bytes:int -> bool
 (** Take [bytes] from the pool for the duration of one synchronous step,
@@ -69,7 +82,7 @@ val high_watermark : t -> int
 
 val check_consistency : t -> string option
 (** Internal-accounting invariant: [in_use] within [0, capacity],
-    per-owner charges positive and summing exactly to [in_use],
+    per-owner charges non-negative and summing exactly to [in_use],
     watermark no lower than the live total.  [None] = healthy; used by
     the invariant checker at cadence. *)
 

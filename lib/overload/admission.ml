@@ -9,7 +9,9 @@ let reject_reason_to_string = function
 type verdict = Admitted of Memory.Pool.alloc option | Rejected of reject_reason
 
 type t = {
-  pool : Memory.Pool.t;
+  (* The client's pool account, resolved once: admitting an op hashes
+     nothing. *)
+  acct : Memory.Pool.account;
   owner : string;
   max_ops : int;
   max_bytes : int;
@@ -39,7 +41,7 @@ let create ~pool ~owner ?(max_ops = 256) ?(max_bytes = 4 lsl 20)
   let c_admitted = Stats.Registry.counter ~labels "overload_ops_admitted" in
   let c_rejected = Stats.Registry.counter ~labels "overload_ops_rejected" in
   {
-    pool;
+    acct = Memory.Pool.account pool ~owner;
     owner;
     max_ops;
     max_bytes;
@@ -84,7 +86,7 @@ let admit t ~now ~bytes =
     let charge =
       if bytes = 0 then Some None
       else
-        match Memory.Pool.try_alloc t.pool ~owner:t.owner ~bytes with
+        match Memory.Pool.try_alloc_from t.acct ~bytes with
         | Some a -> Some (Some a)
         | None -> None
     in

@@ -169,6 +169,8 @@ and eng = {
   eid : int;
   e_host : t;
   core : Engine.t;
+  (* This engine's op-pool account, which reassembly charges go to. *)
+  e_acct : Memory.Pool.account;
   rxq : int;
   mutable eclients : client array;  (* creation order *)
   flows : (Wire.flow_key, Flow.t) Hashtbl.t;
@@ -916,8 +918,7 @@ let deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow =
 let charge_assembly eng ~total =
   if total = 0 then None
   else
-    Memory.Pool.try_alloc eng.e_host.op_pool ~owner:(Engine.name eng.core)
-      ~bytes:total
+    Memory.Pool.try_alloc_from eng.e_acct ~bytes:total
 
 let free_charge = function
   | Some c -> if c.Memory.Pool.live then Memory.Pool.free c
@@ -1774,7 +1775,7 @@ let engine_run eng =
           let a = e.asms.(i) in
           a.asm_charge <-
             (if a.total = 0 then None
-             else Memory.Pool.try_alloc t.op_pool ~owner:ename ~bytes:a.total)
+             else Memory.Pool.try_alloc_from eng.e_acct ~bytes:a.total)
         done)
       (halves_with_asms eng);
     if reclaimed > 0 && Sim.Span.enabled () then
@@ -2025,7 +2026,7 @@ let engine_run eng =
   end;
   (* 5. Re-arm the pacing/retransmit timer. *)
   arm_timer eng;
-  if not !worked then Engine.No_work
+  if not !worked then Engine.no_work
   else begin
     (* Batching discount on per-packet work (§3.1: "opportunistically
        exploits batching for efficiency"). *)
@@ -2033,7 +2034,7 @@ let engine_run eng =
       Float.min costs.Sim.Costs.batch_max_saving
         (costs.Sim.Costs.batch_amortization *. float_of_int (Int.max 0 (!pkts - 1)))
     in
-    Engine.Worked (Time.scale !cost (1.0 -. discount))
+    Engine.worked (Time.scale !cost (1.0 -. discount))
   end
 
 (* -- Module / engine construction ---------------------------------------- *)
@@ -2068,7 +2069,7 @@ let new_engine t =
   let core =
     Engine.create ~name:ename
       ~run:(fun () ->
-        match !eng_ref with Some e -> engine_run e | None -> Engine.No_work)
+        match !eng_ref with Some e -> engine_run e | None -> Engine.no_work)
       ~queue_delay:(fun now ->
         match !eng_ref with Some e -> engine_queue_delay e now | None -> 0)
       ~state_bytes:(fun () ->
@@ -2082,6 +2083,7 @@ let new_engine t =
       eid;
       e_host = t;
       core;
+      e_acct = Memory.Pool.account t.op_pool ~owner:ename;
       rxq = eid;
       eclients = [||];
       flows = Hashtbl.create 16;

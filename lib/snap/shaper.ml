@@ -31,7 +31,7 @@ let run t () =
         | None -> t.n_policy_drops <- t.n_policy_drops + 1)
     | None -> continue := false
   done;
-  if !n = 0 then Engine.No_work else Engine.Worked !cost
+  if !n = 0 then Engine.no_work else Engine.worked !cost
 
 let create ~loop ~nic ~group ?(rate_gbps = 10.0) ?(burst_bytes = 1 lsl 20) () =
   let input = Squeue.Spsc.create ~name:"shaper.in" ~capacity:4096 () in
@@ -47,7 +47,7 @@ let create ~loop ~nic ~group ?(rate_gbps = 10.0) ?(burst_bytes = 1 lsl 20) () =
   let eng =
     Engine.create ~name:"shaper"
       ~run:(fun () ->
-        match !t_ref with Some t -> run t () | None -> Engine.No_work)
+        match !t_ref with Some t -> run t () | None -> Engine.no_work)
       ~queue_delay:(fun now ->
         match !t_ref with
         | Some t -> Squeue.Spsc.oldest_age t.input ~now

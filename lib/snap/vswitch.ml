@@ -87,14 +87,14 @@ let run t () =
         | _ -> ())
     | None -> go := false
   done;
-  if !work = 0 then Engine.No_work else Engine.Worked !cost
+  if !work = 0 then Engine.no_work else Engine.worked !cost
 
 let create ~loop ~nic ~group ~rx_queue () =
   let t_ref = ref None in
   let eng =
     Engine.create ~name:"vswitch"
       ~run:(fun () ->
-        match !t_ref with Some t -> run t () | None -> Engine.No_work)
+        match !t_ref with Some t -> run t () | None -> Engine.no_work)
       ~queue_delay:(fun now ->
         match !t_ref with
         | Some t ->

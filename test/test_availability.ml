@@ -23,7 +23,7 @@ let mk ?(cores = 4) () =
   (loop, m)
 
 let idle_engine ~name () =
-  Engine.create ~name ~run:(fun () -> Engine.No_work) ~queue_delay:(fun _ -> 0) ()
+  Engine.create ~name ~run:(fun () -> Engine.no_work) ~queue_delay:(fun _ -> 0) ()
 
 let mk_group m name = Engine.create_group ~machine:m ~name
     ~mode:(Engine.Dedicating { cores = 1 })

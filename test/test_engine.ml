@@ -25,7 +25,7 @@ let queue_engine ~loop ~name ?(item_cost = T.us 1) ?(batch = 16) () =
       incr n;
       incr processed
     done;
-    if !n = 0 then Engine.No_work else Engine.Worked (!n * item_cost)
+    if !n = 0 then Engine.no_work else Engine.worked (!n * item_cost)
   in
   let queue_delay now = Squeue.Spsc.oldest_age q ~now in
   let e = Engine.create ~name ~run ~queue_delay () in

@@ -50,6 +50,32 @@ let test_pool_double_free () =
   Alcotest.check_raises "double free"
     (Invalid_argument "Pool.free: double free") (fun () -> Memory.Pool.free a)
 
+(* An account outlives a zero charge: its generation survives, so a
+   bulk release still fences the allocations made before it. *)
+let test_pool_account_cycle () =
+  let p = Memory.Pool.create ~name:"pkt" ~capacity_bytes:10_000 in
+  let acct = Memory.Pool.account p ~owner:"eng0" in
+  let take bytes = Option.get (Memory.Pool.try_alloc_from acct ~bytes) in
+  let usage () = Memory.Pool.owner_usage p "eng0" in
+  Memory.Pool.free (take 300);
+  check_int "charge falls to zero" 0 (usage ());
+  let b = take 200 in
+  let c = Memory.Pool.alloc p ~owner:"eng0" ~bytes:100 in
+  check_int "charge rises again, by account and by name" 300 (usage ());
+  check_bool "consistent" true (Memory.Pool.check_consistency p = None);
+  check_int "bulk release returns the charge" 300
+    (Memory.Pool.release_owner p ~owner:"eng0");
+  check_int "pool drained" 0 (Memory.Pool.in_use p);
+  Memory.Pool.free b;
+  check_int "stale free is a no-op" 0 (Memory.Pool.in_use p);
+  let d = take 50 in
+  Memory.Pool.free c;
+  check_int "stale free leaves the new generation's charge" 50 (usage ());
+  Memory.Pool.free d;
+  check_int "drained again" 0 (Memory.Pool.in_use p);
+  check_int "released once" 300 (Memory.Pool.released_bytes p);
+  check_bool "still consistent" true (Memory.Pool.check_consistency p = None)
+
 let pool_prop_balance =
   QCheck.Test.make ~name:"pool usage returns to zero after freeing all"
     ~count:100
@@ -241,6 +267,7 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_pool_exhaustion;
           Alcotest.test_case "double free" `Quick test_pool_double_free;
           QCheck_alcotest.to_alcotest pool_prop_balance;
+          Alcotest.test_case "account cycle" `Quick test_pool_account_cycle;
         ] );
       ( "arena",
         [

@@ -134,8 +134,8 @@ let test_nic_kick_notify () =
         match Squeue.Spsc.pop (Nic.rx_ring nic1 ~queue:0) with
         | Some _ ->
             incr seen;
-            Cpu.Sched.Ran (T.ns 200)
-        | None -> Cpu.Sched.Idle)
+            Cpu.Sched.ran (T.ns 200)
+        | None -> Cpu.Sched.idle)
   in
   Cpu.Sched.start task;
   Nic.set_rx_notify nic1 ~queue:0 (Nic.Kick task);
