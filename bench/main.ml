@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (section 5), plus ablations and Bechamel microbenchmarks of
-   the hot data structures.
+   evaluation (section 5), plus ablations and the fault/overload/tenancy
+   workload sections.  Microbenchmarks of the simulator's primitives live
+   in snapbench (its micro.* rows).
 
    Usage: main.exe [SECTION...|all] [--only SECTION[,SECTION...]]
                    [--metrics-out FILE.json] [--trace-out FILE.json]
@@ -12,7 +13,10 @@
    Section names (positional or via --only) may be comma-separated.
 
    --metrics-out dumps the full Stats.Registry (every counter, gauge,
-   histogram and series the selected sections touched) as JSON.
+   histogram and series the selected sections touched) as JSON.  A
+   counter key shows its latest registration: the counter of the last
+   component made under that key, not a sum over the process.
+   Histograms and series are shared by every registration, so they sum.
    --trace-out turns on Sim.Span capture for the run and writes the
    result as Chrome trace-event JSON (chrome://tracing, perfetto);
    with op attribution on, cross-host flow arrows link each op's
@@ -303,99 +307,6 @@ let ablate_slo () =
         (T.to_float_us (Stats.Histogram.percentile r.A.prober 99.)))
     [ 10; 50; 200 ]
 
-(* -- Bechamel microbenchmarks ---------------------------------------------- *)
-
-let micro () =
-  section "Microbenchmarks (Bechamel): hot data structures";
-  let open Bechamel in
-  let heap_test =
-    Test.make ~name:"heap push+pop x100"
-      (Staged.stage (fun () ->
-           let h = Sim.Heap.create () in
-           for i = 0 to 99 do
-             Sim.Heap.add h ~key:((i * 7919) mod 100) i
-           done;
-           for _ = 0 to 99 do
-             ignore (Sim.Heap.pop h)
-           done))
-  in
-  (* A loop with 1024 far-future events queued, so each step sifts
-     through a heap of realistic depth. *)
-  let busy_loop () =
-    let loop = Sim.Loop.create () in
-    for i = 1 to 1024 do
-      ignore (Sim.Loop.at loop (T.sec 1000 + i) ignore)
-    done;
-    loop
-  in
-  let loop_test =
-    let loop = busy_loop () in
-    Test.make ~name:"loop at+step"
-      (Staged.stage (fun () ->
-           ignore (Sim.Loop.at loop (Sim.Loop.now loop + 1) ignore);
-           ignore (Sim.Loop.step loop)))
-  in
-  let loop_cancel_test =
-    let loop = busy_loop () in
-    Test.make ~name:"loop at+cancel+step"
-      (Staged.stage (fun () ->
-           Sim.Loop.cancel loop (Sim.Loop.at loop (Sim.Loop.now loop + 1) ignore);
-           ignore (Sim.Loop.step loop)))
-  in
-  let spsc_test =
-    let q = Squeue.Spsc.create ~capacity:1024 () in
-    Test.make ~name:"spsc push+pop"
-      (Staged.stage (fun () ->
-           ignore (Squeue.Spsc.push q ~now:0 1);
-           ignore (Squeue.Spsc.pop q)))
-  in
-  let hist = Stats.Histogram.create () in
-  let hist_test =
-    Test.make ~name:"histogram record"
-      (Staged.stage (fun () -> Stats.Histogram.record hist 123_456))
-  in
-  let cc = Pony.Timely.create ~max_rate_gbps:100.0 () in
-  let timely_test =
-    Test.make ~name:"timely rtt sample"
-      (Staged.stage (fun () -> Pony.Timely.on_rtt_sample cc 20_000))
-  in
-  (* The engine-pass member walk (busy flows and clients, busy mux
-     tenants): 256 slots, one member. *)
-  let bitset_test =
-    let set = Sim.Bitset.create () in
-    Sim.Bitset.set set 255;
-    Sim.Bitset.clear set 255;
-    Sim.Bitset.set set 137;
-    Test.make ~name:"bitset walk 256/1"
-      (Staged.stage (fun () ->
-           let i = ref (Sim.Bitset.next set 0) in
-           while !i >= 0 do
-             i := Sim.Bitset.next set (!i + 1)
-           done))
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                     ~predictors:[| Measure.run |])
-        (Toolkit.Instance.monotonic_clock) raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "%-24s %10.1f ns/op\n%!" name est
-        | _ -> Printf.printf "%-24s (no estimate)\n%!" name)
-      results
-  in
-  List.iter
-    (fun t -> benchmark (Test.make_grouped ~name:"g" [ t ]))
-    [
-      heap_test; loop_test; loop_cancel_test; spsc_test; hist_test;
-      timely_test; bitset_test;
-    ]
-
 (* -- Workload sections + perf trajectory ---------------------------------- *)
 
 (* The fault/overload/tenancy workloads are one table, Workloads.Spec.all.
@@ -563,7 +474,7 @@ let all_benches =
     ("ablate-slo", ablate_slo);
   ]
   @ List.map (fun (s : Spec.t) -> (s.name, workload s)) Spec.all
-  @ [ ("sweep", sweep); ("micro", micro) ]
+  @ [ ("sweep", sweep) ]
 
 (* The section list in any user-facing text is generated from
    [all_benches]; adding a section above (or a spec to

@@ -22,7 +22,6 @@ type entry = { inv_name : string; inv_kind : kind; pred : unit -> string option 
 let enabled_flag = ref false
 let entries : entry list ref = ref []
 let n_evals = ref 0
-let n_checks = ref 0
 let cur_loop : Sim.Loop.t option ref = ref None
 
 (* Deliberate-bug switches, used to prove the checker is not vacuous:
@@ -42,8 +41,7 @@ let set_enabled b = enabled_flag := b
 let begin_run () =
   entries := [];
   cur_loop := None;
-  n_evals := 0;
-  n_checks := 0
+  n_evals := 0
 
 let register ?(kind = Cadence) ~name pred =
   if !enabled_flag then
@@ -51,7 +49,6 @@ let register ?(kind = Cadence) ~name pred =
 
 let registered () = List.length !entries
 let evaluations () = !n_evals
-let checks () = !n_checks
 
 (* Recent span events give the violation report a "what was the system
    doing" tail without any extra bookkeeping of our own. *)
@@ -89,7 +86,6 @@ let now_of_loop () =
 
 let check_now () =
   if !enabled_flag then begin
-    incr n_checks;
     let now = now_of_loop () in
     List.iter
       (fun e -> if e.inv_kind = Cadence then eval_entry ~now e)
@@ -98,7 +94,6 @@ let check_now () =
 
 let quiesce () =
   if !enabled_flag then begin
-    incr n_checks;
     let now = now_of_loop () in
     List.iter (fun e -> eval_entry ~now e) !entries
   end

@@ -58,9 +58,6 @@ val evaluations : unit -> int
 (** Total predicate evaluations this run — the proof the checker
     actually ran. *)
 
-val checks : unit -> int
-(** Number of checker sweeps (cadence ticks plus explicit calls). *)
-
 (** {1 Sabotage switches}
 
     Deliberate-bug flags proving the checker is not vacuous: production

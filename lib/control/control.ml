@@ -28,9 +28,6 @@ let create ~loop ~machine ~name =
     regions = Hashtbl.create 16;
   }
 
-let name t = t.ctl_name
-let machine t = t.mach
-
 let register_service t ~service handler =
   Hashtbl.replace t.services service handler
 
@@ -107,12 +104,6 @@ module Watchdog = struct
 
   type state = Healthy | Suspect | Restarting | Quarantined
 
-  let state_to_string = function
-    | Healthy -> "healthy"
-    | Suspect -> "suspect"
-    | Restarting -> "restarting"
-    | Quarantined -> "quarantined"
-
   type entry = {
     w_eng : Engine.t;
     w_group : Engine.group;  (* fallback when the engine has no home *)
@@ -139,10 +130,9 @@ module Watchdog = struct
     stable_window : Time.t;
     mutable entries : entry list;
     mutable timer : Loop.handle option;
-    (* Registry counters ("wd_*", labeled by control name) are
-       cumulative across watchdog instances; the baselines snapshotted
-       at create time keep [counters] per-instance. *)
-    wcnt : (string * (Stats.Counter.t * int)) list;
+    (* This watchdog's counters; the registry entries ("wd_*", labeled
+       by control name) name the latest watchdog's. *)
+    wcnt : (string * Stats.Counter.t) list;
     detect_hist : Stats.Histogram.t;  (* per-instance, for exact tests *)
     reg_detect_hist : Stats.Histogram.t;  (* registry twin *)
   }
@@ -157,7 +147,7 @@ module Watchdog = struct
 
   let wbump t key =
     match List.assoc_opt key t.wcnt with
-    | Some (c, _) -> Stats.Counter.incr c
+    | Some c -> Stats.Counter.incr c
     | None -> invalid_arg ("Watchdog: unknown counter " ^ key)
 
   (* A health decision as a Span instant.  Callers guard it with
@@ -186,9 +176,7 @@ module Watchdog = struct
       wcnt =
         (let labels = [ ("control", control.ctl_name) ] in
          List.map
-           (fun n ->
-             let c = Stats.Registry.counter ~labels n in
-             (n, (c, Stats.Counter.value c)))
+           (fun n -> (n, Stats.Registry.counter ~labels n))
            counter_names);
       detect_hist = Stats.Histogram.create ();
       reg_detect_hist =
@@ -358,13 +346,6 @@ module Watchdog = struct
     | Some _ -> ()
     | None -> t.timer <- Some (Loop.every t.wd_lp t.period (tick t))
 
-  let stop t =
-    match t.timer with
-    | Some h ->
-        Loop.cancel t.wd_lp h;
-        t.timer <- None
-    | None -> ()
-
   let state t e = Option.map (fun en -> en.st) (find_entry t e)
 
   let restarts_of t e =
@@ -373,7 +354,7 @@ module Watchdog = struct
   let detection_latency t = t.detect_hist
 
   let counters t =
-    List.map (fun (n, (c, base)) -> (n, Stats.Counter.value c - base)) t.wcnt
+    List.map (fun (n, c) -> (n, Stats.Counter.value c)) t.wcnt
 end
 
 (* -- Poller: periodic telemetry sampling -------------------------------- *)
@@ -434,11 +415,4 @@ module Poller = struct
     match t.timer with
     | Some _ -> ()
     | None -> t.timer <- Some (Loop.every t.po_lp t.po_period (tick t))
-
-  let stop t =
-    match t.timer with
-    | Some h ->
-        Loop.cancel t.po_lp h;
-        t.timer <- None
-    | None -> ()
 end

@@ -20,9 +20,6 @@ type message += Error_no_service of string
 val create :
   loop:Sim.Loop.t -> machine:Cpu.Sched.machine -> name:string -> t
 
-val name : t -> string
-val machine : t -> Cpu.Sched.machine
-
 val register_service : t -> service:string -> (message -> message) -> unit
 (** Modules (e.g. the Pony module of Figure 2) expose their setup RPCs
     here. *)
@@ -93,8 +90,6 @@ module Watchdog : sig
         (** Exceeded the restart budget; removed from its group and left
             for operator intervention. *)
 
-  val state_to_string : state -> string
-
   val create :
     control:control ->
     ?period:Sim.Time.t ->
@@ -120,8 +115,6 @@ module Watchdog : sig
 
   val start : t -> unit
   (** Arm the periodic heartbeat timer (no-op if already armed). *)
-
-  val stop : t -> unit
 
   val state : t -> Engine.t -> state option
   (** Health state of a watched engine; [None] if not watched. *)
@@ -164,6 +157,4 @@ module Poller : sig
 
   val start : t -> unit
   (** Arm the periodic timer (no-op if already armed). *)
-
-  val stop : t -> unit
 end

@@ -16,7 +16,6 @@ type ctx = {
 }
 
 let task ctx = match ctx.tsk with Some t -> t | None -> assert false
-let machine ctx = ctx.m
 let now ctx = Sim.Loop.now (Sched.loop ctx.m)
 
 let yield ctx outcome =

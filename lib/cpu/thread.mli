@@ -24,7 +24,6 @@ val spawn :
     [Block]) governs {!wait}: blocking wait versus spin-polling wait. *)
 
 val task : ctx -> Sched.task
-val machine : ctx -> Sched.machine
 val now : ctx -> Sim.Time.t
 
 val compute : ctx -> Sim.Time.t -> unit

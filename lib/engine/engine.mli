@@ -154,10 +154,6 @@ module Element : sig
 
   type t
 
-  val make :
-    name:string -> cost:Sim.Time.t -> (Memory.Packet.t -> action) -> t
-  (** An element with a fixed per-packet CPU cost. *)
-
   val name : t -> string
   val packets_in : t -> int
   val drops : t -> int

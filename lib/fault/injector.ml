@@ -52,11 +52,9 @@ type t = {
   log : Log.t;
   mutable active : (int * window) list;
   mutable next_wid : int;
-  (* Registry-backed counters, in registration order.  The registry
-     entries ("fault_<name>") are cumulative across injector instances;
-     the baseline snapshot taken at install time keeps [counters]
-     per-instance. *)
-  cnt : (string * (Stats.Counter.t * int)) list;
+  (* This injector's counters, in registration order; the registry
+     entries ("fault_<name>") name the latest injector's. *)
+  cnt : (string * Stats.Counter.t) list;
 }
 
 let counter_names =
@@ -77,7 +75,7 @@ let counter_names =
 
 let bump t key =
   match List.assoc_opt key t.cnt with
-  | Some (c, _) -> Stats.Counter.incr c
+  | Some c -> Stats.Counter.incr c
   | None -> invalid_arg ("Fault.Injector.bump: " ^ key)
 
 let record t ~kind detail = Log.record t.log ~at:(Loop.now t.lp) ~kind ~detail
@@ -323,9 +321,7 @@ let install ~loop ~plan ~fabric ~hosts =
       next_wid = 0;
       cnt =
         List.map
-          (fun n ->
-            let c = Stats.Registry.counter ("fault_" ^ n) in
-            (n, (c, Stats.Counter.value c)))
+          (fun n -> (n, Stats.Registry.counter ("fault_" ^ n)))
           counter_names;
     }
   in
@@ -335,7 +331,4 @@ let install ~loop ~plan ~fabric ~hosts =
 
 let log t = t.log
 
-let counters t =
-  List.map
-    (fun (n, (c, base)) -> (n, Stats.Counter.value c - base))
-    t.cnt
+let counters t = List.map (fun (n, c) -> (n, Stats.Counter.value c)) t.cnt

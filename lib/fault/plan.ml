@@ -142,4 +142,3 @@ let make ?(seed = 42) events =
 let empty = { seed = 42; evs = [] }
 let seed t = t.seed
 let events t = t.evs
-let is_empty t = t.evs = []

@@ -139,4 +139,3 @@ val make : ?seed:int -> event list -> t
 val empty : t
 val seed : t -> int
 val events : t -> event list
-val is_empty : t -> bool

@@ -49,11 +49,8 @@ type t = {
   mutable next_tid : int;
   mutable n_resyncs : int;
   c_suspects : Stats.Counter.t;
-  suspects_base : int;
   c_quarantines : Stats.Counter.t;
-  quarantines_base : int;
   c_unmatched : Stats.Counter.t;
-  unmatched_base : int;
 }
 
 let status_of : Pony.Wire.status -> Ring.status = function
@@ -401,13 +398,6 @@ let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
     Engine.create_group ~machine ~name:(Printf.sprintf "guest%d" addr) ~mode
   in
   let labels = [ ("host", string_of_int addr) ] in
-  let c_suspects =
-    Stats.Registry.counter ~labels "tenant_quarantine_suspects"
-  in
-  let c_quarantines = Stats.Registry.counter ~labels "tenant_quarantines" in
-  let c_unmatched =
-    Stats.Registry.counter ~labels "guest_unmatched_completions"
-  in
   let t =
     {
       lp = loop;
@@ -424,12 +414,10 @@ let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
       by_name = Hashtbl.create 64;
       next_tid = 0;
       n_resyncs = 0;
-      c_suspects;
-      suspects_base = Stats.Counter.value c_suspects;
-      c_quarantines;
-      quarantines_base = Stats.Counter.value c_quarantines;
-      c_unmatched;
-      unmatched_base = Stats.Counter.value c_unmatched;
+      c_suspects = Stats.Registry.counter ~labels "tenant_quarantine_suspects";
+      c_quarantines = Stats.Registry.counter ~labels "tenant_quarantines";
+      c_unmatched =
+        Stats.Registry.counter ~labels "guest_unmatched_completions";
     }
   in
   for i = 0 to engines - 1 do
@@ -667,8 +655,6 @@ let attached t =
 let inflight_ops t =
   List.fold_left (fun acc b -> acc + Hashtbl.length b.inflight) 0 t.bindings
 
-let suspects t = Stats.Counter.value t.c_suspects - t.suspects_base
-let quarantines t = Stats.Counter.value t.c_quarantines - t.quarantines_base
-
-let unmatched_completions t =
-  Stats.Counter.value t.c_unmatched - t.unmatched_base
+let suspects t = Stats.Counter.value t.c_suspects
+let quarantines t = Stats.Counter.value t.c_quarantines
+let unmatched_completions t = Stats.Counter.value t.c_unmatched

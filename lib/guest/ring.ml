@@ -2,14 +2,6 @@ module Time = Sim.Time
 
 type status = Complete | Rejected | Timed_out | Busy | Cancelled | Failed
 
-let status_to_string = function
-  | Complete -> "complete"
-  | Rejected -> "rejected"
-  | Timed_out -> "timed-out"
-  | Busy -> "busy"
-  | Cancelled -> "cancelled"
-  | Failed -> "failed"
-
 type desc = { d_id : int; d_off : int; d_len : int; posted_at : Time.t }
 type used = { u_id : int; u_len : int; u_status : status }
 
@@ -49,7 +41,6 @@ type t = {
      rollback detector: a guest may only grow its index. *)
   mutable max_avail : int;
   mutable post_fail : int;
-  mutable post_bad : int;
   faults : int array;  (* take-side fault counts, by fault_index *)
   c_post_bad : Stats.Counter.t;
   kick : Squeue.Notifier.t;
@@ -70,7 +61,6 @@ let create ?(name = "ring") ~region ~slots () =
     reaped = 0;
     max_avail = 0;
     post_fail = 0;
-    post_bad = 0;
     faults = Array.make 4 0;
     c_post_bad =
       Stats.Registry.counter ~labels:[ ("ring", name) ] "ring_post_bad_range";
@@ -78,9 +68,7 @@ let create ?(name = "ring") ~region ~slots () =
     irq = Squeue.Notifier.create ();
   }
 
-let name t = t.rname
 let capacity t = t.cap
-let region t = t.reg
 let occupancy t = t.avail - t.reaped
 let backlog t = t.avail - t.taken
 let in_flight t = t.taken - t.used
@@ -92,7 +80,7 @@ let taken_idx t = t.taken
 let used_idx t = t.used
 let reaped_idx t = t.reaped
 let post_failures t = t.post_fail
-let post_bad_range t = t.post_bad
+let post_bad_range t = Stats.Counter.value t.c_post_bad
 let take_faults t reason = t.faults.(fault_index reason)
 
 (* Raw indices may be negative after hostile writes; slots must not be. *)
@@ -106,7 +94,6 @@ let post t ~now ~id ~off ~len =
     (* A buggy (non-hostile) guest driver: counted, non-fatal.  The
        descriptor never reaches the ring, so the host side needs no
        defense against it here. *)
-    t.post_bad <- t.post_bad + 1;
     Stats.Counter.incr t.c_post_bad;
     false
   end

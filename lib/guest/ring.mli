@@ -34,8 +34,6 @@ type status =
   | Cancelled  (** Unprocessed at detach. *)
   | Failed
 
-val status_to_string : status -> string
-
 type desc = {
   d_id : int;  (** Guest-chosen label, echoed in the used entry. *)
   d_off : int;  (** Buffer offset inside the shared region. *)
@@ -70,9 +68,7 @@ val create :
 (** A ring of [slots] descriptors whose buffers must lie inside
     [region].  Raises [Invalid_argument] if [slots <= 0]. *)
 
-val name : t -> string
 val capacity : t -> int
-val region : t -> Memory.Region.t
 
 (** {1 Guest side} *)
 
@@ -80,9 +76,8 @@ val post :
   t -> now:Sim.Time.t -> id:int -> off:int -> len:int -> bool
 (** Publish a descriptor and signal the kick notifier; [false] (and a
     counted failure) when the ring is full or the buffer falls outside
-    the region (counted separately in {!post_bad_range} and the
-    [ring_post_bad_range] registry counter) — a guest-driver bug is
-    non-fatal to the guest's own thread. *)
+    the region (counted separately in {!post_bad_range}) — a
+    guest-driver bug is non-fatal to the guest's own thread. *)
 
 val pop_used : t -> used option
 (** Reap the oldest unreaped used entry. *)
@@ -153,7 +148,8 @@ val post_failures : t -> int
 (** Checked posts refused because the ring was full. *)
 
 val post_bad_range : t -> int
-(** Checked posts refused because the buffer was out of range. *)
+(** Checked posts refused because the buffer was out of range: this
+    ring's [ring_post_bad_range] registry counter. *)
 
 val take_faults : t -> fault_reason -> int
 (** Take-side faults recorded by {!take_checked}, by reason. *)

@@ -1,10 +1,5 @@
 type state = Attached | Detaching | Detached
 
-let state_to_string = function
-  | Attached -> "attached"
-  | Detaching -> "detaching"
-  | Detached -> "detached"
-
 type health = Healthy | Suspect | Quarantined
 
 let health_to_string = function
@@ -58,24 +53,17 @@ type t = {
   mutable state : state;
   mutable health : health;
   mutable quarantined_at : Sim.Time.t option;
-  (* Misbehavior score: per-reason counts feed the mux's
-     Suspect/Quarantined escalation.  Per-instance (fresh at create),
-     unlike the registry counters below. *)
-  viols : int array;
+  (* Misbehavior score: per-reason [guest_violations] counters, each
+     made at its reason's first violation, feed the mux's
+     Suspect/Quarantined escalation. *)
+  viols : Stats.Counter.t option array;
   c_tx_done : Stats.Counter.t;
-  tx_done_base : int;
   c_tx_rejected : Stats.Counter.t;
-  tx_rejected_base : int;
   c_tx_failed : Stats.Counter.t;
-  tx_failed_base : int;
   c_tx_cancelled : Stats.Counter.t;
-  tx_cancelled_base : int;
   c_rx_delivered : Stats.Counter.t;
-  rx_delivered_base : int;
   c_rx_drops : Stats.Counter.t;
-  rx_drops_base : int;
   c_reclaimed : Stats.Counter.t;
-  reclaimed_base : int;
 }
 
 (* Guest regions live in their own id space, above the range functional
@@ -100,13 +88,6 @@ let create ~pool ~host_addr ~name ~id ?(ring_slots = 64) ?(buf_bytes = 4096)
   in
   let labels = [ ("tenant", owner) ] in
   let c name = Stats.Registry.counter ~labels name in
-  let c_tx_done = c "tenant_tx_completed" in
-  let c_tx_rejected = c "tenant_tx_rejected" in
-  let c_tx_failed = c "tenant_tx_failed" in
-  let c_tx_cancelled = c "tenant_tx_cancelled" in
-  let c_rx_delivered = c "tenant_rx_delivered" in
-  let c_rx_drops = c "tenant_rx_drops" in
-  let c_reclaimed = c "tenant_reclaimed_bytes" in
   let t =
     {
       tname = name;
@@ -121,21 +102,14 @@ let create ~pool ~host_addr ~name ~id ?(ring_slots = 64) ?(buf_bytes = 4096)
       state = Attached;
       health = Healthy;
       quarantined_at = None;
-      viols = Array.make 6 0;
-      c_tx_done;
-      tx_done_base = Stats.Counter.value c_tx_done;
-      c_tx_rejected;
-      tx_rejected_base = Stats.Counter.value c_tx_rejected;
-      c_tx_failed;
-      tx_failed_base = Stats.Counter.value c_tx_failed;
-      c_tx_cancelled;
-      tx_cancelled_base = Stats.Counter.value c_tx_cancelled;
-      c_rx_delivered;
-      rx_delivered_base = Stats.Counter.value c_rx_delivered;
-      c_rx_drops;
-      rx_drops_base = Stats.Counter.value c_rx_drops;
-      c_reclaimed;
-      reclaimed_base = Stats.Counter.value c_reclaimed;
+      viols = Array.make 6 None;
+      c_tx_done = c "tenant_tx_completed";
+      c_tx_rejected = c "tenant_tx_rejected";
+      c_tx_failed = c "tenant_tx_failed";
+      c_tx_cancelled = c "tenant_tx_cancelled";
+      c_rx_delivered = c "tenant_rx_delivered";
+      c_rx_drops = c "tenant_rx_drops";
+      c_reclaimed = c "tenant_reclaimed_bytes";
     }
   in
   ignore
@@ -149,13 +123,13 @@ let state t = t.state
 let outstanding_ops t = Overload.Admission.outstanding_ops t.adm
 let outstanding_bytes t = Overload.Admission.outstanding_bytes t.adm
 let pool_usage t = Memory.Pool.owner_usage t.pool t.owner
-let tx_completed t = Stats.Counter.value t.c_tx_done - t.tx_done_base
-let tx_rejected t = Stats.Counter.value t.c_tx_rejected - t.tx_rejected_base
-let tx_failed t = Stats.Counter.value t.c_tx_failed - t.tx_failed_base
-let tx_cancelled t = Stats.Counter.value t.c_tx_cancelled - t.tx_cancelled_base
-let rx_delivered t = Stats.Counter.value t.c_rx_delivered - t.rx_delivered_base
-let rx_drops t = Stats.Counter.value t.c_rx_drops - t.rx_drops_base
-let reclaimed_bytes t = Stats.Counter.value t.c_reclaimed - t.reclaimed_base
+let tx_completed t = Stats.Counter.value t.c_tx_done
+let tx_rejected t = Stats.Counter.value t.c_tx_rejected
+let tx_failed t = Stats.Counter.value t.c_tx_failed
+let tx_cancelled t = Stats.Counter.value t.c_tx_cancelled
+let rx_delivered t = Stats.Counter.value t.c_rx_delivered
+let rx_drops t = Stats.Counter.value t.c_rx_drops
+let reclaimed_bytes t = Stats.Counter.value t.c_reclaimed
 
 let note_tx t (status : Ring.status) =
   match status with
@@ -173,13 +147,23 @@ let note_reclaimed t bytes = Stats.Counter.incr ~by:bytes t.c_reclaimed
 
 let health t = t.health
 let quarantined_at t = t.quarantined_at
-let violations t = Array.fold_left ( + ) 0 t.viols
-let violations_by t v = t.viols.(violation_index v)
+let count = function Some c -> Stats.Counter.value c | None -> 0
+let violations t = Array.fold_left (fun n c -> n + count c) 0 t.viols
+let violations_by t v = count t.viols.(violation_index v)
 
 let note_violation t v =
-  t.viols.(violation_index v) <- t.viols.(violation_index v) + 1;
-  Stats.Counter.incr
-    (Stats.Registry.counter
-       ~labels:[ ("tenant", t.owner); ("reason", violation_to_string v) ]
-       "guest_violations");
+  let i = violation_index v in
+  let c =
+    match t.viols.(i) with
+    | Some c -> c
+    | None ->
+        let c =
+          Stats.Registry.counter
+            ~labels:[ ("tenant", t.owner); ("reason", violation_to_string v) ]
+            "guest_violations"
+        in
+        t.viols.(i) <- Some c;
+        c
+  in
+  Stats.Counter.incr c;
   violations t

@@ -13,8 +13,6 @@
 
 type state = Attached | Detaching | Detached
 
-val state_to_string : state -> string
-
 type health = Healthy | Suspect | Quarantined
 (** Misbehavior escalation ladder, modeled on the watchdog's engine
     quarantine: trust-boundary violations accumulate per tenant; past
@@ -50,23 +48,17 @@ type t = {
   mutable state : state;
   mutable health : health;
   mutable quarantined_at : Sim.Time.t option;
-  viols : int array;
-  (* Registry counters are cumulative across runs sharing a tenant
-     name; the [_base] snapshots keep per-instance accessors exact. *)
+  viols : Stats.Counter.t option array;
+      (** Per-reason [guest_violations], made at each reason's first
+          violation. *)
+  (* This tenant's own registry counters. *)
   c_tx_done : Stats.Counter.t;
-  tx_done_base : int;
   c_tx_rejected : Stats.Counter.t;
-  tx_rejected_base : int;
   c_tx_failed : Stats.Counter.t;
-  tx_failed_base : int;
   c_tx_cancelled : Stats.Counter.t;
-  tx_cancelled_base : int;
   c_rx_delivered : Stats.Counter.t;
-  rx_delivered_base : int;
   c_rx_drops : Stats.Counter.t;
-  rx_drops_base : int;
   c_reclaimed : Stats.Counter.t;
-  reclaimed_base : int;
 }
 
 val create :

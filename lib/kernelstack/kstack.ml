@@ -54,7 +54,6 @@ type socket = {
   mutable rcv_nxt : int;
   mutable ooo : (int * int) list;  (* disjoint, ascending *)
   mutable rx_avail : int;
-  mutable rx_delivered : int;
   mutable reader : Cpu.Sched.task option;
   (* Stats. *)
   mutable n_retx : int;
@@ -88,7 +87,6 @@ let pay chg ns =
   | App ctx -> Cpu.Thread.compute ctx ns
   | Softirq acc -> acc := !acc + ns
 
-let machine t = t.mach
 let addr t = Nic.addr t.nic
 let active_streams t = t.n_established
 let costs = Sim.Costs.default
@@ -451,7 +449,6 @@ and make_socket t ~local_port ~peer_addr ~peer_port =
     rcv_nxt = 0;
     ooo = [];
     rx_avail = 0;
-    rx_delivered = 0;
     reader = None;
     n_retx = 0;
   }
@@ -622,7 +619,6 @@ let recv ctx sock ~max =
   done;
   let n = Int.min max sock.rx_avail in
   sock.rx_avail <- sock.rx_avail - n;
-  sock.rx_delivered <- sock.rx_delivered + n;
   Cpu.Thread.compute ctx (copy_cost n);
   n
 
@@ -646,13 +642,10 @@ let try_recv ctx sock ~max =
   else begin
     let n = Int.min max sock.rx_avail in
     sock.rx_avail <- sock.rx_avail - n;
-    sock.rx_delivered <- sock.rx_delivered + n;
     Cpu.Thread.compute ctx (copy_cost n);
     n
   end
 
-let peer sock = sock.peer_addr
-let bytes_received sock = sock.rx_delivered
 let retransmits sock = sock.n_retx
 let _ = sock_key
 

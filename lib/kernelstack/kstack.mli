@@ -36,9 +36,6 @@ val create :
     transport processing local to the application's core (§3), so this
     should be the number of independent application jobs. *)
 
-val machine : t -> Cpu.Sched.machine
-val addr : t -> Memory.Packet.addr
-
 val listen : t -> port:int -> on_accept:(socket -> unit) -> unit
 (** Register a passive listener.  [on_accept] runs when a connection
     completes; it typically spawns a handler thread. *)
@@ -62,10 +59,6 @@ val try_send : Cpu.Thread.ctx -> socket -> bytes:int -> bool
 
 val try_recv : Cpu.Thread.ctx -> socket -> max:int -> int
 (** Non-blocking receive: 0 when no in-order data is buffered. *)
-
-val peer : socket -> Memory.Packet.addr
-val bytes_received : socket -> int
-(** In-order bytes made available to the receiver so far. *)
 
 val retransmits : socket -> int
 

@@ -42,7 +42,6 @@ let create ?(initial = 64) () =
     live = 0;
   }
 
-let capacity t = Array.length t.data
 let live t = t.live
 
 let grow t =

@@ -43,8 +43,6 @@ val is_live : 'a t -> handle -> bool
 val live : 'a t -> int
 (** Number of occupied slots. *)
 
-val capacity : 'a t -> int
-
 val iter : 'a t -> (handle -> 'a -> unit) -> unit
 (** Ascending slot-index order; skips free slots. *)
 

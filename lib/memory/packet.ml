@@ -45,10 +45,6 @@ let none =
     corrupted = false;
   }
 
-let pp fmt p =
-  Format.fprintf fmt "pkt#%d %d->%d %dB(qos %d)" p.id p.src p.dst p.wire_bytes
-    p.qos
-
 module Id_gen = struct
   type packet = t
   type t = { mutable next_id : int }

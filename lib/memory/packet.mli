@@ -49,8 +49,6 @@ val none : t
 (** A placeholder that is never sent: marks an empty packet field,
     compared with [==].  Never mutate it. *)
 
-val pp : Format.formatter -> t -> unit
-
 module Id_gen : sig
   type packet = t
 

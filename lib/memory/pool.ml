@@ -39,7 +39,6 @@ let create ~name ~capacity_bytes =
     n_released = 0;
   }
 
-let name t = t.pool_name
 let capacity t = t.capacity_bytes
 let in_use t = t.used
 

@@ -28,7 +28,6 @@ exception Exhausted of string
 
 val create : name:string -> capacity_bytes:int -> t
 
-val name : t -> string
 val capacity : t -> int
 val in_use : t -> int
 

@@ -3,22 +3,20 @@ type id = int
 type t = {
   region_id : id;
   region_size : int;
-  region_owner : string;
   backing : Bytes.t option;
   mutable registered : bool;
 }
 
 let backed_limit = 16 * 1024 * 1024
 
-let create ?backed ~id ~size ~owner () =
+let create ?backed ~id ~size ~owner:_ () =
   if size <= 0 then invalid_arg "Region.create: size";
   let backed = match backed with Some b -> b | None -> size <= backed_limit in
   let backing = if backed then Some (Bytes.make size '\000') else None in
-  { region_id = id; region_size = size; region_owner = owner; backing; registered = false }
+  { region_id = id; region_size = size; backing; registered = false }
 
 let id t = t.region_id
 let size t = t.region_size
-let owner t = t.region_owner
 let is_backed t = Option.is_some t.backing
 let register_for_nic t = t.registered <- true
 let nic_registered t = t.registered

@@ -15,11 +15,11 @@ type id = int
 val create :
   ?backed:bool -> id:id -> size:int -> owner:string -> unit -> t
 (** [create ~backed ~id ~size ~owner ()] makes a region.  [backed]
-    defaults to [size <= 16 MiB]. *)
+    defaults to [size <= 16 MiB].  [owner] names the region's user at
+    the call site; the region does not keep it. *)
 
 val id : t -> id
 val size : t -> int
-val owner : t -> string
 val is_backed : t -> bool
 
 val register_for_nic : t -> unit

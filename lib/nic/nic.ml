@@ -151,12 +151,9 @@ let create ~loop ~machine ~fabric ~addr (config : config) =
       nic_addr = addr;
       cfg = config;
       rx_queues =
-        Array.init config.num_rx_queues (fun i ->
+        Array.init config.num_rx_queues (fun _ ->
             {
-              ring =
-                Squeue.Spsc.create
-                  ~name:(Printf.sprintf "rx%d@%d" i addr)
-                  ~capacity:config.rx_ring_slots ();
+              ring = Squeue.Spsc.create ~capacity:config.rx_ring_slots ();
               notify = No_notify;
               irq_armed = true;
               pending_while_disarmed = false;

@@ -23,9 +23,7 @@ type t = {
   mutable out_ops : int;
   mutable out_bytes : int;
   c_admitted : Stats.Counter.t;
-  admitted_base : int;
   c_rejected : Stats.Counter.t;
-  rejected_base : int;
   mutable by_reason : (reject_reason * int) list;
 }
 
@@ -38,8 +36,6 @@ let create ~pool ~owner ?(max_ops = 256) ?(max_bytes = 4 lsl 20)
   | _ -> ());
   if burst_ops <= 0 then invalid_arg "Admission.create: burst_ops";
   let labels = [ ("client", owner) ] in
-  let c_admitted = Stats.Registry.counter ~labels "overload_ops_admitted" in
-  let c_rejected = Stats.Registry.counter ~labels "overload_ops_rejected" in
   {
     acct = Memory.Pool.account pool ~owner;
     owner;
@@ -51,10 +47,8 @@ let create ~pool ~owner ?(max_ops = 256) ?(max_bytes = 4 lsl 20)
     last_refill = 0;
     out_ops = 0;
     out_bytes = 0;
-    c_admitted;
-    admitted_base = Stats.Counter.value c_admitted;
-    c_rejected;
-    rejected_base = Stats.Counter.value c_rejected;
+    c_admitted = Stats.Registry.counter ~labels "overload_ops_admitted";
+    c_rejected = Stats.Registry.counter ~labels "overload_ops_rejected";
     by_reason = [];
   }
 
@@ -119,8 +113,8 @@ let op_quota t = t.max_ops
 let byte_quota t = t.max_bytes
 let outstanding_ops t = t.out_ops
 let outstanding_bytes t = t.out_bytes
-let admitted t = Stats.Counter.value t.c_admitted - t.admitted_base
-let rejected t = Stats.Counter.value t.c_rejected - t.rejected_base
+let admitted t = Stats.Counter.value t.c_admitted
+let rejected t = Stats.Counter.value t.c_rejected
 
 let rejected_by t reason =
   Option.value ~default:0 (List.assoc_opt reason t.by_reason)

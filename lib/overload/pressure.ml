@@ -30,21 +30,17 @@ type t = {
   p_name : string;
   mutable lvl : level;
   c_transitions : Stats.Counter.t;
-  transitions_base : int;
 }
 
 let create ~loop ~name () =
   let labels = [ ("engine", name) ] in
-  let c_transitions =
-    Stats.Registry.counter ~labels "overload_pressure_transitions"
-  in
   let t =
     {
       lp = loop;
       p_name = name;
       lvl = Nominal;
-      c_transitions;
-      transitions_base = Stats.Counter.value c_transitions;
+      c_transitions =
+        Stats.Registry.counter ~labels "overload_pressure_transitions";
     }
   in
   ignore
@@ -86,4 +82,4 @@ let update t ~occupancy =
 
 let level t = t.lvl
 
-let transitions t = Stats.Counter.value t.c_transitions - t.transitions_base
+let transitions t = Stats.Counter.value t.c_transitions

@@ -93,15 +93,12 @@ and client = {
   charges : Memory.Pool.alloc option Memory.Int_table.t;
       (* op id -> admission charge, held until the completion fires *)
   c_shed : Stats.Counter.t;
-  shed_base : int;
   c_expired : Stats.Counter.t;
-  expired_base : int;
   mutable app_task : Sched.task option;
   mutable on_delivery : (unit -> unit) option;
       (* Engine-side consumers (the guest mux) register a hook instead
          of an app task; called on every completion/message push. *)
   mutable next_op : int;
-  mutable rx_bytes : int;
 }
 
 (* One half of a conn: the record an engine keeps for its local client's
@@ -237,22 +234,17 @@ and t = {
   clients_tbl : (int, Memory.Arena.handle) Hashtbl.t;
   gen : Packet.Id_gen.t;
   mutable rr_assign : int;
-  (* Registry counters are cumulative across host instances sharing an
-     address (bench sections re-create hosts); the [_base] snapshot
-     taken at creation keeps the per-instance accessors exact. *)
+  (* This host's counters; the registry names the latest host on an
+     address (bench sections re-create hosts). *)
   c_corrupt : Stats.Counter.t;
-  corrupt_base : int;
   c_resync : Stats.Counter.t;
-  resync_base : int;
   (* Overload protection (§3.3): one op-memory pool per host; admission
      charges, receive-side reassembly and packet ingest all draw from
      it, so saturation surfaces as [Rejected]/drops instead of
      unbounded growth. *)
   op_pool : Memory.Pool.t;
   c_busy : Stats.Counter.t;
-  busy_base : int;
   c_pool_drop : Stats.Counter.t;
-  pool_drop_base : int;
   (* Connection lifecycle / peer failure (§4.3). *)
   mutable incarnation : int;  (* bumped on every restart after a crash *)
   mutable alive : bool;
@@ -264,21 +256,13 @@ and t = {
      down. *)
   mutable peer_inc : int array;
   c_conn_est : Stats.Counter.t;
-  conn_est_base : int;
   c_conn_closed : Stats.Counter.t;
-  conn_closed_base : int;
   c_conn_reset : Stats.Counter.t;  (* resets sent *)
-  conn_reset_base : int;
   c_peer_death : Stats.Counter.t;  (* conns declared dead *)
-  peer_death_base : int;
   c_peer_dead_op : Stats.Counter.t;  (* ops failed Peer_dead *)
-  peer_dead_op_base : int;
   c_stale_drop : Stats.Counter.t;  (* stale-incarnation packets dropped *)
-  stale_drop_base : int;
   c_peer_restart : Stats.Counter.t;  (* peer restarts detected *)
-  peer_restart_base : int;
   c_ka_probe : Stats.Counter.t;  (* keepalive probes enqueued *)
-  ka_probe_base : int;
 }
 
 and dir = { hosts : (Packet.addr, t) Hashtbl.t }
@@ -297,7 +281,6 @@ let machine t = t.mach
 let addr t = Nic.addr t.nic
 let num_engines t = List.length t.engs
 let engine_handle t i = (List.nth t.engs i).core
-let bytes_received c = c.rx_bytes
 
 let flow_versions t =
   List.concat_map
@@ -305,26 +288,25 @@ let flow_versions t =
       Array.to_list (Array.map (fun f -> (Flow.key f, Flow.version f)) e.flow_arr))
     t.engs
 
-let corrupt_dropped t = Stats.Counter.value t.c_corrupt - t.corrupt_base
-let flow_resyncs t = Stats.Counter.value t.c_resync - t.resync_base
-let busy_nacks t = Stats.Counter.value t.c_busy - t.busy_base
-let rx_pool_drops t = Stats.Counter.value t.c_pool_drop - t.pool_drop_base
+let corrupt_dropped t = Stats.Counter.value t.c_corrupt
+let flow_resyncs t = Stats.Counter.value t.c_resync
+let busy_nacks t = Stats.Counter.value t.c_busy
+let rx_pool_drops t = Stats.Counter.value t.c_pool_drop
 let op_pool t = t.op_pool
 let incarnation t = t.incarnation
 let host_alive t = t.alive
 let conn_state c = c.state
 let client_alive c = (not c.c_dead) && c.c_host.alive
-let conns_established t = Stats.Counter.value t.c_conn_est - t.conn_est_base
-let conns_closed t = Stats.Counter.value t.c_conn_closed - t.conn_closed_base
-let conn_resets_sent t = Stats.Counter.value t.c_conn_reset - t.conn_reset_base
-let peer_deaths t = Stats.Counter.value t.c_peer_death - t.peer_death_base
-let peer_dead_ops t = Stats.Counter.value t.c_peer_dead_op - t.peer_dead_op_base
-let stale_drops t = Stats.Counter.value t.c_stale_drop - t.stale_drop_base
+let conns_established t = Stats.Counter.value t.c_conn_est
+let conns_closed t = Stats.Counter.value t.c_conn_closed
+let conn_resets_sent t = Stats.Counter.value t.c_conn_reset
+let peer_deaths t = Stats.Counter.value t.c_peer_death
+let peer_dead_ops t = Stats.Counter.value t.c_peer_dead_op
+let stale_drops t = Stats.Counter.value t.c_stale_drop
 
-let peer_restarts_detected t =
-  Stats.Counter.value t.c_peer_restart - t.peer_restart_base
+let peer_restarts_detected t = Stats.Counter.value t.c_peer_restart
 
-let keepalive_probes t = Stats.Counter.value t.c_ka_probe - t.ka_probe_base
+let keepalive_probes t = Stats.Counter.value t.c_ka_probe
 
 let conn_is_dead c =
   match c.state with Dead | Closed -> true | Established | Draining -> false
@@ -393,8 +375,8 @@ let find_client t cid =
   match Hashtbl.find_opt t.clients_tbl cid with
   | None -> None
   | Some h -> Memory.Arena.get t.clients_arena h
-let client_ops_shed c = Stats.Counter.value c.c_shed - c.shed_base
-let client_ops_expired c = Stats.Counter.value c.c_expired - c.expired_base
+let client_ops_shed c = Stats.Counter.value c.c_shed
+let client_ops_expired c = Stats.Counter.value c.c_expired
 let ops_shed t = fold_clients t (fun acc c -> acc + client_ops_shed c) 0
 let ops_expired t = fold_clients t (fun acc c -> acc + client_ops_expired c) 0
 
@@ -683,7 +665,6 @@ let push_completion eng cost client comp =
 let push_incoming eng cost client inc =
   ignore eng;
   if Squeue.Spsc.push client.msg_q ~now:(Loop.now client.c_host.lp) inc then begin
-    client.rx_bytes <- client.rx_bytes + inc.msg_bytes;
     notify_app cost client;
     true
   end
@@ -2170,18 +2151,6 @@ let create ~directory ~control ~machine ~nic ~group ?(engines = 1)
   | None -> ());
   let lp = Sched.loop machine in
   let labels = [ ("host", string_of_int (Nic.addr nic)) ] in
-  let c_corrupt = Stats.Registry.counter ~labels "pony_corrupt_dropped" in
-  let c_resync = Stats.Registry.counter ~labels "pony_flow_resyncs" in
-  let c_busy = Stats.Registry.counter ~labels "overload_busy_nacks" in
-  let c_pool_drop = Stats.Registry.counter ~labels "overload_rx_pool_drops" in
-  let c_conn_est = Stats.Registry.counter ~labels "conn_established" in
-  let c_conn_closed = Stats.Registry.counter ~labels "conn_closed" in
-  let c_conn_reset = Stats.Registry.counter ~labels "conn_resets" in
-  let c_peer_death = Stats.Registry.counter ~labels "peer_conn_deaths" in
-  let c_peer_dead_op = Stats.Registry.counter ~labels "peer_dead_ops" in
-  let c_stale_drop = Stats.Registry.counter ~labels "peer_stale_drops" in
-  let c_peer_restart = Stats.Registry.counter ~labels "peer_restarts" in
-  let c_ka_probe = Stats.Registry.counter ~labels "peer_keepalive_probes" in
   let op_pool =
     Memory.Pool.create
       ~name:(Printf.sprintf "pony_op_pool@%d" (Nic.addr nic))
@@ -2209,35 +2178,23 @@ let create ~directory ~control ~machine ~nic ~group ?(engines = 1)
       clients_tbl = Hashtbl.create 32;
       gen = Packet.Id_gen.create ();
       rr_assign = 0;
-      c_corrupt;
-      corrupt_base = Stats.Counter.value c_corrupt;
-      c_resync;
-      resync_base = Stats.Counter.value c_resync;
+      c_corrupt = Stats.Registry.counter ~labels "pony_corrupt_dropped";
+      c_resync = Stats.Registry.counter ~labels "pony_flow_resyncs";
       op_pool;
-      c_busy;
-      busy_base = Stats.Counter.value c_busy;
-      c_pool_drop;
-      pool_drop_base = Stats.Counter.value c_pool_drop;
+      c_busy = Stats.Registry.counter ~labels "overload_busy_nacks";
+      c_pool_drop = Stats.Registry.counter ~labels "overload_rx_pool_drops";
       incarnation = 0;
       alive = true;
       ka = keepalive;
       peer_inc = [||];
-      c_conn_est;
-      conn_est_base = Stats.Counter.value c_conn_est;
-      c_conn_closed;
-      conn_closed_base = Stats.Counter.value c_conn_closed;
-      c_conn_reset;
-      conn_reset_base = Stats.Counter.value c_conn_reset;
-      c_peer_death;
-      peer_death_base = Stats.Counter.value c_peer_death;
-      c_peer_dead_op;
-      peer_dead_op_base = Stats.Counter.value c_peer_dead_op;
-      c_stale_drop;
-      stale_drop_base = Stats.Counter.value c_stale_drop;
-      c_peer_restart;
-      peer_restart_base = Stats.Counter.value c_peer_restart;
-      c_ka_probe;
-      ka_probe_base = Stats.Counter.value c_ka_probe;
+      c_conn_est = Stats.Registry.counter ~labels "conn_established";
+      c_conn_closed = Stats.Registry.counter ~labels "conn_closed";
+      c_conn_reset = Stats.Registry.counter ~labels "conn_resets";
+      c_peer_death = Stats.Registry.counter ~labels "peer_conn_deaths";
+      c_peer_dead_op = Stats.Registry.counter ~labels "peer_dead_ops";
+      c_stale_drop = Stats.Registry.counter ~labels "peer_stale_drops";
+      c_peer_restart = Stats.Registry.counter ~labels "peer_restarts";
+      c_ka_probe = Stats.Registry.counter ~labels "peer_keepalive_probes";
     }
   in
   Hashtbl.replace directory.hosts (Nic.addr nic) t;
@@ -2393,9 +2350,7 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
   let adm =
     Overload.Admission.create ~pool:t.op_pool ~owner ~max_ops ~max_bytes ()
   in
-  let clabels = [ ("client", owner) ] in
-  let c_shed = Stats.Registry.counter ~labels:clabels "overload_ops_shed" in
-  let c_expired = Stats.Registry.counter ~labels:clabels "overload_ops_expired" in
+  let labels = [ ("client", owner) ] in
   let client =
     {
       cid;
@@ -2403,22 +2358,19 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
       c_host = t;
       c_eng = eng;
       c_slot = Array.length eng.eclients;
-      cmd_q = Squeue.Spsc.create ~name:(name ^ ".cmd") ~capacity:cmd_queue_slots ();
-      comp_q = Squeue.Spsc.create ~name:(name ^ ".comp") ~capacity:comp_queue_slots ();
-      msg_q = Squeue.Spsc.create ~name:(name ^ ".msg") ~capacity:comp_queue_slots ();
+      cmd_q = Squeue.Spsc.create ~capacity:cmd_queue_slots ();
+      comp_q = Squeue.Spsc.create ~capacity:comp_queue_slots ();
+      msg_q = Squeue.Spsc.create ~capacity:comp_queue_slots ();
       regions = [||];
       c_owner = owner;
       c_dead = false;
       adm;
       charges = Memory.Int_table.create ~dummy:None ();
-      c_shed;
-      shed_base = Stats.Counter.value c_shed;
-      c_expired;
-      expired_base = Stats.Counter.value c_expired;
+      c_shed = Stats.Registry.counter ~labels "overload_ops_shed";
+      c_expired = Stats.Registry.counter ~labels "overload_ops_expired";
       app_task = None;
       on_delivery = None;
       next_op = 0;
-      rx_bytes = 0;
     }
   in
   eng.eclients <- Array.append eng.eclients [| client |];

@@ -305,7 +305,6 @@ val send_with_retry :
 
 (** {1 Telemetry} *)
 
-val bytes_received : client -> int
 val flow_stats : t -> (Wire.flow_key * int * int) list
 (** Per-flow (key, delivered, retransmits). *)
 

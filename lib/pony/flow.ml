@@ -571,12 +571,10 @@ let check_timeout t ~now =
 let retransmits t = t.n_retx
 let delivered t = t.n_delivered
 let acked_packets t = t.n_acked
-let srtt t = int_of_float t.rtt.srtt_ns
 
 let set_window_provider t f = t.wnd_provider <- f
 let peer_window t = t.peer_wnd
 let zero_window_probes t = t.n_zw_probes
-let incarnation t = t.f_inc
 
 let purge_queue t ~drop =
   (* Remove not-yet-sent items the upper layer no longer wants (ops for

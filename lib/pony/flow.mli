@@ -33,7 +33,6 @@ val create :
 
 val key : t -> Wire.flow_key
 val version : t -> int
-val incarnation : t -> int
 val cc : t -> Timely.t
 
 (** {1 Transmit side} *)
@@ -139,7 +138,6 @@ val resync : t -> now:Sim.Time.t -> int
 val retransmits : t -> int
 val delivered : t -> int
 val acked_packets : t -> int
-val srtt : t -> Sim.Time.t
 
 (** {1 Receiver back-pressure (advertised window)} *)
 

@@ -22,4 +22,3 @@ let signal t =
   | None -> t.latched <- true
 
 let signals t = t.n_signals
-let is_armed t = Option.is_some t.callback

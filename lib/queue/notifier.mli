@@ -21,4 +21,3 @@ val signal : t -> unit
 val signals : t -> int
 (** Total signals delivered or latched. *)
 
-val is_armed : t -> bool

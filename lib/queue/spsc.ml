@@ -4,7 +4,6 @@
    a mostly idle ring costs a few words rather than [cap] slots. *)
 
 type 'a t = {
-  ring_name : string;
   cap : int;
   mutable items : 'a option array;
   mutable times : int array;
@@ -14,10 +13,9 @@ type 'a t = {
   mutable n_dropped : int;
 }
 
-let create ?(name = "") ~capacity () =
+let create ~capacity () =
   if capacity <= 0 then invalid_arg "Spsc.create: capacity";
   {
-    ring_name = name;
     cap = capacity;
     items = [||];
     times = [||];
@@ -27,7 +25,6 @@ let create ?(name = "") ~capacity () =
     n_dropped = 0;
   }
 
-let name t = t.ring_name
 let capacity t = t.cap
 let length t = t.size
 let is_empty t = t.size = 0

@@ -13,10 +13,9 @@
 
 type 'a t
 
-val create : ?name:string -> capacity:int -> unit -> 'a t
+val create : capacity:int -> unit -> 'a t
 (** [capacity] must be positive. *)
 
-val name : 'a t -> string
 val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -46,8 +46,6 @@ val pop_exn : t -> int
 val pop : t -> int option
 (** As {!pop_exn}, [None] when empty. *)
 
-val clear : t -> unit
-
 val validate : t -> string option
 (** [None] when the internal arrays satisfy the heap property and the
     bookkeeping is coherent; otherwise a description of the violation.

@@ -18,8 +18,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Sample from an exponential distribution with the given mean. *)
 

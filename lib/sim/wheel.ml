@@ -61,7 +61,6 @@ let create ~loop () =
 
 let live_timers t = t.n_live
 let is_armed w = w.w_live
-let due w = w.w_due
 
 let next_wake t =
   match t.wake with

@@ -27,7 +27,6 @@ val cancel : timer -> unit
 (** O(1).  Cancelling a fired or already-cancelled timer is a no-op. *)
 
 val is_armed : timer -> bool
-val due : timer -> Time.t
 
 val live_timers : t -> int
 (** Armed, not-yet-fired timer count. *)

@@ -113,7 +113,3 @@ let detach_tenant ?force t tenant =
   | None -> invalid_arg "Snap.Host.detach_tenant: guests never enabled"
   | Some m -> Guest.Mux.detach ?force m tenant
 
-let snap_cpu_ns t = Cpu.Sched.account_busy_ns t.machine "snap"
-let app_cpu_ns t = Cpu.Sched.account_busy_ns t.machine "app"
-let softirq_cpu_ns t = Cpu.Sched.account_busy_ns t.machine "softirq"
-let total_cpu_ns t = Cpu.Sched.busy_ns t.machine

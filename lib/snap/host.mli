@@ -99,9 +99,3 @@ val detach_tenant : ?force:bool -> t -> Guest.Tenant.t -> unit
 (** See {!Guest.Mux.detach}.  Generation-tagged reclaim guarantees the
     tenant's pool bytes return even if completions are abandoned. *)
 
-val snap_cpu_ns : t -> int
-(** CPU consumed by Snap (engine threads) on this host so far. *)
-
-val app_cpu_ns : t -> int
-val softirq_cpu_ns : t -> int
-val total_cpu_ns : t -> int

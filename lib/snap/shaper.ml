@@ -34,7 +34,7 @@ let run t () =
   if !n = 0 then Engine.no_work else Engine.worked !cost
 
 let create ~loop ~nic ~group ?(rate_gbps = 10.0) ?(burst_bytes = 1 lsl 20) () =
-  let input = Squeue.Spsc.create ~name:"shaper.in" ~capacity:4096 () in
+  let input = Squeue.Spsc.create ~capacity:4096 () in
   let pipeline =
     Engine.Element.Pipeline.of_list
       [
@@ -69,7 +69,6 @@ let create ~loop ~nic ~group ?(rate_gbps = 10.0) ?(burst_bytes = 1 lsl 20) () =
   Engine.add group eng;
   t
 
-let engine t = t.eng
 
 let submit t pkt =
   let ok = Squeue.Spsc.push t.input ~now:(Loop.now t.lp) pkt in

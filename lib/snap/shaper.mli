@@ -19,8 +19,6 @@ val create :
 (** Build the engine and add it to [group].  Default 10 Gbps rate,
     1 MiB burst, allow-all ACL. *)
 
-val engine : t -> Engine.t
-
 val submit : t -> Memory.Packet.t -> bool
 (** Hand a packet to the shaper (e.g. from the kernel-injection path);
     [false] if its input ring is full. *)

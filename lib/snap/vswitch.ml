@@ -12,7 +12,6 @@ type guest = {
   tx : Packet.t Squeue.Spsc.t;
   rx : Packet.t Squeue.Spsc.t;
   c_drops : Stats.Counter.t;  (* full-ring losses, either direction *)
-  drops_base : int;
 }
 
 type t = {
@@ -24,12 +23,10 @@ type t = {
   guests : (int, guest) Hashtbl.t;
   mutable guest_list : guest list;
   gen : Packet.Id_gen.t;
-  (* Registry counters are cumulative across vswitch instances sharing
-     a host address; the [_base] snapshots keep accessors per-instance. *)
+  (* This instance's counters; the registry names the latest vswitch on
+     a host address. *)
   c_forwarded : Stats.Counter.t;
-  forwarded_base : int;
   c_unroutable : Stats.Counter.t;
-  unroutable_base : int;
   c_to_guests : Stats.Counter.t;
 }
 
@@ -108,9 +105,6 @@ let create ~loop ~nic ~group ~rx_queue () =
       ()
   in
   let labels = [ ("host", string_of_int (Nic.addr nic)) ] in
-  let c_forwarded = Stats.Registry.counter ~labels "vswitch_forwarded" in
-  let c_unroutable = Stats.Registry.counter ~labels "vswitch_unroutable" in
-  let c_to_guests = Stats.Registry.counter ~labels "vswitch_to_guests" in
   let t =
     {
       lp = loop;
@@ -121,11 +115,9 @@ let create ~loop ~nic ~group ~rx_queue () =
       guests = Hashtbl.create 16;
       guest_list = [];
       gen = Packet.Id_gen.create ();
-      c_forwarded;
-      forwarded_base = Stats.Counter.value c_forwarded;
-      c_unroutable;
-      unroutable_base = Stats.Counter.value c_unroutable;
-      c_to_guests;
+      c_forwarded = Stats.Registry.counter ~labels "vswitch_forwarded";
+      c_unroutable = Stats.Registry.counter ~labels "vswitch_unroutable";
+      c_to_guests = Stats.Registry.counter ~labels "vswitch_to_guests";
     }
   in
   t_ref := Some t;
@@ -134,18 +126,14 @@ let create ~loop ~nic ~group ~rx_queue () =
   Nic.set_rx_notify nic ~queue:rx_queue (Nic.Soft (fun () -> Engine.notify eng));
   t
 
-let engine t = t.eng
-
 let add_guest t ~vip =
   let labels = host_labels t @ [ ("port", string_of_int vip) ] in
-  let c_drops = Stats.Registry.counter ~labels "vswitch_port_drops" in
   let g =
     {
       vip;
-      tx = Squeue.Spsc.create ~name:(Printf.sprintf "guest%d.tx" vip) ~capacity:1024 ();
-      rx = Squeue.Spsc.create ~name:(Printf.sprintf "guest%d.rx" vip) ~capacity:1024 ();
-      c_drops;
-      drops_base = Stats.Counter.value c_drops;
+      tx = Squeue.Spsc.create ~capacity:1024 ();
+      rx = Squeue.Spsc.create ~capacity:1024 ();
+      c_drops = Stats.Registry.counter ~labels "vswitch_port_drops";
     }
   in
   ignore
@@ -173,7 +161,5 @@ let guest_transmit t g ~dst_vip ~bytes =
   ok
 
 let guest_rx_ring g = g.rx
-let forwarded t = Stats.Counter.value t.c_forwarded - t.forwarded_base
-let unroutable t = Stats.Counter.value t.c_unroutable - t.unroutable_base
-
-let port_drops g = Stats.Counter.value g.c_drops - g.drops_base
+let forwarded t = Stats.Counter.value t.c_forwarded
+let unroutable t = Stats.Counter.value t.c_unroutable

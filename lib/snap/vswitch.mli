@@ -19,8 +19,6 @@ val create :
 (** The engine claims NIC receive ring [rx_queue] for guest-bound
     traffic (steering must be configured by the caller). *)
 
-val engine : t -> Engine.t
-
 val add_guest : t -> vip:int -> guest
 (** Attach a guest with a virtual IP. *)
 
@@ -38,13 +36,10 @@ val guest_rx_ring : guest -> Memory.Packet.t Squeue.Spsc.t
 
 val forwarded : t -> int
 val unroutable : t -> int
-
-val port_drops : guest -> int
-(** Packets lost at this port's rings (full guest rx ring on delivery,
-    full tx ring on [guest_transmit]).
-
-    All switch counters are also registered in {!Stats.Registry}:
-    [vswitch_forwarded]/[vswitch_unroutable]/[vswitch_to_guests]
-    labelled by host, and per-port [vswitch_port_drops] plus a
+(** This switch's counts.  All switch counters are also registered in
+    {!Stats.Registry}: [vswitch_forwarded]/[vswitch_unroutable]/
+    [vswitch_to_guests] labelled by host, and per-port
+    [vswitch_port_drops] (packets lost at a full guest rx ring on
+    delivery or a full tx ring on [guest_transmit]) plus a
     [vswitch_port_depth] gauge (tx + rx occupancy) labelled by host and
     port. *)

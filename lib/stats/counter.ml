@@ -1,8 +1,5 @@
-type t = { c_name : string; mutable n : int }
+type t = { mutable n : int }
 
-let create ~name = { c_name = name; n = 0 }
+let create () = { n = 0 }
 let incr ?(by = 1) t = t.n <- t.n + by
 let value t = t.n
-let name t = t.c_name
-let reset t = t.n <- 0
-let pp fmt t = Format.fprintf fmt "%s=%d" t.c_name t.n

@@ -1,4 +1,4 @@
-(** Named monotonic counters.
+(** Monotonic counters.
 
     The simplest telemetry primitive: subsystems that want queryable
     event counts (fault injections, retransmissions) expose these instead
@@ -6,9 +6,6 @@
 
 type t
 
-val create : name:string -> t
+val create : unit -> t
 val incr : ?by:int -> t -> unit
 val value : t -> int
-val name : t -> string
-val reset : t -> unit
-val pp : Format.formatter -> t -> unit

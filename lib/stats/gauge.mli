@@ -1,4 +1,4 @@
-(** Named point-in-time values.
+(** Point-in-time values.
 
     A gauge reports the current value of something — a queue depth, a
     utilization fraction — rather than an accumulated count.  Gauges are
@@ -9,8 +9,7 @@
 
 type t
 
-val create : name:string -> t
-val name : t -> string
+val create : unit -> t
 
 val set : t -> float -> unit
 (** Store a value (ignored while a sampler is installed). *)
@@ -26,7 +25,3 @@ val set_sampler : t -> (unit -> float) -> unit
 val value : t -> float
 (** The sampler's result in pull mode, the stored value otherwise. *)
 
-val reset : t -> unit
-(** Zero the stored value and drop any sampler. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,11 +1,12 @@
 (* Process-wide metric registry.
 
    One global table keyed by (metric name, canonically sorted labels).
-   Constructors are create-or-get: asking twice for the same key returns
-   the same instrument, so instrumentation sites never need to thread
-   metric handles through module boundaries.  Everything here is
-   deterministic — snapshots are sorted, floats render through one fixed
-   formatter, and nothing reads wall-clock state. *)
+   A counter belongs to the component that made it: each registration
+   makes a fresh one and points the key at it.  The other kinds are
+   create-or-get, so instrumentation sites never need to thread their
+   handles through module boundaries.  Everything here is deterministic
+   — snapshots are sorted, floats render through one fixed formatter,
+   and nothing reads wall-clock state. *)
 
 type labels = (string * string) list
 
@@ -27,10 +28,13 @@ let kind_label = function
   | Histogram _ -> "histogram"
   | Series _ -> "series"
 
+let mismatch fn name k =
+  invalid_arg
+    (Printf.sprintf "Registry.%s: %s is already a %s" fn name (kind_label k))
+
 (* Create-or-get: return the existing kind under this key, or install
    one made by [make] — called only on a miss.  Callers pattern-match
-   the result and reject kind mismatches with a descriptive
-   [Invalid_argument]. *)
+   the result and reject kind mismatches with [mismatch]. *)
 let add_metric name labels make =
   let key = (name, canon labels) in
   match Hashtbl.find_opt table key with
@@ -40,21 +44,22 @@ let add_metric name labels make =
       Hashtbl.add table key { m_name = name; m_labels = snd key; m_kind = kind };
       kind
 
+(* Last registration wins: the key follows the newest counter, and every
+   earlier handle keeps counting for its own component alone. *)
 let counter ?(labels = []) name =
-  match add_metric name labels (fun () -> Counter (Counter.create ~name)) with
-  | Counter c -> c
-  | k ->
-      invalid_arg
-        (Printf.sprintf "Registry.counter: %s is already a %s" name
-           (kind_label k))
+  let key = (name, canon labels) in
+  (match Hashtbl.find_opt table key with
+  | Some { m_kind = Counter _; _ } | None -> ()
+  | Some m -> mismatch "counter" name m.m_kind);
+  let c = Counter.create () in
+  Hashtbl.replace table key
+    { m_name = name; m_labels = snd key; m_kind = Counter c };
+  c
 
 let gauge ?(labels = []) name =
-  match add_metric name labels (fun () -> Gauge (Gauge.create ~name)) with
+  match add_metric name labels (fun () -> Gauge (Gauge.create ())) with
   | Gauge g -> g
-  | k ->
-      invalid_arg
-        (Printf.sprintf "Registry.gauge: %s is already a %s" name
-           (kind_label k))
+  | k -> mismatch "gauge" name k
 
 let gauge_fn ?(labels = []) name f =
   let g = gauge ~labels name in
@@ -69,18 +74,12 @@ let histogram ?(labels = []) ?sub_bits name =
     add_metric name labels (fun () -> Histogram (Histogram.create ?sub_bits ()))
   with
   | Histogram h -> h
-  | k ->
-      invalid_arg
-        (Printf.sprintf "Registry.histogram: %s is already a %s" name
-           (kind_label k))
+  | k -> mismatch "histogram" name k
 
 let series ?(labels = []) name =
   match add_metric name labels (fun () -> Series (Series.create ~name ())) with
   | Series s -> s
-  | k ->
-      invalid_arg
-        (Printf.sprintf "Registry.series: %s is already a %s" name
-           (kind_label k))
+  | k -> mismatch "series" name k
 
 let find ?(labels = []) name =
   Hashtbl.find_opt table (name, canon labels)
@@ -93,16 +92,6 @@ let snapshot () =
       | 0 -> compare a.m_labels b.m_labels
       | c -> c)
     all
-
-let reset_all () =
-  Hashtbl.iter
-    (fun _ m ->
-      match m.m_kind with
-      | Counter c -> Counter.reset c
-      | Gauge g -> Gauge.reset g
-      | Histogram h -> Histogram.clear h
-      | Series s -> Series.clear s)
-    table
 
 let clear () = Hashtbl.reset table
 

@@ -3,10 +3,22 @@
     Every instrument in the system — fault counters, engine latency
     histograms, per-core utilization gauges, poller series — registers
     here under a (name, labels) key so that one [snapshot] (or
-    [to_json]) enumerates the whole telemetry surface.  Constructors are
-    {e create-or-get}: the first call under a key makes the instrument,
-    later calls return the same one.  Asking for an existing key with a
-    different kind raises [Invalid_argument].
+    [to_json]) enumerates the whole telemetry surface.  Asking for an
+    existing key with a different kind raises [Invalid_argument].
+
+    What a second registration under one key returns depends on the
+    kind:
+    - {!counter} makes a fresh counter and points the key at it.  A
+      component's counter counts only that component, so its own
+      accessors read it directly; the registry shows the latest
+      registration.
+    - {!gauge_fn} keeps one gauge and re-points its sampler at the
+      latest registration.
+    - {!gauge}, {!histogram} and {!series} are create-or-get: every
+      registration returns the one instrument, which sums over them.
+      Their readers aggregate across instances — engines that share a
+      name feed one [engine_batch_cost_ns], every host feeds the same
+      [op_stage_*] histograms — so these stay shared.
 
     Determinism: snapshots are sorted by (name, labels), floats render
     through one fixed formatter, and nothing here touches wall-clock
@@ -25,6 +37,8 @@ type kind =
 type metric = { m_name : string; m_labels : labels; m_kind : kind }
 
 val counter : ?labels:labels -> string -> Counter.t
+(** A fresh counter at 0, now the one the key names. *)
+
 val gauge : ?labels:labels -> string -> Gauge.t
 
 val gauge_fn : ?labels:labels -> string -> (unit -> float) -> Gauge.t
@@ -40,11 +54,6 @@ val find : ?labels:labels -> string -> metric option
 
 val snapshot : unit -> metric list
 (** All registered metrics, sorted by (name, labels). *)
-
-val reset_all : unit -> unit
-(** Zero every registered instrument (counters and gauges to 0, samplers
-    dropped, histograms and series emptied).  Registrations remain.  Use
-    in test setup so metric state cannot leak between cases. *)
 
 val clear : unit -> unit
 (** Drop every registration entirely. *)

@@ -24,10 +24,6 @@ let add t time v =
   t.n <- t.n + 1
 
 let length t = t.n
-let clear t = t.n <- 0
-
-let to_list t =
-  List.init t.n (fun i -> (t.times.(i), t.values.(i)))
 
 let max_value t =
   let best = ref 0.0 in

@@ -9,11 +9,6 @@ val name : t -> string
 val add : t -> Sim.Time.t -> float -> unit
 val length : t -> int
 
-val clear : t -> unit
-(** Drop all samples (capacity is retained). *)
-
-
-val to_list : t -> (Sim.Time.t * float) list
 val max_value : t -> float
 (** Largest sample; 0 when empty. *)
 

@@ -15,7 +15,7 @@ let mk ?(cores = 6) () =
 
 (* A simple engine fed by an SPSC queue: each item costs [item_cost]. *)
 let queue_engine ~loop ~name ?(item_cost = T.us 1) ?(batch = 16) () =
-  let q = Squeue.Spsc.create ~name ~capacity:4096 () in
+  let q = Squeue.Spsc.create ~capacity:4096 () in
   let processed = ref 0 in
   let run () =
     let n = ref 0 in

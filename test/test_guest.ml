@@ -396,6 +396,32 @@ let test_tenant_owner_reclaim () =
   check_int "stale releases are no-ops" 0 (Tenant.pool_usage tn);
   Memory.Pool.assert_quiesced pool
 
+(* A tenant holds one [guest_violations] counter per reason, so the
+   registry entry keeps counting across repeated violations. *)
+let test_tenant_violation_counters () =
+  let pool = Memory.Pool.create ~name:"v-pool" ~capacity_bytes:(1 lsl 20) in
+  let tn = Tenant.create ~pool ~host_addr:0 ~name:"v0" ~id:2 () in
+  for _ = 1 to 3 do
+    ignore (Tenant.note_violation tn Tenant.Bad_range)
+  done;
+  check_int "total returned" 4 (Tenant.note_violation tn Tenant.Rollback);
+  let registered reason =
+    match
+      Stats.Registry.find
+        ~labels:
+          [ ("tenant", tn.Tenant.owner);
+            ("reason", Tenant.violation_to_string reason) ]
+        "guest_violations"
+    with
+    | Some { Stats.Registry.m_kind = Stats.Registry.Counter c; _ } ->
+        Stats.Counter.value c
+    | _ -> Alcotest.fail "guest_violations not registered"
+  in
+  check_int "bad-range counter" (Tenant.violations_by tn Tenant.Bad_range)
+    (registered Tenant.Bad_range);
+  check_int "bad-range count" 3 (registered Tenant.Bad_range);
+  check_int "rollback counter" 1 (registered Tenant.Rollback)
+
 (* {1 Mux end-to-end} *)
 
 let test_mux_echo_and_detach () =
@@ -832,6 +858,8 @@ let () =
           Alcotest.test_case "layout and counters" `Quick
             test_tenant_layout_and_counters;
           Alcotest.test_case "owner reclaim" `Quick test_tenant_owner_reclaim;
+          Alcotest.test_case "violation counters per reason" `Quick
+            test_tenant_violation_counters;
         ] );
       ( "mux",
         [

@@ -84,6 +84,34 @@ let test_admission_rate_limit () =
   check_bool "token refilled" true (ok (T.ms 1));
   check_bool "only one token refilled" false (ok (T.ms 1))
 
+(* Two admissions for one owner on one pool: each counts only its own
+   admits, and the registry key names the one made last. *)
+let test_admission_counts_per_instance () =
+  let pool = Memory.Pool.create ~name:"adm-test" ~capacity_bytes:(1 lsl 20) in
+  let owner = "tenant" in
+  let make () = Overload.Admission.create ~pool ~owner () in
+  let admit_n adm n =
+    for _ = 1 to n do
+      match admit adm ~now:0 ~bytes:0 with
+      | Overload.Admission.Admitted _ -> ()
+      | Rejected _ -> Alcotest.fail "unexpected rejection"
+    done
+  in
+  let first = make () in
+  admit_n first 2;
+  let second = make () in
+  admit_n second 3;
+  admit_n first 1;
+  check_int "first counts its own" 3 (Overload.Admission.admitted first);
+  check_int "second counts its own" 3 (Overload.Admission.admitted second);
+  admit_n second 1;
+  match
+    Stats.Registry.find ~labels:[ ("client", owner) ] "overload_ops_admitted"
+  with
+  | Some { Stats.Registry.m_kind = Stats.Registry.Counter c; _ } ->
+      check_int "registry reads the second" 4 (Stats.Counter.value c)
+  | _ -> Alcotest.fail "overload_ops_admitted not registered"
+
 (* -- Pressure state machine ----------------------------------------------- *)
 
 let test_pressure_hysteresis () =
@@ -416,6 +444,8 @@ let () =
             test_admission_pool_exhausted;
           Alcotest.test_case "token-bucket rate limit" `Quick
             test_admission_rate_limit;
+          Alcotest.test_case "counts per instance" `Quick
+            test_admission_counts_per_instance;
         ] );
       ( "pressure",
         [ Alcotest.test_case "hysteresis" `Quick test_pressure_hysteresis ] );

@@ -182,7 +182,7 @@ let test_spsc_growth () =
   check_int "pushed" !next (Squeue.Spsc.pushed q)
 
 let test_spsc_footprint () =
-  let q = Squeue.Spsc.create ~name:"q" ~capacity:4096 () in
+  let q = Squeue.Spsc.create ~capacity:4096 () in
   let words = Obj.reachable_words (Obj.repr q) in
   check_bool
     (Printf.sprintf "a fresh 4096-slot ring holds %d < 64 words" words)

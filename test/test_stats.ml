@@ -285,12 +285,31 @@ let with_empty_registry f =
   Stats.Registry.clear ();
   Fun.protect f ~finally:Stats.Registry.clear
 
-let test_registry_create_or_get () =
+(* The value of the counter a registry entry names, -1 for anything else. *)
+let counter_value = function
+  | Some { Stats.Registry.m_kind = Stats.Registry.Counter c; _ } ->
+      Stats.Counter.value c
+  | _ -> -1
+
+(* A counter belongs to the component that registered it: a second
+   registration under one key makes a fresh counter, and the key names
+   the latest. *)
+let test_registry_counter_per_registration () =
   with_empty_registry (fun () ->
-      let a = Stats.Registry.counter ~labels:[ ("x", "1") ] "ops" in
-      let b = Stats.Registry.counter ~labels:[ ("x", "1") ] "ops" in
+      let labels = [ ("x", "1") ] in
+      let a = Stats.Registry.counter ~labels "ops" in
+      Stats.Counter.incr a ~by:2;
+      let b = Stats.Registry.counter ~labels "ops" in
+      check_int "a second registration is fresh" 0 (Stats.Counter.value b);
       Stats.Counter.incr a;
-      check_int "same underlying counter" 1 (Stats.Counter.value b);
+      Stats.Counter.incr b ~by:5;
+      check_int "the first handle counts on its own" 3 (Stats.Counter.value a);
+      check_int "find shows the latest" 5
+        (counter_value (Stats.Registry.find ~labels "ops"));
+      (match Stats.Registry.snapshot () with
+      | [ m ] ->
+          check_int "snapshot shows the latest" 5 (counter_value (Some m))
+      | _ -> Alcotest.fail "expected one metric");
       let other = Stats.Registry.counter ~labels:[ ("x", "2") ] "ops" in
       check_int "distinct labels, distinct counter" 0 (Stats.Counter.value other))
 
@@ -308,21 +327,27 @@ let test_registry_builds_only_on_miss () =
 
 let test_registry_label_order_canonical () =
   with_empty_registry (fun () ->
-      let a =
-        Stats.Registry.counter ~labels:[ ("b", "2"); ("a", "1") ] "ops"
-      in
-      let b =
+      ignore (Stats.Registry.counter ~labels:[ ("b", "2"); ("a", "1") ] "ops");
+      let c =
         Stats.Registry.counter ~labels:[ ("a", "1"); ("b", "2") ] "ops"
       in
-      Stats.Counter.incr a;
-      check_int "label order irrelevant" 1 (Stats.Counter.value b))
+      Stats.Counter.incr c;
+      check_int "one key" 1 (List.length (Stats.Registry.snapshot ()));
+      check_int "either order finds it" 1
+        (counter_value
+           (Stats.Registry.find ~labels:[ ("b", "2"); ("a", "1") ] "ops")))
 
 let test_registry_kind_mismatch () =
   with_empty_registry (fun () ->
       ignore (Stats.Registry.counter "m");
       Alcotest.check_raises "kind collision"
         (Invalid_argument "Registry.histogram: m is already a counter")
-        (fun () -> ignore (Stats.Registry.histogram "m")))
+        (fun () -> ignore (Stats.Registry.histogram "m"));
+      (* A fresh counter still never replaces another kind. *)
+      ignore (Stats.Registry.histogram "h");
+      Alcotest.check_raises "counter over a histogram"
+        (Invalid_argument "Registry.counter: h is already a histogram")
+        (fun () -> ignore (Stats.Registry.counter "h")))
 
 let test_registry_snapshot_sorted () =
   with_empty_registry (fun () ->
@@ -343,26 +368,6 @@ let test_registry_snapshot_sorted () =
           Alcotest.(check (list (pair string string)))
             "second" [ ("k", "b") ] m2.Stats.Registry.m_labels
       | _ -> Alcotest.fail "expected four metrics")
-
-let test_registry_reset_all () =
-  with_empty_registry (fun () ->
-      let c = Stats.Registry.counter "ops" in
-      let g = Stats.Registry.gauge "level" in
-      let h = Stats.Registry.histogram "lat" in
-      let s = Stats.Registry.series "depth" in
-      Stats.Counter.incr c ~by:5;
-      Stats.Gauge.set g 2.5;
-      Stats.Histogram.record h 100;
-      Stats.Series.add s 10 1.0;
-      Stats.Registry.reset_all ();
-      check_int "counter zeroed" 0 (Stats.Counter.value c);
-      Alcotest.(check (float 1e-9)) "gauge zeroed" 0.0 (Stats.Gauge.value g);
-      check_int "histogram emptied" 0 (Stats.Histogram.count h);
-      check_int "series emptied" 0 (Stats.Series.length s);
-      (* Registrations survive: same instance comes back. *)
-      Stats.Counter.incr c;
-      check_int "registration intact" 1
-        (Stats.Counter.value (Stats.Registry.counter "ops")))
 
 let test_registry_gauge_push_pull () =
   with_empty_registry (fun () ->
@@ -432,7 +437,8 @@ let () =
       ("series", [ Alcotest.test_case "basic" `Quick test_series ]);
       ( "registry",
         [
-          Alcotest.test_case "create or get" `Quick test_registry_create_or_get;
+          Alcotest.test_case "counter per registration" `Quick
+            test_registry_counter_per_registration;
           Alcotest.test_case "builds only on a miss" `Quick
             test_registry_builds_only_on_miss;
           Alcotest.test_case "label canonicalization" `Quick
@@ -440,7 +446,6 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_registry_kind_mismatch;
           Alcotest.test_case "snapshot sorted" `Quick
             test_registry_snapshot_sorted;
-          Alcotest.test_case "reset_all" `Quick test_registry_reset_all;
           Alcotest.test_case "gauge push/pull" `Quick
             test_registry_gauge_push_pull;
           Alcotest.test_case "json" `Quick test_registry_json;

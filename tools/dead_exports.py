@@ -9,16 +9,14 @@ Usage, from the repository root:
 Three checks over the `.ml` sources under lib, bin, bench, snapbench,
 test and examples, after comments and string literals are stripped:
 
-- Every `val` declared in a `lib/**/*.mli` is named in some `.ml`
-  other than its own module's implementation.  A value only its own
-  module uses belongs out of the interface; a value nothing uses belongs
-  out of the code.  The check is by identifier, so a value shares a
-  name with anything else that is called the same: it catches the
-  values no one could be calling, not every unused one.
+- Every `val` declared in a `lib/**/*.mli` is named by some `.ml`
+  other than its own module's implementation: qualified by its module,
+  through any `module M = ...` alias, or bare in a file that opens the
+  module.  A value only its own module uses belongs out of the
+  interface; a value nothing uses belongs out of the code.
 - Every optional argument `?x` of such a `val` is passed, as `~x` or
-  `?x`, by at least one call site.  A call site is the value's name
-  (qualified by its module, through any `module M = ...` alias, or bare
-  in its own module or a file that opens it) anywhere but its own
+  `?x`, by at least one call site.  A call site is a use of the value
+  as above, or a bare use in its own module, anywhere but its own
   definition, scanned to the end of its application.  An option no
   caller passes always takes its default, so it is a constant.
 - Every field of a `type config` record declared in a `lib/**/*.mli`
@@ -34,18 +32,6 @@ import re
 import sys
 
 CALLER_DIRS = ["lib", "bin", "bench", "snapbench", "test", "examples"]
-
-# Items kept without a user, as "<mli path>:<name>" for a value,
-# "<mli path>:<name>?<arg>" for an optional argument and
-# "<mli path>:config.<field>" for a config field.  The CPU accessors
-# wait for the per-layer CPU ledger (ROADMAP.md, item 3), which either
-# calls them or deletes them.
-EXEMPT = {
-    "lib/snap/host.mli:snap_cpu_ns",
-    "lib/snap/host.mli:app_cpu_ns",
-    "lib/snap/host.mli:softirq_cpu_ns",
-    "lib/snap/host.mli:total_cpu_ns",
-}
 
 TOKEN = re.compile(
     r"""\(\*|\*\)|"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\[^']+)'"""
@@ -323,7 +309,6 @@ def binding_module(toks, i, var, alias):
 
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    used_in = {}
     exports = []
     config_fields = {}
     impls = {}
@@ -338,25 +323,12 @@ def main():
                     config_fields[path] = fields
             continue
         impls[path] = toks
-        for tok in toks:
-            if tok[0] in "~?":
-                tok = tok[1:].rstrip(":")
-            if is_ident(tok):
-                for part in tok.split("."):
-                    used_in.setdefault(part, set()).add(path)
 
-    dead = []
-    for mli, (name, _, _) in exports:
-        if f"{mli}:{name}" in EXEMPT:
-            continue
-        if not (used_in.get(name, set()) - {mli[:-1]}):
-            dead.append(f"{mli}: val {name} is named by no other module")
-
-    # Optional arguments: collect the labels of every call site.
+    # Every use of an exported value, with the labels of its application.
     wanted = {}
     for mli, (name, inner, opts) in exports:
-        if opts:
-            wanted.setdefault(name, []).append((mli, inner, opts))
+        wanted.setdefault(name, []).append((mli, inner, opts))
+    used = set()
     passed = {}
     field_owner = {module_of(p): set(f) for p, f in config_fields.items()}
     setters = {}
@@ -371,25 +343,32 @@ def main():
             q = qualifier(tok)
             mod = resolve(q, alias) if q else None
             labels = None
-            for mli, inner, _ in wanted[last(tok)]:
+            for mli, inner, opts in wanted[last(tok)]:
                 own = path == mli[:-1]
-                if mod == inner or (mod is None and (own or inner in opens)):
+                named = mod == inner or (mod is None and inner in opens)
+                if named and not own:
+                    used.add((mli, last(tok)))
+                if opts and (named or (mod is None and own)):
                     if labels is None:
                         labels = application_labels(toks, i)
                     passed.setdefault((mli, last(tok)), set()).update(labels)
         for mod, field in record_setters(path, toks, alias, field_owner):
             setters.setdefault(mod, {}).setdefault(field, set()).add(path)
+
+    dead = []
     for mli, (name, _, opts) in exports:
+        if (mli, name) not in used:
+            dead.append(f"{mli}: val {name} is named by no other module")
         got = passed.get((mli, name), set())
         for o in opts:
-            if o not in got and f"{mli}:{name}?{o}" not in EXEMPT:
+            if o not in got:
                 dead.append(f"{mli}: val {name}: no caller passes ?{o}")
 
     for mli, fields in config_fields.items():
         by = setters.get(module_of(mli), {})
         for f in fields:
             outside = by.get(f, set()) - {mli[:-1]}
-            if not outside and f"{mli}:config.{f}" not in EXEMPT:
+            if not outside:
                 dead.append(f"{mli}: config field {f} is set by no other module")
 
     for line in dead:
