@@ -108,6 +108,9 @@ and machine = {
   mutable n_tasks : int;
   (* Every sleeping thread's wake: the argument is the task id. *)
   on_wake : Loop.handler;
+  (* Every interrupt's delivery: the argument is its slot in [irqs]. *)
+  on_irq : Loop.handler;
+  irqs : irq_slots;
   account_tbl : (string, int ref) Hashtbl.t;
   (* The "softirq" counter, resolved on its first charge as a task
      resolves [acct]. *)
@@ -116,6 +119,18 @@ and machine = {
   mutable rr_interrupt : int;
   mutable total_busy : int;
   mutable m_cost_scale : float;
+}
+
+(* Interrupts awaiting delivery: slot [s] holds the target core id,
+   the cost and the handler of one, and [free] stacks the vacant slots.
+   The arrays grow on demand; a slot drops its handler when it fires. *)
+and irq_slots = {
+  mutable core_of : int array;
+  mutable cost_of : int array;
+  mutable fn_of : (unit -> unit) array;
+  mutable free : int array;
+  mutable n_free : int;
+  mutable n_slots : int;  (* slots [0, n_slots) have been taken *)
 }
 
 (* Per-core utilization and context-switch gauges.  Pull-model: the
@@ -650,6 +665,24 @@ let kick task = wake task
 
 let wake_after task d = ignore (Loop.after_h task.m.lp d task.m.on_wake task.tid)
 
+let no_irq () = ()
+
+(* The slot is vacated before the handler runs, so a handler that
+   raises the next interrupt reuses it. *)
+let irq_fired m s =
+  let q = m.irqs in
+  let core = m.cores_arr.(q.core_of.(s)) and cost = q.cost_of.(s) in
+  let f = q.fn_of.(s) in
+  q.fn_of.(s) <- no_irq;
+  q.free.(q.n_free) <- s;
+  q.n_free <- q.n_free + 1;
+  softirq_add m cost;
+  core.core_busy <- core.core_busy + cost;
+  (match core.current with
+  | Some _ -> core.steal <- core.steal + cost
+  | None -> core.idle_since <- Loop.now m.lp);
+  f ()
+
 let create_machine ~loop ~name ~cores =
   if cores <= 0 || cores >= 1 lsl core_bits then
     invalid_arg "Sched.create_machine";
@@ -662,12 +695,26 @@ let create_machine ~loop ~name ~cores =
     Loop.handler loop (fun tid ->
         match !self with Some m -> wake m.tasks.(tid) | None -> ())
   in
+  let on_irq =
+    Loop.handler loop (fun s ->
+        match !self with Some m -> irq_fired m s | None -> ())
+  in
   let m =
   {
     lp = loop;
     m_name = name;
     on_step;
     on_wake;
+    on_irq;
+    irqs =
+      {
+        core_of = [||];
+        cost_of = [||];
+        fn_of = [||];
+        free = [||];
+        n_free = 0;
+        n_slots = 0;
+      };
     cores_arr =
       Array.init cores (fun cid ->
           {
@@ -718,6 +765,29 @@ let rr_core m =
   m.rr_interrupt <- m.rr_interrupt + 1;
   !c
 
+let take_irq_slot q =
+  if q.n_free > 0 then begin
+    q.n_free <- q.n_free - 1;
+    q.free.(q.n_free)
+  end
+  else begin
+    if q.n_slots = Array.length q.fn_of then begin
+      let cap = Int.max 8 (2 * q.n_slots) in
+      let extend a fill =
+        let fresh = Array.make cap fill in
+        Array.blit a 0 fresh 0 q.n_slots;
+        fresh
+      in
+      q.core_of <- extend q.core_of 0;
+      q.cost_of <- extend q.cost_of 0;
+      q.fn_of <- extend q.fn_of no_irq;
+      q.free <- extend q.free 0
+    end;
+    let s = q.n_slots in
+    q.n_slots <- s + 1;
+    s
+  end
+
 let interrupt m ?core ~cost f =
   let cid = match core with Some c -> c | None -> rr_core m in
   let core = m.cores_arr.(cid) in
@@ -725,14 +795,12 @@ let interrupt m ?core ~cost f =
     Time.add costs.interrupt_delivery
       (if core_asleep m core then costs.cstate_exit else Time.zero)
   in
-  ignore
-    (Loop.after m.lp delay (fun () ->
-         softirq_add m cost;
-         core.core_busy <- core.core_busy + cost;
-         (match core.current with
-         | Some _ -> core.steal <- core.steal + cost
-         | None -> core.idle_since <- Loop.now m.lp);
-         f ()))
+  let q = m.irqs in
+  let s = take_irq_slot q in
+  q.core_of.(s) <- cid;
+  q.cost_of.(s) <- cost;
+  q.fn_of.(s) <- f;
+  ignore (Loop.after_h m.lp delay m.on_irq s)
 
 let softirq_charge m cost =
   if cost > 0 then begin

@@ -84,7 +84,8 @@ val interrupt : machine -> ?core:int -> cost:Sim.Time.t -> (unit -> unit) -> uni
     interrupt context and [cost] is charged to the core (stealing time
     from whatever task occupies it), under the "softirq" account.  When
     [core] is omitted a core is chosen round-robin, as with RSS interrupt
-    spreading. *)
+    spreading.  The delivery is a handler event of the machine, so
+    raising an interrupt allocates nothing of its own. *)
 
 (** {1 Tasks} *)
 

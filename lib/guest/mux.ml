@@ -6,16 +6,102 @@ let batch = 16
 let per_desc_cost = Time.ns 180
 let per_comp_cost = Time.ns 120
 
+(* {1 In-flight ops}
+
+   A binding's Pony ops from submit to first completion, as parallel
+   arrays: entry [i < n] is op [op.(i)] for descriptor [did.(i)] of
+   [bytes.(i)] bytes, holding admission charge [charge.(i)].  Entries
+   sit in no order (a removal moves the last into the hole), and a
+   lookup is a linear scan: outside the guest_skip_release sabotage
+   there are at most the tx ring's capacity of them (taken - used), so
+   nothing is hashed and nothing is allocated per op.  Descriptor ids
+   are any int the guest picks, so no value can mark a free entry.
+
+   [live.(i)] says whether entry [i]'s descriptor id is in flight: a
+   second take of a live id is the Dup_id violation (virtio drivers
+   never alias a live id).  At most one entry holds a given live id.
+   A completion clears it even when the sabotage keeps the entry. *)
+module Inflight = struct
+  type t = {
+    mutable op : int array;
+    mutable did : int array;
+    mutable bytes : int array;
+    mutable charge : Memory.Pool.alloc option array;
+    mutable live : bool array;
+    mutable n : int;
+  }
+
+  let create () =
+    { op = [||]; did = [||]; bytes = [||]; charge = [||]; live = [||]; n = 0 }
+
+  let length t = t.n
+
+  (* The entry of op [op], or -1. *)
+  let find t op =
+    let i = ref 0 in
+    while !i < t.n && t.op.(!i) <> op do
+      incr i
+    done;
+    if !i < t.n then !i else -1
+
+  let live_entry t did =
+    let i = ref 0 in
+    while !i < t.n && not (t.live.(!i) && t.did.(!i) = did) do
+      incr i
+    done;
+    if !i < t.n then !i else -1
+
+  let is_live t did = live_entry t did >= 0
+
+  let retire_id t did =
+    let i = live_entry t did in
+    if i >= 0 then t.live.(i) <- false
+
+  let grow t =
+    let cap = Int.max 8 (2 * t.n) in
+    let extend a fill =
+      let fresh = Array.make cap fill in
+      Array.blit a 0 fresh 0 t.n;
+      fresh
+    in
+    t.op <- extend t.op 0;
+    t.did <- extend t.did 0;
+    t.bytes <- extend t.bytes 0;
+    t.charge <- extend t.charge None;
+    t.live <- extend t.live false
+
+  let add t ~op ~did ~bytes ~charge =
+    if t.n = Array.length t.op then grow t;
+    let i = t.n in
+    t.op.(i) <- op;
+    t.did.(i) <- did;
+    t.bytes.(i) <- bytes;
+    t.charge.(i) <- charge;
+    t.live.(i) <- true;
+    t.n <- i + 1
+
+  let remove t i =
+    let last = t.n - 1 in
+    t.op.(i) <- t.op.(last);
+    t.did.(i) <- t.did.(last);
+    t.bytes.(i) <- t.bytes.(last);
+    t.charge.(i) <- t.charge.(last);
+    t.live.(i) <- t.live.(last);
+    t.charge.(last) <- None;
+    t.n <- last
+
+  (* Abandon every entry (quarantine, forced detach). *)
+  let clear t =
+    Array.fill t.charge 0 t.n None;
+    t.n <- 0
+end
+
 type binding = {
   tenant : Tenant.t;
   client : PE.client;
   conn : PE.conn;
-  (* Pony op id -> (descriptor id, bytes, admission charge).  Held
-     until the op's first completion; survives engine epochs. *)
-  inflight : (int, int * int * Memory.Pool.alloc option) Hashtbl.t;
-  (* Descriptor ids currently in flight: a second take of a live id is
-     the Dup_id violation (virtio drivers never alias a live id). *)
-  live_ids : (int, unit) Hashtbl.t;
+  (* Held until each op's first completion; survives engine epochs. *)
+  inflight : Inflight.t;
   (* Host indices (tx taken/used, rx taken/used) captured at
      quarantine; the guest.quarantine invariant asserts they never move
      again. *)
@@ -100,8 +186,7 @@ let quarantine t b =
      unmatched counter, their pool charges are reclaimed in bulk below
      and the generation bump turns any late per-alloc free into a
      no-op. *)
-  Hashtbl.reset b.inflight;
-  Hashtbl.reset b.live_ids;
+  Inflight.clear b.inflight;
   if tn.Tenant.state <> Tenant.Detached then begin
     tn.Tenant.state <- Tenant.Detaching;
     ignore (cancel_ring tn tn.Tenant.tx ~count_ops:true);
@@ -148,28 +233,31 @@ let rec drain_completions t b cost work n =
     | Some c ->
         incr work;
         cost := Time.add !cost per_comp_cost;
-        (match Hashtbl.find_opt b.inflight c.PE.comp_op with
-        | Some (did, bytes, charge) ->
-            Hashtbl.remove b.live_ids did;
-            (* Sabotage point: with "guest_skip_release" armed the
-               backend forgets the op's bookkeeping — the in-flight
-               entry and the tenant's admission charge both leak — so
-               the sweep can prove the detach-quiesce reclaim
-               invariant fires (never armed outside the checker's own
-               non-vacuity test). *)
-            if not (Check.Invariant.sabotage "guest_skip_release") then begin
-              Hashtbl.remove b.inflight c.PE.comp_op;
-              Overload.Admission.release b.tenant.Tenant.adm charge
-            end;
-            let st = status_of c.PE.status in
-            Tenant.note_tx b.tenant st;
-            Ring.complete b.tenant.Tenant.tx ~id:did ~len:bytes ~status:st
-        | None ->
-            (* No in-flight entry: the second completion of the same op
-               (a Busy NACK following the Ok), or a straggler of an op
-               abandoned by force-detach/quarantine.  Counted so
-               genuinely-orphaned completions are visible. *)
-            Stats.Counter.incr t.c_unmatched);
+        let fl = b.inflight in
+        let i = Inflight.find fl c.PE.comp_op in
+        if i >= 0 then begin
+          let did = fl.Inflight.did.(i) and bytes = fl.Inflight.bytes.(i) in
+          Inflight.retire_id fl did;
+          (* Sabotage point: with "guest_skip_release" armed the
+             backend forgets the op's bookkeeping — the in-flight entry
+             and the tenant's admission charge both leak — so the sweep
+             can prove the detach-quiesce reclaim invariant fires (never
+             armed outside the checker's own non-vacuity test). *)
+          if not (Check.Invariant.sabotage "guest_skip_release") then begin
+            let charge = fl.Inflight.charge.(i) in
+            Inflight.remove fl i;
+            Overload.Admission.release b.tenant.Tenant.adm charge
+          end;
+          let st = status_of c.PE.status in
+          Tenant.note_tx b.tenant st;
+          Ring.complete b.tenant.Tenant.tx ~id:did ~len:bytes ~status:st
+        end
+        else
+          (* No in-flight entry: the second completion of the same op
+             (a Busy NACK following the Ok), or a straggler of an op
+             abandoned by force-detach/quarantine.  Counted so
+             genuinely-orphaned completions are visible. *)
+          Stats.Counter.incr t.c_unmatched;
         drain_completions t b cost work (n + 1)
     | None -> ()
 
@@ -186,14 +274,6 @@ let rec drain_messages t b cost work n =
               Time.add !cost
                 (Time.ns
                    (int_of_float (t.copy_ns_per_byte *. float_of_int len)));
-            (* Stamp the buffer head: backed regions carry evidence of
-               the delivery for functional checks.  The validated
-               verdict is what makes this write safe against hostile
-               offsets. *)
-            if Memory.Region.is_backed tn.Tenant.region && d.Ring.d_len >= 8
-            then
-              Memory.Region.write_int64 tn.Tenant.region d.Ring.d_off
-                (Int64.of_int m.PE.msg_op);
             Tenant.note_rx tn len;
             Ring.complete tn.Tenant.rx ~id:d.Ring.d_id ~len
               ~status:Ring.Complete
@@ -247,7 +327,7 @@ let rec drain_tx t b cost work ~limit n =
     | Ring.Take_ok d ->
         incr work;
         cost := Time.add !cost per_desc_cost;
-        if Hashtbl.mem b.live_ids d.Ring.d_id then begin
+        if Inflight.is_live b.inflight d.Ring.d_id then begin
           Tenant.note_tx tn Ring.Failed;
           Ring.complete tn.Tenant.tx ~id:d.Ring.d_id ~len:0
             ~status:Ring.Failed;
@@ -267,8 +347,8 @@ let rec drain_tx t b cost work ~limit n =
                 PE.engine_post_send b.conn ~now:(Loop.now t.lp)
                   ~bytes:d.Ring.d_len ()
               in
-              Hashtbl.replace b.inflight op (d.Ring.d_id, d.Ring.d_len, charge);
-              Hashtbl.replace b.live_ids d.Ring.d_id ());
+              Inflight.add b.inflight ~op ~did:d.Ring.d_id ~bytes:d.Ring.d_len
+                ~charge);
         drain_tx t b cost work ~limit (n + 1)
 
 let finalize t b =
@@ -306,7 +386,7 @@ let service t b cost work =
       drain_messages t b cost work 0;
       let cancelled = cancel_ring tn tn.Tenant.tx ~count_ops:true in
       if cancelled > 0 then work := !work + cancelled;
-      if Hashtbl.length b.inflight = 0 then begin
+      if Inflight.length b.inflight = 0 then begin
         incr work;
         finalize t b
       end
@@ -383,7 +463,7 @@ let meng_state_bytes m =
     (fun acc b ->
       acc + 512
       + 64 * (clamped_occ b.tenant.Tenant.tx + clamped_occ b.tenant.Tenant.rx)
-      + 48 * Hashtbl.length b.inflight)
+      + 48 * Inflight.length b.inflight)
     0 m.bound
 
 let create ~loop ~pony ?(engines = 1) ~mode ?(suspect_after = 3)
@@ -537,17 +617,17 @@ let register_invariants b =
                "pool charge %d B disagrees with admission outstanding %d B \
                 (cross-tenant leak)"
                usage out_bytes)
-        else if Hashtbl.length b.inflight > out_ops then
+        else if Inflight.length b.inflight > out_ops then
           Some
             (Printf.sprintf "%d in-flight ops exceed %d outstanding admissions"
-               (Hashtbl.length b.inflight) out_ops)
+               (Inflight.length b.inflight) out_ops)
         else None);
   Check.Invariant.register ~kind:Check.Invariant.Quiesce_only
     ~name:(Printf.sprintf "guest.%s.drained" owner)
     (fun () ->
-      if Hashtbl.length b.inflight <> 0 then
+      if Inflight.length b.inflight <> 0 then
         Some
-          (Printf.sprintf "%d ops still in flight" (Hashtbl.length b.inflight))
+          (Printf.sprintf "%d ops still in flight" (Inflight.length b.inflight))
       else
         let usage = Tenant.pool_usage tn in
         if usage <> 0 then
@@ -578,8 +658,7 @@ let attach ctx t ~name ~dst_host ~dst_name ?ring_slots ?buf_bytes
       tenant;
       client;
       conn;
-      inflight = Hashtbl.create 32;
-      live_ids = Hashtbl.create 32;
+      inflight = Inflight.create ();
       frozen = None;
       b_meng = m;
       b_slot = Array.length m.bound;
@@ -633,8 +712,7 @@ let detach ?(force = false) t tenant =
              charges are reclaimed in bulk right here, and the
              generation bump in [release_owner] turns any late
              per-alloc free into a no-op. *)
-          Hashtbl.reset b.inflight;
-          Hashtbl.reset b.live_ids;
+          Inflight.clear b.inflight;
           finalize t b
         end
         else begin
@@ -653,7 +731,7 @@ let attached t =
     (List.filter (fun b -> b.tenant.Tenant.state = Tenant.Attached) t.bindings)
 
 let inflight_ops t =
-  List.fold_left (fun acc b -> acc + Hashtbl.length b.inflight) 0 t.bindings
+  List.fold_left (fun acc b -> acc + Inflight.length b.inflight) 0 t.bindings
 
 let suspects t = Stats.Counter.value t.c_suspects
 let quarantines t = Stats.Counter.value t.c_quarantines

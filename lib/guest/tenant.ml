@@ -75,8 +75,12 @@ let create ~pool ~host_addr ~name ~id ?(ring_slots = 64) ?(buf_bytes = 4096)
   if ring_slots <= 0 then invalid_arg "Guest.Tenant.create: ring_slots";
   if buf_bytes <= 0 then invalid_arg "Guest.Tenant.create: buf_bytes";
   let owner = Printf.sprintf "tenant:%s@%d" name host_addr in
+  (* Unbacked: the region only bounds each descriptor's buffer, and
+     nothing reads or writes a guest buffer's bytes.  The mux charges
+     the rx copy per byte without touching one, so backing bytes would
+     cost a tenant its whole region in heap and add no fidelity. *)
   let region =
-    Memory.Region.create
+    Memory.Region.create ~backed:false
       ~id:(region_id_base + id)
       ~size:(2 * ring_slots * buf_bytes)
       ~owner ()

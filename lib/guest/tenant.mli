@@ -2,14 +2,19 @@
     accounting handle.
 
     Tenants are the isolation unit of multi-tenant guest networking:
-    each carries a {!Memory.Region} holding its buffers, a tx/rx
+    each carries a {!Memory.Region} that bounds its buffers, a tx/rx
     {!Ring} pair over that region, and an {!Overload.Admission} handle
     whose owner string doubles as the tenant's pool-accounting name —
     every op byte the backend admits on the tenant's behalf is charged
     to the host op pool under that owner, so cross-tenant leakage is
     checkable and detach can reclaim in bulk with
     {!Memory.Pool.release_owner} (generation-tagged: frees of stale
-    charges become no-ops). *)
+    charges become no-ops).
+
+    The region is unbacked and holds no bytes: rings validate
+    descriptors against its size, nothing reads or writes a guest
+    buffer, and the mux charges the rx copy per byte without touching
+    one. *)
 
 type state = Attached | Detaching | Detached
 
@@ -73,8 +78,9 @@ val create :
   unit ->
   t
 (** Build a tenant with [ring_slots] (default 64) descriptors per ring
-    over a fresh region of [2 * ring_slots * buf_bytes] (default 4096)
-    bytes: the first half holds tx buffers, the second rx buffers.
+    over a fresh unbacked region of [2 * ring_slots * buf_bytes]
+    (default 4096) bytes: the first half bounds tx buffers, the second
+    rx buffers.
     The rate parameters configure the tenant's admission handle (see
     {!Overload.Admission.create}). *)
 

@@ -2,11 +2,13 @@
 
     Applications share memory with Snap by passing tmpfs-backed file
     descriptors over a Unix domain socket (§3.1); here a region is an
-    object handed across the simulated control channel.  Small regions
-    used by functional tests carry real backing bytes so one-sided
-    operations are checked for value correctness; large benchmark regions
-    are unbacked and reads return deterministic synthetic bytes derived
-    from the offset. *)
+    object handed across the simulated control channel.  Regions up to
+    16 MiB carry real backing bytes by default, so the regions that
+    functional tests read check one-sided operations for value
+    correctness.  Larger regions, and those built with [~backed:false],
+    are unbacked: writes are dropped and reads return deterministic
+    synthetic bytes derived from the offset.  A guest tenant's buffer
+    region is built unbacked, because only its size is ever read. *)
 
 type t
 

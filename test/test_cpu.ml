@@ -366,6 +366,21 @@ let test_engine_step_alloc () =
   check_switch_budget "engine step" ~budget:1.0
     (switch_words ~loop ~count:(fun () -> Engine.steps e) ~n:10_000)
 
+(* An interrupt's delivery is a handler event keyed by a slot of the
+   machine, so raising one allocates nothing: 0.0 minor words measured.
+   As a closure event capturing the machine, core, cost and handler it
+   measured 7.0. *)
+let test_interrupt_alloc () =
+  let loop, m = mk ~cores:2 () in
+  let delivered = ref 0 in
+  let rec handler () =
+    incr delivered;
+    Cpu.Sched.interrupt m ~cost:(T.ns 400) handler
+  in
+  Cpu.Sched.interrupt m ~cost:(T.ns 400) handler;
+  check_switch_budget "interrupt" ~budget:1.0
+    (switch_words ~loop ~count:(fun () -> !delivered) ~n:10_000)
+
 let () =
   Alcotest.run "cpu"
     [
@@ -402,5 +417,7 @@ let () =
           Alcotest.test_case "compute switch budget" `Quick test_compute_switch_alloc;
           Alcotest.test_case "sleep switch budget" `Quick test_sleep_switch_alloc;
           Alcotest.test_case "engine step budget" `Quick test_engine_step_alloc;
+          Alcotest.test_case "interrupt allocation budget" `Quick
+            test_interrupt_alloc;
         ] );
     ]

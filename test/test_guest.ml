@@ -824,6 +824,108 @@ let test_mux_post_during_engine_detach () =
   check_int "one resync" 1 (Guest.Mux.resyncs mux);
   check_int "no in-flight ops" 0 (Guest.Mux.inflight_ops mux)
 
+(* Tenant heap budget: a mux serves hundreds of tenants, so each one's
+   heap cost is bounded.  After one warm-up tenant (which brings up the
+   mux engine and the flow to the sink's host), 64 tenants with the
+   tenants workload's geometry, 32-slot rings and 4 KiB buffers, must
+   add under [tenant_words_budget] live words each.  Their regions
+   bound the buffers and hold no bytes: this measured 784 words per
+   tenant, and 33,628 with each region's 256 KiB backed. *)
+let tenant_words_budget = 2048.0
+
+let test_mux_tenant_heap_budget () =
+  let loop, h_guest, mux = mk_guest_pair ~seed:14 () in
+  let n = 64 in
+  let go = ref false and attached = ref 0 in
+  ignore
+    (Snap.Host.spawn_app h_guest ~name:"guest" (fun ctx ->
+         Cpu.Thread.sleep ctx (T.us 100);
+         let attach i =
+           ignore
+             (Snap.Host.attach_tenant ctx h_guest
+                ~name:(Printf.sprintf "h%d" i) ~dst_host:1 ~dst_name:"sink"
+                ~ring_slots:32 ~buf_bytes:4096 ())
+         in
+         attach 0;
+         while not !go do
+           Cpu.Thread.sleep ctx (T.us 100)
+         done;
+         for i = 1 to n do
+           attach i;
+           incr attached
+         done));
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Sim.Loop.run ~until:(T.ms 1) loop;
+  let live0 = live () in
+  go := true;
+  Sim.Loop.run ~until:(T.ms 20) loop;
+  check_int "every tenant attached" n !attached;
+  check_int "all attached to the mux" (n + 1) (Guest.Mux.attached mux);
+  let per_tenant = float_of_int (live () - live0) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.1f live words per tenant, budget %.0f" per_tenant
+       tenant_words_budget)
+    true
+    (per_tenant < tenant_words_budget)
+
+(* A well-formed descriptor whose id aliases one still in flight
+   completes Failed and scores Dup_id; once the first op completes, its
+   id may go in flight again.  The guest picks any int as an id, so a
+   negative one is checked as a positive one is. *)
+let dup_id_scored ~seed ~id =
+  let loop, h_guest, _mux = mk_guest_pair ~seed () in
+  let used = ref [] and tenant = ref None in
+  ignore
+    (Snap.Host.spawn_app h_guest ~name:"guest" (fun ctx ->
+         Cpu.Thread.sleep ctx (T.us 100);
+         let tn =
+           Snap.Host.attach_tenant ctx h_guest ~name:"dup" ~dst_host:1
+             ~dst_name:"sink" ~ring_slots:8 ~buf_bytes:512 ()
+         in
+         tenant := Some tn;
+         let post slot =
+           ignore
+             (Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id
+                ~off:(Tenant.tx_buf_off tn slot) ~len:256)
+         in
+         let reap k =
+           let deadline = T.add (Cpu.Thread.now ctx) (T.ms 5) in
+           let got = ref 0 in
+           while !got < k && Cpu.Thread.now ctx < deadline do
+             (match Ring.pop_used tn.Tenant.tx with
+             | Some u ->
+                 used := (u.Ring.u_id, u.Ring.u_status) :: !used;
+                 incr got
+             | None -> ());
+             Cpu.Thread.sleep ctx (T.us 5)
+           done
+         in
+         post 0;
+         post 1;
+         reap 2;
+         post 2;
+         reap 1));
+  Sim.Loop.run ~until:(T.ms 20) loop;
+  match !tenant with
+  | None -> Alcotest.fail "guest never attached"
+  | Some tn ->
+      check_bool
+        (Printf.sprintf "id %d: alias Failed, then both sends Complete" id)
+        true
+        (List.rev !used
+        = [ (id, Ring.Failed); (id, Ring.Complete); (id, Ring.Complete) ]);
+      check_int "one Dup_id scored" 1 (Tenant.violations_by tn Tenant.Dup_id);
+      check_int "no other violation" 1 (Tenant.violations tn);
+      check_int "sends completed" 2 (Tenant.tx_completed tn);
+      check_int "alias failed" 1 (Tenant.tx_failed tn)
+
+let test_mux_dup_id_scored () =
+  dup_id_scored ~seed:15 ~id:7;
+  dup_id_scored ~seed:16 ~id:(-1)
+
 let () =
   Alcotest.run "guest"
     [
@@ -873,5 +975,8 @@ let () =
             test_mux_rollback_rescored;
           Alcotest.test_case "post during engine detach served" `Quick
             test_mux_post_during_engine_detach;
+          Alcotest.test_case "tenant heap budget" `Quick
+            test_mux_tenant_heap_budget;
+          Alcotest.test_case "dup id scored" `Quick test_mux_dup_id_scored;
         ] );
     ]
