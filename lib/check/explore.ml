@@ -27,11 +27,12 @@ type outcome = {
 
 let default_salts = [ 0; 1; 7 ]
 
-let sweep ?(salts = default_salts) ?(repeats = 2) ?(randomize_hash = false)
-    ~seeds ~run () =
+(* Runs of each seed/salt pair. *)
+let repeats = 2
+
+let sweep ?(salts = default_salts) ?(randomize_hash = false) ~seeds ~run () =
   if seeds = [] then invalid_arg "Explore.sweep: seeds";
   if salts = [] then invalid_arg "Explore.sweep: salts";
-  if repeats < 1 then invalid_arg "Explore.sweep: repeats";
   (* Process-global and irreversible: every Hashtbl created from here
      on gets a fresh random seed, so two repeats of the same run see
      different iteration orders — exactly the perturbation we want. *)

@@ -30,16 +30,14 @@ type outcome = {
 
 val sweep :
   ?salts:int list ->
-  ?repeats:int ->
   ?randomize_hash:bool ->
   seeds:int list ->
   run:(seed:int -> salt:int -> string) ->
   unit ->
   outcome
-(** [sweep ~seeds ~run ()] executes [run ~seed ~salt] for every
-    seed/salt pair, [repeats] (default 2) times each; [salts] defaults
-    to [[0; 1; 7]].  [randomize_hash] (default false) calls
-    [Hashtbl.randomize ()] first — process-global and irreversible, so
+(** [sweep ~seeds ~run ()] executes [run ~seed ~salt] twice for every
+    seed/salt pair; [salts] defaults to [[0; 1; 7]].  [randomize_hash]
+    (default false) calls [Hashtbl.randomize ()] first — process-global and irreversible, so
     every run from then on sees randomized iteration order.
     {!Invariant.Violation}s and other exceptions become {!failure}s
     rather than escaping. *)

@@ -1,11 +1,12 @@
-(* Always-on self-checking (tentpole of the correctness harness).
+(* Opt-in self-checking (the correctness harness).
 
-   Every layer registers named predicates over its own live state at
-   construction time; the checker evaluates them at a configurable
-   cadence on the simulation loop, and again (plus quiesce-only
-   predicates) when a workload quiesces.  Registration is a no-op while
-   checking is disabled, so production runs pay nothing — not even
-   registry growth.
+   Checking is off by default.  Once enabled, every layer registers
+   named predicates over its own live state at construction time; the
+   checker evaluates them every [period] (50 us) of virtual time on the
+   simulation loop, and again (plus quiesce-only predicates) when a
+   workload quiesces.  Registration is a no-op while checking is
+   disabled, so unchecked runs pay nothing — not even registry
+   growth.
 
    A run is scoped with {!begin_run}: it clears every registration from
    the previous run so predicate closures never probe dead objects.

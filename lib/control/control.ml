@@ -7,15 +7,12 @@ type message += Error_no_service of string
 (* One domain-socket RPC round trip: two ring switches plus wakeups on
    both sides; tens of microseconds, well off the fast path. *)
 let rpc_round_trip = Time.us 25
-let mailbox_retry = Time.us 5
 
 type t = {
   lp : Loop.t;
   mach : Cpu.Sched.machine;
   ctl_name : string;
   services : (string, message -> message) Hashtbl.t;
-  clients : (string, unit) Hashtbl.t;
-  regions : (string, Memory.Region.t list ref) Hashtbl.t;
 }
 
 let create ~loop ~machine ~name =
@@ -24,8 +21,6 @@ let create ~loop ~machine ~name =
     mach = machine;
     ctl_name = name;
     services = Hashtbl.create 8;
-    clients = Hashtbl.create 16;
-    regions = Hashtbl.create 16;
   }
 
 let register_service t ~service handler =
@@ -38,29 +33,9 @@ let call ctx t ~service msg =
   | Some handler -> handler msg
   | None -> Error_no_service service
 
-let authenticate ctx t ~client =
+let authenticate ctx =
   Cpu.Thread.syscall ctx Sim.Costs.default.syscall;
-  Cpu.Thread.sleep ctx rpc_round_trip;
-  Hashtbl.replace t.clients client ()
-
-let is_authenticated t ~client = Hashtbl.mem t.clients client
-
-let register_region t ~client region =
-  let lst =
-    match Hashtbl.find_opt t.regions client with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add t.regions client r;
-        r
-  in
-  lst := region :: !lst
-
-let regions_of t ~client =
-  match Hashtbl.find_opt t.regions client with Some r -> !r | None -> []
-
-let memory_charged t ~client =
-  List.fold_left (fun acc r -> acc + Memory.Region.size r) 0 (regions_of t ~client)
+  Cpu.Thread.sleep ctx rpc_round_trip
 
 let recover_engine t ~group engine ~after ~on_recovered =
   (* Crash recovery is a control-plane action: detection plus a restart
@@ -74,28 +49,6 @@ let recover_engine t ~group engine ~after ~on_recovered =
            Engine.notify engine;
            on_recovered ()
          end))
-
-let post_to_engine ctx engine work =
-  let done_flag = ref false in
-  let self = Cpu.Thread.task ctx in
-  let wrapped () =
-    work ();
-    done_flag := true;
-    Cpu.Sched.wake self
-  in
-  let rec try_post () =
-    if Squeue.Mailbox.post (Engine.mailbox engine) wrapped then begin
-      Engine.notify engine;
-      while not !done_flag do
-        Cpu.Thread.wait ctx
-      done
-    end
-    else begin
-      Cpu.Thread.sleep ctx mailbox_retry;
-      try_post ()
-    end
-  in
-  try_post ()
 
 (* -- Watchdog: engine health monitoring (§4.3) -------------------------- *)
 
@@ -112,7 +65,6 @@ module Watchdog = struct
     mutable probe_outstanding : bool;
     mutable probe_seq : int;
     mutable missed : int;
-    mutable restarts : int;
     mutable consec_failures : int;
     mutable healthy_since : Time.t;
         (* Start of the current healthy stretch; [max_int] while the
@@ -125,22 +77,25 @@ module Watchdog = struct
     wd_ctl : control;
     wd_lp : Loop.t;
     period : Time.t;
-    miss_threshold : int;
-    max_restart_attempts : int;
     stable_window : Time.t;
     mutable entries : entry list;
     mutable timer : Loop.handle option;
     (* This watchdog's counters; the registry entries ("wd_*", labeled
        by control name) name the latest watchdog's. *)
     wcnt : (string * Stats.Counter.t) list;
-    detect_hist : Stats.Histogram.t;  (* per-instance, for exact tests *)
-    reg_detect_hist : Stats.Histogram.t;  (* registry twin *)
+    detect_hist : Stats.Histogram.t;
   }
 
   let component = "watchdog"
 
   (* Base delay before a restart, doubled per consecutive failure. *)
   let restart_backoff = Time.us 200
+
+  (* Consecutive unanswered probes that declare an engine dead. *)
+  let miss_threshold = 3
+
+  (* Failed restarts before an engine is quarantined. *)
+  let max_restart_attempts = 3
 
   let counter_names =
     [ "wd_heartbeats"; "wd_detections"; "wd_restarts"; "wd_quarantines" ]
@@ -158,18 +113,12 @@ module Watchdog = struct
       ~track:(component ^ " " ^ t.wd_ctl.ctl_name)
       ~args name
 
-  let create ~control ?(period = Time.us 100) ?(miss_threshold = 3)
-      ?(max_restart_attempts = 3) () =
+  let create ~control ?(period = Time.us 100) () =
     if period <= 0 then invalid_arg "Watchdog.create: period";
-    if miss_threshold <= 0 then invalid_arg "Watchdog.create: miss_threshold";
-    if max_restart_attempts <= 0 then
-      invalid_arg "Watchdog.create: max_restart_attempts";
     {
       wd_ctl = control;
       wd_lp = control.lp;
       period;
-      miss_threshold;
-      max_restart_attempts;
       stable_window = Time.scale period (float_of_int (2 * miss_threshold));
       entries = [];
       timer = None;
@@ -178,8 +127,7 @@ module Watchdog = struct
          List.map
            (fun n -> (n, Stats.Registry.counter ~labels n))
            counter_names);
-      detect_hist = Stats.Histogram.create ();
-      reg_detect_hist =
+      detect_hist =
         Stats.Registry.histogram
           ~labels:[ ("control", control.ctl_name) ]
           "wd_detection_latency_ns";
@@ -202,7 +150,6 @@ module Watchdog = struct
                 probe_outstanding = false;
                 probe_seq = 0;
                 missed = 0;
-                restarts = 0;
                 consec_failures = 0;
                 healthy_since = Loop.now t.wd_lp;
               };
@@ -226,7 +173,6 @@ module Watchdog = struct
     wbump t "wd_detections";
     let latency = Time.max 0 (Time.sub now en.last_beat) in
     Stats.Histogram.record t.detect_hist latency;
-    Stats.Histogram.record t.reg_detect_hist latency;
     en.consec_failures <- en.consec_failures + 1;
     if Sim.Span.enabled () then
       instant t "detected unresponsive engine"
@@ -236,7 +182,7 @@ module Watchdog = struct
             ("miss", string_of_int en.missed);
             ("failure", string_of_int en.consec_failures);
           ];
-    if en.consec_failures > t.max_restart_attempts then begin
+    if en.consec_failures > max_restart_attempts then begin
       (* Escalate: repeated restarts did not stick.  Quarantine the
          engine (degraded state, operator intervention required) instead
          of flapping forever. *)
@@ -266,7 +212,6 @@ module Watchdog = struct
       in
       recover_engine t.wd_ctl ~group en.w_eng ~after:backoff
         ~on_recovered:(fun () ->
-          en.restarts <- en.restarts + 1;
           wbump t "wd_restarts";
           heal en ~now:(Loop.now t.wd_lp);
           if Sim.Span.enabled () then
@@ -281,7 +226,7 @@ module Watchdog = struct
   let miss t en ~now =
     en.missed <- en.missed + 1;
     if en.st = Healthy then en.st <- Suspect;
-    if en.missed >= t.miss_threshold then detect t en ~now
+    if en.missed >= miss_threshold then detect t en ~now
 
   let probe t en ~now =
     en.probe_seq <- en.probe_seq + 1;
@@ -345,13 +290,6 @@ module Watchdog = struct
     match t.timer with
     | Some _ -> ()
     | None -> t.timer <- Some (Loop.every t.wd_lp t.period (tick t))
-
-  let state t e = Option.map (fun en -> en.st) (find_entry t e)
-
-  let restarts_of t e =
-    match find_entry t e with Some en -> en.restarts | None -> 0
-
-  let detection_latency t = t.detect_hist
 
   let counters t =
     List.map (fun (n, c) -> (n, Stats.Counter.value c)) t.wcnt

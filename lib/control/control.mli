@@ -29,19 +29,10 @@ val call : Cpu.Thread.ctx -> t -> service:string -> message -> message
     thread for the round trip, then returns the handler's response.
     Unknown services answer {!Error_no_service}. *)
 
-(** {1 Client and memory-region registry} *)
-
-val authenticate : Cpu.Thread.ctx -> t -> client:string -> unit
-(** Models the identity check applications perform when establishing
-    interactions with Snap (§2.6). *)
-
-val is_authenticated : t -> client:string -> bool
-
-val register_region : t -> client:string -> Memory.Region.t -> unit
-(** Record a shared-memory region passed over the domain socket
-    (fd-passing); charges its bytes to the client's container (§2.5). *)
-
-val memory_charged : t -> client:string -> int
+val authenticate : Cpu.Thread.ctx -> unit
+(** Models the cost of the identity check applications perform when
+    establishing interactions with Snap (§2.6): one domain-socket round
+    trip. *)
 
 (** {1 Engine synchronization} *)
 
@@ -57,13 +48,6 @@ val recover_engine :
     Pending ring/mailbox inputs survive the crash, mirroring how
     transparent upgrades preserve engine state.  No-op if the engine was
     already reattached. *)
-
-val post_to_engine :
-  Cpu.Thread.ctx -> Engine.t -> (unit -> unit) -> unit
-(** Post work to an engine mailbox, retrying (with backoff sleeps) while
-    the depth-1 mailbox is occupied, and return once the engine has
-    executed it.  Runs on the engine's thread, lock-free for the engine
-    (§2.3). *)
 
 (** {1 Watchdog}
 
@@ -82,31 +66,17 @@ module Watchdog : sig
   type control := t
   type t
 
-  type state =
-    | Healthy  (** Responding to heartbeats. *)
-    | Suspect  (** Missed at least one heartbeat. *)
-    | Restarting  (** Declared dead; a restart is scheduled or running. *)
-    | Quarantined
-        (** Exceeded the restart budget; removed from its group and left
-            for operator intervention. *)
-
-  val create :
-    control:control ->
-    ?period:Sim.Time.t ->
-    ?miss_threshold:int ->
-    ?max_restart_attempts:int ->
-    unit ->
-    t
-  (** [period] (default 100us) is the heartbeat interval;
-      [miss_threshold] (default 3) consecutive unanswered probes declare
-      an engine dead, so detection latency is bounded by about
-      [period * (miss_threshold + 1)].  A restart waits 200us, doubled
-      per consecutive failure; after [max_restart_attempts] (default 3)
-      failed restarts the engine is quarantined.  The consecutive-failure
-      count resets only after the engine stays responsive for a stability
-      window ([2 * period * miss_threshold]), so flapping engines escalate
-      even if each restart briefly sticks.  Raises [Invalid_argument] on
-      non-positive parameters. *)
+  val create : control:control -> ?period:Sim.Time.t -> unit -> t
+  (** [period] (default 100us) is the heartbeat interval; 3 consecutive
+      unanswered probes declare an engine dead, so detection latency is
+      bounded by about [4 * period].  A restart waits 200us, doubled per
+      consecutive failure; after 3 failed restarts the engine is
+      quarantined.  The consecutive-failure count resets only after the
+      engine stays responsive for a stability window ([6 * period]), so
+      flapping engines escalate even if each restart briefly sticks.
+      Raises [Invalid_argument] on a non-positive period.  Each
+      detection's latency, from the last answered heartbeat, lands in the
+      [wd_detection_latency_ns] histogram labeled by control name. *)
 
   val watch_group : t -> Engine.group -> unit
   (** Start monitoring every engine currently in the group, with the
@@ -115,15 +85,6 @@ module Watchdog : sig
 
   val start : t -> unit
   (** Arm the periodic heartbeat timer (no-op if already armed). *)
-
-  val state : t -> Engine.t -> state option
-  (** Health state of a watched engine; [None] if not watched. *)
-
-  val restarts_of : t -> Engine.t -> int
-
-  val detection_latency : t -> Stats.Histogram.t
-  (** Time from last successful heartbeat to failure declaration, per
-      detection. *)
 
   val counters : t -> (string * int) list
   (** [wd_heartbeats], [wd_detections], [wd_restarts],

@@ -65,7 +65,6 @@ type task = {
   m : machine;
   mutable state : task_state;
   mutable gen : int;  (* invalidates stale step events *)
-  mutable busy : int;
   mutable spin_start : Time.t;
   vruntime : fcell;
   mutable slice_used : int;
@@ -160,7 +159,6 @@ let set_cost_scale m scale =
   if scale < 1.0 then invalid_arg "Sched.set_cost_scale";
   m.m_cost_scale <- scale
 
-let cost_scale m = m.m_cost_scale
 
 let scale_cost m c =
   if m.m_cost_scale = 1.0 then c
@@ -210,7 +208,6 @@ let softirq_add m cost =
   r := !r + cost
 
 let charge task cost =
-  task.busy <- task.busy + cost;
   (match task.state with
   | Running cid | Spinning cid ->
       let core = task.m.cores_arr.(cid) in
@@ -236,7 +233,6 @@ let live_spin_ns task =
   | Spinning _ -> Time.sub (Loop.now task.m.lp) task.spin_start
   | Created | Ready | Running _ | Blocked | Throttled | Done -> 0
 
-let task_busy_ns task = task.busy + live_spin_ns task
 
 let machine_live_spin m =
   Array.fold_left
@@ -507,7 +503,6 @@ let spawn m ~name ~account ~klass ~idle ~step =
       m;
       state = Created;
       gen = 0;
-      busy = 0;
       spin_start = Time.zero;
       vruntime = { f = 0.0 };
       slice_used = 0;
@@ -788,8 +783,8 @@ let take_irq_slot q =
     s
   end
 
-let interrupt m ?core ~cost f =
-  let cid = match core with Some c -> c | None -> rr_core m in
+let interrupt m ~cost f =
+  let cid = rr_core m in
   let core = m.cores_arr.(cid) in
   let delay =
     Time.add costs.interrupt_delivery

@@ -62,8 +62,6 @@ val set_cost_scale : machine -> float -> unit
     factor (>= 1.0).  Fault injection uses this to model straggler hosts
     (thermal throttling, noisy neighbours); 1.0 restores normal speed. *)
 
-val cost_scale : machine -> float
-
 val reserve_core : machine -> int
 (** Take a core out of the floating pool for a [Pinned] task.  Raises
     [Failure] if none remain. *)
@@ -78,14 +76,14 @@ val account_busy_ns : machine -> string -> int
 val accounts : machine -> (string * int) list
 (** All accounts with their busy nanoseconds, sorted by name. *)
 
-val interrupt : machine -> ?core:int -> cost:Sim.Time.t -> (unit -> unit) -> unit
-(** [interrupt m ~core ~cost f] delivers an interrupt: after the delivery
-    latency (plus C-state exit if the target core sleeps), [f] runs in
+val interrupt : machine -> cost:Sim.Time.t -> (unit -> unit) -> unit
+(** [interrupt m ~cost f] delivers an interrupt to a core chosen
+    round-robin, as with RSS interrupt spreading: after the delivery
+    latency (plus C-state exit if the core sleeps), [f] runs in
     interrupt context and [cost] is charged to the core (stealing time
-    from whatever task occupies it), under the "softirq" account.  When
-    [core] is omitted a core is chosen round-robin, as with RSS interrupt
-    spreading.  The delivery is a handler event of the machine, so
-    raising an interrupt allocates nothing of its own. *)
+    from whatever task occupies it), under the "softirq" account.  The
+    delivery is a handler event of the machine, so raising an interrupt
+    allocates nothing of its own. *)
 
 (** {1 Tasks} *)
 
@@ -119,8 +117,6 @@ val wake_after : task -> Sim.Time.t -> unit
 
 val task_core : task -> int option
 (** Core the task currently occupies (running or spinning), if any. *)
-
-val task_busy_ns : task -> int
 
 val softirq_charge : machine -> Sim.Time.t -> unit
 (** Charge CPU time to the "softirq" account, stealing the time from a

@@ -110,8 +110,6 @@ let home e = e.home
 let notify e =
   match e.owner with Some ct -> Sched.kick ct.task | None -> ()
 
-let owner_task e = Option.map (fun ct -> ct.task) e.owner
-
 (* One engine batch as a span, built only while capture is on; the
    track identifies the lane (group/thread) the batch ran on. *)
 let batch_span ct e ~now ~outcome ~dur =
@@ -190,9 +188,6 @@ let spawn_thread g ~klass ~idle =
 
 let group_mode g = g.g_mode
 let engines g = g.all
-
-let active_threads g =
-  List.length (List.filter (fun ct -> ct.owned <> []) g.threads)
 
 (* -- Compacting rebalancer --------------------------------------------- *)
 
@@ -385,20 +380,11 @@ module Element = struct
 
   type action = Pass of Packet.t | Drop | Consume
 
-  type t = {
-    el_name : string;
-    cost : Time.t;
-    process : Packet.t -> action;
-    mutable n_in : int;
-    mutable n_drop : int;
-  }
+  type t = { el_name : string; cost : Time.t; process : Packet.t -> action }
 
-  let make ~name ~cost process =
-    { el_name = name; cost; process; n_in = 0; n_drop = 0 }
+  let make ~name ~cost process = { el_name = name; cost; process }
 
   let name t = t.el_name
-  let packets_in t = t.n_in
-  let drops t = t.n_drop
 
   let counter ~name = make ~name ~cost:(Time.ns 15) (fun p -> Pass p)
 
@@ -429,12 +415,6 @@ module Element = struct
         end
         else Drop)
 
-  let rewrite_dst ~name ~table =
-    make ~name ~cost:(Time.ns 60) (fun p ->
-        match table p.Packet.dst with
-        | Some dst -> Pass { p with Packet.dst }
-        | None -> Drop)
-
   module Pipeline = struct
     type element = t
     type nonrec t = { stages : element list }
@@ -446,14 +426,10 @@ module Element = struct
         match stages with
         | [] -> (Some pkt, cost)
         | el :: rest -> (
-            el.n_in <- el.n_in + 1;
             let cost = Time.add cost el.cost in
             match el.process pkt with
             | Pass pkt -> go rest pkt cost
-            | Drop ->
-                el.n_drop <- el.n_drop + 1;
-                (None, cost)
-            | Consume -> (None, cost))
+            | Drop | Consume -> (None, cost))
       in
       go t.stages pkt Time.zero
   end

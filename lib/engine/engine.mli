@@ -133,30 +133,20 @@ val remove : group -> t -> unit
 
 val engines : group -> t list
 
-val active_threads : group -> int
-(** Threads currently running engines (interesting for compacting). *)
-
 val home : t -> group option
 (** The group the engine last belonged to, surviving detach — where
     crash recovery reloads it. *)
-
-val owner_task : t -> Cpu.Sched.task option
-(** The scheduler task currently responsible for running this engine,
-    if attached.  NIC receive notifications for dedicated-core engines
-    use this for direct kicks. *)
 
 (** Click-style packet processing elements (§2.2): see {!Element}. *)
 module Element : sig
   type action =
     | Pass of Memory.Packet.t  (** Continue down the pipeline. *)
-    | Drop  (** Discard (counted as a drop). *)
+    | Drop  (** Discard. *)
     | Consume  (** The element took ownership (e.g. queued it). *)
 
   type t
 
   val name : t -> string
-  val packets_in : t -> int
-  val drops : t -> int
 
   (** {1 Stock elements} *)
 
@@ -176,11 +166,6 @@ module Element : sig
   (** Traffic shaping: passes packets while tokens last, drops beyond the
       rate (§2: "pacing and rate limiting for bandwidth enforcement").
       Tokens refill continuously at [rate_gbps]. *)
-
-  val rewrite_dst :
-    name:string -> table:(Memory.Packet.addr -> Memory.Packet.addr option) -> t
-  (** Virtualization-style address translation: rewrites the destination
-      via the lookup table, dropping unroutable packets. *)
 
   (** {1 Pipelines} *)
 

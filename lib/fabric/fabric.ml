@@ -55,12 +55,8 @@ type t = {
   on_transit : Loop.handler;  (* arg: parked handle *)
   on_serialized : Loop.handler;  (* arg: port address *)
   on_propagated : Loop.handler;  (* arg: parked handle *)
-  mutable n_delivered : int;
   mutable n_dropped : int;
-  mutable bytes_delivered : int;
   mutable fault_hook : Packet.t -> fault_action;
-  mutable n_fault_dropped : int;
-  mutable n_fault_corrupted : int;
 }
 
 let config t = t.cfg
@@ -73,17 +69,13 @@ let attach t ~addr ~rx =
   | None -> t.rx_handlers.(addr) <- Some rx
 
 let set_fault_hook t hook = t.fault_hook <- hook
-let clear_fault_hook t = t.fault_hook <- (fun _ -> Fault_pass)
 
 let wire_time cfg bytes =
   int_of_float (Float.round (float_of_int bytes *. 8.0 /. cfg.link_gbps))
 
 let deliver t (pkt : Packet.t) =
   match t.rx_handlers.(pkt.Packet.dst) with
-  | Some rx ->
-      t.n_delivered <- t.n_delivered + 1;
-      t.bytes_delivered <- t.bytes_delivered + pkt.Packet.wire_bytes;
-      rx pkt
+  | Some rx -> rx pkt
   | None ->
       t.n_dropped <- t.n_dropped + 1;
       let port = t.ports.(pkt.Packet.dst) in
@@ -125,13 +117,10 @@ let propagated t h =
 let rec enqueue_egress t (pkt : Packet.t) =
   let port = t.ports.(pkt.Packet.dst) in
   match t.fault_hook pkt with
-  | Fault_drop ->
-      t.n_fault_dropped <- t.n_fault_dropped + 1;
-      port.p_drops <- port.p_drops + 1
+  | Fault_drop -> port.p_drops <- port.p_drops + 1
   | Fault_delay d ->
       ignore (Loop.after t.lp d (fun () -> enqueue_port t port pkt))
   | Fault_corrupt ->
-      t.n_fault_corrupted <- t.n_fault_corrupted + 1;
       pkt.Packet.corrupted <- true;
       enqueue_port t port pkt
   | Fault_pass -> enqueue_port t port pkt
@@ -191,22 +180,14 @@ let create ~loop ~config ~hosts =
       on_transit = on transited;
       on_serialized = on serialized;
       on_propagated = on propagated;
-      n_delivered = 0;
       n_dropped = 0;
-      bytes_delivered = 0;
       fault_hook = (fun _ -> Fault_pass);
-      n_fault_dropped = 0;
-      n_fault_corrupted = 0;
     }
   in
   self := Some t;
   t
 
-let delivered t = t.n_delivered
 let dropped t = t.n_dropped
-let delivered_bytes t = t.bytes_delivered
-let fault_dropped t = t.n_fault_dropped
-let fault_corrupted t = t.n_fault_corrupted
 
 let port_drops t ~addr = t.ports.(addr).p_drops
 let port_max_queue_bytes t ~addr = t.ports.(addr).p_max_bytes

@@ -46,7 +46,8 @@ type fault_action =
           later traffic. *)
 
 val set_fault_hook : t -> (Memory.Packet.t -> fault_action) -> unit
-val clear_fault_hook : t -> unit
+(** Replaces the previous hook; [fun _ -> Fault_pass] removes it.
+    Injected drops count in {!port_drops}. *)
 
 val send : t -> Memory.Packet.t -> unit
 (** Hand a packet to the fabric at the sender's uplink (the sender NIC
@@ -57,9 +58,9 @@ val send : t -> Memory.Packet.t -> unit
 
 (** {1 Telemetry} *)
 
-val delivered : t -> int
 val dropped : t -> int
-val delivered_bytes : t -> int
+(** Drop-tail overflows and arrivals with no rx handler attached. *)
+
 val port_drops : t -> addr:Memory.Packet.addr -> int
 (** Packets lost on the egress toward the given host: drop-tail overflow,
     injected drops, and arrivals with no rx handler attached. *)
@@ -67,7 +68,3 @@ val port_drops : t -> addr:Memory.Packet.addr -> int
 val port_max_queue_bytes : t -> addr:Memory.Packet.addr -> int
 (** High-water mark of the egress queue toward the given host, all
     classes. *)
-
-val fault_dropped : t -> int
-val fault_corrupted : t -> int
-(** Totals of injected drop and corrupt actions. *)

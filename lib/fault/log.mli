@@ -13,9 +13,4 @@ type t
 val create : unit -> t
 val record : t -> at:Sim.Time.t -> kind:string -> detail:string -> unit
 val entries : t -> entry list
-(** Oldest first. *)
-
-val length : t -> int
-val count_kind : t -> string -> int
-val equal : t -> t -> bool
-(** Structural equality of the full entry sequences. *)
+(** Oldest first.  Entries are plain data, so [=] compares two logs. *)

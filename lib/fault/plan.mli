@@ -126,15 +126,11 @@ val byzantine_to_string : byzantine -> string
 
 type t
 
-val validate : event -> unit
-(** Reject nonsense events: negative start times or targets,
-    non-positive durations, rates outside [\[0, 100\]], slowdowns below
-    1.  Raises [Invalid_argument] with a message naming the offending
-    field.  {!make} calls this on every event. *)
-
 val make : ?seed:int -> event list -> t
-(** Validates every event ([Invalid_argument] on nonsense windows or
-    rates).  [seed] (default 42) drives all per-packet randomness. *)
+(** Validates every event: a negative start time or target, a
+    non-positive duration, a rate outside [\[0, 100\]] or a slowdown
+    below 1 raises [Invalid_argument] with a message naming the field.
+    [seed] (default 42) drives all per-packet randomness. *)
 
 val empty : t
 val seed : t -> int

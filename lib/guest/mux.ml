@@ -726,13 +726,5 @@ let engines t = List.map (fun m -> m.core) t.engs
 let resyncs t = t.n_resyncs
 let tenants t = List.map (fun b -> b.tenant) t.bindings
 
-let attached t =
-  List.length
-    (List.filter (fun b -> b.tenant.Tenant.state = Tenant.Attached) t.bindings)
-
-let inflight_ops t =
-  List.fold_left (fun acc b -> acc + Inflight.length b.inflight) 0 t.bindings
-
 let suspects t = Stats.Counter.value t.c_suspects
-let quarantines t = Stats.Counter.value t.c_quarantines
 let unmatched_completions t = Stats.Counter.value t.c_unmatched

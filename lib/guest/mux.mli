@@ -99,18 +99,10 @@ val resyncs : t -> int
 val tenants : t -> Tenant.t list
 (** In attach order. *)
 
-val attached : t -> int
-
-val inflight_ops : t -> int
-(** Ops handed to Pony and not yet completed, across all tenants. *)
-
 (** {1 Misbehavior escalation} (per-instance counts) *)
 
 val suspects : t -> int
 (** Tenants escalated to Suspect ([tenant_quarantine_suspects]). *)
-
-val quarantines : t -> int
-(** Quarantine decisions taken ([tenant_quarantines]). *)
 
 val unmatched_completions : t -> int
 (** Pony completions with no in-flight entry (Busy-NACK seconds, or

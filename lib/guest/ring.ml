@@ -7,12 +7,6 @@ type used = { u_id : int; u_len : int; u_status : status }
 
 type fault_reason = Bad_range | Empty_slot | Rollback | Overcommit
 
-let fault_index = function
-  | Bad_range -> 0
-  | Empty_slot -> 1
-  | Rollback -> 2
-  | Overcommit -> 3
-
 type take_verdict =
   | Take_empty
   | Take_ok of desc
@@ -41,10 +35,8 @@ type t = {
      rollback detector: a guest may only grow its index. *)
   mutable max_avail : int;
   mutable post_fail : int;
-  faults : int array;  (* take-side fault counts, by fault_index *)
   c_post_bad : Stats.Counter.t;
   kick : Squeue.Notifier.t;
-  irq : Squeue.Notifier.t;
 }
 
 let create ?(name = "ring") ~region ~slots () =
@@ -61,11 +53,9 @@ let create ?(name = "ring") ~region ~slots () =
     reaped = 0;
     max_avail = 0;
     post_fail = 0;
-    faults = Array.make 4 0;
     c_post_bad =
       Stats.Registry.counter ~labels:[ ("ring", name) ] "ring_post_bad_range";
     kick = Squeue.Notifier.create ();
-    irq = Squeue.Notifier.create ();
   }
 
 let capacity t = t.cap
@@ -73,15 +63,11 @@ let occupancy t = t.avail - t.reaped
 let backlog t = t.avail - t.taken
 let in_flight t = t.taken - t.used
 let take_pending t = t.avail <> t.taken || t.avail <> t.max_avail
-let completions_ready t = t.used - t.reaped
-let is_full t = occupancy t >= t.cap
 let avail_idx t = t.avail
 let taken_idx t = t.taken
 let used_idx t = t.used
-let reaped_idx t = t.reaped
 let post_failures t = t.post_fail
 let post_bad_range t = Stats.Counter.value t.c_post_bad
-let take_faults t reason = t.faults.(fault_index reason)
 
 (* Raw indices may be negative after hostile writes; slots must not be. *)
 let slot t i = ((i mod t.cap) + t.cap) mod t.cap
@@ -97,7 +83,7 @@ let post t ~now ~id ~off ~len =
     Stats.Counter.incr t.c_post_bad;
     false
   end
-  else if is_full t then begin
+  else if occupancy t >= t.cap then begin
     t.post_fail <- t.post_fail + 1;
     false
   end
@@ -127,9 +113,6 @@ let set_avail_raw t v =
 
 let kick_raw t = Squeue.Notifier.signal t.kick
 
-let fault t reason =
-  t.faults.(fault_index reason) <- t.faults.(fault_index reason) + 1
-
 let take_checked t =
   if t.avail > t.max_avail then t.max_avail <- t.avail;
   if t.avail < t.max_avail then begin
@@ -138,7 +121,6 @@ let take_checked t =
        really consumed that many entries, and the shadow is the host's
        record of it ([check_host] asserts taken <= max_avail). *)
     t.max_avail <- Int.max t.avail t.taken;
-    fault t Rollback;
     Take_stop Rollback
   end
   else if t.taken >= t.avail then Take_empty
@@ -147,7 +129,6 @@ let take_checked t =
        would eventually publish a used entry on top of one the guest has
        not collected; refuse until the guest reaps (it never does — the
        mux scores the violation and escalates). *)
-    fault t Overcommit;
     Take_stop Overcommit
   end
   else begin
@@ -156,14 +137,11 @@ let take_checked t =
     match t.descs.(s) with
     | None ->
         (* avail covers a slot no descriptor was ever written to (index
-           runahead): consumed as a counted drop, nothing to complete. *)
-        fault t Empty_slot;
+           runahead): consumed as a drop, nothing to complete. *)
         Take_drop Empty_slot
     | Some d ->
-        if not (in_region t ~off:d.d_off ~len:d.d_len) then begin
-          fault t Bad_range;
+        if not (in_region t ~off:d.d_off ~len:d.d_len) then
           Take_bad (Bad_range, d)
-        end
         else Take_ok d
   end
 
@@ -173,8 +151,7 @@ let complete t ~id ~len ~status =
       (Printf.sprintf "Guest.Ring.complete(%s): more completions than takes"
          t.rname);
   t.useds.(slot t t.used) <- Some { u_id = id; u_len = len; u_status = status };
-  t.used <- t.used + 1;
-  Squeue.Notifier.signal t.irq
+  t.used <- t.used + 1
 
 let pop_used t =
   if t.reaped >= t.used then None
@@ -192,22 +169,6 @@ let oldest_pending_age t ~now =
     | None -> 0
 
 let arm_kick t cb = Squeue.Notifier.arm t.kick cb
-let arm_irq t cb = Squeue.Notifier.arm t.irq cb
-let kicks t = Squeue.Notifier.signals t.kick
-let irqs t = Squeue.Notifier.signals t.irq
-
-let check t =
-  let fail fmt = Printf.ksprintf (fun s -> Some (t.rname ^ ": " ^ s)) fmt in
-  if t.reaped < 0 then fail "reaped index %d negative" t.reaped
-  else if t.used < t.reaped then
-    fail "used %d behind reaped %d" t.used t.reaped
-  else if t.taken < t.used then
-    fail "taken %d behind used %d" t.taken t.used
-  else if t.avail < t.taken then
-    fail "avail %d behind taken %d" t.avail t.taken
-  else if t.avail - t.reaped > t.cap then
-    fail "occupancy %d exceeds capacity %d" (t.avail - t.reaped) t.cap
-  else None
 
 let check_host t =
   let fail fmt = Printf.ksprintf (fun s -> Some (t.rname ^ ": " ^ s)) fmt in

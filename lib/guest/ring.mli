@@ -21,10 +21,9 @@
 
     Completions may be published out of order (they carry the
     descriptor id, like virtio's used ring), but never outnumber the
-    descriptors taken.  Notifications follow virtio's eventfd shape:
-    posting signals the {e kick} notifier (guest -> backend), publishing
-    a used entry signals the {e irq} notifier (backend -> guest); both
-    coalesce while unarmed. *)
+    descriptors taken.  Posting signals the {e kick} notifier (guest ->
+    backend), which follows virtio's eventfd shape and coalesces while
+    unarmed.  The guest reaps completions by polling {!pop_used}. *)
 
 type status =
   | Complete
@@ -107,13 +106,12 @@ val take_checked : t -> take_verdict
     avail rollback (edge-triggered against the largest avail ever
     observed), overcommit ([taken - reaped >= capacity], which would
     overwrite unreaped used entries), never-written slots, and
-    out-of-region buffers.  Each fault is counted per reason (see
-    {!take_faults}).  Never raises. *)
+    out-of-region buffers.  Never raises. *)
 
 val complete : t -> id:int -> len:int -> status:status -> unit
-(** Publish a used entry (any order w.r.t. takes) and signal the irq
-    notifier.  Raises [Invalid_argument] if it would outnumber the
-    taken descriptors — host-side API misuse, not guest input. *)
+(** Publish a used entry (any order w.r.t. takes).  Raises
+    [Invalid_argument] if it would outnumber the taken descriptors —
+    host-side API misuse, not guest input. *)
 
 (** {1 Occupancy and indices} *)
 
@@ -135,14 +133,9 @@ val take_pending : t -> bool
 val in_flight : t -> int
 (** Taken and not yet completed ([taken - used]). *)
 
-val completions_ready : t -> int
-(** Published and not yet reaped ([used - reaped]). *)
-
-val is_full : t -> bool
 val avail_idx : t -> int
 val taken_idx : t -> int
 val used_idx : t -> int
-val reaped_idx : t -> int
 
 val post_failures : t -> int
 (** Checked posts refused because the ring was full. *)
@@ -151,9 +144,6 @@ val post_bad_range : t -> int
 (** Checked posts refused because the buffer was out of range: this
     ring's [ring_post_bad_range] registry counter. *)
 
-val take_faults : t -> fault_reason -> int
-(** Take-side faults recorded by {!take_checked}, by reason. *)
-
 val oldest_pending_age : t -> now:Sim.Time.t -> Sim.Time.t
 (** Age of the oldest descriptor the backend has not taken (0 when the
     backlog is empty); the mux engine's queueing-delay signal. *)
@@ -161,26 +151,14 @@ val oldest_pending_age : t -> now:Sim.Time.t -> Sim.Time.t
 (** {1 Notifications} *)
 
 val arm_kick : t -> (unit -> unit) -> unit
-val arm_irq : t -> (unit -> unit) -> unit
-val kicks : t -> int
-val irqs : t -> int
 
 (** {1 Checking} *)
 
-val check : t -> string option
-(** Full-ring index legality for a {e well-behaved} guest: ordering
-    ([reaped <= used <= taken <= avail]) and occupancy within capacity.
-    [None] when healthy.  Under a byzantine guest this legitimately
-    reports trouble — use {!check_host} for what the host guarantees. *)
-
-val check_host : t -> string option
-(** Host-safety only: [0 <= used <= taken], and [taken] never beyond
-    any avail value the guest ever published.  These hold regardless of
-    guest behavior; a [Some] here is a backend bug. *)
-
 val monitor : t -> unit -> string option
-(** A stateful predicate for {!Check.Invariant}: runs {!check_host} and
-    additionally requires the host-owned indices to have grown
-    monotonically since the previous evaluation.  Deliberately silent
-    about guest-owned indices, which a hostile driver may move
-    arbitrarily. *)
+(** A stateful predicate for {!Check.Invariant}.  Each call checks host
+    safety — [0 <= used <= taken], and [taken] never beyond any avail
+    value the guest ever published, which hold whatever the guest does —
+    and requires the host-owned indices to have grown monotonically
+    since the previous call.  Deliberately silent about guest-owned
+    indices, which a hostile driver may move arbitrarily.  A [Some] is a
+    backend bug. *)

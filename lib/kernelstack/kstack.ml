@@ -56,7 +56,6 @@ type socket = {
   mutable rx_avail : int;
   mutable reader : Cpu.Sched.task option;
   (* Stats. *)
-  mutable n_retx : int;
 }
 
 and t = {
@@ -88,7 +87,6 @@ let pay chg ns =
   | Softirq acc -> acc := !acc + ns
 
 let addr t = Nic.addr t.nic
-let active_streams t = t.n_established
 let costs = Sim.Costs.default
 let mss t = Nic.mtu t.nic - header_bytes
 
@@ -175,7 +173,6 @@ and on_rto sock =
       List.iteri
         (fun i f ->
           if i < 16 then begin
-            sock.n_retx <- sock.n_retx + 1;
             f.sent_at <- now;
             ignore (send_segment sock ~kind:Data ~seq:f.seq ~len:f.len)
           end)
@@ -186,7 +183,6 @@ let retransmit_head sock =
   match sock.flight with
   | [] -> ()
   | head :: _ ->
-      sock.n_retx <- sock.n_retx + 1;
       head.sent_at <- Loop.now sock.stack.lp;
       ignore (send_segment sock ~kind:Data ~seq:head.seq ~len:head.len)
 
@@ -450,7 +446,6 @@ and make_socket t ~local_port ~peer_addr ~peer_port =
     ooo = [];
     rx_avail = 0;
     reader = None;
-    n_retx = 0;
   }
 
 (* -- Softirq / busy-poll ring processing -------------------------------- *)
@@ -646,7 +641,6 @@ let try_recv ctx sock ~max =
     n
   end
 
-let retransmits sock = sock.n_retx
 let _ = sock_key
 
 let arm_activity_wake t task =

@@ -60,12 +60,6 @@ val try_send : Cpu.Thread.ctx -> socket -> bytes:int -> bool
 val try_recv : Cpu.Thread.ctx -> socket -> max:int -> int
 (** Non-blocking receive: 0 when no in-order data is buffered. *)
 
-val retransmits : socket -> int
-
-val active_streams : t -> int
-(** Number of established connections on this stack, which drives the
-    locality-degradation multiplier. *)
-
 val arm_activity_wake : t -> Cpu.Sched.task -> unit
 (** One-shot: wake the given task on the next activity edge (any socket
     becoming readable/writable).  Lets an application thread sleep with

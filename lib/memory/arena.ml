@@ -26,7 +26,6 @@ type 'a t = {
   mutable free_slots : int array;
   mutable free_top : int;
   mutable high : int;  (* slots [0, high) have been minted at least once *)
-  mutable live : int;
 }
 
 let handle_of t i = (t.gens.(i) lsl idx_bits) lor i
@@ -39,10 +38,7 @@ let create ?(initial = 64) () =
     free_slots = Array.make initial 0;
     free_top = 0;
     high = 0;
-    live = 0;
   }
-
-let live t = t.live
 
 let grow t =
   let cap = Array.length t.data in
@@ -74,7 +70,6 @@ let alloc t v =
     end
   in
   t.data.(idx) <- Some v;
-  t.live <- t.live + 1;
   handle_of t idx
 
 let is_live t h =
@@ -91,8 +86,7 @@ let release t i =
   t.data.(i) <- None;
   t.gens.(i) <- (t.gens.(i) + 1) land gen_mask;
   t.free_slots.(t.free_top) <- i;
-  t.free_top <- t.free_top + 1;
-  t.live <- t.live - 1
+  t.free_top <- t.free_top + 1
 
 let free t h =
   if not (is_live t h) then false
@@ -131,5 +125,4 @@ let clear t =
     | None -> ()
   done;
   t.free_top <- 0;
-  t.high <- 0;
-  t.live <- 0
+  t.high <- 0

@@ -38,11 +38,6 @@ val take : 'a t -> handle -> 'a option
     longer retains it.  [None] (and no effect) if the handle is stale.
     Allocates nothing. *)
 
-val is_live : 'a t -> handle -> bool
-
-val live : 'a t -> int
-(** Number of occupied slots. *)
-
 val iter : 'a t -> (handle -> 'a -> unit) -> unit
 (** Ascending slot-index order; skips free slots. *)
 

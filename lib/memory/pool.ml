@@ -16,7 +16,6 @@ and t = {
   (* Every owner ever resolved, charged or not: an account outlives a
      zero charge, so its generation survives too. *)
   accounts : (string, account) Hashtbl.t;
-  mutable n_released : int;
 }
 
 type alloc = {
@@ -36,7 +35,6 @@ let create ~name ~capacity_bytes =
     used = 0;
     watermark = 0;
     accounts = Hashtbl.create 16;
-    n_released = 0;
   }
 
 let capacity t = t.capacity_bytes
@@ -61,8 +59,6 @@ let try_alloc_from a ~bytes =
     Some { account = a; bytes; live = true; gen = a.a_gen }
   end
 
-let try_alloc t ~owner ~bytes = try_alloc_from (account t ~owner) ~bytes
-
 let try_hold t ~bytes =
   if bytes <= 0 then invalid_arg "Pool.try_hold: bytes"
   else if t.used + bytes > t.capacity_bytes then false
@@ -75,7 +71,7 @@ let try_hold t ~bytes =
 let unhold t ~bytes = t.used <- t.used - bytes
 
 let alloc t ~owner ~bytes =
-  match try_alloc t ~owner ~bytes with
+  match try_alloc_from (account t ~owner) ~bytes with
   | Some a -> a
   | None -> raise (Exhausted t.pool_name)
 
@@ -98,10 +94,7 @@ let release_owner t ~owner =
   a.a_gen <- a.a_gen + 1;
   a.charged <- 0;
   t.used <- t.used - bytes;
-  t.n_released <- t.n_released + bytes;
   bytes
-
-let released_bytes t = t.n_released
 
 let owner_usage t owner =
   match Hashtbl.find t.accounts owner with

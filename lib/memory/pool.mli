@@ -43,9 +43,6 @@ val alloc : t -> owner:string -> bytes:int -> alloc
 (** Allocate [bytes] charged to [owner], resolving its account.  Raises
     {!Exhausted} if the pool cannot satisfy the request. *)
 
-val try_alloc : t -> owner:string -> bytes:int -> alloc option
-(** {!try_alloc_from} on the owner's account. *)
-
 val try_hold : t -> bytes:int -> bool
 (** Take [bytes] from the pool for the duration of one synchronous step,
     with no owner and no [alloc] record: [in_use] and the high
@@ -69,9 +66,6 @@ val release_owner : t -> owner:string -> int
     {!free}s become no-ops).  Used by crash recovery: an engine that
     dies with in-flight allocations must not strand pool bytes forever.
     Returns the number of bytes reclaimed. *)
-
-val released_bytes : t -> int
-(** Total bytes ever bulk-reclaimed via {!release_owner}. *)
 
 val owner_usage : t -> string -> int
 (** Bytes currently charged to the given owner. *)

@@ -4,7 +4,6 @@ type t = {
   region_id : id;
   region_size : int;
   backing : Bytes.t option;
-  mutable registered : bool;
 }
 
 let backed_limit = 16 * 1024 * 1024
@@ -13,13 +12,11 @@ let create ?backed ~id ~size ~owner:_ () =
   if size <= 0 then invalid_arg "Region.create: size";
   let backed = match backed with Some b -> b | None -> size <= backed_limit in
   let backing = if backed then Some (Bytes.make size '\000') else None in
-  { region_id = id; region_size = size; backing; registered = false }
+  { region_id = id; region_size = size; backing }
 
 let id t = t.region_id
 let size t = t.region_size
 let is_backed t = Option.is_some t.backing
-let register_for_nic t = t.registered <- true
-let nic_registered t = t.registered
 
 let check_range t off len =
   if off < 0 || len < 0 || off + len > t.region_size then
@@ -29,25 +26,12 @@ let check_range t off len =
    of the offset, so benchmark reads are still checkable. *)
 let synthetic_byte off = Char.chr ((off * 131) land 0xff)
 
-let read t ~off ~len =
-  check_range t off len;
-  match t.backing with
-  | Some b -> Bytes.sub b off len
-  | None -> Bytes.init len (fun i -> synthetic_byte (off + i))
-
-let write t ~off data =
-  check_range t off (Bytes.length data);
-  match t.backing with
-  | Some b -> Bytes.blit data 0 b off (Bytes.length data)
-  | None -> ()
-
 let read_int64 t off =
   check_range t off 8;
   match t.backing with
   | Some b -> Bytes.get_int64_le b off
   | None ->
-      let bytes = read t ~off ~len:8 in
-      Bytes.get_int64_le bytes 0
+      Bytes.get_int64_le (Bytes.init 8 (fun i -> synthetic_byte (off + i))) 0
 
 let write_int64 t off v =
   check_range t off 8;

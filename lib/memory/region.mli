@@ -24,18 +24,8 @@ val id : t -> id
 val size : t -> int
 val is_backed : t -> bool
 
-val register_for_nic : t -> unit
-(** Mark the region as registered with the NIC for zero-copy transmit
-    (§6.2).  Idempotent. *)
-
-val nic_registered : t -> bool
-
-val read : t -> off:int -> len:int -> Bytes.t
-
-val write : t -> off:int -> Bytes.t -> unit
-(** Writes are ignored on unbacked regions (the bytes are synthetic). *)
-
 val read_int64 : t -> int -> int64
 (** Read 8 bytes little-endian at the given offset. *)
 
 val write_int64 : t -> int -> int64 -> unit
+(** Writes are ignored on unbacked regions (the bytes are synthetic). *)

@@ -8,20 +8,12 @@ let rx_latency = Time.us 1
 (* Descriptor post to wire start. *)
 let tx_latency = Time.us 1
 
-type config = {
-  mtu : int;
-  num_rx_queues : int;
-  rx_ring_slots : int;
-  tx_ring_slots : int;
-}
+let rx_ring_slots = 4096
+let tx_ring_slots = 1024
 
-let default_config =
-  {
-    mtu = 5000;
-    num_rx_queues = 8;
-    rx_ring_slots = 4096;
-    tx_ring_slots = 1024;
-  }
+type config = { mtu : int; num_rx_queues : int }
+
+let default_config = { mtu = 5000; num_rx_queues = 8 }
 
 type rx_notify =
   | No_notify
@@ -59,7 +51,6 @@ type t = {
   on_rx : Loop.handler;  (* arg: parked handle *)
   on_tx_post : Loop.handler;  (* arg: parked handle *)
   on_tx_wire : Loop.handler;  (* arg unused *)
-  mutable n_rx : int;
   mutable n_tx : int;
   mutable n_rx_dropped : int;
   mutable n_rx_stalled : int;
@@ -84,10 +75,7 @@ let notify_rx t q =
   | Soft f -> f ()
 
 let rx_post t q (pkt : Packet.t) =
-  if Squeue.Spsc.push q.ring ~now:(Loop.now t.lp) pkt then begin
-    t.n_rx <- t.n_rx + 1;
-    notify_rx t q
-  end
+  if Squeue.Spsc.push q.ring ~now:(Loop.now t.lp) pkt then notify_rx t q
   else t.n_rx_dropped <- t.n_rx_dropped + 1
 
 let receive t (pkt : Packet.t) =
@@ -153,7 +141,7 @@ let create ~loop ~machine ~fabric ~addr (config : config) =
       rx_queues =
         Array.init config.num_rx_queues (fun _ ->
             {
-              ring = Squeue.Spsc.create ~capacity:config.rx_ring_slots ();
+              ring = Squeue.Spsc.create ~capacity:rx_ring_slots ();
               notify = No_notify;
               irq_armed = true;
               pending_while_disarmed = false;
@@ -169,7 +157,6 @@ let create ~loop ~machine ~fabric ~addr (config : config) =
       on_rx = on rx_arrive;
       on_tx_post = on tx_posted;
       on_tx_wire = on tx_on_wire;
-      n_rx = 0;
       n_tx = 0;
       n_rx_dropped = 0;
       n_rx_stalled = 0;
@@ -206,12 +193,12 @@ let stall_rx t ~queue ~until =
   let q = t.rx_queues.(queue) in
   q.stalled_until <- Time.max q.stalled_until until
 
-let tx_slots_free t = t.cfg.tx_ring_slots - t.tx_in_flight
+let tx_slots_free t = tx_ring_slots - t.tx_in_flight
 
 let try_transmit t pkt =
   if pkt.Packet.wire_bytes > t.cfg.mtu then
     invalid_arg "Nic.try_transmit: packet exceeds MTU";
-  if t.tx_in_flight >= t.cfg.tx_ring_slots then false
+  if t.tx_in_flight >= tx_ring_slots then false
   else begin
     t.tx_in_flight <- t.tx_in_flight + 1;
     ignore
@@ -222,7 +209,6 @@ let try_transmit t pkt =
 
 let set_tx_drain_hook t hook = t.tx_drain_hook <- hook
 let link_gbps t = gbps t
-let rx_count t = t.n_rx
 let tx_count t = t.n_tx
 let rx_dropped t = t.n_rx_dropped
 let rx_stalled t = t.n_rx_stalled
@@ -230,25 +216,16 @@ let rx_stalled t = t.n_rx_stalled
 module Copy_engine = struct
   type job = { bytes : int; on_complete : unit -> unit }
 
+  (* 30 GB/s. *)
+  let bandwidth_gbps = 240.0
+
   type ce = {
     ce_lp : Loop.t;
-    bandwidth_gbps : float;
     jobs : job Queue.t;
     mutable busy : bool;
-    mutable n_in_flight : int;
-    mutable n_completed : int;
   }
 
-  let create ~loop ?(bandwidth_gbps = 240.0) () =
-    if bandwidth_gbps <= 0.0 then invalid_arg "Copy_engine.create";
-    {
-      ce_lp = loop;
-      bandwidth_gbps;
-      jobs = Queue.create ();
-      busy = false;
-      n_in_flight = 0;
-      n_completed = 0;
-    }
+  let create ~loop () = { ce_lp = loop; jobs = Queue.create (); busy = false }
 
   let rec drain t =
     match Queue.take_opt t.jobs with
@@ -257,21 +234,15 @@ module Copy_engine = struct
         t.busy <- true;
         let dur =
           int_of_float
-            (Float.round (float_of_int job.bytes *. 8.0 /. t.bandwidth_gbps))
+            (Float.round (float_of_int job.bytes *. 8.0 /. bandwidth_gbps))
         in
         ignore
           (Loop.after t.ce_lp dur (fun () ->
-               t.n_in_flight <- t.n_in_flight - 1;
-               t.n_completed <- t.n_completed + 1;
                job.on_complete ();
                drain t))
 
   let submit t ~bytes ~on_complete =
     if bytes < 0 then invalid_arg "Copy_engine.submit";
-    t.n_in_flight <- t.n_in_flight + 1;
     Queue.add { bytes; on_complete } t.jobs;
     if not t.busy then drain t
-
-  let in_flight t = t.n_in_flight
-  let completed t = t.n_completed
 end

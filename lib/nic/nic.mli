@@ -14,14 +14,12 @@ type t
 type config = {
   mtu : int;  (** Maximum wire bytes per packet. *)
   num_rx_queues : int;
-  rx_ring_slots : int;
-  tx_ring_slots : int;
 }
 
 val default_config : config
-(** 5000 B MTU, 8 rx queues of 4096 slots, 1024 tx slots.  Every NIC
-    takes 1 us from wire to rx-ring visibility (DMA, PCIe) and 1 us from
-    descriptor post to wire start. *)
+(** 5000 B MTU, 8 rx queues.  Every NIC has 4096 slots per rx ring and
+    1024 tx slots, and takes 1 us from wire to rx-ring visibility (DMA,
+    PCIe) and 1 us from descriptor post to wire start. *)
 
 (** How to tell the consumer of an rx ring that packets arrived. *)
 type rx_notify =
@@ -87,7 +85,6 @@ val set_tx_drain_hook : t -> (unit -> unit) -> unit
 
 (** {1 Telemetry} *)
 
-val rx_count : t -> int
 val tx_count : t -> int
 val rx_dropped : t -> int
 (** Packets dropped because an rx ring was full. *)
@@ -106,14 +103,11 @@ val rx_stalled : t -> int
 module Copy_engine : sig
   type ce
 
-  val create : loop:Sim.Loop.t -> ?bandwidth_gbps:float -> unit -> ce
-  (** [bandwidth_gbps] defaults to 240 (30 GB/s). *)
+  val create : loop:Sim.Loop.t -> unit -> ce
+  (** A channel that moves 240 Gbps (30 GB/s). *)
 
   val submit : ce -> bytes:int -> on_complete:(unit -> unit) -> unit
   (** Queue a copy of [bytes]; [on_complete] fires when it lands. *)
-
-  val in_flight : ce -> int
-  val completed : ce -> int
 end
 
 val link_gbps : t -> float

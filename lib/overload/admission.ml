@@ -1,11 +1,5 @@
 type reject_reason = Over_op_quota | Over_byte_quota | Pool_exhausted | Rate_limited
 
-let reject_reason_to_string = function
-  | Over_op_quota -> "over_op_quota"
-  | Over_byte_quota -> "over_byte_quota"
-  | Pool_exhausted -> "pool_exhausted"
-  | Rate_limited -> "rate_limited"
-
 type verdict = Admitted of Memory.Pool.alloc option | Rejected of reject_reason
 
 type t = {
@@ -24,7 +18,6 @@ type t = {
   mutable out_bytes : int;
   c_admitted : Stats.Counter.t;
   c_rejected : Stats.Counter.t;
-  mutable by_reason : (reject_reason * int) list;
 }
 
 let create ~pool ~owner ?(max_ops = 256) ?(max_bytes = 4 lsl 20)
@@ -49,7 +42,6 @@ let create ~pool ~owner ?(max_ops = 256) ?(max_bytes = 4 lsl 20)
     out_bytes = 0;
     c_admitted = Stats.Registry.counter ~labels "overload_ops_admitted";
     c_rejected = Stats.Registry.counter ~labels "overload_ops_rejected";
-    by_reason = [];
   }
 
 let refill t ~now =
@@ -64,10 +56,6 @@ let refill t ~now =
 
 let reject t reason =
   Stats.Counter.incr t.c_rejected;
-  t.by_reason <-
-    (match List.assoc_opt reason t.by_reason with
-    | Some n -> (reason, n + 1) :: List.remove_assoc reason t.by_reason
-    | None -> (reason, 1) :: t.by_reason);
   Rejected reason
 
 let admit t ~now ~bytes =
@@ -113,8 +101,4 @@ let op_quota t = t.max_ops
 let byte_quota t = t.max_bytes
 let outstanding_ops t = t.out_ops
 let outstanding_bytes t = t.out_bytes
-let admitted t = Stats.Counter.value t.c_admitted
 let rejected t = Stats.Counter.value t.c_rejected
-
-let rejected_by t reason =
-  Option.value ~default:0 (List.assoc_opt reason t.by_reason)

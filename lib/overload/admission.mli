@@ -22,8 +22,6 @@ type t
 
 type reject_reason = Over_op_quota | Over_byte_quota | Pool_exhausted | Rate_limited
 
-val reject_reason_to_string : reject_reason -> string
-
 type verdict = Admitted of Memory.Pool.alloc option | Rejected of reject_reason
 (** [Admitted] carries the pool charge (None for zero-byte ops); pass
     it back via {!release} when the op completes. *)
@@ -52,6 +50,6 @@ val op_quota : t -> int
 val byte_quota : t -> int
 val outstanding_ops : t -> int
 val outstanding_bytes : t -> int
-val admitted : t -> int
 val rejected : t -> int
-val rejected_by : t -> reject_reason -> int
+(** Ops this admission refused, for any reason; its
+    [overload_ops_rejected] counter. *)

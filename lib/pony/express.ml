@@ -31,12 +31,6 @@ type completion = {
    resurrecting state. *)
 type conn_state = Established | Draining | Dead | Closed
 
-let conn_state_to_string = function
-  | Established -> "established"
-  | Draining -> "draining"
-  | Dead -> "dead"
-  | Closed -> "closed"
-
 (* Opt-in dead-peer detection: probe a conn silent for [ka_interval];
    declare the peer dead after [ka_interval * (ka_miss_budget + 1)] of
    silence.  Arming is quiesce-aware: a conn only keeps a wheel timer
@@ -113,11 +107,6 @@ and conn = {
   mutable credit : int;
   mutable state : conn_state;
   mutable last_heard : Time.t;  (* any item for this conn counts as life *)
-  (* Latency-attribution stage transitions observed on this conn (both
-     the submit side of local ops and the receive side of remote ones),
-     indexed by [Sim.Optrace.stage_index].  Empty while Optrace capture
-     is off: made at connect under capture, else on the first stamp. *)
-  mutable stage_counts : int array;
   mutable ext : conn_ext;  (* [no_ext] until the half first needs one *)
 }
 
@@ -427,17 +416,9 @@ let ot_rkey conn op_id =
     k_op = op_id;
   }
 
-let ot_count conn stage =
-  if Array.length conn.stage_counts = 0 then
-    conn.stage_counts <- Array.make Sim.Optrace.n_stages 0;
-  let i = Sim.Optrace.stage_index stage in
-  conn.stage_counts.(i) <- conn.stage_counts.(i) + 1
-
 let ot_start conn op_id ~kind ~bytes =
-  if Sim.Optrace.enabled () then begin
-    ot_count conn Sim.Optrace.Submitted;
+  if Sim.Optrace.enabled () then
     Sim.Optrace.start conn.local.c_host.lp (ot_key conn op_id) ~kind ~bytes
-  end
 
 (* Key of [op_id] on [conn]: submitted by the local client, or with
    [~remote] by the peer's (receive path).  Built only under capture. *)
@@ -445,14 +426,11 @@ let ot_op_key conn ~remote op_id =
   if remote then ot_rkey conn op_id else ot_key conn op_id
 
 let ot_stamp conn ~remote op_id stage =
-  if Sim.Optrace.enabled () then begin
-    ot_count conn stage;
+  if Sim.Optrace.enabled () then
     Sim.Optrace.stamp conn.local.c_host.lp (ot_op_key conn ~remote op_id) stage
-  end
 
 let ot_dequeued conn op_id =
   if Sim.Optrace.enabled () then begin
-    ot_count conn Sim.Optrace.Dequeued;
     (* Sabotage point: with "skip_op_attribution" armed the dequeue
        charge is dropped while the cursor still advances, so completed
        ops under-account and the conservation invariant must fire
@@ -463,79 +441,14 @@ let ot_dequeued conn op_id =
   end
 
 let ot_finish_key conn key ~status =
-  if Sim.Optrace.enabled () then begin
-    ot_count conn Sim.Optrace.Completed;
+  if Sim.Optrace.enabled () then
     Sim.Optrace.finish conn.local.c_host.lp key
       ~host:(addr conn.local.c_host)
       ~status:(Wire.status_to_string status)
-  end
 
 let ot_finish conn ~remote op_id ~status =
   if Sim.Optrace.enabled () then
     ot_finish_key conn (ot_op_key conn ~remote op_id) ~status
-
-(* Age of the oldest attribution record still open on [conn]'s submit
-   side, for [debug_snapshot]. *)
-let ot_oldest_age conn ~now =
-  let best = ref None in
-  if Sim.Optrace.enabled () then
-    Sim.Optrace.iter_in_flight (fun r ->
-        let k = r.Sim.Optrace.r_key in
-        if
-          k.Sim.Optrace.k_origin = addr conn.local.c_host
-          && k.Sim.Optrace.k_origin_client = conn.local.cid
-          && k.Sim.Optrace.k_session = conn.ckey.Wire.session
-          && k.Sim.Optrace.k_origin_init = conn.we_are_initiator
-        then
-          match !best with
-          | None -> best := Some r.Sim.Optrace.r_start
-          | Some b ->
-              if r.Sim.Optrace.r_start < b then
-                best := Some r.Sim.Optrace.r_start);
-  Option.map (fun s -> Time.sub now s) !best
-
-let debug_snapshot t =
-  let now = Loop.now t.lp in
-  Printf.sprintf "inc=%d%s " t.incarnation (if t.alive then "" else " down")
-  ^ String.concat " "
-      (List.map
-         (fun e ->
-           Printf.sprintf "eng%d[ring=%d asm=%d %s%s]" e.eid
-             (Squeue.Spsc.length (Nic.rx_ring t.nic ~queue:e.rxq))
-             e.open_asms
-             (String.concat ","
-                (List.map
-                   (fun f ->
-                     Printf.sprintf "fl(pend=%d,fly=%d,rate=%.0f)" (Flow.pending f)
-                       (Flow.in_flight f)
-                       (Timely.rate_gbps (Flow.cc f)))
-                   (Array.to_list e.flow_arr)))
-             (String.concat ""
-                (List.map
-                   (fun c ->
-                     let ckey = c.ckey in
-                     Printf.sprintf " cn(%d.%d->%d.%d%s %s heard=%dns stg=%s%s)"
-                       ckey.Wire.initiator_host ckey.Wire.initiator_client
-                       ckey.Wire.target_host ckey.Wire.target_client
-                       (if c.we_are_initiator then "/i" else "/t")
-                       (conn_state_to_string c.state)
-                       (Time.sub now c.last_heard)
-                       (String.concat "/"
-                          (List.init Sim.Optrace.n_stages (fun i ->
-                               if Array.length c.stage_counts = 0 then "0"
-                               else string_of_int c.stage_counts.(i))))
-                       (match ot_oldest_age c ~now with
-                       | Some age -> Printf.sprintf " oldest=%dns" age
-                       | None -> ""))
-                   (Memory.Arena.fold e.conn_arena (fun acc _ c -> c :: acc) []
-                   |> List.sort compare_half))))
-         t.engs)
-  ^
-  match t.ce with
-  | Some ce ->
-      Printf.sprintf " ce[fly=%d done=%d]" (Nic.Copy_engine.in_flight ce)
-        (Nic.Copy_engine.completed ce)
-  | None -> ""
 
 let one_sided_served t =
   List.fold_left (fun acc e -> acc + e.served_one_sided) 0 t.engs
@@ -1115,8 +1028,7 @@ let kill_conn cost conn ~reason =
     (* Attribution: ops on this conn still being traced — transmitted
        but undelivered sends included — can never complete normally.
        Close their records (both directions of the session) so the
-       in-flight table and oldest-age reporting do not carry them
-       forever. *)
+       in-flight table does not carry them forever. *)
     if Sim.Optrace.enabled () then begin
       let stale = ref [] in
       Sim.Optrace.iter_in_flight (fun r ->
@@ -2323,7 +2235,7 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
     ?max_bytes () =
   if not t.alive then
     failwith (Printf.sprintf "Pony.create_client: host %d is down" (addr t));
-  Control.authenticate ctx t.ctl ~client:name;
+  Control.authenticate ctx;
   (match Control.call ctx t.ctl ~service:"pony" (Pony_setup name) with
   | Pony_ready -> ()
   | _ -> failwith "Pony: module setup failed");
@@ -2418,8 +2330,6 @@ let register_region ctx client region =
   (match Control.call ctx t.ctl ~service:"pony" (Pony_setup client.cname) with
   | Pony_ready -> ()
   | _ -> failwith "Pony: region registration failed");
-  Control.register_region t.ctl ~client:client.cname region;
-  Memory.Region.register_for_nic region;
   let rid = Memory.Region.id region in
   client.regions <-
     (if Array.exists (fun r -> Memory.Region.id r = rid) client.regions then
@@ -2486,11 +2396,6 @@ let connect ctx client ~dst_host ~dst_client =
       credit = initial_credit_bytes;
       state = Established;
       last_heard = Loop.now t.lp;
-      (* Made here when capture is already on, so a traced run pays
-         for the counters at connect rather than in its first ops. *)
-      stage_counts =
-        (if Sim.Optrace.enabled () then Array.make Sim.Optrace.n_stages 0
-         else [||]);
       ext = no_ext;
     }
   in

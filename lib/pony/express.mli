@@ -383,7 +383,3 @@ val peer_restarts_detected : t -> int
 val keepalive_probes : t -> int
 (** Keepalive probes enqueued by this host's engines. *)
 
-val debug_snapshot : t -> string
-(** One-line internal state dump (host incarnation and liveness, rings,
-    assembly tables, flows, per-connection state/last-heard age, copy
-    engine) for diagnostics. *)

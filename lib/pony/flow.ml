@@ -89,7 +89,6 @@ type t = {
   (* Stats. *)
   mutable n_retx : int;
   mutable n_delivered : int;
-  mutable n_acked : int;
   fl_label : string;  (* "srcHost.srcEng->dstHost.dstEng" *)
   h_rtt : Stats.Histogram.t;
   h_flight : Stats.Histogram.t;
@@ -138,7 +137,6 @@ let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
     rto = min_rto;
     n_retx = 0;
     n_delivered = 0;
-    n_acked = 0;
     fl_label;
     h_rtt = Stats.Registry.histogram ~labels "pony_flow_rtt_ns";
     h_flight = Stats.Registry.histogram ~labels "pony_flow_flight";
@@ -212,7 +210,6 @@ let span t ~now ?(args = []) name =
 
 let key t = t.fkey
 let version t = t.ver
-let cc t = t.timely
 let pending t = t.q_len + Queue.length t.retx
 let in_flight t = t.flight_len
 
@@ -465,8 +462,7 @@ let process_ack t ~now ~ack ~ts_echo ~pure =
          acked wire items are not retained. *)
       while t.flight_len > 0 && fl_una t < ack do
         t.fl_item.(fl_slot t (fl_una t)) <- vacant;
-        t.flight_len <- t.flight_len - 1;
-        t.n_acked <- t.n_acked + 1
+        t.flight_len <- t.flight_len - 1
       done
     end
     else if ack = t.last_ack_seen && pure then begin
@@ -570,10 +566,8 @@ let check_timeout t ~now =
 
 let retransmits t = t.n_retx
 let delivered t = t.n_delivered
-let acked_packets t = t.n_acked
 
 let set_window_provider t f = t.wnd_provider <- f
-let peer_window t = t.peer_wnd
 let zero_window_probes t = t.n_zw_probes
 
 let purge_queue t ~drop =

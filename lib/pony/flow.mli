@@ -33,7 +33,6 @@ val create :
 
 val key : t -> Wire.flow_key
 val version : t -> int
-val cc : t -> Timely.t
 
 (** {1 Transmit side} *)
 
@@ -137,7 +136,6 @@ val resync : t -> now:Sim.Time.t -> int
 
 val retransmits : t -> int
 val delivered : t -> int
-val acked_packets : t -> int
 
 (** {1 Receiver back-pressure (advertised window)} *)
 
@@ -145,12 +143,10 @@ val set_window_provider : t -> (unit -> int) -> unit
 (** Install the function supplying the advertised receive window (in
     packets) stamped on every outgoing packet of this flow — derived by
     the owning engine from its rx-ring occupancy and op-pool pressure.
-    Defaults to the full flight cap (no back-pressure). *)
-
-val peer_window : t -> int
-(** The peer's most recent advertised window.  New transmissions stop
-    while [in_flight >= min max-flight (peer_window)]; retransmissions
-    are exempt (their flight slots are already accounted). *)
+    Defaults to the full flight cap (no back-pressure).  The sender
+    keeps the peer's most recent advertised window: new transmissions
+    stop while [in_flight >= min max-flight window]; retransmissions are
+    exempt (their flight slots are already accounted). *)
 
 val zero_window_probes : t -> int
 (** Probe packets sent to reopen a zero advertised window after idle:

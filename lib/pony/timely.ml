@@ -35,7 +35,6 @@ type t = {
   st : state;
   mutable neg_gradient_count : int;
   mutable min_rtt_seen : Time.t;
-  mutable n_samples : int;
 }
 
 (* EWMA weight for the RTT-difference filter (Timely's alpha). *)
@@ -49,7 +48,6 @@ let create ~max_rate_gbps () =
     st = { rate = p.max_rate_gbps /. 2.0; prev_rtt = 0.0; rtt_diff = 0.0 };
     neg_gradient_count = 0;
     min_rtt_seen = 0;
-    n_samples = 0;
   }
 
 (* [Float.max] and [Float.min] without their NaN handling (no value
@@ -68,7 +66,6 @@ let[@inline] set_rate t r =
      else p.max_rate_gbps)
 
 let on_rtt_sample t rtt =
-  t.n_samples <- t.n_samples + 1;
   if t.min_rtt_seen = 0 || rtt < t.min_rtt_seen then t.min_rtt_seen <- rtt;
   let st = t.st in
   let rtt_f = float_of_int rtt in
@@ -103,11 +100,6 @@ let on_loss t =
   t.neg_gradient_count <- 0;
   set_rate t (t.st.rate *. 0.5)
 
-let rate_gbps t = t.st.rate
-
 let pacing_gap t bytes =
   let rate = t.st.rate /. 8.0 in
   int_of_float (Float.round (float_of_int bytes /. fmax 1e-6 rate))
-
-let min_rtt t = t.min_rtt_seen
-let samples t = t.n_samples

@@ -10,7 +10,8 @@
       overshoot.
     - In between: gradient-based — decrease when RTT is rising, increase
       when falling, with hyperactive additive increase after several
-      consecutive negative gradients.
+      consecutive negative gradients.  The gradient is the smoothed RTT
+      difference over the smallest RTT seen so far.
 
     The module is pure state-machine logic so the algorithm is testable
     without the simulator. *)
@@ -29,13 +30,6 @@ val on_rtt_sample : t -> Sim.Time.t -> unit
 val on_loss : t -> unit
 (** Retransmission-detected loss: treat as a severe congestion signal. *)
 
-val rate_gbps : t -> float
-
 val pacing_gap : t -> int -> Sim.Time.t
 (** Time to send that many wire bytes at the current rate, rounded to
     the nearest ns: the pacer's gap after a packet. *)
-
-val min_rtt : t -> Sim.Time.t
-(** Smallest RTT observed so far (0 when none). *)
-
-val samples : t -> int

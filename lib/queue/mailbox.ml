@@ -23,6 +23,5 @@ let service t =
       work ();
       true
 
-let is_occupied t = Option.is_some t.pending
 let posted t = t.n_posted
 let serviced t = t.n_serviced

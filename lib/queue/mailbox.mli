@@ -17,8 +17,6 @@ val service : t -> bool
 (** Called by the engine on its thread each iteration: runs the pending
     work item if any.  Returns whether work was executed. *)
 
-val is_occupied : t -> bool
-
 val posted : t -> int
 (** Total successfully posted items. *)
 

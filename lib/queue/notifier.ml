@@ -1,10 +1,6 @@
-type t = {
-  mutable callback : (unit -> unit) option;
-  mutable latched : bool;
-  mutable n_signals : int;
-}
+type t = { mutable callback : (unit -> unit) option; mutable latched : bool }
 
-let create () = { callback = None; latched = false; n_signals = 0 }
+let create () = { callback = None; latched = false }
 
 let arm t cb =
   if t.latched then begin
@@ -14,11 +10,8 @@ let arm t cb =
   else t.callback <- Some cb
 
 let signal t =
-  t.n_signals <- t.n_signals + 1;
   match t.callback with
   | Some cb ->
       t.callback <- None;
       cb ()
   | None -> t.latched <- true
-
-let signals t = t.n_signals

@@ -18,6 +18,3 @@ val signal : t -> unit
 (** Fire the armed callback (disarming it), or latch the signal if no
     callback is armed. *)
 
-val signals : t -> int
-(** Total signals delivered or latched. *)
-

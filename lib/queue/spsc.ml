@@ -9,8 +9,6 @@ type 'a t = {
   mutable times : int array;
   mutable head : int;  (* next pop position *)
   mutable size : int;
-  mutable n_pushed : int;
-  mutable n_dropped : int;
 }
 
 let create ~capacity () =
@@ -21,14 +19,11 @@ let create ~capacity () =
     times = [||];
     head = 0;
     size = 0;
-    n_pushed = 0;
-    n_dropped = 0;
   }
 
 let capacity t = t.cap
 let length t = t.size
 let is_empty t = t.size = 0
-let is_full t = t.size = t.cap
 
 (* Room for one more: grow, unwrapping the ring to start at 0. *)
 let grow t =
@@ -46,10 +41,7 @@ let grow t =
   t.head <- 0
 
 let push t ~now v =
-  if t.size = t.cap then begin
-    t.n_dropped <- t.n_dropped + 1;
-    false
-  end
+  if t.size = t.cap then false
   else begin
     if t.size = Array.length t.items then grow t;
     let n = Array.length t.items in
@@ -58,7 +50,6 @@ let push t ~now v =
     t.items.(tail) <- Some v;
     t.times.(tail) <- now;
     t.size <- t.size + 1;
-    t.n_pushed <- t.n_pushed + 1;
     true
   end
 
@@ -75,19 +66,3 @@ let pop t =
 
 let oldest_age t ~now =
   if t.size = 0 then 0 else Sim.Time.sub now t.times.(t.head)
-
-let pushed t = t.n_pushed
-let dropped t = t.n_dropped
-
-let drain t f =
-  let n = ref 0 in
-  let rec go () =
-    match pop t with
-    | Some v ->
-        f v;
-        incr n;
-        go ()
-    | None -> ()
-  in
-  go ();
-  !n

@@ -19,23 +19,12 @@ val create : capacity:int -> unit -> 'a t
 val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val push : 'a t -> now:Sim.Time.t -> 'a -> bool
-(** [push t ~now v] enqueues [v]; returns [false] (and counts a drop)
-    when full. *)
+(** [push t ~now v] enqueues [v]; returns [false] when full. *)
 
 val pop : 'a t -> 'a option
 
 val oldest_age : 'a t -> now:Sim.Time.t -> Sim.Time.t
 (** Age of the element at the head, i.e. the current queueing delay;
     zero when empty. *)
-
-val pushed : 'a t -> int
-(** Total successful enqueues. *)
-
-val dropped : 'a t -> int
-(** Total enqueues rejected because the ring was full. *)
-
-val drain : 'a t -> ('a -> unit) -> int
-(** Pop everything, applying the function; returns how many. *)

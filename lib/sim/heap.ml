@@ -158,8 +158,6 @@ let pop_exn h =
   end;
   top
 
-let pop h = if h.size = 0 then None else Some (pop_exn h)
-
 (* Structural sanity: every parent orders before its children under the
    heap's own comparison, and the bookkeeping fields are coherent.  Used
    by the invariant checker. *)

@@ -43,9 +43,6 @@ val pop_exn : t -> int
 (** Remove and return the minimum element.
     @raise Invalid_argument if the heap is empty. *)
 
-val pop : t -> int option
-(** As {!pop_exn}, [None] when empty. *)
-
 val validate : t -> string option
 (** [None] when the internal arrays satisfy the heap property and the
     bookkeeping is coherent; otherwise a description of the violation.

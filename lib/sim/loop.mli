@@ -57,14 +57,11 @@ val handler : t -> (int -> unit) -> handler
 (** Register a handler for the loop's lifetime.  Register once per
     component, not per event: the table never shrinks. *)
 
-val at_h : t -> Time.t -> handler -> int -> handle
-(** [at_h t when_ h arg] schedules [h arg] at [when_], as {!at} would
-    schedule a closure: same clamping, same tie order.  Allocates
+val after_h : t -> Time.t -> handler -> int -> handle
+(** [after_h t d h arg] schedules [h arg] at [now t + d], as {!after}
+    would schedule a closure: same clamping, same tie order.  Allocates
     nothing once the slot table and heap have grown to the pending
     peak. *)
-
-val after_h : t -> Time.t -> handler -> int -> handle
-(** [after_h t d h arg] schedules [h arg] at [now t + d]. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event.  Cancelling an event that has already fired

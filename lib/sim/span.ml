@@ -44,13 +44,6 @@ let set_capture = function
       active := true;
       ring := Some { events = Queue.create (); cap; n_dropped = 0 }
 
-let clear () =
-  match !ring with
-  | None -> ()
-  | Some r ->
-      Queue.clear r.events;
-      r.n_dropped <- 0
-
 let events () =
   match !ring with None -> [] | Some r -> List.of_seq (Queue.to_seq r.events)
 

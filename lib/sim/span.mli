@@ -60,11 +60,8 @@ val emit_flow :
 val events : unit -> event list
 (** Captured events, oldest first; empty while capture is off. *)
 
-val clear : unit -> unit
-(** Drop captured events and the drop count, keeping capture active. *)
-
 val dropped : unit -> int
-(** Events evicted from the ring since capture started (or {!clear}). *)
+(** Events evicted from the ring since capture started. *)
 
 val to_chrome_json : unit -> string
 (** The capture as one Chrome trace-event JSON document: a

@@ -5,7 +5,6 @@ let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000
-let of_float_us x = int_of_float (Float.round (x *. 1_000.))
 let to_float_us t = float_of_int t /. 1_000.
 let to_float_ms t = float_of_int t /. 1_000_000.
 let to_float_sec t = float_of_int t /. 1e9

@@ -22,10 +22,6 @@ val ms : int -> t
 val sec : int -> t
 (** [sec n] is a duration of [n] seconds. *)
 
-val of_float_us : float -> t
-(** [of_float_us x] is a duration of [x] microseconds, rounded to the
-    nearest nanosecond. *)
-
 val to_float_us : t -> float
 (** [to_float_us t] is [t] expressed in microseconds. *)
 

@@ -59,13 +59,7 @@ let create ~loop () =
     wake_tick = 0;
   }
 
-let live_timers t = t.n_live
 let is_armed w = w.w_live
-
-let next_wake t =
-  match t.wake with
-  | Some h when Loop.is_pending t.loop h -> Some t.wake_tick
-  | _ -> None
 
 (* The heap's own tie rank, so wheel ties replay identically under a
    given salt. *)

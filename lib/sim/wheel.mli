@@ -28,9 +28,3 @@ val cancel : timer -> unit
 
 val is_armed : timer -> bool
 
-val live_timers : t -> int
-(** Armed, not-yet-fired timer count. *)
-
-val next_wake : t -> Time.t option
-(** Absolute time of the wheel's pending loop event, if any — [None]
-    means the wheel holds no live timers and is fully quiescent. *)

@@ -160,6 +160,5 @@ let guest_transmit t g ~dst_vip ~bytes =
   if ok then Engine.notify t.eng else Stats.Counter.incr g.c_drops;
   ok
 
-let guest_rx_ring g = g.rx
 let forwarded t = Stats.Counter.value t.c_forwarded
 let unroutable t = Stats.Counter.value t.c_unroutable

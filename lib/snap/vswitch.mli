@@ -32,8 +32,6 @@ type Memory.Packet.payload +=
 val guest_transmit : t -> guest -> dst_vip:int -> bytes:int -> bool
 (** Guest posts a packet to its transmit ring; [false] if full. *)
 
-val guest_rx_ring : guest -> Memory.Packet.t Squeue.Spsc.t
-
 val forwarded : t -> int
 val unroutable : t -> int
 (** This switch's counts.  All switch counters are also registered in

@@ -1,9 +1,5 @@
-type t = { mutable v : float; mutable sampler : (unit -> float) option }
+type t = { mutable sampler : unit -> float }
 
-let create () = { v = 0.0; sampler = None }
-let set t x = t.v <- x
-let add t x = t.v <- t.v +. x
-
-let set_sampler t f = t.sampler <- Some f
-
-let value t = match t.sampler with Some f -> f () | None -> t.v
+let create f = { sampler = f }
+let set_sampler t f = t.sampler <- f
+let value t = t.sampler ()

@@ -4,7 +4,6 @@
    histograms see a narrow value range, and per-flow ones exist by the
    thousand. *)
 type t = {
-  sub_bits : int;
   mutable counts : int array;
   mutable total : int;
   mutable sum : int;
@@ -12,13 +11,14 @@ type t = {
   mutable max_v : int;
 }
 
-let max_index sub_bits =
-  (* Values up to 2^62 land below this index. *)
-  ((63 - sub_bits) * (1 lsl sub_bits)) + (1 lsl (sub_bits + 1))
+(* Each power-of-two range splits into [2^sub_bits] linear buckets. *)
+let sub_bits = 5
 
-let create ?(sub_bits = 5) () =
-  if sub_bits < 1 || sub_bits > 10 then invalid_arg "Histogram.create";
-  { sub_bits; counts = [||]; total = 0; sum = 0; min_v = max_int; max_v = 0 }
+(* Values up to 2^62 land below this index. *)
+let max_index = ((63 - sub_bits) * (1 lsl sub_bits)) + (1 lsl (sub_bits + 1))
+
+let create () =
+  { counts = [||]; total = 0; sum = 0; min_v = max_int; max_v = 0 }
 
 (* Make bucket [idx] addressable: at least double, never past
    [max_index]. *)
@@ -26,7 +26,7 @@ let grow t idx =
   let n = Array.length t.counts in
   if idx >= n then begin
     let fresh =
-      Array.make (Int.min (max_index t.sub_bits) (Int.max (idx + 1) (2 * n))) 0
+      Array.make (Int.min max_index (Int.max (idx + 1) (2 * n))) 0
     in
     Array.blit t.counts 0 fresh 0 n;
     t.counts <- fresh
@@ -37,47 +37,42 @@ let msb_position v =
   let rec go v acc = if v = 1 then acc else go (v lsr 1) (acc + 1) in
   go v 0
 
-let index_of t v =
-  let sb = t.sub_bits in
-  if v < 1 lsl (sb + 1) then v
+let index_of v =
+  if v < 1 lsl (sub_bits + 1) then v
   else
     let m = msb_position v in
-    let shift = m - sb in
-    (shift lsl sb) + (v lsr shift)
+    let shift = m - sub_bits in
+    (shift lsl sub_bits) + (v lsr shift)
 
 (* Inverse of [index_of]: midpoint of the bucket. *)
-let value_of t idx =
-  let sb = t.sub_bits in
-  if idx < 1 lsl (sb + 1) then idx
+let value_of idx =
+  if idx < 1 lsl (sub_bits + 1) then idx
   else
-    let shift = (idx lsr sb) - 1 in
-    let sub = idx land ((1 lsl sb) - 1) lor (1 lsl sb) in
+    let shift = (idx lsr sub_bits) - 1 in
+    let sub = idx land ((1 lsl sub_bits) - 1) lor (1 lsl sub_bits) in
     let low = sub lsl shift in
     low + (1 lsl (shift - 1))
 
-let record_n t v ~n =
-  if n > 0 then begin
-    let v = if v < 0 then 0 else v in
-    let idx = index_of t v in
-    if idx >= Array.length t.counts then grow t idx;
-    t.counts.(idx) <- t.counts.(idx) + n;
-    t.total <- t.total + n;
-    t.sum <- t.sum + (v * n);
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
-  end
+let record t v =
+  let v = if v < 0 then 0 else v in
+  let idx = index_of v in
+  if idx >= Array.length t.counts then grow t idx;
+  t.counts.(idx) <- t.counts.(idx) + 1;
+  t.total <- t.total + 1;
+  t.sum <- t.sum + v;
+  if v < t.min_v then t.min_v <- v;
+  if v > t.max_v then t.max_v <- v
 
-let record t v = record_n t v ~n:1
 let count t = t.total
 let min_value t = if t.total = 0 then 0 else t.min_v
 let max_value t = t.max_v
 let sum t = t.sum
 let mean t = if t.total = 0 then 0.0 else float_of_int t.sum /. float_of_int t.total
 
-let quantile t q =
+let percentile t p =
   if t.total = 0 then 0
   else begin
-    let q = Float.min 1.0 (Float.max 0.0 q) in
+    let q = Float.min 1.0 (Float.max 0.0 (p /. 100.)) in
     let target = int_of_float (Float.round (q *. float_of_int t.total)) in
     let target = if target < 1 then 1 else target in
     let acc = ref 0 and result = ref t.max_v and found = ref false in
@@ -86,7 +81,7 @@ let quantile t q =
     while (not !found) && !i < n do
       acc := !acc + t.counts.(!i);
       if !acc >= target then begin
-        result := value_of t !i;
+        result := value_of !i;
         found := true
       end;
       incr i
@@ -95,16 +90,13 @@ let quantile t q =
     Int.min (Int.max !result t.min_v) t.max_v
   end
 
-let percentile t p = quantile t (p /. 100.)
-
 (* Bucket bounds: [low, low + width).  Derived the same way as
    [value_of]'s midpoint. *)
-let bucket_bounds t idx =
-  let sb = t.sub_bits in
-  if idx < 1 lsl (sb + 1) then (float_of_int idx, 1.0)
+let bucket_bounds idx =
+  if idx < 1 lsl (sub_bits + 1) then (float_of_int idx, 1.0)
   else
-    let shift = (idx lsr sb) - 1 in
-    let sub = idx land ((1 lsl sb) - 1) lor (1 lsl sb) in
+    let shift = (idx lsr sub_bits) - 1 in
+    let sub = idx land ((1 lsl sub_bits) - 1) lor (1 lsl sub_bits) in
     (float_of_int (sub lsl shift), float_of_int (1 lsl shift))
 
 let quantile_interp t q =
@@ -122,7 +114,7 @@ let quantile_interp t q =
     while (not !found) && !i < n do
       let c = t.counts.(!i) in
       if c > 0 && rank < float_of_int (!acc + c) then begin
-        let low, width = bucket_bounds t !i in
+        let low, width = bucket_bounds !i in
         (* Clamped: in the bucket's top half-slot the midpoint offset
            would carry the value past the bucket's end, above a larger
            rank's value in the next bucket. *)
@@ -139,11 +131,6 @@ let quantile_interp t q =
   end
 
 let merge_into ~src ~dst =
-  if src.sub_bits <> dst.sub_bits then
-    invalid_arg
-      (Printf.sprintf
-         "Histogram.merge_into: sub_bits mismatch (src %d, dst %d)"
-         src.sub_bits dst.sub_bits);
   grow dst (Array.length src.counts - 1);
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   dst.total <- dst.total + src.total;
@@ -159,13 +146,6 @@ let clear t =
   t.sum <- 0;
   t.min_v <- max_int;
   t.max_v <- 0
-
-let cdf t ?(points = 100) () =
-  if t.total = 0 then []
-  else
-    List.init points (fun i ->
-        let q = float_of_int (i + 1) /. float_of_int points in
-        (quantile t q, q))
 
 let pp_summary fmt t =
   if t.total = 0 then Format.fprintf fmt "(empty)"

@@ -56,28 +56,23 @@ let counter ?(labels = []) name =
     { m_name = name; m_labels = snd key; m_kind = Counter c };
   c
 
-let gauge ?(labels = []) name =
-  match add_metric name labels (fun () -> Gauge (Gauge.create ())) with
-  | Gauge g -> g
+let gauge_fn ?(labels = []) name f =
+  match add_metric name labels (fun () -> Gauge (Gauge.create f)) with
+  | Gauge g ->
+      (* Last registration wins: components re-created under the same
+         name (a fresh machine per bench section) re-point the gauge at
+         the live instance instead of sampling a stale closure. *)
+      Gauge.set_sampler g f;
+      g
   | k -> mismatch "gauge" name k
 
-let gauge_fn ?(labels = []) name f =
-  let g = gauge ~labels name in
-  (* Last registration wins: components re-created under the same name
-     (a fresh machine per bench section) re-point the gauge at the live
-     instance instead of sampling a stale closure. *)
-  Gauge.set_sampler g f;
-  g
-
-let histogram ?(labels = []) ?sub_bits name =
-  match
-    add_metric name labels (fun () -> Histogram (Histogram.create ?sub_bits ()))
-  with
+let histogram ?(labels = []) name =
+  match add_metric name labels (fun () -> Histogram (Histogram.create ())) with
   | Histogram h -> h
   | k -> mismatch "histogram" name k
 
 let series ?(labels = []) name =
-  match add_metric name labels (fun () -> Series (Series.create ~name ())) with
+  match add_metric name labels (fun () -> Series (Series.create ())) with
   | Series s -> s
   | k -> mismatch "series" name k
 

@@ -14,7 +14,7 @@
       registration.
     - {!gauge_fn} keeps one gauge and re-points its sampler at the
       latest registration.
-    - {!gauge}, {!histogram} and {!series} are create-or-get: every
+    - {!histogram} and {!series} are create-or-get: every
       registration returns the one instrument, which sums over them.
       Their readers aggregate across instances — engines that share a
       name feed one [engine_batch_cost_ns], every host feeds the same
@@ -39,15 +39,12 @@ type metric = { m_name : string; m_labels : labels; m_kind : kind }
 val counter : ?labels:labels -> string -> Counter.t
 (** A fresh counter at 0, now the one the key names. *)
 
-val gauge : ?labels:labels -> string -> Gauge.t
-
 val gauge_fn : ?labels:labels -> string -> (unit -> float) -> Gauge.t
 (** Create-or-get a gauge and (re-)install [f] as its sampler.  The last
     registration wins: components re-created under the same identity
     simply call this again and the gauge tracks the live instance. *)
 
-val histogram : ?labels:labels -> ?sub_bits:int -> string -> Histogram.t
-(** [sub_bits] only applies when the call creates the histogram. *)
+val histogram : ?labels:labels -> string -> Histogram.t
 
 val series : ?labels:labels -> string -> Series.t
 val find : ?labels:labels -> string -> metric option

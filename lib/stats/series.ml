@@ -1,14 +1,10 @@
 type t = {
-  series_name : string;
   mutable times : Sim.Time.t array;
   mutable values : float array;
   mutable n : int;
 }
 
-let create ?(name = "") () =
-  { series_name = name; times = Array.make 64 0; values = Array.make 64 0.0; n = 0 }
-
-let name t = t.series_name
+let create () = { times = Array.make 64 0; values = Array.make 64 0.0; n = 0 }
 
 let add t time v =
   if t.n = Array.length t.times then begin
@@ -31,8 +27,6 @@ let max_value t =
     if t.values.(i) > !best then best := t.values.(i)
   done;
   !best
-
-let last_value t = if t.n = 0 then 0.0 else t.values.(t.n - 1)
 
 let iter t f =
   for i = 0 to t.n - 1 do

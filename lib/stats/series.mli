@@ -4,14 +4,11 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 val add : t -> Sim.Time.t -> float -> unit
 val length : t -> int
 
 val max_value : t -> float
 (** Largest sample; 0 when empty. *)
-
-val last_value : t -> float
 
 val iter : t -> (Sim.Time.t -> float -> unit) -> unit

@@ -13,9 +13,9 @@ type result = {
 let read_bytes = 64
 let interval = Time.ms 10
 let seed = 5
+let duration = Time.ms 100
 
-let run ?(clients = 4) ?(batch = 8) ?(outstanding = 32)
-    ?(duration = Time.ms 100) () =
+let run ?(clients = 4) ?(batch = 8) ?(outstanding = 32) () =
   let loop = Sim.Loop.create ~seed () in
   let hosts_n = clients + 1 in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:hosts_n in
@@ -87,7 +87,7 @@ let run ?(clients = 4) ?(batch = 8) ?(outstanding = 32)
     client_hosts;
   (* Sample served accesses per interval (the production dashboard of
      Figure 8 samples per minute; the shape is rate-vs-time). *)
-  let series = Stats.Series.create ~name:"IOPS" () in
+  let series = Stats.Series.create () in
   let last = ref 0 in
   let engine = PE.engine_handle server_host.Snap.Host.pony 0 in
   let base_busy = ref 0 in

@@ -19,8 +19,8 @@ val run :
   ?clients:int ->
   ?batch:int ->
   ?outstanding:int ->
-  ?duration:Sim.Time.t ->
   unit ->
   result
 (** Defaults: 4 client hosts, batch 8, 32 outstanding requests per
-    client, 64-byte reads, 100 ms duration sampled every 10 ms. *)
+    client.  Every run issues 64-byte reads for 100 ms, sampled every
+    10 ms. *)

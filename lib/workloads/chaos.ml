@@ -11,13 +11,17 @@ let mode = Engine.Dedicating { cores = 1 }
    depths, per-account CPU). *)
 let poll_period = Time.us 100
 
+(* Concurrent closed-loop clients on host 0. *)
+let clients = 2
+
+(* Virtual-time budget; generous so recovery can finish. *)
+let run_cap = Time.ms 500
+
 type config = {
-  clients : int;
   ops_per_client : int;
   seed : int;
   tie_salt : int;
   plan : Fault.Plan.t;
-  run_cap : Time.t;
 }
 
 let default_plan =
@@ -54,14 +58,7 @@ let default_plan =
     ]
 
 let default_config =
-  {
-    clients = 2;
-    ops_per_client = 1500;
-    seed = 7;
-    tie_salt = 0;
-    plan = default_plan;
-    run_cap = Time.ms 500;
-  }
+  { ops_per_client = 1500; seed = 7; tie_salt = 0; plan = default_plan }
 
 type result = {
   ops_expected : int;
@@ -114,7 +111,7 @@ let run (cfg : config) : result =
              (Pony.Express.send_message ctx m.Pony.Express.msg_conn
                 ~bytes:op_bytes ())
          done));
-  for i = 0 to cfg.clients - 1 do
+  for i = 0 to clients - 1 do
     ignore
       (Snap.Host.spawn_app ha
          ~name:(Printf.sprintf "client%d" i)
@@ -140,7 +137,7 @@ let run (cfg : config) : result =
              last_done := Loop.now loop
            done))
   done;
-  Loop.run ~until:cfg.run_cap loop;
+  Loop.run ~until:run_cap loop;
   Check.Invariant.quiesce ();
   (* Every op completed (or was recovered after the engine crash): any
      op-pool byte still charged — including by the crashed engine's old
@@ -148,7 +145,7 @@ let run (cfg : config) : result =
   List.iter
     (fun h -> Memory.Pool.assert_quiesced (Pony.Express.op_pool h.Snap.Host.pony))
     [ ha; hb ];
-  let expected = cfg.clients * cfg.ops_per_client in
+  let expected = clients * cfg.ops_per_client in
   let sum_hosts f = f ha.Snap.Host.pony + f hb.Snap.Host.pony in
   let retransmits =
     sum_hosts (fun p ->

@@ -10,16 +10,15 @@
     an identical fault log and latency histogram. *)
 
 type config = {
-  clients : int;  (** Concurrent closed-loop clients on host 0. *)
-  ops_per_client : int;
+  ops_per_client : int;  (** Each of the 2 clients on host 0. *)
   seed : int;  (** Sim-loop seed (the plan carries its own). *)
   tie_salt : int;
       (** Event-loop tie-break perturbation (see {!Sim.Loop.create});
           0 keeps FIFO order.  Used by the determinism sweep. *)
   plan : Fault.Plan.t;
-  run_cap : Sim.Time.t;
-      (** Virtual-time budget; generous so recovery can finish. *)
 }
+(** Every run has 2 concurrent closed-loop clients and a 500 ms
+    virtual-time budget, generous so recovery can finish. *)
 
 val default_config : config
 (** 2 clients x 1500 ops of 1 KiB on dedicated engine cores, under the

@@ -16,9 +16,11 @@ let victim_bytes = 4096
 let mode = Engine.Dedicating { cores = 2 }
 let server_pool_bytes = 32 lsl 20
 
+(* Aggressors' offered load as a multiple of link capacity. *)
+let load_factor = 4.0
+
 type config = {
   aggressors : int;
-  load_factor : float;  (** Offered load as a multiple of link capacity. *)
   aggressor_bytes : int;
   aggressor_quota_ops : int;
   aggressor_quota_bytes : int;
@@ -35,7 +37,6 @@ type config = {
 let default_config =
   {
     aggressors = 4;
-    load_factor = 4.0;
     aggressor_bytes = 8192;
     aggressor_quota_ops = 64;
     aggressor_quota_bytes = 256 * 1024;
@@ -144,7 +145,7 @@ let run (cfg : config) : result =
     Int.max 1
       (int_of_float
          (float_of_int (cfg.aggressor_bytes * 8 * cfg.aggressors)
-         /. (link_gbps *. cfg.load_factor)))
+         /. (link_gbps *. load_factor)))
   in
   for i = 0 to cfg.aggressors - 1 do
     ignore

@@ -19,8 +19,7 @@
     ([Pool.assert_quiesced]). *)
 
 type config = {
-  aggressors : int;
-  load_factor : float;  (** Offered load as a multiple of link capacity. *)
+  aggressors : int;  (** Together they offer 4x link capacity. *)
   aggressor_bytes : int;
   aggressor_quota_ops : int;
   aggressor_quota_bytes : int;

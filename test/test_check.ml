@@ -77,7 +77,7 @@ let test_sabotage_flags () =
 
 let drain h =
   let rec go acc =
-    match Sim.Heap.pop h with Some v -> go (v :: acc) | None -> List.rev acc
+    if Sim.Heap.is_empty h then List.rev acc else go (Sim.Heap.pop_exn h :: acc)
   in
   go []
 
@@ -119,7 +119,7 @@ let test_heap_salt_reproducible () =
 
 let test_sweep_stable_fingerprints () =
   let o =
-    E.sweep ~seeds:[ 1; 2; 3 ] ~salts:[ 0; 1 ] ~repeats:2
+    E.sweep ~seeds:[ 1; 2; 3 ] ~salts:[ 0; 1 ]
       ~run:(fun ~seed ~salt:_ -> Printf.sprintf "fp-of-%d" seed)
       ()
   in
@@ -131,7 +131,7 @@ let test_sweep_stable_fingerprints () =
 
 let test_sweep_detects_salt_divergence () =
   let o =
-    E.sweep ~seeds:[ 1 ] ~salts:[ 0; 1 ] ~repeats:1
+    E.sweep ~seeds:[ 1 ] ~salts:[ 0; 1 ]
       ~run:(fun ~seed ~salt -> Printf.sprintf "%d.%d" seed salt)
       ()
   in
@@ -141,7 +141,7 @@ let test_sweep_detects_salt_divergence () =
 
 let test_sweep_captures_violations () =
   let o =
-    E.sweep ~seeds:[ 1; 2 ] ~salts:[ 0 ] ~repeats:1
+    E.sweep ~seeds:[ 1; 2 ] ~salts:[ 0 ]
       ~run:(fun ~seed ~salt:_ ->
         if seed = 2 then raise (I.Violation "injected for the test");
         "stable")
@@ -165,7 +165,6 @@ let mini_chaos ~seed ~salt =
         ops_per_client = 40;
         seed;
         tie_salt = salt;
-        run_cap = Sim.Time.ms 120;
       }
   in
   Workloads.Chaos.fingerprint r
@@ -173,7 +172,7 @@ let mini_chaos ~seed ~salt =
 let test_chaos_mini_sweep () =
   with_checking (fun () ->
       let o =
-        E.sweep ~seeds:[ 1; 2 ] ~salts:[ 0; 1 ] ~repeats:1 ~run:mini_chaos ()
+        E.sweep ~seeds:[ 1; 2 ] ~salts:[ 0; 1 ] ~run:mini_chaos ()
       in
       if not (E.ok o) then Alcotest.fail (E.summary o);
       check_bool "invariants actually ran" true (I.evaluations () > 0))
@@ -211,7 +210,7 @@ let test_spec_table () =
       List.iter
         (fun (spec : S.t) ->
           let o =
-            E.sweep ~seeds:[ 1 ] ~salts:[ 0; 1 ] ~repeats:2
+            E.sweep ~seeds:[ 1 ] ~salts:[ 0; 1 ]
               ~run:(fun ~seed ~salt ->
                 S.checked_fingerprint (spec.small ~seed ~tie_salt:salt))
               ()

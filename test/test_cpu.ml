@@ -82,17 +82,16 @@ let test_cfs_fair_share () =
       remaining := !remaining - c
     done
   in
-  let ta =
-    Cpu.Thread.spawn m ~name:"a" ~account:"a"
-      ~klass:(Cpu.Sched.Cfs { nice = 0 }) (fun ctx -> spin_chunk ctx (T.ms 200))
-  in
-  let tb =
-    Cpu.Thread.spawn m ~name:"b" ~account:"b"
-      ~klass:(Cpu.Sched.Cfs { nice = 0 }) (fun ctx -> spin_chunk ctx (T.ms 200))
-  in
+  List.iter
+    (fun name ->
+      ignore
+        (Cpu.Thread.spawn m ~name ~account:name
+           ~klass:(Cpu.Sched.Cfs { nice = 0 })
+           (fun ctx -> spin_chunk ctx (T.ms 200))))
+    [ "a"; "b" ];
   Sim.Loop.run ~until:(T.ms 100) loop;
-  busy_a := Cpu.Sched.task_busy_ns ta;
-  busy_b := Cpu.Sched.task_busy_ns tb;
+  busy_a := Cpu.Sched.account_busy_ns m "a";
+  busy_b := Cpu.Sched.account_busy_ns m "b";
   let total = !busy_a + !busy_b in
   check_bool "both ran" true (!busy_a > 0 && !busy_b > 0);
   (* Equal-nice tasks should split the core roughly evenly. *)
@@ -131,15 +130,16 @@ let test_mq_throttling () =
   (* An MQ task with 20% bandwidth on an otherwise idle machine must not
      consume much more than 20% of one core. *)
   let loop, m = mk ~cores:1 () in
-  let t =
-    Cpu.Thread.spawn m ~name:"rt" ~account:"rt"
-      ~klass:(Cpu.Sched.Micro_quanta { runtime_pct = 0.2 }) (fun ctx ->
-        for _ = 1 to 1_000_000 do
-          Cpu.Thread.compute ctx (T.us 50)
-        done)
-  in
+  ignore
+    (Cpu.Thread.spawn m ~name:"rt" ~account:"rt"
+       ~klass:(Cpu.Sched.Micro_quanta { runtime_pct = 0.2 }) (fun ctx ->
+         for _ = 1 to 1_000_000 do
+           Cpu.Thread.compute ctx (T.us 50)
+         done));
   Sim.Loop.run ~until:(T.ms 100) loop;
-  let frac = float_of_int (Cpu.Sched.task_busy_ns t) /. float_of_int (T.ms 100) in
+  let frac =
+    float_of_int (Cpu.Sched.account_busy_ns m "rt") /. float_of_int (T.ms 100)
+  in
   check_bool "throttled near 20%" true (frac > 0.15 && frac < 0.30)
 
 let test_pinned_spin_accounting () =
@@ -153,9 +153,8 @@ let test_pinned_spin_accounting () =
   in
   Cpu.Sched.start t;
   Sim.Loop.run ~until:(T.ms 10) loop;
-  let busy = Cpu.Sched.task_busy_ns t in
-  check_bool "spinning counts as busy" true (busy > T.ms 9);
-  check_bool "snap account" true (Cpu.Sched.account_busy_ns m "snap" > T.ms 9)
+  check_bool "spinning counts as busy" true
+    (Cpu.Sched.account_busy_ns m "snap" > T.ms 9)
 
 let test_kick_spinning_task () =
   let loop, m = mk ~cores:2 () in
@@ -255,7 +254,7 @@ let test_interrupt_steals_from_running () =
          done_at := Cpu.Thread.now ctx));
   ignore
     (Sim.Loop.at loop (T.us 50) (fun () ->
-         Cpu.Sched.interrupt m ~core:0 ~cost:(T.us 30) (fun () -> ())));
+         Cpu.Sched.interrupt m ~cost:(T.us 30) (fun () -> ())));
   Sim.Loop.run loop;
   check_bool "task delayed by steal" true (!done_at >= T.us 230)
 

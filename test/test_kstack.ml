@@ -7,17 +7,18 @@ let check_bool = Alcotest.(check bool)
 
 type host = { m : Cpu.Sched.machine; stack : Kstack.t }
 
-let mk_pair ?(busy_poll = false) ?(mtu = 4096) ?(rx_slots = 4096)
+let mk_pair ?(busy_poll = false) ?(mtu = 4096) ?fault
     ?(fab_cfg = Fabric.default_config) () =
   let loop = Sim.Loop.create () in
   let fab = Fabric.create ~loop ~config:fab_cfg ~hosts:2 in
+  Option.iter (Fabric.set_fault_hook fab) fault;
   let mk addr =
     let m =
       Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "m%d" addr) ~cores:8
     in
     let nic =
       Nic.create ~loop ~machine:m ~fabric:fab ~addr
-        { Nic.default_config with Nic.mtu; Nic.rx_ring_slots = rx_slots }
+        { Nic.default_config with Nic.mtu }
     in
     let stack = Kstack.create ~loop ~machine:m ~nic ~busy_poll () in
     { m; stack }
@@ -36,9 +37,7 @@ let test_connect () =
          connected := true));
   Sim.Loop.run ~until:(T.ms 50) loop;
   check_bool "connected" true !connected;
-  check_int "accepted" 1 !accepted;
-  check_int "client sees stream" 1 (Kstack.active_streams a.stack);
-  check_int "server sees stream" 1 (Kstack.active_streams b.stack)
+  check_int "accepted" 1 !accepted
 
 let run_transfer ?(busy_poll = false) ?(mtu = 4096) ~total ~chunk () =
   let loop, a, b = mk_pair ~busy_poll ~mtu () in
@@ -125,13 +124,23 @@ let test_rr_latency () =
     (avg > T.us 10 && avg < T.us 60)
 
 let test_retransmit_on_loss () =
-  (* Tiny NIC receive rings overrun when the wire outpaces softirq
-     processing, forcing drops; the transfer must still complete via
-     retransmission. *)
-  let loop, a, b = mk_pair ~rx_slots:16 () in
+  (* The fabric drops every 100th data packet toward the receiver; the
+     transfer must still complete via retransmission. *)
+  let data = ref 0 and dropped = ref 0 in
+  let fault (p : Memory.Packet.t) =
+    if p.Memory.Packet.dst = 1 && p.Memory.Packet.wire_bytes > 1000 then begin
+      incr data;
+      if !data mod 100 = 0 then begin
+        incr dropped;
+        Fabric.Fault_drop
+      end
+      else Fabric.Fault_pass
+    end
+    else Fabric.Fault_pass
+  in
+  let loop, a, b = mk_pair ~fault () in
   let total = 2 * 1024 * 1024 in
   let received = ref 0 in
-  let client_sock = ref None in
   Kstack.listen b.stack ~port:80 ~on_accept:(fun sock ->
       ignore
         (Cpu.Thread.spawn b.m ~name:"server" ~account:"app"
@@ -143,17 +152,14 @@ let test_retransmit_on_loss () =
     (Cpu.Thread.spawn a.m ~name:"client" ~account:"app"
        ~klass:(Cpu.Sched.Cfs { nice = 0 }) (fun ctx ->
          let sock = Kstack.connect ctx a.stack ~dst:1 ~port:80 in
-         client_sock := Some sock;
          let sent = ref 0 in
          while !sent < total do
            Kstack.send ctx sock ~bytes:65536;
            sent := !sent + 65536
          done));
   Sim.Loop.run ~until:(T.sec 5) loop;
-  check_int "delivered despite loss" total !received;
-  match !client_sock with
-  | Some s -> check_bool "retransmissions happened" true (Kstack.retransmits s > 0)
-  | None -> Alcotest.fail "no client socket"
+  check_bool "data packets were lost" true (!dropped > 0);
+  check_int "delivered despite loss" total !received
 
 let test_many_streams_slower_than_one () =
   (* Table 1: 200 simultaneously active streams degrade per-byte

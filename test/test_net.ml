@@ -12,15 +12,18 @@ let mk_pkt ?(id = 0) ?(src = 0) ?(dst = 1) ?(flow = 0) ?(qos = 0) bytes =
 let test_fabric_delivery_latency () =
   let loop = Sim.Loop.create () in
   let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let arrived = ref (-1) in
-  Fabric.attach fab ~addr:1 ~rx:(fun _ -> arrived := Sim.Loop.now loop);
+  let arrived = ref (-1) and delivered = ref 0 and bytes = ref 0 in
+  Fabric.attach fab ~addr:1 ~rx:(fun p ->
+      arrived := Sim.Loop.now loop;
+      incr delivered;
+      bytes := !bytes + p.P.wire_bytes);
   Fabric.attach fab ~addr:0 ~rx:(fun _ -> ());
   Fabric.send fab (mk_pkt 1000);
   Sim.Loop.run loop;
   (* prop 500 + switch 300 + serialization 80 (1000B @ 100Gbps) + prop 500 *)
   check_int "latency" 1380 !arrived;
-  check_int "delivered" 1 (Fabric.delivered fab);
-  check_int "bytes" 1000 (Fabric.delivered_bytes fab)
+  check_int "delivered" 1 !delivered;
+  check_int "bytes" 1000 !bytes
 
 let test_fabric_queueing () =
   (* Two packets to the same port serialize one after the other. *)
@@ -92,7 +95,6 @@ let test_nic_end_to_end () =
   check_bool "tx accepted" true (Nic.try_transmit nic0 (mk_pkt 1000));
   Sim.Loop.run loop;
   check_int "tx count" 1 (Nic.tx_count nic0);
-  check_int "rx count" 1 (Nic.rx_count nic1);
   let ring = Nic.rx_ring nic1 ~queue:0 in
   check_int "packet in ring 0" 1 (Squeue.Spsc.length ring)
 
@@ -162,17 +164,17 @@ let test_nic_interrupt_notify_and_rearm () =
   check_int "rearm fires" 2 !irqs
 
 let test_nic_tx_ring_full () =
-  let cfg = { Nic.default_config with Nic.tx_ring_slots = 4 } in
-  let loop, _fab, hosts = mk_host ~nic_cfg:cfg () in
+  let loop, _fab, hosts = mk_host () in
   let _, nic0 = List.nth hosts 0 in
+  let slots = Nic.tx_slots_free nic0 in
   let accepted = ref 0 in
-  for _ = 1 to 10 do
+  for _ = 1 to slots + 6 do
     if Nic.try_transmit nic0 (mk_pkt 1000) then incr accepted
   done;
-  check_int "ring bounded" 4 !accepted;
+  check_int "ring bounded" 1024 !accepted;
   check_int "slots free" 0 (Nic.tx_slots_free nic0);
   Sim.Loop.run loop;
-  check_int "slots recovered" 4 (Nic.tx_slots_free nic0)
+  check_int "slots recovered" 1024 (Nic.tx_slots_free nic0)
 
 let test_nic_tx_drain_hook () =
   let loop, _fab, hosts = mk_host () in
@@ -194,21 +196,19 @@ let test_nic_mtu_enforced () =
 
 let test_copy_engine () =
   let loop = Sim.Loop.create () in
-  let ce = Nic.Copy_engine.create ~loop ~bandwidth_gbps:80.0 () in
+  let ce = Nic.Copy_engine.create ~loop () in
   let done_at = ref [] in
   Nic.Copy_engine.submit ce ~bytes:10_000 ~on_complete:(fun () ->
       done_at := Sim.Loop.now loop :: !done_at);
   Nic.Copy_engine.submit ce ~bytes:10_000 ~on_complete:(fun () ->
       done_at := Sim.Loop.now loop :: !done_at);
-  check_int "in flight" 2 (Nic.Copy_engine.in_flight ce);
   Sim.Loop.run loop;
-  (match List.rev !done_at with
+  match List.rev !done_at with
   | [ a; b ] ->
-      (* 10 kB at 80 Gbps = 1000 ns each, serialized. *)
-      check_int "first" 1000 a;
-      check_int "second" 2000 b
-  | _ -> Alcotest.fail "expected two completions");
-  check_int "completed" 2 (Nic.Copy_engine.completed ce)
+      (* 10 kB at 240 Gbps = 333 ns each, serialized. *)
+      check_int "first" 333 a;
+      check_int "second" 666 b
+  | _ -> Alcotest.fail "expected two completions"
 
 let () =
   Alcotest.run "net"

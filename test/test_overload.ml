@@ -21,14 +21,22 @@ let mk_admission ?(pool_bytes = 1 lsl 20) ?max_ops ?max_bytes
 
 let admit adm ~now ~bytes = Overload.Admission.admit adm ~now ~bytes
 
+(* The [overload_ops_admitted] counter the registry names for [owner]:
+   the latest admission made for it. *)
+let admitted_in_registry owner =
+  match
+    Stats.Registry.find ~labels:[ ("client", owner) ] "overload_ops_admitted"
+  with
+  | Some { Stats.Registry.m_kind = Stats.Registry.Counter c; _ } ->
+      Stats.Counter.value c
+  | _ -> Alcotest.fail "overload_ops_admitted not registered"
+
 let test_admission_op_quota () =
   let _pool, adm = mk_admission ~max_ops:2 () in
   let charge v =
     match v with
     | Overload.Admission.Admitted c -> c
-    | Rejected r ->
-        Alcotest.failf "unexpected rejection: %s"
-          (Overload.Admission.reject_reason_to_string r)
+    | Rejected _ -> Alcotest.fail "unexpected rejection"
   in
   let c1 = charge (admit adm ~now:0 ~bytes:100) in
   let _c2 = charge (admit adm ~now:0 ~bytes:100) in
@@ -36,14 +44,13 @@ let test_admission_op_quota () =
   | Rejected Over_op_quota -> ()
   | _ -> Alcotest.fail "third op must exceed the op quota");
   check_int "two outstanding" 2 (Overload.Admission.outstanding_ops adm);
-  check_int "rejection counted" 1
-    (Overload.Admission.rejected_by adm Overload.Admission.Over_op_quota);
+  check_int "rejection counted" 1 (Overload.Admission.rejected adm);
   (* Releasing one frees the slot. *)
   Overload.Admission.release adm c1;
   (match admit adm ~now:0 ~bytes:100 with
   | Admitted _ -> ()
   | Rejected _ -> Alcotest.fail "slot freed by release");
-  check_int "admissions counted" 3 (Overload.Admission.admitted adm)
+  check_int "admissions counted" 3 (admitted_in_registry "client")
 
 let test_admission_byte_quota_charges_pool () =
   let pool, adm = mk_admission ~max_bytes:1000 () in
@@ -78,14 +85,14 @@ let test_admission_rate_limit () =
   check_bool "burst 1" true (ok 0);
   check_bool "burst 2" true (ok 0);
   check_bool "bucket empty" false (ok 0);
-  check_int "rate rejection counted" 1
-    (Overload.Admission.rejected_by adm Overload.Admission.Rate_limited);
+  check_int "rate rejection counted" 1 (Overload.Admission.rejected adm);
   (* 1000 ops/s is one token per millisecond. *)
   check_bool "token refilled" true (ok (T.ms 1));
   check_bool "only one token refilled" false (ok (T.ms 1))
 
 (* Two admissions for one owner on one pool: each counts only its own
-   admits, and the registry key names the one made last. *)
+   admits, and the registry key names the one made last, from the
+   moment it is made. *)
 let test_admission_counts_per_instance () =
   let pool = Memory.Pool.create ~name:"adm-test" ~capacity_bytes:(1 lsl 20) in
   let owner = "tenant" in
@@ -99,18 +106,14 @@ let test_admission_counts_per_instance () =
   in
   let first = make () in
   admit_n first 2;
+  check_int "registry reads the first" 2 (admitted_in_registry owner);
   let second = make () in
+  check_int "a second admission starts at zero" 0 (admitted_in_registry owner);
   admit_n second 3;
   admit_n first 1;
-  check_int "first counts its own" 3 (Overload.Admission.admitted first);
-  check_int "second counts its own" 3 (Overload.Admission.admitted second);
+  check_int "second counts its own" 3 (admitted_in_registry owner);
   admit_n second 1;
-  match
-    Stats.Registry.find ~labels:[ ("client", owner) ] "overload_ops_admitted"
-  with
-  | Some { Stats.Registry.m_kind = Stats.Registry.Counter c; _ } ->
-      check_int "registry reads the second" 4 (Stats.Counter.value c)
-  | _ -> Alcotest.fail "overload_ops_admitted not registered"
+  check_int "registry reads the second" 4 (admitted_in_registry owner)
 
 (* -- Pressure state machine ----------------------------------------------- *)
 
@@ -193,7 +196,6 @@ let test_pool_release_owner () =
   check_int "bulk reclaim returns eng0's bytes" 500
     (Memory.Pool.release_owner p ~owner:"eng0");
   check_int "eng1 untouched" 100 (Memory.Pool.in_use p);
-  check_int "reclaim telemetry" 500 (Memory.Pool.released_bytes p);
   (* Stale frees from the dead owner's generation are no-ops... *)
   Memory.Pool.free a;
   Memory.Pool.free b;
@@ -259,7 +261,6 @@ let test_window_caps_flight () =
   (match emit () with
   | Some p -> deliver_and_ack p
   | None -> Alcotest.fail "first emit");
-  check_int "peer window learned" 2 (Pony.Flow.peer_window a);
   (* Now the sender may put exactly two more in flight, no third. *)
   let p2 = emit () and p3 = emit () in
   check_bool "two allowed" true (Option.is_some p2 && Option.is_some p3);
@@ -290,7 +291,6 @@ let test_zero_window_probe_reopens () =
       | None -> Alcotest.fail "expected ack")
   | None -> Alcotest.fail "first emit");
   now := !now + 2_000;
-  check_int "zero window learned" 0 (Pony.Flow.peer_window a);
   check_bool "quenched: nothing emitted" true
     (Pony.Flow.emit a ~now:!now ~gen = None);
   check_int "data still waiting" 2 (Pony.Flow.pending a);
@@ -310,7 +310,6 @@ let test_zero_window_probe_reopens () =
       | Some ack -> ignore (Pony.Flow.on_receive a ~now:(!now + 1_000) ack)
       | None -> Alcotest.fail "expected probe ack")
   | None -> Alcotest.fail "probe must be allowed through a zero window");
-  check_int "window reopened" 8 (Pony.Flow.peer_window a);
   now := !now + 2_000;
   check_bool "flow resumed" true (Option.is_some (Pony.Flow.emit a ~now:!now ~gen));
   check_int "exactly one probe" 1 (Pony.Flow.zero_window_probes a)
@@ -344,7 +343,6 @@ let test_rto_retransmit_bypasses_zero_window () =
   (match Pony.Flow.make_ack b ~now:!now ~gen with
   | Some ack -> ignore (Pony.Flow.on_receive a ~now:(!now + 1_000) ack)
   | None -> Alcotest.fail "expected ack");
-  check_int "window closed" 0 (Pony.Flow.peer_window a);
   check_int "two lost in flight" 2 (Pony.Flow.in_flight a);
   (* RTO fires; the requeued packets transmit straight through. *)
   check_int "go-back-n requeued" 2 (Pony.Flow.check_timeout a ~now:(T.ms 5));
@@ -428,7 +426,7 @@ let test_overload_deterministic () =
   let r2 = O.run cfg in
   Alcotest.(check string)
     "same seed, same fingerprint" (O.fingerprint r1) (O.fingerprint r2);
-  let r3 = O.run { cfg with O.load_factor = 2.0 *. cfg.O.load_factor } in
+  let r3 = O.run { cfg with O.aggressors = cfg.O.aggressors - 1 } in
   check_bool "config change perturbs the fingerprint" true
     (O.fingerprint r3 <> O.fingerprint r1)
 

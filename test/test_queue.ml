@@ -20,9 +20,7 @@ let test_spsc_full_drop () =
   check_bool "a" true (Squeue.Spsc.push q ~now:0 'a');
   check_bool "b" true (Squeue.Spsc.push q ~now:0 'b');
   check_bool "c rejected" false (Squeue.Spsc.push q ~now:0 'c');
-  check_int "dropped" 1 (Squeue.Spsc.dropped q);
-  check_int "pushed" 2 (Squeue.Spsc.pushed q);
-  check_bool "full" true (Squeue.Spsc.is_full q)
+  check_int "full" 2 (Squeue.Spsc.length q)
 
 let test_spsc_oldest_age () =
   let q = Squeue.Spsc.create ~capacity:8 () in
@@ -38,9 +36,17 @@ let test_spsc_drain () =
   for i = 1 to 10 do
     ignore (Squeue.Spsc.push q ~now:0 i)
   done;
-  let sum = ref 0 in
-  let n = Squeue.Spsc.drain q (fun v -> sum := !sum + v) in
-  check_int "drained" 10 n;
+  let sum = ref 0 and n = ref 0 in
+  let rec drain () =
+    match Squeue.Spsc.pop q with
+    | Some v ->
+        sum := !sum + v;
+        incr n;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  check_int "drained" 10 !n;
   check_int "sum" 55 !sum;
   check_bool "empty after" true (Squeue.Spsc.is_empty q)
 
@@ -56,7 +62,6 @@ let test_spsc_wraparound () =
       check_bool "push" true (Squeue.Spsc.push q ~now:0 !next);
       incr next
     done;
-    check_bool "full after fill" true (Squeue.Spsc.is_full q);
     check_int "length at capacity" cap (Squeue.Spsc.length q);
     for _ = 1 to cap do
       Alcotest.(check (option int)) "pop in order" (Some !expect)
@@ -64,8 +69,7 @@ let test_spsc_wraparound () =
       incr expect
     done;
     check_bool "empty after drain" true (Squeue.Spsc.is_empty q)
-  done;
-  check_int "no drops across wraps" 0 (Squeue.Spsc.dropped q)
+  done
 
 let test_spsc_full_ring_wrap () =
   (* Hold the ring at capacity while sliding the window forward: every
@@ -81,13 +85,12 @@ let test_spsc_full_ring_wrap () =
     Alcotest.(check (option int)) "window head" (Some (i - cap))
       (Squeue.Spsc.pop q);
     check_bool "reuse freed slot" true (Squeue.Spsc.push q ~now:0 i);
-    check_bool "full again" true (Squeue.Spsc.is_full q)
+    check_int "full again" cap (Squeue.Spsc.length q)
   done;
   for i = 21 to 21 + cap - 1 do
     Alcotest.(check (option int)) "tail order" (Some i) (Squeue.Spsc.pop q)
   done;
-  Alcotest.(check (option int)) "empty" None (Squeue.Spsc.pop q);
-  check_int "one drop per rejected push" 21 (Squeue.Spsc.dropped q)
+  Alcotest.(check (option int)) "empty" None (Squeue.Spsc.pop q)
 
 let spsc_prop_occupancy =
   QCheck.Test.make
@@ -95,17 +98,19 @@ let spsc_prop_occupancy =
     QCheck.(list (int_bound 1))
     (fun ops ->
       let q = Squeue.Spsc.create ~capacity:3 () in
-      let pops = ref 0 in
+      let pushes = ref 0 and pops = ref 0 in
       let ok = ref true in
       let check_gauges () =
-        let occ = Squeue.Spsc.pushed q - !pops in
+        let occ = !pushes - !pops in
         if Squeue.Spsc.length q <> occ then ok := false;
         if Squeue.Spsc.is_empty q <> (occ = 0) then ok := false;
-        if Squeue.Spsc.is_full q <> (occ = 3) then ok := false
+        if occ > 3 then ok := false
       in
       List.iter
         (fun op ->
-          (if op = 0 then ignore (Squeue.Spsc.push q ~now:0 op)
+          (if op = 0 then begin
+             if Squeue.Spsc.push q ~now:0 op then incr pushes
+           end
            else match Squeue.Spsc.pop q with
              | Some _ -> incr pops
              | None -> ());
@@ -172,14 +177,11 @@ let test_spsc_growth () =
     done
   done;
   while Squeue.Spsc.length q < cap do push () done;
-  check_bool "full at capacity" true (Squeue.Spsc.is_full q);
   check_bool "push at capacity rejected" false (Squeue.Spsc.push q ~now:0 (-1));
-  check_int "drop counted" 1 (Squeue.Spsc.dropped q);
   check_int "oldest age at capacity" (100_000 - (10 * !expect))
     (Squeue.Spsc.oldest_age q ~now:100_000);
   while not (Squeue.Spsc.is_empty q) do pop () done;
-  check_int "every push popped" !next !expect;
-  check_int "pushed" !next (Squeue.Spsc.pushed q)
+  check_int "every push popped" !next !expect
 
 let test_spsc_footprint () =
   let q = Squeue.Spsc.create ~capacity:4096 () in
@@ -203,7 +205,7 @@ let test_mailbox () =
   let ran = ref 0 in
   check_bool "post" true (Squeue.Mailbox.post mb (fun () -> ran := 1));
   check_bool "second post fails" false (Squeue.Mailbox.post mb (fun () -> ran := 2));
-  check_bool "occupied" true (Squeue.Mailbox.is_occupied mb);
+  check_int "occupied" 1 (Squeue.Mailbox.posted mb - Squeue.Mailbox.serviced mb);
   check_bool "service runs" true (Squeue.Mailbox.service mb);
   check_int "first work ran" 1 !ran;
   check_bool "service idle" false (Squeue.Mailbox.service mb);
@@ -228,7 +230,8 @@ let test_mailbox_cycles () =
     check_int "ran posted work" i !ran;
     check_int "posted count" i (Squeue.Mailbox.posted mb);
     check_int "serviced count" i (Squeue.Mailbox.serviced mb);
-    check_bool "slot free again" false (Squeue.Mailbox.is_occupied mb)
+    check_int "slot free again" 0
+      (Squeue.Mailbox.posted mb - Squeue.Mailbox.serviced mb)
   done
 
 let test_notifier_armed () =
@@ -250,8 +253,7 @@ let test_notifier_coalesce () =
   Squeue.Notifier.signal n;
   let fired = ref 0 in
   Squeue.Notifier.arm n (fun () -> incr fired);
-  check_int "coalesced to one" 1 !fired;
-  check_int "signals counted" 3 (Squeue.Notifier.signals n)
+  check_int "coalesced to one" 1 !fired
 
 let () =
   Alcotest.run "squeue"

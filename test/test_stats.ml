@@ -6,11 +6,11 @@ let check_bool = Alcotest.(check bool)
 let test_hist_empty () =
   let h = Stats.Histogram.create () in
   check_int "count" 0 (Stats.Histogram.count h);
-  check_int "quantile" 0 (Stats.Histogram.quantile h 0.5);
+  check_int "quantile" 0 (Stats.Histogram.percentile h 50.);
   check_int "min" 0 (Stats.Histogram.min_value h)
 
 let test_hist_exact_small () =
-  (* Values below 2^(sub_bits+1) are recorded exactly. *)
+  (* Values below 64 are recorded exactly. *)
   let h = Stats.Histogram.create () in
   List.iter (Stats.Histogram.record h) [ 1; 2; 3; 4; 5 ];
   check_int "p50" 3 (Stats.Histogram.percentile h 50.);
@@ -22,7 +22,7 @@ let test_hist_relative_error () =
   let h = Stats.Histogram.create () in
   let v = 1_234_567 in
   Stats.Histogram.record h v;
-  let q = Stats.Histogram.quantile h 1.0 in
+  let q = Stats.Histogram.percentile h 100. in
   (* max_value is exact *)
   check_int "max exact" v (Stats.Histogram.max_value h);
   let err = abs (q - v) in
@@ -34,37 +34,33 @@ let test_hist_relative_error () =
    original value.  Power-of-two boundaries are where the log-linear
    grid changes resolution, so probe 2^k - 1, 2^k, 2^k + 1. *)
 let test_hist_index_value_round_trip () =
-  List.iter
-    (fun sub_bits ->
-      let h = Stats.Histogram.create ~sub_bits () in
-      let bound = 2.0 ** float_of_int (-sub_bits) in
-      for k = 0 to 61 do
-        List.iter
-          (fun v ->
-            if v >= 0 then begin
-              let idx = Stats.Histogram.index_of h v in
-              let mid = Stats.Histogram.value_of h idx in
-              Alcotest.(check int)
-                (Printf.sprintf "sub_bits=%d v=%d same bucket" sub_bits v)
-                idx
-                (Stats.Histogram.index_of h mid);
-              let err = abs (mid - v) in
-              check_bool
-                (Printf.sprintf "sub_bits=%d v=%d midpoint error" sub_bits v)
-                true
-                (v = 0 || float_of_int err /. float_of_int v <= bound)
-            end)
-          [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
-      done)
-    [ 1; 5; 10 ]
+  (* 32 linear buckets per power of two. *)
+  let bound = 2.0 ** -5.0 in
+  for k = 0 to 61 do
+    List.iter
+      (fun v ->
+        if v >= 0 then begin
+          let idx = Stats.Histogram.index_of v in
+          let mid = Stats.Histogram.value_of idx in
+          Alcotest.(check int)
+            (Printf.sprintf "v=%d same bucket" v)
+            idx
+            (Stats.Histogram.index_of mid);
+          let err = abs (mid - v) in
+          check_bool
+            (Printf.sprintf "v=%d midpoint error" v)
+            true
+            (v = 0 || float_of_int err /. float_of_int v <= bound)
+        end)
+      [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done
 
 let hist_prop_round_trip =
   QCheck.Test.make ~name:"value_of is a right inverse of index_of" ~count:500
     QCheck.(int_bound max_int)
     (fun v ->
-      let h = Stats.Histogram.create () in
-      let idx = Stats.Histogram.index_of h v in
-      Stats.Histogram.index_of h (Stats.Histogram.value_of h idx) = idx)
+      let idx = Stats.Histogram.index_of v in
+      Stats.Histogram.index_of (Stats.Histogram.value_of idx) = idx)
 
 let test_hist_quantiles_order () =
   let h = Stats.Histogram.create () in
@@ -201,7 +197,7 @@ let hist_prop_merge_grown =
         && H.max_value h = H.max_value whole
         && List.for_all
              (fun q ->
-               H.quantile h q = H.quantile whole q
+               H.percentile h (100. *. q) = H.percentile whole (100. *. q)
                && H.quantile_interp h q = H.quantile_interp whole q)
              [ 0.0; 0.01; 0.25; 0.5; 0.9; 0.99; 1.0 ]
       in
@@ -217,30 +213,13 @@ let test_hist_negative_clamped () =
   check_int "clamped to zero" 0 (Stats.Histogram.max_value h);
   check_int "counted" 1 (Stats.Histogram.count h)
 
-let test_hist_record_n () =
-  let h = Stats.Histogram.create () in
-  Stats.Histogram.record_n h 10 ~n:5;
-  check_int "count" 5 (Stats.Histogram.count h);
-  check_int "sum" 50 (Stats.Histogram.sum h)
-
-let test_hist_cdf () =
-  let h = Stats.Histogram.create () in
-  for i = 1 to 1000 do
-    Stats.Histogram.record h i
-  done;
-  let cdf = Stats.Histogram.cdf h ~points:10 () in
-  check_int "ten points" 10 (List.length cdf);
-  let fractions = List.map snd cdf in
-  check_bool "monotone fractions" true
-    (List.sort compare fractions = fractions)
-
 let hist_prop_quantile_bounds =
   QCheck.Test.make ~name:"quantile stays within min/max" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (int_bound 1_000_000)) (float_bound_inclusive 1.0))
     (fun (values, q) ->
       let h = Stats.Histogram.create () in
       List.iter (Stats.Histogram.record h) values;
-      let v = Stats.Histogram.quantile h q in
+      let v = Stats.Histogram.percentile h (100. *. q) in
       v >= Stats.Histogram.min_value h && v <= Stats.Histogram.max_value h)
 
 let hist_prop_mean_matches =
@@ -255,26 +234,16 @@ let hist_prop_mean_matches =
       in
       Float.abs (Stats.Histogram.mean h -. expect) < 1e-6)
 
-let test_hist_merge_sub_bits_mismatch () =
-  let a = Stats.Histogram.create ~sub_bits:5 () in
-  let b = Stats.Histogram.create ~sub_bits:6 () in
-  Stats.Histogram.record a 10;
-  Stats.Histogram.record b 10;
-  Alcotest.check_raises "mismatched precision rejected"
-    (Invalid_argument "Histogram.merge_into: sub_bits mismatch (src 6, dst 5)")
-    (fun () -> Stats.Histogram.merge_into ~src:b ~dst:a);
-  (* The failed merge must not have touched the destination. *)
-  check_int "dst unchanged" 1 (Stats.Histogram.count a)
-
 let test_series () =
-  let s = Stats.Series.create ~name:"iops" () in
+  let s = Stats.Series.create () in
   for i = 1 to 100 do
     Stats.Series.add s (Sim.Time.ms i) (float_of_int (i * 10))
   done;
   check_int "length" 100 (Stats.Series.length s);
   Alcotest.(check (float 1e-9)) "max" 1000.0 (Stats.Series.max_value s);
-  Alcotest.(check (float 1e-9)) "last" 1000.0 (Stats.Series.last_value s);
-  Alcotest.(check string) "name" "iops" (Stats.Series.name s)
+  let last = ref 0.0 in
+  Stats.Series.iter s (fun _ v -> last := v);
+  Alcotest.(check (float 1e-9)) "last" 1000.0 !last
 
 (* -- Registry ---------------------------------------------------------- *)
 
@@ -313,17 +282,16 @@ let test_registry_counter_per_registration () =
       let other = Stats.Registry.counter ~labels:[ ("x", "2") ] "ops" in
       check_int "distinct labels, distinct counter" 0 (Stats.Counter.value other))
 
-(* A hit returns the installed instrument without building a new one:
-   an argument only the constructor would reject goes unchecked. *)
+(* A hit returns the installed instrument without building a new one;
+   a miss builds an empty one. *)
 let test_registry_builds_only_on_miss () =
   with_empty_registry (fun () ->
       let h = Stats.Registry.histogram "lat" in
       Stats.Histogram.record h 7;
-      let again = Stats.Registry.histogram ~sub_bits:99 "lat" in
+      let again = Stats.Registry.histogram "lat" in
       check_int "same histogram" 1 (Stats.Histogram.count again);
-      Alcotest.check_raises "a miss still builds (and validates)"
-        (Invalid_argument "Histogram.create") (fun () ->
-          ignore (Stats.Registry.histogram ~sub_bits:99 "other")))
+      check_int "a miss builds a fresh one" 0
+        (Stats.Histogram.count (Stats.Registry.histogram "other")))
 
 let test_registry_label_order_canonical () =
   with_empty_registry (fun () ->
@@ -352,7 +320,7 @@ let test_registry_kind_mismatch () =
 let test_registry_snapshot_sorted () =
   with_empty_registry (fun () ->
       ignore (Stats.Registry.counter "zeta");
-      ignore (Stats.Registry.gauge "alpha");
+      ignore (Stats.Registry.gauge_fn "alpha" (fun () -> 0.0));
       ignore (Stats.Registry.counter ~labels:[ ("k", "b") ] "mid");
       ignore (Stats.Registry.counter ~labels:[ ("k", "a") ] "mid");
       let names =
@@ -371,10 +339,6 @@ let test_registry_snapshot_sorted () =
 
 let test_registry_gauge_push_pull () =
   with_empty_registry (fun () ->
-      let g = Stats.Registry.gauge "pushed" in
-      Stats.Gauge.set g 3.0;
-      Stats.Gauge.add g 1.5;
-      Alcotest.(check (float 1e-9)) "push mode" 4.5 (Stats.Gauge.value g);
       let src = ref 7.0 in
       let p = Stats.Registry.gauge_fn "pulled" (fun () -> !src) in
       Alcotest.(check (float 1e-9)) "pull mode" 7.0 (Stats.Gauge.value p);
@@ -392,7 +356,7 @@ let test_registry_json () =
       Stats.Histogram.record h 1000;
       let s = Stats.Registry.series "depth" in
       Stats.Series.add s 5 2.0;
-      ignore (Stats.Registry.gauge "level");
+      ignore (Stats.Registry.gauge_fn "level" (fun () -> 0.0));
       let json = Stats.Registry.to_json () in
       let contains sub =
         let n = String.length sub and m = String.length json in
@@ -423,12 +387,8 @@ let () =
             `Quick test_hist_quantile_interp_vs_sorted_reference;
           QCheck_alcotest.to_alcotest hist_prop_quantile_interp_monotone;
           Alcotest.test_case "merge" `Quick test_hist_merge;
-          Alcotest.test_case "merge sub_bits mismatch" `Quick
-            test_hist_merge_sub_bits_mismatch;
           QCheck_alcotest.to_alcotest hist_prop_merge_grown;
           Alcotest.test_case "negative clamp" `Quick test_hist_negative_clamped;
-          Alcotest.test_case "record_n" `Quick test_hist_record_n;
-          Alcotest.test_case "cdf" `Quick test_hist_cdf;
           QCheck_alcotest.to_alcotest hist_prop_quantile_bounds;
           QCheck_alcotest.to_alcotest hist_prop_mean_matches;
           Alcotest.test_case "interpolated quantile in a top half-slot" `Quick
