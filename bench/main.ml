@@ -3,20 +3,20 @@
    workload sections.  Microbenchmarks of the simulator's primitives live
    in snapbench (its micro.* rows).
 
-   Usage: main.exe [SECTION...|all] [--only SECTION[,SECTION...]]
+   Usage: main.exe [SECTION[,SECTION...]...|all]
                    [--metrics-out FILE.json] [--trace-out FILE.json]
                    [--slow-ops-out FILE.json] [--bench-out FILE.json]
                    [--check]
 
    `--help` lists the sections; the single source of truth is the
    [all_benches] table in the driver at the bottom of this file.
-   Section names (positional or via --only) may be comma-separated.
+   Section names may be comma-separated.
 
-   --metrics-out dumps the full Stats.Registry (every counter, gauge,
-   histogram and series the selected sections touched) as JSON.  A
+   --metrics-out dumps the full Stats.Registry (every counter, gauge
+   and histogram the selected sections touched) as JSON.  A
    counter key shows its latest registration: the counter of the last
    component made under that key, not a sum over the process.
-   Histograms and series are shared by every registration, so they sum.
+   Histograms are shared by every registration, so they sum.
    --trace-out turns on Sim.Span capture for the run and writes the
    result as Chrome trace-event JSON (chrome://tracing, perfetto);
    with op attribution on, cross-host flow arrows link each op's
@@ -483,7 +483,7 @@ let section_names () = String.concat ", " (List.map fst all_benches)
 
 let usage oc =
   Printf.fprintf oc
-    "usage: main.exe [SECTION...|all] [--only SECTION[,SECTION...]] \
+    "usage: main.exe [SECTION[,SECTION...]...|all] \
      [--metrics-out FILE.json] [--trace-out FILE.json] [--slow-ops-out \
      FILE.json] [--bench-out FILE.json] [--check]\n\
      sections (comma-separable): %s\n\
@@ -515,8 +515,6 @@ let () =
     usage stdout;
     exit 0
   end;
-  (* Accept `--only NAME[,NAME...]` as an alias for the positional form. *)
-  let args = List.filter (fun a -> a <> "--only") args in
   let metrics_out, args = extract_flag "--metrics-out" args in
   let trace_out, args = extract_flag "--trace-out" args in
   let slow_ops_out, args = extract_flag "--slow-ops-out" args in

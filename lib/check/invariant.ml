@@ -3,10 +3,10 @@
    Checking is off by default.  Once enabled, every layer registers
    named predicates over its own live state at construction time; the
    checker evaluates them every [period] (50 us) of virtual time on the
-   simulation loop, and again (plus quiesce-only predicates) when a
-   workload quiesces.  Registration is a no-op while checking is
-   disabled, so unchecked runs pay nothing — not even registry
-   growth.
+   simulation loop while the run has events pending, and again (plus
+   quiesce-only predicates) when a workload quiesces.  Registration is
+   a no-op while checking is disabled, so unchecked runs pay nothing —
+   not even registry growth.
 
    A run is scoped with {!begin_run}: it clears every registration from
    the previous run so predicate closures never probe dead objects.
@@ -116,5 +116,14 @@ let install ~loop () =
           None
         end);
     register ~name:"sim.heap_order" (fun () -> Sim.Loop.validate_heap loop);
-    ignore (Sim.Loop.every loop period check_now)
+    (* The tick re-arms only while another event is pending: once a run
+       drains, nothing changes until [quiesce] checks everything again,
+       and a tick that re-armed forever would keep simulating idle time
+       to the run's cap. *)
+    let rec tick () =
+      check_now ();
+      if Sim.Loop.pending_events loop > 0 then
+        ignore (Sim.Loop.after loop period tick)
+    in
+    ignore (Sim.Loop.after loop period tick)
   end

@@ -8,8 +8,8 @@
     accounting, connection credit conservation, op-pool byte
     conservation, SPSC/mailbox occupancy bounds, engine state-machine
     legality, sim-time monotonicity, event-heap ordering); the checker
-    replays them every 50 us of virtual time and once more when the
-    workload quiesces.
+    replays them every 50 us of virtual time while the run has events
+    pending, and once more when the workload quiesces.
 
     Checking is globally off by default.  While off, {!register} is a
     no-op (no registry growth, no closures held) and the hot paths pay
@@ -42,8 +42,10 @@ val register : ?kind:kind -> name:string -> (unit -> string option) -> unit
 val install : loop:Sim.Loop.t -> unit -> unit
 (** Bind the checker to [loop]: registers the simulator's own
     invariants (time monotonicity, heap ordering) and schedules
-    {!check_now} every 50 us of virtual time.  No-op while checking is
-    disabled. *)
+    {!check_now} every 50 us of virtual time for as long as another
+    event is pending, so a drained run idles to its cap without
+    evaluating anything; {!quiesce} checks the end state.  No-op while
+    checking is disabled. *)
 
 val check_now : unit -> unit
 (** Evaluate every [Cadence] invariant immediately; raises {!Violation}

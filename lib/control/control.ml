@@ -10,15 +10,13 @@ let rpc_round_trip = Time.us 25
 
 type t = {
   lp : Loop.t;
-  mach : Cpu.Sched.machine;
   ctl_name : string;
   services : (string, message -> message) Hashtbl.t;
 }
 
-let create ~loop ~machine ~name =
+let create ~loop ~name =
   {
     lp = loop;
-    mach = machine;
     ctl_name = name;
     services = Hashtbl.create 8;
   }
@@ -76,8 +74,6 @@ module Watchdog = struct
   type t = {
     wd_ctl : control;
     wd_lp : Loop.t;
-    period : Time.t;
-    stable_window : Time.t;
     mutable entries : entry list;
     mutable timer : Loop.handle option;
     (* This watchdog's counters; the registry entries ("wd_*", labeled
@@ -91,8 +87,15 @@ module Watchdog = struct
   (* Base delay before a restart, doubled per consecutive failure. *)
   let restart_backoff = Time.us 200
 
+  (* Heartbeat interval. *)
+  let period = Time.us 100
+
   (* Consecutive unanswered probes that declare an engine dead. *)
   let miss_threshold = 3
+
+  (* How long a restarted engine must stay responsive before its
+     consecutive-failure count resets. *)
+  let stable_window = Time.scale period (float_of_int (2 * miss_threshold))
 
   (* Failed restarts before an engine is quarantined. *)
   let max_restart_attempts = 3
@@ -113,13 +116,10 @@ module Watchdog = struct
       ~track:(component ^ " " ^ t.wd_ctl.ctl_name)
       ~args name
 
-  let create ~control ?(period = Time.us 100) () =
-    if period <= 0 then invalid_arg "Watchdog.create: period";
+  let create ~control () =
     {
       wd_ctl = control;
       wd_lp = control.lp;
-      period;
-      stable_window = Time.scale period (float_of_int (2 * miss_threshold));
       entries = [];
       timer = None;
       wcnt =
@@ -273,7 +273,7 @@ module Watchdog = struct
               en.consec_failures > 0
               && en.missed = 0
               && en.healthy_since <> max_int
-              && Time.sub now en.healthy_since >= t.stable_window
+              && Time.sub now en.healthy_since >= stable_window
             then en.consec_failures <- 0;
             if Engine.is_migrating en.w_eng then begin
               (* An upgrade transaction owns the engine: excused from
@@ -289,68 +289,8 @@ module Watchdog = struct
   let start t =
     match t.timer with
     | Some _ -> ()
-    | None -> t.timer <- Some (Loop.every t.wd_lp t.period (tick t))
+    | None -> t.timer <- Some (Loop.every t.wd_lp period (tick t))
 
   let counters t =
     List.map (fun (n, c) -> (n, Stats.Counter.value c)) t.wcnt
-end
-
-(* -- Poller: periodic telemetry sampling -------------------------------- *)
-
-module Poller = struct
-  type control = t
-
-  type probe = { sample : unit -> int; ser : Stats.Series.t }
-
-  type t = {
-    po_ctl : control;
-    po_lp : Loop.t;
-    po_period : Time.t;
-    mutable probes : probe list;
-    mutable timer : Loop.handle option;
-  }
-
-  let create ~control ?(period = Time.us 50) () =
-    if period <= 0 then invalid_arg "Poller.create: period";
-    {
-      po_ctl = control;
-      po_lp = control.lp;
-      po_period = period;
-      probes = [];
-      timer = None;
-    }
-
-  let machine_label t =
-    ("machine", Cpu.Sched.machine_name t.po_ctl.mach)
-
-  let watch_queue t ~name sample =
-    let ser =
-      Stats.Registry.series
-        ~labels:[ machine_label t; ("queue", name) ]
-        "queue_depth"
-    in
-    t.probes <- t.probes @ [ { sample; ser } ]
-
-  (* One sampling pass.  Strictly read-only against simulation state:
-     the poller observes queue depths and CPU accounts but never mutates
-     them, draws no randomness, and so cannot perturb same-seed runs. *)
-  let tick t () =
-    let now = Loop.now t.po_lp in
-    List.iter
-      (fun p -> Stats.Series.add p.ser now (float_of_int (p.sample ())))
-      t.probes;
-    List.iter
-      (fun (account, busy) ->
-        let ser =
-          Stats.Registry.series
-            ~labels:[ machine_label t; ("account", account) ]
-            "cpu_account_busy_ns"
-        in
-        Stats.Series.add ser now (float_of_int busy))
-      (Cpu.Sched.accounts t.po_ctl.mach)
-
-  let start t =
-    match t.timer with
-    | Some _ -> ()
-    | None -> t.timer <- Some (Loop.every t.po_lp t.po_period (tick t))
 end

@@ -17,8 +17,7 @@ type message = ..
 
 type message += Error_no_service of string
 
-val create :
-  loop:Sim.Loop.t -> machine:Cpu.Sched.machine -> name:string -> t
+val create : loop:Sim.Loop.t -> name:string -> t
 
 val register_service : t -> service:string -> (message -> message) -> unit
 (** Modules (e.g. the Pony module of Figure 2) expose their setup RPCs
@@ -66,16 +65,15 @@ module Watchdog : sig
   type control := t
   type t
 
-  val create : control:control -> ?period:Sim.Time.t -> unit -> t
-  (** [period] (default 100us) is the heartbeat interval; 3 consecutive
-      unanswered probes declare an engine dead, so detection latency is
-      bounded by about [4 * period].  A restart waits 200us, doubled per
-      consecutive failure; after 3 failed restarts the engine is
-      quarantined.  The consecutive-failure count resets only after the
-      engine stays responsive for a stability window ([6 * period]), so
-      flapping engines escalate even if each restart briefly sticks.
-      Raises [Invalid_argument] on a non-positive period.  Each
-      detection's latency, from the last answered heartbeat, lands in the
+  val create : control:control -> unit -> t
+  (** Heartbeats go out every 100us; 3 consecutive unanswered probes
+      declare an engine dead, so detection latency is bounded by about
+      400us.  A restart waits 200us, doubled per consecutive failure;
+      after 3 failed restarts the engine is quarantined.  The
+      consecutive-failure count resets only after the engine stays
+      responsive for a stability window (600us), so flapping engines
+      escalate even if each restart briefly sticks.  Each detection's
+      latency, from the last answered heartbeat, lands in the
       [wd_detection_latency_ns] histogram labeled by control name. *)
 
   val watch_group : t -> Engine.group -> unit
@@ -89,33 +87,4 @@ module Watchdog : sig
   val counters : t -> (string * int) list
   (** [wd_heartbeats], [wd_detections], [wd_restarts],
       [wd_quarantines]. *)
-end
-
-(** {1 Poller}
-
-    Periodic telemetry sampling (§5 of the paper: engine groups export
-    queue depths and CPU attribution to fleet monitoring).  Each tick
-    samples every registered queue probe plus the machine's per-account
-    CPU totals into {!Stats.Series} entries in the metric registry
-    ([queue_depth] and [cpu_account_busy_ns], labeled by machine).
-
-    Sampling is strictly read-only against simulation state, so it
-    cannot perturb same-seed determinism.  Note the timer re-arms
-    forever: drive the loop with [~until] (or {!stop} the poller) or
-    [Sim.Loop.run] will never go idle. *)
-
-module Poller : sig
-  type control := t
-  type t
-
-  val create : control:control -> ?period:Sim.Time.t -> unit -> t
-  (** [period] defaults to 50us.  Raises [Invalid_argument] when
-      non-positive. *)
-
-  val watch_queue : t -> name:string -> (unit -> int) -> unit
-  (** Sample [f ()] each tick into a [queue_depth] series labeled with
-      the machine and [name]. *)
-
-  val start : t -> unit
-  (** Arm the periodic timer (no-op if already armed). *)
 end

@@ -2040,6 +2040,14 @@ let new_engine t =
           None
         end
       end);
+  (* Every reassembly closes by quiesce: its message completed, or its
+     conn died and dropped it.  A reassembly opened while the op pool
+     could not cover its message holds no charge, so the pool-drained
+     invariant cannot see it leak; this one counts them. *)
+  Check.Invariant.register ~kind:Check.Invariant.Quiesce_only
+    ~name:(ename ^ ".reassemblies_closed") (fun () ->
+      if eng.open_asms = 0 then None
+      else Some (Printf.sprintf "%d reassemblies still open" eng.open_asms));
   (* Receive notification policy depends on the group's scheduling mode
      (§2.4): interrupts for spreading, polling kicks otherwise. *)
   (match Engine.group_mode t.group with

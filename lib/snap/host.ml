@@ -5,45 +5,26 @@ type t = {
   control : Control.t;
   group : Engine.group;
   pony : Pony.Express.t;
-  poller : Control.Poller.t option;
   mutable mux : Guest.Mux.t option;
 }
 
 let create ~loop ~fabric ~directory ~addr ?(cores = 16) ?nic_config
     ?(mode = Engine.Dedicating { cores = 2 }) ?(engines = 1)
-    ?(use_copy_engine = false) ?wire_versions ?op_pool_bytes ?keepalive
-    ?poll_period () =
+    ?(use_copy_engine = false) ?wire_versions ?op_pool_bytes ?keepalive () =
   let machine =
     Cpu.Sched.create_machine ~loop ~name:(Printf.sprintf "host%d" addr) ~cores
   in
   let nic_config = Option.value ~default:Nic.default_config nic_config in
   let nic = Nic.create ~loop ~machine ~fabric ~addr nic_config in
   let control =
-    Control.create ~loop ~machine ~name:(Printf.sprintf "snap%d" addr)
+    Control.create ~loop ~name:(Printf.sprintf "snap%d" addr)
   in
   let group = Engine.create_group ~machine ~name:"snap" ~mode in
   let pony =
     Pony.Express.create ~directory ~control ~machine ~nic ~group ~engines
       ~use_copy_engine ?wire_versions ?op_pool_bytes ?keepalive ()
   in
-  (* Telemetry polling is opt-in: the periodic timer re-arms forever, so
-     hosts sampled by default would keep an un-bounded [Sim.Loop.run]
-     from ever going idle. *)
-  let poller =
-    match poll_period with
-    | None -> None
-    | Some period ->
-        let p = Control.Poller.create ~control ~period () in
-        for q = 0 to nic_config.Nic.num_rx_queues - 1 do
-          let ring = Nic.rx_ring nic ~queue:q in
-          Control.Poller.watch_queue p
-            ~name:(Printf.sprintf "host%d/rxq%d" addr q)
-            (fun () -> Squeue.Spsc.length ring)
-        done;
-        Control.Poller.start p;
-        Some p
-  in
-  { loop; machine; nic; control; group; pony; poller; mux = None }
+  { loop; machine; nic; control; group; pony; mux = None }
 
 
 (* Fault-layer registration record for this host.  The fault library

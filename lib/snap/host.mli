@@ -13,7 +13,6 @@ type t = {
   control : Control.t;
   group : Engine.group;
   pony : Pony.Express.t;
-  poller : Control.Poller.t option;
   mutable mux : Guest.Mux.t option;  (** Guest backend, once enabled. *)
 }
 
@@ -30,18 +29,13 @@ val create :
   ?wire_versions:int list ->
   ?op_pool_bytes:int ->
   ?keepalive:Pony.Express.keepalive ->
-  ?poll_period:Sim.Time.t ->
   unit ->
   t
 (** Defaults: 16 cores, default NIC, dedicating 2 cores, 1 Pony
     engine.  [op_pool_bytes] sizes Pony's op-memory pool (see
     {!Pony.Express.create}); overload workloads shrink it to force
     admission pressure.  [keepalive] arms Pony's per-connection
-    dead-peer detection (off by default).  [poll_period] arms a
-    {!Control.Poller} sampling every NIC rx-ring depth and the
-    machine's per-account CPU into the metric registry; it is off by
-    default because the periodic timer keeps an un-bounded
-    [Sim.Loop.run] from going idle. *)
+    dead-peer detection (off by default). *)
 
 val fault_host : t -> Fault.Injector.host
 (** Registration record for {!Fault.Injector.install}, with whole-host

@@ -14,7 +14,6 @@ type kind =
   | Counter of Counter.t
   | Gauge of Gauge.t
   | Histogram of Histogram.t
-  | Series of Series.t
 
 type metric = { m_name : string; m_labels : labels; m_kind : kind }
 
@@ -26,7 +25,6 @@ let kind_label = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
-  | Series _ -> "series"
 
 let mismatch fn name k =
   invalid_arg
@@ -70,11 +68,6 @@ let histogram ?(labels = []) name =
   match add_metric name labels (fun () -> Histogram (Histogram.create ())) with
   | Histogram h -> h
   | k -> mismatch "histogram" name k
-
-let series ?(labels = []) name =
-  match add_metric name labels (fun () -> Series (Series.create ())) with
-  | Series s -> s
-  | k -> mismatch "series" name k
 
 let find ?(labels = []) name =
   Hashtbl.find_opt table (name, canon labels)
@@ -144,16 +137,6 @@ let add_kind buf = function
         (Histogram.percentile h 50.) (Histogram.percentile h 90.)
         (Histogram.percentile h 99.)
         (Histogram.percentile h 99.9)
-  | Series s ->
-      Printf.bprintf buf "\"type\":\"series\",\"length\":%d,\"points\":["
-        (Series.length s);
-      let first = ref true in
-      Series.iter s (fun t v ->
-          if !first then first := false else Buffer.add_char buf ',';
-          Printf.bprintf buf "[%d," t;
-          add_float buf v;
-          Buffer.add_char buf ']');
-      Buffer.add_char buf ']'
 
 let to_json () =
   let buf = Buffer.create 4096 in

@@ -1,7 +1,7 @@
 (** Process-wide registry of named, labeled metrics.
 
     Every instrument in the system — fault counters, engine latency
-    histograms, per-core utilization gauges, poller series — registers
+    histograms, per-core utilization gauges — registers
     here under a (name, labels) key so that one [snapshot] (or
     [to_json]) enumerates the whole telemetry surface.  Asking for an
     existing key with a different kind raises [Invalid_argument].
@@ -14,11 +14,11 @@
       registration.
     - {!gauge_fn} keeps one gauge and re-points its sampler at the
       latest registration.
-    - {!histogram} and {!series} are create-or-get: every
-      registration returns the one instrument, which sums over them.
-      Their readers aggregate across instances — engines that share a
-      name feed one [engine_batch_cost_ns], every host feeds the same
-      [op_stage_*] histograms — so these stay shared.
+    - {!histogram} is create-or-get: every registration returns the
+      one histogram, which sums over them.  Its readers aggregate
+      across instances — engines that share a name feed one
+      [engine_batch_cost_ns], every host feeds the same [op_stage_*]
+      histograms — so it stays shared.
 
     Determinism: snapshots are sorted by (name, labels), floats render
     through one fixed formatter, and nothing here touches wall-clock
@@ -32,7 +32,6 @@ type kind =
   | Counter of Counter.t
   | Gauge of Gauge.t
   | Histogram of Histogram.t
-  | Series of Series.t
 
 type metric = { m_name : string; m_labels : labels; m_kind : kind }
 
@@ -45,8 +44,6 @@ val gauge_fn : ?labels:labels -> string -> (unit -> float) -> Gauge.t
     simply call this again and the gauge tracks the live instance. *)
 
 val histogram : ?labels:labels -> string -> Histogram.t
-
-val series : ?labels:labels -> string -> Series.t
 val find : ?labels:labels -> string -> metric option
 
 val snapshot : unit -> metric list
@@ -59,5 +56,4 @@ val to_json : unit -> string
 (** The snapshot as one JSON document:
     [{"metrics":[{"name":..,"labels":{..},"type":..,...},...]}].
     Counters carry [value]; gauges a float [value]; histograms
-    [count]/[sum]/[min]/[max]/[mean]/[p50]/[p90]/[p99]/[p999]; series
-    the full [[time_ns, value], ...] point list. *)
+    [count]/[sum]/[min]/[max]/[mean]/[p50]/[p90]/[p99]/[p999]. *)

@@ -19,8 +19,6 @@ let add t time v =
   t.values.(t.n) <- v;
   t.n <- t.n + 1
 
-let length t = t.n
-
 let max_value t =
   let best = ref 0.0 in
   for i = 0 to t.n - 1 do

@@ -6,7 +6,6 @@ type t
 
 val create : unit -> t
 val add : t -> Sim.Time.t -> float -> unit
-val length : t -> int
 
 val max_value : t -> float
 (** Largest sample; 0 when empty. *)

@@ -1,15 +1,10 @@
 module Time = Sim.Time
-module Loop = Sim.Loop
 
 (* Request and reply size. *)
 let op_bytes = 1024
 
 (* Engine scheduling mode for both hosts. *)
 let mode = Engine.Dedicating { cores = 1 }
-
-(* Telemetry sampling period for each host's {!Control.Poller} (rx-ring
-   depths, per-account CPU). *)
-let poll_period = Time.us 100
 
 (* Concurrent closed-loop clients on host 0. *)
 let clients = 2
@@ -76,95 +71,38 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  (* Fresh invariant scope before any layer registers predicates; both
-     calls are no-ops unless checking was enabled (bench --check). *)
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = Pony.Express.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~poll_period
-      ()
+  let sc =
+    Scenario.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~hosts:2
+      (fun ~loop ~fabric ~directory ~addr ->
+        Snap.Host.create ~loop ~fabric ~directory ~addr ~mode ())
   in
-  let ha = mk 0 and hb = mk 1 in
-  let inj =
-    Fault.Injector.install ~loop ~plan:cfg.plan ~fabric:fab
-      ~hosts:[ Snap.Host.fault_host ha; Snap.Host.fault_host hb ]
-  in
-  let hist = Stats.Histogram.create () in
-  let reg_hist =
-    Stats.Registry.histogram
-      ~labels:[ ("workload", "chaos") ]
-      "workload_op_latency_ns"
-  in
-  let completed = ref 0 in
-  let last_done = ref Time.zero in
-  ignore
-    (Snap.Host.spawn_app hb ~name:"server" ~spin:true (fun ctx ->
-         let c =
-           Pony.Express.create_client ctx hb.Snap.Host.pony ~name:"server" ()
-         in
-         while true do
-           let m = Pony.Express.await_message ctx c in
-           ignore
-             (Pony.Express.send_message ctx m.Pony.Express.msg_conn
-                ~bytes:op_bytes ())
-         done));
+  let ha = sc.hosts.(0) and hb = sc.hosts.(1) in
+  let inj = Scenario.inject sc cfg.plan in
+  let trips = Scenario.trips ~workload:"chaos" "workload_op_latency_ns" in
+  Scenario.echo_server hb ~name:"server" ~exclusive_engine:false;
   for i = 0 to clients - 1 do
-    ignore
-      (Snap.Host.spawn_app ha
-         ~name:(Printf.sprintf "client%d" i)
-         ~spin:true
-         (fun ctx ->
-           let c =
-             Pony.Express.create_client ctx ha.Snap.Host.pony
-               ~name:(Printf.sprintf "client%d" i)
-               ()
-           in
-           Cpu.Thread.sleep ctx (Time.us 500);
-           let conn =
-             Pony.Express.connect_by_name ctx c ~dst_host:1 ~dst_name:"server"
-           in
-           for _ = 1 to cfg.ops_per_client do
-             let t0 = Cpu.Thread.now ctx in
-             ignore (Pony.Express.send_message ctx conn ~bytes:op_bytes ());
-             let _m = Pony.Express.await_message ctx c in
-             let lat = Cpu.Thread.now ctx - t0 in
-             Stats.Histogram.record hist lat;
-             Stats.Histogram.record reg_hist lat;
-             incr completed;
-             last_done := Loop.now loop
-           done))
+    Scenario.echo_client ha trips
+      ~name:(Printf.sprintf "client%d" i)
+      ~dst_host:1 ~dst_name:"server" ~ops:cfg.ops_per_client ~bytes:op_bytes
+      ~think:0
   done;
-  Loop.run ~until:run_cap loop;
-  Check.Invariant.quiesce ();
-  (* Every op completed (or was recovered after the engine crash): any
-     op-pool byte still charged — including by the crashed engine's old
-     incarnation — is a leak. *)
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (Pony.Express.op_pool h.Snap.Host.pony))
-    [ ha; hb ];
+  (* Every op completed or was recovered after the engine crash, so an
+     op-pool byte still charged at the end, including by the crashed
+     engine's old incarnation, is a leak. *)
+  Scenario.finish sc ~until:run_cap;
   let expected = clients * cfg.ops_per_client in
   let sum_hosts f = f ha.Snap.Host.pony + f hb.Snap.Host.pony in
   let retransmits =
     sum_hosts (fun p ->
         List.fold_left (fun acc (_, _, r) -> acc + r) 0 (Pony.Express.flow_stats p))
   in
-  let goodput_gbps =
-    if !last_done = 0 then 0.0
-    else
-      (* Request + echoed reply both carry [op_bytes] of goodput. *)
-      float_of_int (!completed * op_bytes * 2 * 8)
-      /. float_of_int !last_done
-  in
   {
     ops_expected = expected;
-    ops_completed = !completed;
-    lost_ops = expected - !completed;
-    latencies = hist;
-    goodput_gbps;
-    completion_time = !last_done;
+    ops_completed = trips.ok;
+    lost_ops = expected - trips.ok;
+    latencies = trips.latencies;
+    goodput_gbps = Scenario.echo_gbps trips ~bytes:op_bytes;
+    completion_time = trips.last_done;
     fault_log = Fault.Injector.log inj;
     fault_counters = Fault.Injector.counters inj;
     retransmits;
@@ -173,21 +111,15 @@ let run (cfg : config) : result =
     port_report =
       List.map
         (fun addr ->
-          (addr, Fabric.port_drops fab ~addr, Fabric.port_max_queue_bytes fab ~addr))
+          ( addr,
+            Fabric.port_drops sc.fabric ~addr,
+            Fabric.port_max_queue_bytes sc.fabric ~addr ))
         [ 0; 1 ];
   }
 
 (* Byte-identical across same-seed runs: correctness counters plus the
    injected-fault log, folded into one string for the determinism
-   sweep.  Packet-id labels are stripped from log details — which of
-   two same-timestamp packets draws the lower id is schedule-dependent
-   labeling the perturbation sweep deliberately reorders, while drop
-   times and counts are not. *)
-let strip_pkt_ids detail =
-  String.split_on_char ' ' detail
-  |> List.filter (fun tok -> not (String.length tok > 4 && String.sub tok 0 4 = "pkt#"))
-  |> String.concat " "
-
+   sweep. *)
 let fingerprint (r : result) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -197,12 +129,7 @@ let fingerprint (r : result) : string =
   List.iter
     (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v))
     r.fault_counters;
-  List.iter
-    (fun (e : Fault.Log.entry) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d %s %s\n" e.Fault.Log.at e.Fault.Log.kind
-           (strip_pkt_ids e.Fault.Log.detail)))
-    (Fault.Log.entries r.fault_log);
+  Scenario.add_fault_log buf r.fault_log;
   List.iter
     (fun (addr, drops, maxq) ->
       Buffer.add_string buf (Printf.sprintf "port %d %d %d\n" addr drops maxq))

@@ -41,10 +41,6 @@ let plan =
 (* Virtual-time budget; generous so retries can finish. *)
 let run_cap = Time.ms 500
 
-(* Telemetry sampling period for each host's {!Control.Poller} (rx-ring
-   depths, per-account CPU). *)
-let poll_period = Time.us 100
-
 type config = {
   ops_per_client : int;
   seed : int;
@@ -63,7 +59,7 @@ type result = {
   ops_completed : int;
   lost_ops : int;
   latencies : Stats.Histogram.t;
-  completion_time : Time.t;
+  goodput_gbps : float;
   reports : (int * Upgrade.report list) list;
   committed : int;
   rollbacks : int;
@@ -79,23 +75,13 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~poll_period
-      ()
+  let sc =
+    Scenario.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~hosts:2
+      (fun ~loop ~fabric ~directory ~addr ->
+        Snap.Host.create ~loop ~fabric ~directory ~addr ~mode ())
   in
-  let ha = mk 0 and hb = mk 1 in
-  let host_of = function 0 -> ha | 1 -> hb | a ->
-    invalid_arg (Printf.sprintf "Chaos_upgrade: no host %d" a)
-  in
-  let inj =
-    Fault.Injector.install ~loop ~plan ~fabric:fab
-      ~hosts:[ Snap.Host.fault_host ha; Snap.Host.fault_host hb ]
-  in
+  let loop = sc.loop and ha = sc.hosts.(0) and hb = sc.hosts.(1) in
+  let inj = Scenario.inject sc plan in
   (* Watchdogs: one per host, monitoring the Pony engines.  They must
      coexist with the upgrade (migrating engines are excused) and catch
      the injected wedge. *)
@@ -115,7 +101,7 @@ let run (cfg : config) : result =
   let new_groups = ref [] in
   List.iter
     (fun (addr, at) ->
-      let h = host_of addr in
+      let h = sc.hosts.(addr) in
       ignore
         (Loop.at loop at (fun () ->
              let machine = h.Snap.Host.machine in
@@ -137,55 +123,19 @@ let run (cfg : config) : result =
                ())))
     upgrade_at;
   (* Closed-loop RR traffic underneath it all. *)
-  let hist = Stats.Histogram.create () in
-  let reg_hist =
-    Stats.Registry.histogram
-      ~labels:[ ("workload", "chaos_upgrade") ]
-      "workload_op_latency_ns"
+  let trips =
+    Scenario.trips ~workload:"chaos_upgrade" "workload_op_latency_ns"
   in
-  let completed = ref 0 in
-  let last_done = ref Time.zero in
-  ignore
-    (Snap.Host.spawn_app hb ~name:"server" ~spin:true (fun ctx ->
-         let c = PE.create_client ctx hb.Snap.Host.pony ~name:"server" () in
-         while true do
-           let m = PE.await_message ctx c in
-           ignore (PE.send_message ctx m.PE.msg_conn ~bytes:op_bytes ())
-         done));
+  Scenario.echo_server hb ~name:"server" ~exclusive_engine:false;
   for i = 0 to clients - 1 do
-    ignore
-      (Snap.Host.spawn_app ha
-         ~name:(Printf.sprintf "client%d" i)
-         ~spin:true
-         (fun ctx ->
-           let c =
-             PE.create_client ctx ha.Snap.Host.pony
-               ~name:(Printf.sprintf "client%d" i)
-               ()
-           in
-           Cpu.Thread.sleep ctx (Time.us 500);
-           let conn = PE.connect_by_name ctx c ~dst_host:1 ~dst_name:"server" in
-           for _ = 1 to cfg.ops_per_client do
-             let t0 = Cpu.Thread.now ctx in
-             ignore (PE.send_message ctx conn ~bytes:op_bytes ());
-             let _m = PE.await_message ctx c in
-             let lat = Cpu.Thread.now ctx - t0 in
-             Stats.Histogram.record hist lat;
-             Stats.Histogram.record reg_hist lat;
-             incr completed;
-             last_done := Loop.now loop;
-             (* Think time keeps the closed loop issuing across the
-                whole upgrade window instead of draining early. *)
-             if think > 0 then Cpu.Thread.sleep ctx think
-           done))
+    Scenario.echo_client ha trips
+      ~name:(Printf.sprintf "client%d" i)
+      ~dst_host:1 ~dst_name:"server" ~ops:cfg.ops_per_client ~bytes:op_bytes
+      ~think
   done;
-  Loop.run ~until:run_cap loop;
-  Check.Invariant.quiesce ();
   (* Upgrades restart engines mid-flight; restarted incarnations must
      reconcile the old ones' op-pool charges or this raises. *)
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (Pony.Express.op_pool h.Snap.Host.pony))
-    [ ha; hb ];
+  Scenario.finish sc ~until:run_cap;
   let expected = clients * cfg.ops_per_client in
   let all_reports = List.concat_map snd !reports in
   let committed =
@@ -238,10 +188,10 @@ let run (cfg : config) : result =
   in
   {
     ops_expected = expected;
-    ops_completed = !completed;
-    lost_ops = expected - !completed;
-    latencies = hist;
-    completion_time = !last_done;
+    ops_completed = trips.ok;
+    lost_ops = expected - trips.ok;
+    latencies = trips.latencies;
+    goodput_gbps = Scenario.echo_gbps trips ~bytes:op_bytes;
     reports = List.rev !reports;
     committed;
     rollbacks;
@@ -259,26 +209,13 @@ let run (cfg : config) : result =
 
 (* Byte-identical across same-seed runs: the determinism check folds the
    fault log, the upgrade transition log, and every report into one
-   string.  Packet-id labels are stripped from log details: which of two
-   same-timestamp packets gets the lower id is schedule-dependent
-   labeling (the perturbation sweep deliberately reorders such ties),
-   while the drop times and counts are not. *)
-let strip_pkt_ids detail =
-  String.split_on_char ' ' detail
-  |> List.filter (fun tok -> not (String.length tok > 4 && String.sub tok 0 4 = "pkt#"))
-  |> String.concat " "
-
+   string. *)
 let fingerprint (r : result) : string =
   let buf = Buffer.create 4096 in
   let add_log name l =
     Buffer.add_string buf name;
     Buffer.add_char buf '\n';
-    List.iter
-      (fun (e : Fault.Log.entry) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%d %s %s\n" e.Fault.Log.at e.Fault.Log.kind
-             (strip_pkt_ids e.Fault.Log.detail)))
-      (Fault.Log.entries l)
+    Scenario.add_fault_log buf l
   in
   add_log "faults" r.fault_log;
   add_log "transitions" r.transition_log;

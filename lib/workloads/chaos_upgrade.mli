@@ -32,15 +32,13 @@ val default_config : config
     migration (aborting the transaction), and an engine wedge at 60 ms
     on the already-upgraded client host. *)
 
-val op_bytes : int
-(** Request and reply size: 1 KiB. *)
-
 type result = {
   ops_expected : int;
   ops_completed : int;
   lost_ops : int;  (** Must be 0. *)
   latencies : Stats.Histogram.t;  (** Per-op completion latency, ns. *)
-  completion_time : Sim.Time.t;
+  goodput_gbps : float;
+      (** Request and echo bytes per virtual time, to the last completion. *)
   reports : (int * Upgrade.report list) list;  (** Per host addr. *)
   committed : int;  (** Engine migrations that committed. *)
   rollbacks : int;  (** Transaction aborts, summed over engines. *)

@@ -95,17 +95,12 @@ let rpc_bytes rnd =
   | _ -> 65536
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~op_pool_bytes
-      ()
+  let sc =
+    Scenario.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~hosts:2
+      (fun ~loop ~fabric ~directory ~addr ->
+        Snap.Host.create ~loop ~fabric ~directory ~addr ~mode ~op_pool_bytes ())
   in
-  let h_cli = mk 0 in
-  let h_srv = mk 1 in
+  let loop = sc.loop and h_cli = sc.hosts.(0) and h_srv = sc.hosts.(1) in
   let n = cfg.clients_per_side in
   let conns_target = n * n in
   let ramp_failures = ref 0 in
@@ -261,15 +256,11 @@ let run (cfg : config) : result =
            | () -> ()
            | exception _ -> incr ramp_failures))
   done;
-  Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  Scenario.finish sc ~until:cfg.run_cap;
   let pool_leak_bytes =
     Memory.Pool.in_use (PE.op_pool h_cli.Snap.Host.pony)
     + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
   in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_cli; h_srv ];
   let steady_ops = Int.max 1 (t1_ops - t0_ops) in
   let steady_gc, steady_cpu =
     match (!snap0, !snap1) with

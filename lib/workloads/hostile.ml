@@ -1,5 +1,4 @@
 module Time = Sim.Time
-module Loop = Sim.Loop
 module PE = Pony.Express
 module Ring = Guest.Ring
 module Tenant = Guest.Tenant
@@ -101,17 +100,12 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~op_pool_bytes
-      ()
+  let sc =
+    Scenario.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~hosts:2
+      (fun ~loop ~fabric ~directory ~addr ->
+        Snap.Host.create ~loop ~fabric ~directory ~addr ~mode ~op_pool_bytes ())
   in
-  let h_guest = mk 0 in
-  let h_srv = mk 1 in
+  let h_guest = sc.hosts.(0) and h_srv = sc.hosts.(1) in
   ignore
     (Snap.Host.enable_guests ~engines:mux_engines ~mode:mux_mode ~suspect_after
        ~quarantine_after h_guest);
@@ -140,122 +134,23 @@ let run (cfg : config) : result =
     | 4 -> [ Fault.Plan.Kick_storm { hz = kick_hz } ]
     | _ -> [ Fault.Plan.Desc_id_alias ]
   in
-  let victim_ok = ref 0 in
-  let victim_failed = ref 0 in
-  let victim_retries = ref 0 in
-  let victim_last_done = ref Time.zero in
-  let victim_hist = Stats.Histogram.create () in
-  let reg_hist =
-    Stats.Registry.histogram
-      ~labels:[ ("workload", "hostile") ]
-      "workload_victim_latency_ns"
-  in
+  let victim = Scenario.trips ~workload:"hostile" "workload_victim_latency_ns" in
   let tenant_of = Array.make cfg.tenants None in
-  ignore
-    (Snap.Host.spawn_app h_srv ~name:"backend-v" ~spin:true (fun ctx ->
-         let c =
-           PE.create_client ctx h_srv.Snap.Host.pony ~name:"backend-v"
-             ~exclusive_engine:true ()
-         in
-         while true do
-           let m = PE.await_message ctx c in
-           ignore (PE.send_message ctx m.PE.msg_conn ~bytes:m.PE.msg_bytes ())
-         done));
-  ignore
-    (Snap.Host.spawn_app h_srv ~name:"backend-a" ~spin:true (fun ctx ->
-         let c = PE.create_client ctx h_srv.Snap.Host.pony ~name:"backend-a" () in
-         while true do
-           let _m = PE.await_message ctx c in
-           Cpu.Thread.compute ctx (Time.us 1)
-         done));
-  let poll_step = Time.us 2 in
-  let poll ctx ~deadline f =
-    let rec go () =
-      match f () with
-      | Some _ as r -> r
-      | None ->
-          if Cpu.Thread.now ctx >= deadline then None
-          else begin
-            Cpu.Thread.sleep ctx poll_step;
-            go ()
-          end
-    in
-    go ()
-  in
-  let prime_rx tn =
-    for s = 0 to Ring.capacity tn.Tenant.rx - 1 do
-      ignore
-        (Ring.post tn.Tenant.rx ~now:Time.zero ~id:s
-           ~off:(Tenant.rx_buf_off tn s) ~len:tn.Tenant.buf_bytes)
-    done
-  in
-  (* Victim driver: the same closed-loop guest-side echo as the tenants
-     workload, with attempt-unique descriptor ids (reusing a live id
-     reads as aliasing) and a gap between ops so the cohort is active
-     throughout the attack window. *)
+  Scenario.echo_server h_srv ~name:"backend-v" ~exclusive_engine:true;
+  Scenario.sink h_srv ~name:"backend-a" ~service:(Time.us 1);
+  let start i = Time.add (Time.us 600) (i * 500) in
+  (* Victims pause between ops so the cohort is active throughout the
+     attack window. *)
   let victim_driver i ctx =
-    Cpu.Thread.sleep ctx (Time.add (Time.us 600) (i * 500));
+    Cpu.Thread.sleep ctx (start i);
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "v%d" i)
         ~dst_host:1 ~dst_name:"backend-v" ~ring_slots ~buf_bytes ()
     in
     tenant_of.(i) <- Some tn;
-    prime_rx tn;
-    let n = ref 0 in
-    let next_id = ref 0 in
-    while !n < cfg.victim_ops && Cpu.Thread.now ctx < stop_at do
-      incr n;
-      let t0 = Cpu.Thread.now ctx in
-      let rec attempt k =
-        if k > 3 then incr victim_failed
-        else begin
-          if k > 1 then incr victim_retries;
-          let slot = !n mod ring_slots in
-          incr next_id;
-          let id = !next_id in
-          if
-            not
-              (Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id
-                 ~off:(Tenant.tx_buf_off tn slot) ~len:victim_bytes)
-          then begin
-            Cpu.Thread.sleep ctx (Time.us 50);
-            attempt (k + 1)
-          end
-          else
-            let deadline = Time.add (Cpu.Thread.now ctx) (Time.ms 4) in
-            match
-              poll ctx ~deadline (fun () ->
-                  match Ring.pop_used tn.Tenant.tx with
-                  | Some u when u.Ring.u_id = id -> Some u
-                  | Some _ | None -> None)
-            with
-            | Some u when u.Ring.u_status = Ring.Complete -> (
-                let deadline = Time.add (Cpu.Thread.now ctx) (Time.ms 10) in
-                match
-                  poll ctx ~deadline (fun () -> Ring.pop_used tn.Tenant.rx)
-                with
-                | Some ru ->
-                    ignore
-                      (Ring.post tn.Tenant.rx ~now:(Cpu.Thread.now ctx)
-                         ~id:ru.Ring.u_id
-                         ~off:(Tenant.rx_buf_off tn ru.Ring.u_id)
-                         ~len:tn.Tenant.buf_bytes);
-                    let lat = Time.sub (Cpu.Thread.now ctx) t0 in
-                    Stats.Histogram.record victim_hist lat;
-                    Stats.Histogram.record reg_hist lat;
-                    incr victim_ok;
-                    victim_last_done := Loop.now loop
-                | None -> incr victim_failed)
-            | Some _ ->
-                Cpu.Thread.sleep ctx (Time.us 50);
-                attempt (k + 1)
-            | None -> attempt (k + 1)
-        end
-      in
-      attempt 1;
-      Cpu.Thread.sleep ctx victim_gap
-    done;
+    Scenario.guest_victim victim tn ~ops:cfg.victim_ops ~bytes:victim_bytes
+      ~stop_at ~gap:victim_gap ctx;
     Snap.Host.detach_tenant h_guest tn
   in
   (* Attacker driver: attaches like any guest and behaves until the
@@ -265,7 +160,7 @@ let run (cfg : config) : result =
      counted refusal, not a crash.  Light legitimate traffic keeps the
      binding warm so the attack hits a live datapath. *)
   let attacker_driver i ctx =
-    Cpu.Thread.sleep ctx (Time.add (Time.us 600) (i * 500));
+    Cpu.Thread.sleep ctx (start i);
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "x%d" i)
@@ -332,12 +227,8 @@ let run (cfg : config) : result =
              else None)
            (List.init cfg.tenants (fun i -> i)))
   in
-  let inj =
-    Fault.Injector.install ~loop ~plan ~fabric:fab
-      ~hosts:[ Snap.Host.fault_host h_guest; Snap.Host.fault_host h_srv ]
-  in
-  Loop.run ~until:run_cap loop;
-  Check.Invariant.quiesce ();
+  let inj = Scenario.inject sc plan in
+  Scenario.finish sc ~until:run_cap;
   let all_tenants = Array.to_list tenant_of |> List.filter_map (fun x -> x) in
   let split p = List.filter p all_tenants in
   let victims =
@@ -367,26 +258,17 @@ let run (cfg : config) : result =
     Memory.Pool.in_use (PE.op_pool h_guest.Snap.Host.pony)
     + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
   in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_guest; h_srv ];
-  let victim_goodput_gbps =
-    if !victim_last_done = 0 then 0.0
-    else
-      float_of_int (!victim_ok * victim_bytes * 2 * 8)
-      /. float_of_int !victim_last_done
-  in
   let mux = Snap.Host.guest_mux h_guest in
   let mux_stat f = match mux with Some m -> f m | None -> 0 in
   {
     n_tenants = cfg.tenants;
     n_victims;
     n_attackers;
-    victim_ok = !victim_ok;
-    victim_failed = !victim_failed;
-    victim_retries = !victim_retries;
-    victim_goodput_gbps;
-    victim_latencies = victim_hist;
+    victim_ok = victim.ok;
+    victim_failed = victim.failed;
+    victim_retries = victim.retries;
+    victim_goodput_gbps = Scenario.echo_gbps victim ~bytes:victim_bytes;
+    victim_latencies = victim.latencies;
     victim_violations = sum victims Tenant.violations;
     attackers_quarantined;
     suspects = mux_stat Mux.suspects;

@@ -1,5 +1,4 @@
 module Time = Sim.Time
-module Loop = Sim.Loop
 module PE = Pony.Express
 
 (* Three hosts so the blast radius is observable: host 0 runs open-loop
@@ -74,32 +73,22 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:3 in
-  let dir = PE.Directory.create () in
-  let mk addr ~pool =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode
-      ~op_pool_bytes:pool ()
+  let pools = [| cfg.aggressor_pool_bytes; server_pool_bytes; 1 lsl 30 |] in
+  let sc =
+    Scenario.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~hosts:3
+      (fun ~loop ~fabric ~directory ~addr ->
+        Snap.Host.create ~loop ~fabric ~directory ~addr ~mode
+          ~op_pool_bytes:pools.(addr) ())
   in
-  let h_agg = mk 0 ~pool:cfg.aggressor_pool_bytes in
-  let h_srv = mk 1 ~pool:server_pool_bytes in
-  let h_vic = mk 2 ~pool:(1 lsl 30) in
+  let h_agg = sc.hosts.(0) and h_srv = sc.hosts.(1) and h_vic = sc.hosts.(2) in
   let offered = ref 0 in
   let agg_ok = ref 0 in
   let agg_rejected = ref 0 in
   let agg_timed_out = ref 0 in
   let agg_busy = ref 0 in
   let exhausted_escapes = ref 0 in
-  let victim_ok = ref 0 in
-  let victim_failed = ref 0 in
-  let victim_last_done = ref Time.zero in
-  let victim_hist = Stats.Histogram.create () in
-  let reg_hist =
-    Stats.Registry.histogram
-      ~labels:[ ("workload", "overload") ]
-      "workload_victim_latency_ns"
+  let victim =
+    Scenario.trips ~workload:"overload" "workload_victim_latency_ns"
   in
   let count_completion (c : PE.completion) =
     match c.PE.status with
@@ -109,33 +98,11 @@ let run (cfg : config) : result =
     | Pony.Wire.Busy -> incr agg_busy
     | _ -> ()
   in
-  (* Slow server (host 1, shared engine 0): consumes each message with
-     a fixed think time and never replies, so its incoming queue is the
-     choke point. *)
-  ignore
-    (Snap.Host.spawn_app h_srv ~name:"slow-server" ~spin:true (fun ctx ->
-         let c =
-           PE.create_client ctx h_srv.Snap.Host.pony ~name:"slow-server" ()
-         in
-         while true do
-           let _m = PE.await_message ctx c in
-           (* Service time is compute, not sleep: a sleeping spin task is
-              woken early by the next delivery, so a sleep-based server
-              drains as fast as messages arrive and never backs up. *)
-           Cpu.Thread.compute ctx cfg.server_service_time
-         done));
+  (* Slow server (host 1, shared engine 0): never replies, so its
+     incoming queue is the choke point. *)
+  Scenario.sink h_srv ~name:"slow-server" ~service:cfg.server_service_time;
   (* Victim's echo server (host 1, exclusive engine 1): prompt echoes. *)
-  ignore
-    (Snap.Host.spawn_app h_srv ~name:"victim-server" ~spin:true (fun ctx ->
-         let c =
-           PE.create_client ctx h_srv.Snap.Host.pony ~name:"victim-server"
-             ~exclusive_engine:true ()
-         in
-         while true do
-           let m = PE.await_message ctx c in
-           ignore
-             (PE.send_message ctx m.PE.msg_conn ~bytes:victim_bytes ())
-         done));
+  Scenario.echo_server h_srv ~name:"victim-server" ~exclusive_engine:true;
   (* Open-loop aggressors: submit at a fixed interval implied by
      [load_factor] regardless of completions, with quotas and a
      deadline on every op; completions are polled opportunistically and
@@ -202,32 +169,15 @@ let run (cfg : config) : result =
            incr n;
            let t0 = Cpu.Thread.now ctx in
            match PE.send_with_retry ctx conn ~bytes:victim_bytes () with
-           | Error _ -> incr victim_failed
+           | Error _ -> victim.failed <- victim.failed + 1
            | Ok _ ->
                let _echo = PE.await_message ctx c in
-               let lat = Time.sub (Cpu.Thread.now ctx) t0 in
-               Stats.Histogram.record victim_hist lat;
-               Stats.Histogram.record reg_hist lat;
-               incr victim_ok;
-               victim_last_done := Loop.now loop
+               Scenario.trip victim ctx ~t0
          done));
-  Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  Scenario.finish sc ~until:cfg.run_cap;
   let sum f = f h_agg.Snap.Host.pony + f h_srv.Snap.Host.pony + f h_vic.Snap.Host.pony in
   let pool_leak_bytes =
     sum (fun p -> Memory.Pool.in_use (PE.op_pool p))
-  in
-  (* Every op completed or was shed with its charge released; a live
-     byte now is a leak and [assert_quiesced] names the owner. *)
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_agg; h_srv; h_vic ];
-  let victim_goodput_gbps =
-    if !victim_last_done = 0 then 0.0
-    else
-      (* Request and echo both carry [victim_bytes] of goodput. *)
-      float_of_int (!victim_ok * victim_bytes * 2 * 8)
-      /. float_of_int !victim_last_done
   in
   {
     offered = !offered;
@@ -242,10 +192,10 @@ let run (cfg : config) : result =
     rx_pool_drops = sum PE.rx_pool_drops;
     zero_window_probes = sum PE.zero_window_probes;
     pressure_transitions = sum PE.pressure_transitions;
-    victim_ok = !victim_ok;
-    victim_failed = !victim_failed;
-    victim_goodput_gbps;
-    victim_latencies = victim_hist;
+    victim_ok = victim.ok;
+    victim_failed = victim.failed;
+    victim_goodput_gbps = Scenario.echo_gbps victim ~bytes:victim_bytes;
+    victim_latencies = victim.latencies;
     pool_leak_bytes;
     exhausted_escapes = !exhausted_escapes;
   }

@@ -1,5 +1,4 @@
 module Time = Sim.Time
-module Loop = Sim.Loop
 module PE = Pony.Express
 
 (* Peer-failure acceptance: two closed-loop victims (hosts 0 and 1)
@@ -102,7 +101,7 @@ type result = {
       (** Failed ops within [resolution_bound] and outages within
           [outage_bound]. *)
   pool_leak_bytes : int;
-  last_echo_done : Time.t;  (** Virtual time of the last successful echo. *)
+  goodput_gbps : float;
   latencies : Stats.Histogram.t;  (** Successful request+echo round trips. *)
   fault_log : Fault.Log.t;
   fault_counters : (string * int) list;
@@ -159,17 +158,14 @@ let reconnect_policy =
   }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:3 in
-  let dir = PE.Directory.create () in
   let keepalive = { PE.ka_interval; ka_miss_budget } in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~keepalive ()
+  let sc =
+    Scenario.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~hosts:3
+      (fun ~loop ~fabric ~directory ~addr ->
+        Snap.Host.create ~loop ~fabric ~directory ~addr ~mode ~keepalive ())
   in
-  let h0 = mk 0 and h1 = mk 1 and h_srv = mk server_addr in
-  let hosts = [ h0; h1; h_srv ] in
+  let hosts = Array.to_list sc.hosts in
+  let h0 = sc.hosts.(0) and h1 = sc.hosts.(1) and h_srv = sc.hosts.(server_addr) in
   let plan =
     Fault.Plan.make ~seed:cfg.seed
       (List.map
@@ -184,14 +180,9 @@ let run (cfg : config) : result =
             { host = server_addr; start = crash_at; restart_after };
         ])
   in
-  let inj =
-    Fault.Injector.install ~loop ~plan ~fabric:fab
-      ~hosts:(List.map Snap.Host.fault_host hosts)
-  in
+  let inj = Scenario.inject sc plan in
   let attempted = ref 0 in
   let resolved = ref 0 in
-  let echo_ok = ref 0 in
-  let last_echo_done = ref Time.zero in
   let echo_timeouts = ref 0 in
   let peer_dead_failures = ref 0 in
   let retry_exhausted = ref 0 in
@@ -201,12 +192,7 @@ let run (cfg : config) : result =
   let victims_finished = ref 0 in
   let max_failed = ref Time.zero in
   let max_outage = ref Time.zero in
-  let hist = Stats.Histogram.create () in
-  let reg_hist =
-    Stats.Registry.histogram
-      ~labels:[ ("workload", "partition") ]
-      "workload_op_latency_ns"
-  in
+  let echoes = Scenario.trips ~workload:"partition" "workload_op_latency_ns" in
   (* Echo server: bounded awaits so host death is noticed promptly;
      after the crash it parks until the host is back, then re-registers
      under the same name (the directory resolves names against live
@@ -296,17 +282,13 @@ let run (cfg : config) : result =
                      with
                      | Some _echo ->
                          let now = Cpu.Thread.now ctx in
-                         let lat = Time.sub now t0 in
-                         Stats.Histogram.record hist lat;
-                         Stats.Histogram.record reg_hist lat;
+                         Scenario.trip echoes ctx ~t0;
                          (match !last_ok with
                          | Some prev ->
                              let gap = Time.sub now prev in
                              if gap > !max_outage then max_outage := gap
                          | None -> ());
-                         last_ok := Some now;
-                         last_echo_done := now;
-                         incr echo_ok
+                         last_ok := Some now
                      | None -> incr echo_timeouts)
                  | Error comp ->
                      let el = Time.sub (Cpu.Thread.now ctx) t0 in
@@ -333,18 +315,14 @@ let run (cfg : config) : result =
   in
   victim h0 "victim0";
   victim h1 "victim1";
-  Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  Scenario.finish sc ~until:cfg.run_cap;
   let sum f = List.fold_left (fun acc h -> acc + f h.Snap.Host.pony) 0 hosts in
   let pool_leak_bytes = sum (fun p -> Memory.Pool.in_use (PE.op_pool p)) in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    hosts;
   let bound = resolution_bound ~policy:send_policy in
   {
     ops_attempted = !attempted;
     ops_resolved = !resolved;
-    echo_ok = !echo_ok;
+    echo_ok = echoes.ok;
     echo_timeouts = !echo_timeouts;
     peer_dead_failures = !peer_dead_failures;
     retry_exhausted = !retry_exhausted;
@@ -367,9 +345,9 @@ let run (cfg : config) : result =
     max_outage = !max_outage;
     outage_bound;
     detection_ok = !max_failed <= bound && !max_outage <= outage_bound;
-    last_echo_done = !last_echo_done;
     pool_leak_bytes;
-    latencies = hist;
+    goodput_gbps = Scenario.echo_gbps echoes ~bytes:cfg.bytes;
+    latencies = echoes.latencies;
     fault_log = Fault.Injector.log inj;
     fault_counters = Fault.Injector.counters inj;
   }

@@ -81,9 +81,9 @@ type result = {
       (** Failed ops within [resolution_bound] and outages within
           [outage_bound]. *)
   pool_leak_bytes : int;
-  last_echo_done : Sim.Time.t;
-      (** Virtual time of the last successful echo; {!Spec} derives
-          goodput from [echo_ok], the op size and this. *)
+  goodput_gbps : float;
+      (** Request and echo bytes of the successful echoes per virtual
+          time, to the last of them. *)
   latencies : Stats.Histogram.t;
       (** Successful request+echo round trips. *)
   fault_log : Fault.Log.t;

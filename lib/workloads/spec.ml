@@ -105,10 +105,6 @@ let versus base_name ~goodput ~lat ~base_goodput ~base_lat =
     goodput base_name base_goodput (kept ~base:base_goodput goodput)
     (us lat 99.0) base_name (us base_lat 99.0)
 
-(* Bytes moved out and echoed back per completed op, over [t]. *)
-let echo_gbps ~ops ~bytes t =
-  if t = 0 then 0.0 else float_of_int (ops * bytes * 2 * 8) /. float_of_int t
-
 (* -- Measurement ----------------------------------------------------------- *)
 
 (* Engine cost, minor-heap words and op attribution of [f ()] alone:
@@ -202,10 +198,6 @@ let chaos =
 let chaos_upgrade =
   let go (cfg : Chaos_upgrade.config) =
     let r, m = measure (fun () -> Chaos_upgrade.run cfg) in
-    let goodput =
-      echo_gbps ~ops:r.ops_completed ~bytes:Chaos_upgrade.op_bytes
-        r.completion_time
-    in
     outcome ~fingerprint:(Chaos_upgrade.fingerprint r)
       ~checks:
         [
@@ -217,12 +209,13 @@ let chaos_upgrade =
           positive "rollbacks" r.rollbacks;
           positive "watchdog restarts" r.watchdog_restarts;
         ]
-      ~ops:r.ops_completed ~goodput_gbps:goodput ~latencies:r.latencies m
+      ~ops:r.ops_completed ~goodput_gbps:r.goodput_gbps ~latencies:r.latencies
+      m
       (fun () ->
         pf "latency: p50 %.1fus p99 %.1fus p999 %.1fus; goodput %.2f Gbps; \
             max blackout %.1fms"
           (us r.latencies 50.0) (us r.latencies 99.0) (us r.latencies 99.9)
-          goodput
+          r.goodput_gbps
           (T.to_float_ms r.max_blackout)
         :: List.concat_map
              (fun (addr, rs) ->
@@ -292,7 +285,6 @@ let overload =
 let partition =
   let go (cfg : Partition.config) =
     let r, m = measure (fun () -> Partition.run cfg) in
-    let goodput = echo_gbps ~ops:r.echo_ok ~bytes:cfg.bytes r.last_echo_done in
     outcome ~fingerprint:(Partition.fingerprint r)
       ~checks:
         [
@@ -319,7 +311,7 @@ let partition =
           check "conn deaths on >= 2 hosts" (r.death_hosts >= 2)
             (string_of_int r.death_hosts);
         ]
-      ~ops:r.ops_resolved ~goodput_gbps:goodput ~latencies:r.latencies m
+      ~ops:r.ops_resolved ~goodput_gbps:r.goodput_gbps ~latencies:r.latencies m
       (fun () ->
         [
           counts "ops"
@@ -334,7 +326,7 @@ let partition =
               ("conns_closed", r.conns_closed); ("resets_sent", r.conn_resets);
               ("stale_drops", r.stale_drops) ];
           pf "clean-path latency: p50 %.1fus p99 %.1fus; goodput %.2f Gbps"
-            (us r.latencies 50.0) (us r.latencies 99.0) goodput;
+            (us r.latencies 50.0) (us r.latencies 99.0) r.goodput_gbps;
           counts "injected" r.fault_counters;
         ])
   in

@@ -6,7 +6,8 @@
     invariant checkers are not vacuous.  Acceptance criteria are typed
     {!check}s, so the bench, the sweep, [--check] and the tests all
     evaluate the same bounds on every seed and salt.  A new workload
-    costs one entry in {!all}. *)
+    costs one entry in {!all}, and its runs start and end in
+    {!Scenario}. *)
 
 type check = { name : string; ok : bool; detail : string }
 

@@ -98,17 +98,12 @@ type result = {
 }
 
 let run (cfg : config) : result =
-  Check.Invariant.begin_run ();
-  let loop = Loop.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt () in
-  Check.Invariant.install ~loop ();
-  let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
-  let dir = PE.Directory.create () in
-  let mk addr =
-    Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr ~mode ~op_pool_bytes
-      ()
+  let sc =
+    Scenario.create ~seed:cfg.seed ~tie_salt:cfg.tie_salt ~hosts:2
+      (fun ~loop ~fabric ~directory ~addr ->
+        Snap.Host.create ~loop ~fabric ~directory ~addr ~mode ~op_pool_bytes ())
   in
-  let h_guest = mk 0 in
-  let h_srv = mk 1 in
+  let loop = sc.loop and h_guest = sc.hosts.(0) and h_srv = sc.hosts.(1) in
   ignore (Snap.Host.enable_guests ~engines:mux_engines ~mode:mux_mode h_guest);
   let is_aggressor i = i mod aggressor_every = aggressor_every - 1 in
   let n_aggressors =
@@ -119,154 +114,35 @@ let run (cfg : config) : result =
     !n
   in
   let n_victims = cfg.tenants - n_aggressors in
-  let victim_ok = ref 0 in
-  let victim_failed = ref 0 in
-  let victim_retries = ref 0 in
-  let victim_last_done = ref Time.zero in
-  let victim_hist = Stats.Histogram.create () in
-  let reg_hist =
-    Stats.Registry.histogram
-      ~labels:[ ("workload", "tenants") ]
-      "workload_victim_latency_ns"
-  in
+  let victim = Scenario.trips ~workload:"tenants" "workload_victim_latency_ns" in
   let force_detached = ref 0 in
   let tenant_of = Array.make cfg.tenants None in
   (* Victims' echo server, on an exclusive engine so server-side
      scheduling is not part of the contention story. *)
-  ignore
-    (Snap.Host.spawn_app h_srv ~name:"backend-v" ~spin:true (fun ctx ->
-         let c =
-           PE.create_client ctx h_srv.Snap.Host.pony ~name:"backend-v"
-             ~exclusive_engine:true ()
-         in
-         while true do
-           let m = PE.await_message ctx c in
-           ignore (PE.send_message ctx m.PE.msg_conn ~bytes:m.PE.msg_bytes ())
-         done));
+  Scenario.echo_server h_srv ~name:"backend-v" ~exclusive_engine:true;
   (* Aggressors' sink: consumes and never replies. *)
-  ignore
-    (Snap.Host.spawn_app h_srv ~name:"backend-a" ~spin:true (fun ctx ->
-         let c = PE.create_client ctx h_srv.Snap.Host.pony ~name:"backend-a" () in
-         while true do
-           let _m = PE.await_message ctx c in
-           Cpu.Thread.compute ctx (Time.us 1)
-         done));
-  (* Sleep-poll with a deadline: a blocked wait would need its own
-     wakeup plumbing; polling at a fixed cadence keeps the drivers
-     deterministic and immune to lost wakeups. *)
-  let poll_step = Time.us 2 in
-  let poll ctx ~deadline f =
-    let rec go () =
-      match f () with
-      | Some _ as r -> r
-      | None ->
-          if Cpu.Thread.now ctx >= deadline then None
-          else begin
-            Cpu.Thread.sleep ctx poll_step;
-            go ()
-          end
-    in
-    go ()
-  in
-  let prime_rx tn =
-    for s = 0 to Ring.capacity tn.Tenant.rx - 1 do
-      ignore
-        (Ring.post tn.Tenant.rx ~now:Time.zero ~id:s
-           ~off:(Tenant.rx_buf_off tn s) ~len:tn.Tenant.buf_bytes)
-    done
-  in
-  (* Victim driver: guest-side closed loop over the rings.  One
-     outstanding descriptor; its completion status comes back on the tx
-     used ring, the echo on the rx used ring. *)
+  Scenario.sink h_srv ~name:"backend-a" ~service:(Time.us 1);
+  (* Distinct start instants make attach order (tenant ids, engine
+     assignment) a function of the config, not of same-time scheduling
+     ties. *)
+  let start i = Time.add (Time.us 600) (i * 500) in
   let victim_driver i ctx =
-    (* Distinct start instants make attach order (tenant ids, engine
-       assignment) a function of the config, not of same-time
-       scheduling ties. *)
-    Cpu.Thread.sleep ctx (Time.add (Time.us 600) (i * 500));
+    Cpu.Thread.sleep ctx (start i);
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "v%d" i)
         ~dst_host:1 ~dst_name:"backend-v" ~ring_slots ~buf_bytes ()
     in
     tenant_of.(i) <- Some tn;
-    prime_rx tn;
-    let n = ref 0 in
-    let next_id = ref 0 in
-    while !n < cfg.victim_ops && Cpu.Thread.now ctx < cfg.stop_at do
-      incr n;
-      let t0 = Cpu.Thread.now ctx in
-      let rec attempt k =
-        if k > 3 then incr victim_failed
-        else begin
-          if k > 1 then incr victim_retries;
-          let slot = !n mod ring_slots in
-          (* Fresh id per attempt: a timed-out attempt's descriptor may
-             still be in flight, and reusing its id would be scored as
-             id aliasing by the hardened mux.  The id is a label; the
-             buffer slot stays op-indexed. *)
-          incr next_id;
-          let id = !next_id in
-          if
-            not
-              (Ring.post tn.Tenant.tx ~now:(Cpu.Thread.now ctx) ~id
-                 ~off:(Tenant.tx_buf_off tn slot) ~len:victim_bytes)
-          then begin
-            (* Single outstanding op: a full tx ring means cancelled
-               completions from a detach are pending; nothing to do. *)
-            Cpu.Thread.sleep ctx (Time.us 50);
-            attempt (k + 1)
-          end
-          else
-            let deadline = Time.add (Cpu.Thread.now ctx) (Time.ms 4) in
-            (* Drop stale used entries (from attempts that timed out
-               here but completed later): match on descriptor id. *)
-            match
-              poll ctx ~deadline (fun () ->
-                  match Ring.pop_used tn.Tenant.tx with
-                  | Some u when u.Ring.u_id = id -> Some u
-                  | Some _ | None -> None)
-            with
-            | Some u when u.Ring.u_status = Ring.Complete -> (
-                (* The echo window must ride out a full engine blackout
-                   on its own: the transport has taken responsibility,
-                   so the echo is coming — late, not lost. *)
-                let deadline = Time.add (Cpu.Thread.now ctx) (Time.ms 10) in
-                match
-                  poll ctx ~deadline (fun () -> Ring.pop_used tn.Tenant.rx)
-                with
-                | Some ru ->
-                    (* Return the buffer to the rx ring. *)
-                    ignore
-                      (Ring.post tn.Tenant.rx ~now:(Cpu.Thread.now ctx)
-                         ~id:ru.Ring.u_id
-                         ~off:(Tenant.rx_buf_off tn ru.Ring.u_id)
-                         ~len:tn.Tenant.buf_bytes);
-                    let lat = Time.sub (Cpu.Thread.now ctx) t0 in
-                    Stats.Histogram.record victim_hist lat;
-                    Stats.Histogram.record reg_hist lat;
-                    incr victim_ok;
-                    victim_last_done := Loop.now loop
-                | None -> incr victim_failed)
-            | Some _ ->
-                (* Rejected / timed out / busy: back off and retry. *)
-                Cpu.Thread.sleep ctx (Time.us 50);
-                attempt (k + 1)
-            | None ->
-                (* No completion within the window — typically the mux
-                   engine is mid-blackout.  Retry: the stale descriptor
-                   completes later and is dropped by the id match. *)
-                attempt (k + 1)
-        end
-      in
-      attempt 1
-    done;
+    Scenario.guest_victim victim tn ~ops:cfg.victim_ops ~bytes:victim_bytes
+      ~stop_at:cfg.stop_at ~gap:0 ctx;
     Snap.Host.detach_tenant h_guest tn
   in
   (* Aggressor driver: open-loop posts at a fixed interval, reaping
      used entries just enough to keep the ring usable.  Rejections land
      as used entries too — the guest sees its own overload. *)
   let aggressor_driver i ctx =
-    Cpu.Thread.sleep ctx (Time.add (Time.us 600) (i * 500));
+    Cpu.Thread.sleep ctx (start i);
     let tn =
       Snap.Host.attach_tenant ctx h_guest
         ~name:(Printf.sprintf "a%d" i)
@@ -357,8 +233,7 @@ let run (cfg : config) : result =
                      end
                  | _ -> ())
                tenant_of)));
-  Loop.run ~until:cfg.run_cap loop;
-  Check.Invariant.quiesce ();
+  Scenario.finish sc ~until:cfg.run_cap;
   let all_tenants =
     Array.to_list tenant_of |> List.filter_map (fun x -> x)
   in
@@ -375,9 +250,6 @@ let run (cfg : config) : result =
     Memory.Pool.in_use (PE.op_pool h_guest.Snap.Host.pony)
     + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
   in
-  List.iter
-    (fun h -> Memory.Pool.assert_quiesced (PE.op_pool h.Snap.Host.pony))
-    [ h_guest; h_srv ];
   let committed =
     List.length
       (List.filter
@@ -392,21 +264,15 @@ let run (cfg : config) : result =
       (fun acc r -> Time.max acc r.Upgrade.blackout)
       Time.zero !upgrade_reports
   in
-  let victim_goodput_gbps =
-    if !victim_last_done = 0 then 0.0
-    else
-      float_of_int (!victim_ok * victim_bytes * 2 * 8)
-      /. float_of_int !victim_last_done
-  in
   {
     n_tenants = cfg.tenants;
     n_victims;
     n_aggressors;
-    victim_ok = !victim_ok;
-    victim_failed = !victim_failed;
-    victim_retries = !victim_retries;
-    victim_goodput_gbps;
-    victim_latencies = victim_hist;
+    victim_ok = victim.ok;
+    victim_failed = victim.failed;
+    victim_retries = victim.retries;
+    victim_goodput_gbps = Scenario.echo_gbps victim ~bytes:victim_bytes;
+    victim_latencies = victim.latencies;
     agg_completed = agg_sum Tenant.tx_completed;
     agg_rejected = agg_sum Tenant.tx_rejected;
     agg_failed = agg_sum Tenant.tx_failed;

@@ -39,7 +39,7 @@ let test_watchdog_detects_wedge () =
   let g = mk_group m "g" in
   let e = idle_engine ~name:"e0" () in
   Engine.add g e;
-  let ctl = Control.create ~loop ~machine:m ~name:"ctl" in
+  let ctl = Control.create ~loop ~name:"ctl" in
   let wd = WD.create ~control:ctl () in
   WD.watch_group wd g;
   WD.start wd;
@@ -92,7 +92,7 @@ let test_watchdog_crash_detection () =
   let g = mk_group m "g" in
   let e = idle_engine ~name:"e0" () in
   Engine.add g e;
-  let ctl = Control.create ~loop ~machine:m ~name:"ctl" in
+  let ctl = Control.create ~loop ~name:"ctl" in
   let wd = WD.create ~control:ctl () in
   WD.watch_group wd g;
   WD.start wd;
@@ -110,7 +110,7 @@ let test_watchdog_quarantine () =
   let g = mk_group m "g" in
   let e = idle_engine ~name:"e0" () in
   Engine.add g e;
-  let ctl = Control.create ~loop ~machine:m ~name:"ctl" in
+  let ctl = Control.create ~loop ~name:"ctl" in
   let wd = WD.create ~control:ctl () in
   WD.watch_group wd g;
   WD.start wd;
@@ -124,14 +124,6 @@ let test_watchdog_quarantine () =
   let c name = List.assoc name (WD.counters wd) in
   check_int "one quarantine" 1 (c "wd_quarantines");
   check_int "restart budget spent" 3 (c "wd_restarts")
-
-let test_watchdog_create_validation () =
-  let loop, m = mk () in
-  ignore loop;
-  let ctl = Control.create ~loop ~machine:m ~name:"ctl" in
-  Alcotest.check_raises "bad period"
-    (Invalid_argument "Watchdog.create: period") (fun () ->
-      ignore (WD.create ~control:ctl ~period:0 ()))
 
 (* -- Transactional upgrade ----------------------------------------------- *)
 
@@ -235,7 +227,7 @@ let test_recover_double_noop () =
   let e = idle_engine ~name:"e" () in
   Engine.add g e;
   Engine.remove g e;
-  let ctl = Control.create ~loop ~machine:m ~name:"ctl" in
+  let ctl = Control.create ~loop ~name:"ctl" in
   let n = ref 0 in
   Control.recover_engine ctl ~group:g e ~after:(T.ms 1)
     ~on_recovered:(fun () -> incr n);
@@ -255,7 +247,7 @@ let test_recover_races_upgrade () =
   let og = mk_group m "old" and ng = mk_group m "new" in
   let e = idle_engine ~name:"e" () in
   Engine.add og e;
-  let ctl = Control.create ~loop ~machine:m ~name:"ctl" in
+  let ctl = Control.create ~loop ~name:"ctl" in
   let recovered = ref 0 in
   (* Fires at 3.025 ms: mid-blackout of the first attempt ([1, 11) ms). *)
   Control.recover_engine ctl ~group:og e ~after:(T.ms 3)
@@ -291,7 +283,7 @@ let test_recover_mailbox_survives () =
   let hit = ref false in
   check_bool "posted while detached" true
     (Squeue.Mailbox.post (Engine.mailbox e) (fun () -> hit := true));
-  let ctl = Control.create ~loop ~machine:m ~name:"ctl" in
+  let ctl = Control.create ~loop ~name:"ctl" in
   Control.recover_engine ctl ~group:g e ~after:(T.ms 1)
     ~on_recovered:(fun () -> ());
   Sim.Loop.run ~until:(T.ms 10) loop;
@@ -418,8 +410,6 @@ let () =
             test_watchdog_crash_detection;
           Alcotest.test_case "quarantines after repeated failures" `Quick
             test_watchdog_quarantine;
-          Alcotest.test_case "rejects bad parameters" `Quick
-            test_watchdog_create_validation;
         ] );
       ( "upgrade",
         [

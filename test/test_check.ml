@@ -73,6 +73,20 @@ let test_sabotage_flags () =
   I.set_sabotage "test.flag" false;
   check_bool "disarmed" false (I.sabotage "test.flag")
 
+(* The cadence tick re-arms only while another event is pending, so a
+   run that drains early idles to its horizon without evaluating
+   anything: 20 ticks of two simulator invariants here, where a tick
+   that re-armed forever would evaluate them 20,000 times each. *)
+let test_tick_stops_when_idle () =
+  with_checking (fun () ->
+      let loop = Sim.Loop.create () in
+      ignore (Sim.Loop.at loop (Sim.Time.ms 1) (fun () -> ()));
+      I.install ~loop ();
+      Sim.Loop.run ~until:(Sim.Time.sec 1) loop;
+      let n = I.evaluations () in
+      check_bool (Printf.sprintf "%d evaluations < 100" n) true (n < 100);
+      check_int "nothing left pending" 0 (Sim.Loop.pending_events loop))
+
 (* -- Salted heap tie-breaks --------------------------------------------- *)
 
 let drain h =
@@ -257,6 +271,8 @@ let () =
           Alcotest.test_case "begin_run clears scope" `Quick
             test_begin_run_clears;
           Alcotest.test_case "sabotage flags" `Quick test_sabotage_flags;
+          Alcotest.test_case "tick stops when the run drains" `Quick
+            test_tick_stops_when_idle;
         ] );
       ( "heap-salt",
         [

@@ -211,7 +211,7 @@ let mk_cluster ?(hosts = 2) ?(cores = 10) ?(mtu = 5000) ?(engines = 1)
       Nic.create ~loop ~machine:m ~fabric:fab ~addr
         { Nic.default_config with Nic.mtu }
     in
-    let ctl = Control.create ~loop ~machine:m ~name:(Printf.sprintf "snap%d" addr) in
+    let ctl = Control.create ~loop ~name:(Printf.sprintf "snap%d" addr) in
     let group = Engine.create_group ~machine:m ~name:"pony" ~mode:(mode addr) in
     let pony =
       Pony.Express.create ~directory:dir ~control:ctl ~machine:m ~nic ~group ~engines
@@ -1040,6 +1040,69 @@ let test_keepalive_idle_quiesce () =
     (Pony.Express.keepalive_probes a.Snap.Host.pony <= 4
     && Pony.Express.keepalive_probes b.Snap.Host.pony <= 4)
 
+(* A reassembly opened while the op pool cannot cover its message holds
+   no charge, so the pool-drained invariant cannot see it leak.  Here the
+   receiver's pool is smaller than the message, the sender's host
+   crashes once the first chunk is through, and no keepalive will ever
+   declare the conn dead: the reassembly stays open, and quiesce must
+   name the per-engine invariant that counts open reassemblies. *)
+let test_uncharged_reassembly_caught_at_quiesce () =
+  Check.Invariant.set_enabled true;
+  Check.Invariant.begin_run ();
+  Fun.protect
+    ~finally:(fun () ->
+      Check.Invariant.begin_run ();
+      Check.Invariant.set_enabled false)
+    (fun () ->
+      let loop = Sim.Loop.create ~seed:3 () in
+      let fab = Fabric.create ~loop ~config:Fabric.default_config ~hosts:2 in
+      let dir = Pony.Express.Directory.create () in
+      let page = 4096 in
+      let mk addr ~op_pool_bytes =
+        Snap.Host.create ~loop ~fabric:fab ~directory:dir ~addr
+          ~mode:(Engine.Dedicating { cores = 1 })
+          ~op_pool_bytes ()
+      in
+      let a = mk 0 ~op_pool_bytes:(1 lsl 30) in
+      let b = mk 1 ~op_pool_bytes:(2 * page) in
+      let crashed = ref false in
+      Fabric.set_fault_hook fab (fun pkt ->
+          match pkt.Memory.Packet.payload with
+          | Pony.Wire.Pony { item = Pony.Wire.Msg_chunk { offset; _ }; _ }
+            when pkt.Memory.Packet.src = 0 ->
+              if offset = 0 && not !crashed then begin
+                crashed := true;
+                ignore
+                  (Sim.Loop.after loop 0 (fun () ->
+                       Pony.Express.crash_host a.Snap.Host.pony));
+                Fabric.Fault_pass
+              end
+              else Fabric.Fault_drop
+          | _ -> Fabric.Fault_pass);
+      ignore
+        (Snap.Host.spawn_app b ~name:"server" (fun ctx ->
+             let c = Pony.Express.create_client ctx b.Snap.Host.pony ~name:"server" () in
+             ignore (Pony.Express.await_message ctx c)));
+      ignore
+        (Snap.Host.spawn_app a ~name:"client" (fun ctx ->
+             let c = Pony.Express.create_client ctx a.Snap.Host.pony ~name:"client" () in
+             Cpu.Thread.sleep ctx (T.us 300);
+             let conn = Pony.Express.connect ctx c ~dst_host:1 ~dst_client:0 in
+             ignore (Pony.Express.send_message ctx conn ~bytes:(4 * page) ())));
+      Sim.Loop.run ~until:(T.ms 50) loop;
+      check_bool "the first chunk passed and the sender crashed" true !crashed;
+      check_int "the receiver's pool holds nothing" 0
+        (Memory.Pool.in_use (Pony.Express.op_pool b.Snap.Host.pony));
+      match Check.Invariant.quiesce () with
+      | () -> Alcotest.fail "quiesce raised nothing"
+      | exception Check.Invariant.Violation msg ->
+          let name = "pony0@1.reassemblies_closed" in
+          let prefix = "invariant " ^ name ^ " violated" in
+          check_bool
+            (Printf.sprintf "violation names %s (got %S)" name msg)
+            true
+            (String.starts_with ~prefix msg))
+
 let () =
   Alcotest.run "pony-extra"
     [
@@ -1056,6 +1119,8 @@ let () =
             test_completion_latency_fields;
           Alcotest.test_case "interleaved reassembly under loss" `Quick
             test_interleaved_reassembly_under_loss;
+          Alcotest.test_case "uncharged reassembly caught at quiesce" `Quick
+            test_uncharged_reassembly_caught_at_quiesce;
         ] );
       ( "timers",
         [
