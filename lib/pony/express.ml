@@ -164,8 +164,8 @@ and eng = {
      (rare), never per pass. *)
   mutable flow_arr : Flow.t array;
   (* Receive-side flow lookup by the sender's (host, engine), filled on
-     first use and reset with the flow set, so a received packet finds
-     its flow without building the reversed key. *)
+     first use and reset when flows are dropped, so a received packet
+     finds its flow without building the reversed key. *)
   mutable rx_flows : Flow.t option array array;
   (* Per-pass membership, indexed like [flow_arr] and [eclients]: every
      flow that is not idle (see [Flow.set_activity_hook]) and every
@@ -476,20 +476,20 @@ let advertised_window eng =
       Int.max 1 (Int.min (Flow.max_flight / 8) (free / 4))
   | Overload.Pressure.Saturated -> 0
 
-(* Every change to the flow set goes through here: the old flows stop
-   marking (a dropped flow must never mark its successor's index) and
-   the membership set is re-slotted to the new indices, each busy flow
-   marking itself as its hook is installed.  A flow is [Flow.marked]
-   exactly while its bit is set. *)
+let hook_flow eng i f =
+  Flow.set_activity_hook f (fun () -> Sim.Bitset.set eng.active_flows i)
+
+(* Every change to the flow set that drops a flow goes through here: the
+   old flows stop marking (a dropped flow must never mark its
+   successor's index) and the membership set is re-slotted to the new
+   indices, each busy flow marking itself as its hook is installed.  A
+   flow is [Flow.marked] exactly while its bit is set. *)
 let install_flows eng flows =
   Array.iter (fun f -> Flow.set_activity_hook f ignore) eng.flow_arr;
   eng.flow_arr <- flows;
   eng.rx_flows <- [||];
   Sim.Bitset.reset eng.active_flows;
-  Array.iteri
-    (fun i f ->
-      Flow.set_activity_hook f (fun () -> Sim.Bitset.set eng.active_flows i))
-    flows
+  Array.iteri (hook_flow eng) flows
 
 let get_flow eng key =
   match Hashtbl.find_opt eng.flows key with
@@ -513,13 +513,17 @@ let get_flow eng key =
           ~version ~incarnation:eng.e_host.incarnation ()
       in
       Hashtbl.add eng.flows key f;
-      install_flows eng (Array.append eng.flow_arr [| f |]);
+      (* An append moves no index: only the new flow needs a hook. *)
+      let i = Array.length eng.flow_arr in
+      eng.flow_arr <- Array.append eng.flow_arr [| f |];
+      hook_flow eng i f;
       Flow.set_window_provider f (fun () -> advertised_window eng);
       f
 
 (* The flow a packet of the peer's flow [k] belongs to, [get_flow eng
-   (Wire.reverse k)], cached in [eng.rx_flows].  Flows build every
-   packet with [dst_host] = the key's, so only the engine is checked. *)
+   (Wire.reverse k)], cached in [eng.rx_flows] until [install_flows]
+   drops flows.  Flows build every packet with [dst_host] = the key's,
+   so only the engine is checked. *)
 let rx_flow eng (k : Wire.flow_key) =
   let h = k.Wire.src_host and e = k.Wire.src_engine in
   let ours = k.Wire.dst_engine = eng.eid in
@@ -529,7 +533,6 @@ let rx_flow eng (k : Wire.flow_key) =
   | None ->
       let f = get_flow eng (Wire.reverse k) in
       if ours then begin
-        (* After [get_flow], which resets the table when it adds a flow. *)
         let fit a i fill =
           if i < Array.length a then a
           else begin
@@ -1958,7 +1961,7 @@ let new_engine t =
   if eid >= nq then failwith "Pony: more engines than NIC rx queues";
   (* Tie the knot between the engine record and its run closure. *)
   let eng_ref = ref None in
-  let ename = Printf.sprintf "pony%d@%d" eid (Nic.addr t.nic) in
+  let ename = Flow.engine_name ~host:(Nic.addr t.nic) ~engine:eid in
   let core =
     Engine.create ~name:ename
       ~run:(fun () ->

@@ -13,6 +13,8 @@ let dupack_threshold = 3
    means no acks, no acks means no window update. *)
 let zero_window_probe_interval = Time.us 200
 
+let engine_name ~host ~engine = Printf.sprintf "pony%d@%d" engine host
+
 (* What a vacated send-queue or flight slot holds, so the ring retains
    no dead wire item.  Compared with [==]: no real item is this value. *)
 let vacant =
@@ -86,21 +88,25 @@ type t = {
   (* RTT / RTO. *)
   rtt : rtt;
   mutable rto : Time.t;
-  (* Stats. *)
+  (* Stats.  RTT samples go to the source engine's histogram, shared
+     by all of its flows: nothing reads them flow by flow. *)
   mutable n_retx : int;
   mutable n_delivered : int;
-  fl_label : string;  (* "srcHost.srcEng->dstHost.dstEng" *)
   h_rtt : Stats.Histogram.t;
-  h_flight : Stats.Histogram.t;
+  (* The span track, "flow " ^ [label], built at the first span. *)
+  mutable track : string;
 }
+
+(* "srcHost.srcEng->dstHost.dstEng", built only to name the flow in
+   spans and invariant reports. *)
+let label t =
+  let k = t.fkey in
+  Printf.sprintf "%d.%d->%d.%d" k.Wire.src_host k.Wire.src_engine
+    k.Wire.dst_host k.Wire.dst_engine
 
 let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
     ?(incarnation = 0) () =
-  let fl_label =
-    Printf.sprintf "%d.%d->%d.%d" key.Wire.src_host key.Wire.src_engine
-      key.Wire.dst_host key.Wire.dst_engine
-  in
-  let labels = [ ("flow", fl_label) ] in
+  let engine = engine_name ~host:key.Wire.src_host ~engine:key.Wire.src_engine in
   let t =
   {
     lp = loop;
@@ -137,12 +143,12 @@ let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
     rto = min_rto;
     n_retx = 0;
     n_delivered = 0;
-    fl_label;
-    h_rtt = Stats.Registry.histogram ~labels "pony_flow_rtt_ns";
-    h_flight = Stats.Registry.histogram ~labels "pony_flow_flight";
+    h_rtt =
+      Stats.Registry.histogram ~labels:[ ("engine", engine) ] "pony_flow_rtt_ns";
+    track = "";
   }
   in
-  Check.Invariant.register ~name:(Printf.sprintf "pony.flow.%s" fl_label)
+  Check.Invariant.register ~name:("pony.flow." ^ label t)
     (fun () ->
       if t.flight_len < 0 || t.flight_len > max_flight then
         Some
@@ -205,8 +211,8 @@ let q_drop_head t =
 (* Flow events share one track per flow so chrome://tracing shows each
    flow as its own lane. *)
 let span t ~now ?(args = []) name =
-  Sim.Span.emit t.lp ~cat:"pony" ~track:("flow " ^ t.fl_label) ~args ~start:now
-    name
+  if String.length t.track = 0 then t.track <- "flow " ^ label t;
+  Sim.Span.emit t.lp ~cat:"pony" ~track:t.track ~args ~start:now name
 
 let key t = t.fkey
 let version t = t.ver
@@ -338,7 +344,6 @@ let rec transmit t ~now ~gen =
       t.owe_ack <- false;
       let pkt = build_packet t ~now ~gen ~seq ~item ~payload:t.fl_payload.(j) in
       advance_pacer t ~now pkt.Packet.wire_bytes;
-      Stats.Histogram.record t.h_flight t.flight_len;
       if Sim.Span.enabled () then
         span t ~now ~args:[ ("seq", string_of_int seq) ] "retx";
       op_stall t item Sim.Optrace.Retx;
@@ -383,10 +388,9 @@ let rec transmit t ~now ~gen =
              (Check.Invariant.Violation
                 (Printf.sprintf
                    "flow %s: flight %d exceeds advertised window %d on fresh send"
-                   t.fl_label t.flight_len (effective_window t))));
+                   (label t) t.flight_len (effective_window t))));
       let pkt = build_packet t ~now ~gen ~seq ~item ~payload in
       advance_pacer t ~now pkt.Packet.wire_bytes;
-      Stats.Histogram.record t.h_flight t.flight_len;
       if Sim.Span.enabled () then
         span t ~now ~args:[ ("seq", string_of_int seq) ] "tx";
       pkt

@@ -18,6 +18,11 @@ val max_flight : int
 (** Per-flow flight cap in packets; also the largest window a receiver
     ever advertises. *)
 
+val engine_name : host:int -> engine:int -> string
+(** ["pony<engine>@<host>"], the name of Pony engine [engine] on host
+    [host]: it labels the engine's metrics, among them the one
+    [pony_flow_rtt_ns] where all of that engine's flows record RTT. *)
+
 val create :
   loop:Sim.Loop.t ->
   key:Wire.flow_key ->

@@ -1,51 +1,38 @@
 module Time = Sim.Time
 
-type params = {
-  t_low : Time.t;
-  t_high : Time.t;
-  min_rate_gbps : float;
-  max_rate_gbps : float;
-  additive_gbps : float;  (* additive increment per update *)
-  beta : float;  (* multiplicative decrease factor *)
-  hai_threshold : int;
-      (* consecutive negative gradients before hyperactive increase *)
-}
+(* The controller's constants, the same for every flow. *)
+let t_low = Time.us 15
+let t_high = Time.us 50
+let min_rate_gbps = 0.05
+let additive_gbps = 0.5  (* additive increment per update *)
+let beta = 0.8  (* multiplicative decrease factor *)
 
-let default_params ~max_rate_gbps =
-  {
-    t_low = Time.us 15;
-    t_high = Time.us 50;
-    min_rate_gbps = 0.05;
-    max_rate_gbps;
-    additive_gbps = 0.5;
-    beta = 0.8;
-    hai_threshold = 5;
-  }
+(* Consecutive negative gradients before hyperactive increase. *)
+let hai_threshold = 5
 
-(* The per-sample floats, in an all-float record so a store does not
+(* EWMA weight for the RTT-difference filter (Timely's alpha). *)
+let alpha = 0.46
+
+(* The per-flow floats, in an all-float record so a store does not
    box. *)
 type state = {
+  max_rate_gbps : float;
   mutable rate : float;  (* Gbps *)
   mutable prev_rtt : float;  (* ns *)
   mutable rtt_diff : float;  (* EWMA of RTT differences, ns *)
 }
 
 type t = {
-  p : params;
   st : state;
   mutable neg_gradient_count : int;
   mutable min_rtt_seen : Time.t;
 }
 
-(* EWMA weight for the RTT-difference filter (Timely's alpha). *)
-let alpha = 0.46
-
 let create ~max_rate_gbps () =
-  let p = default_params ~max_rate_gbps in
   {
-    p;
     (* Start at half line rate: new flows probe upward quickly. *)
-    st = { rate = p.max_rate_gbps /. 2.0; prev_rtt = 0.0; rtt_diff = 0.0 };
+    st =
+      { max_rate_gbps; rate = max_rate_gbps /. 2.0; prev_rtt = 0.0; rtt_diff = 0.0 };
     neg_gradient_count = 0;
     min_rtt_seen = 0;
   }
@@ -58,12 +45,12 @@ let[@inline] fmin (a : float) b = if b < a then b else a
 (* Store [r] clamped to [min_rate_gbps, max_rate_gbps]: [fmin hi (fmax
    lo r)] spelled out, so every branch stores an unboxed float. *)
 let[@inline] set_rate t r =
-  let p = t.p in
-  t.st.rate <-
-    (if r > p.min_rate_gbps then
-       if r < p.max_rate_gbps then r else p.max_rate_gbps
-     else if p.min_rate_gbps < p.max_rate_gbps then p.min_rate_gbps
-     else p.max_rate_gbps)
+  let st = t.st in
+  let hi = st.max_rate_gbps in
+  st.rate <-
+    (if r > min_rate_gbps then if r < hi then r else hi
+     else if min_rate_gbps < hi then min_rate_gbps
+     else hi)
 
 let on_rtt_sample t rtt =
   if t.min_rtt_seen = 0 || rtt < t.min_rtt_seen then t.min_rtt_seen <- rtt;
@@ -76,23 +63,23 @@ let on_rtt_sample t rtt =
     st.rtt_diff <- ((1.0 -. alpha) *. st.rtt_diff) +. (alpha *. new_diff);
     let min_rtt = fmax 1.0 (float_of_int t.min_rtt_seen) in
     let gradient = st.rtt_diff /. min_rtt in
-    if rtt < t.p.t_low then begin
+    if rtt < t_low then begin
       t.neg_gradient_count <- 0;
-      set_rate t (st.rate +. t.p.additive_gbps)
+      set_rate t (st.rate +. additive_gbps)
     end
-    else if rtt > t.p.t_high then begin
+    else if rtt > t_high then begin
       t.neg_gradient_count <- 0;
-      let over = float_of_int t.p.t_high /. rtt_f in
-      set_rate t (st.rate *. (1.0 -. (t.p.beta *. (1.0 -. over))))
+      let over = float_of_int t_high /. rtt_f in
+      set_rate t (st.rate *. (1.0 -. (beta *. (1.0 -. over))))
     end
     else if gradient <= 0.0 then begin
       t.neg_gradient_count <- t.neg_gradient_count + 1;
-      let n = if t.neg_gradient_count >= t.p.hai_threshold then 5.0 else 1.0 in
-      set_rate t (st.rate +. (n *. t.p.additive_gbps))
+      let n = if t.neg_gradient_count >= hai_threshold then 5.0 else 1.0 in
+      set_rate t (st.rate +. (n *. additive_gbps))
     end
     else begin
       t.neg_gradient_count <- 0;
-      set_rate t (st.rate *. (1.0 -. (t.p.beta *. fmin 1.0 gradient)))
+      set_rate t (st.rate *. (1.0 -. (beta *. fmin 1.0 gradient)))
     end
   end
 

@@ -1,8 +1,8 @@
 (* [counts] covers bucket indices [0, Array.length counts) and grows on
    demand up to [max_index]: buckets past the end hold zero, so every
    walk over [counts] reads the same as over a full-size array.  Most
-   histograms see a narrow value range, and per-flow ones exist by the
-   thousand. *)
+   histograms see a narrow value range, and per-engine ones exist by
+   the hundred. *)
 type t = {
   mutable counts : int array;
   mutable total : int;

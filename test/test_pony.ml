@@ -189,6 +189,55 @@ let test_flow_pacing_spaces_packets () =
   | d -> check_bool "release in future" true (d > 10));
   check_bool "ready after release" true (Pony.Flow.ready_to_emit a ~now:(T.us 10))
 
+(* A flow registers no metric of its own: every flow of an engine
+   records its RTT samples into that engine's one [pony_flow_rtt_ns],
+   labelled with the engine's name, and no flight histogram exists.
+   Engine 0 of host 0 runs flows to two peers.  Each data packet's ack
+   carries one RTT sample back, 3 on the first flow and 5 on the
+   second; the peers send only acks, so they take none. *)
+let test_flow_rtt_histogram_per_engine () =
+  Stats.Registry.clear ();
+  Fun.protect ~finally:Stats.Registry.clear @@ fun () ->
+  let loop = Sim.Loop.create () in
+  let gen = Memory.Packet.Id_gen.create () in
+  let ck =
+    { Pony.Wire.initiator_host = 0; initiator_client = 0; target_host = 1; target_client = 0; session = 0 }
+  in
+  let now = ref 0 in
+  let rounds ~dst_host n =
+    let k = { Pony.Wire.src_host = 0; src_engine = 0; dst_host; dst_engine = 0 } in
+    let a = Pony.Flow.create ~loop ~key:k ~max_rate_gbps:100.0 () in
+    let b = Pony.Flow.create ~loop ~key:(Pony.Wire.reverse k) ~max_rate_gbps:100.0 () in
+    for i = 1 to n do
+      Pony.Flow.enqueue a (Pony.Wire.Credit_grant { conn = ck; bytes = i }) ~payload_bytes:0;
+      now := !now + T.us 10;
+      let pkt = Option.get (Pony.Flow.emit a ~now:!now ~gen) in
+      now := !now + T.us 1;
+      ignore (Pony.Flow.on_receive b ~now:!now pkt);
+      let ack = Option.get (Pony.Flow.make_ack b ~now:!now ~gen) in
+      now := !now + T.us 1;
+      ignore (Pony.Flow.on_receive a ~now:!now ack)
+    done
+  in
+  rounds ~dst_host:1 3;
+  rounds ~dst_host:2 5;
+  let named n = List.filter (fun m -> m.Stats.Registry.m_name = n) (Stats.Registry.snapshot ()) in
+  let count labels =
+    match Stats.Registry.find ~labels "pony_flow_rtt_ns" with
+    | Some { Stats.Registry.m_kind = Stats.Registry.Histogram h; _ } ->
+        Stats.Histogram.count h
+    | _ -> Alcotest.fail "no engine RTT histogram"
+  in
+  Alcotest.(check (list (list (pair string string))))
+    "one RTT histogram per engine, labelled with its name"
+    [ [ ("engine", "pony0@0") ]; [ ("engine", "pony0@1") ]; [ ("engine", "pony0@2") ] ]
+    (List.map (fun m -> m.Stats.Registry.m_labels) (named "pony_flow_rtt_ns"));
+  check_int "engine 0 holds both flows' samples" (3 + 5)
+    (count [ ("engine", Pony.Flow.engine_name ~host:0 ~engine:0) ]);
+  check_int "the peers took none" 0
+    (count [ ("engine", "pony0@1") ] + count [ ("engine", "pony0@2") ]);
+  check_int "no flight histogram" 0 (List.length (named "pony_flow_flight"))
+
 (* -- End-to-end Pony ----------------------------------------------------- *)
 
 type host = {
@@ -599,6 +648,91 @@ let test_pony_conn_state_budget () =
   conn_state_words ~capture:None;
   conn_state_words ~capture:(Some 8192)
 
+(* Flow state budget: Pony runs one flow per pair of engines that talk,
+   so flow state grows with the square of the engine count (snapbench's
+   rpc_mesh holds 6,720 flows).  Host 0's 8 engines each dial every
+   engine of two peers with 8 engines each, one RPC per conn (a 4 KiB
+   request, a 64 B reply), so host 0 ends with 128 flows and each peer
+   with 64, and every flow has carried data and taken RTT samples.  In
+   the warm-up each engine of host 0 dials its namesake on both peers,
+   which makes every engine's first flow; each of the 224 flows made
+   after it may add at most [flow_words_budget] live major-heap words,
+   registry entries and its half of the conn that opened it included.
+   The budget is about 1.4x the 144 words measured on OCaml 5.1.1.
+   With RTT and flight-size histograms of its own, as flows once had,
+   a flow measured 626. *)
+let flow_words_budget = 200.0
+
+let test_pony_flow_state_budget () =
+  let engines = 8 and peers = 2 in
+  let loop, hosts = mk_cluster ~hosts:(1 + peers) ~engines () in
+  let h0 = List.hd hosts in
+  let go = ref false and rpcs = ref 0 in
+  List.iter
+    (fun h ->
+      for i = 0 to engines - 1 do
+        spawn h (Printf.sprintf "server%d" i) (fun ctx ->
+            let c = Pony.Express.create_client ctx h.pony ~name:"server" () in
+            while true do
+              let m = Pony.Express.await_message ctx c in
+              ignore (Pony.Express.send_message ctx m.Pony.Express.msg_conn ~bytes:64 ());
+              ignore (Pony.Express.await_completion ctx c)
+            done)
+      done)
+    (List.tl hosts);
+  spawn h0 "client" (fun ctx ->
+      (* Client [i] lands on engine [i], as server [j] on each peer does. *)
+      let cs =
+        Array.init engines (fun _ -> Pony.Express.create_client ctx h0.pony ~name:"client" ())
+      in
+      Cpu.Thread.sleep ctx (T.us 500);
+      let rpc i ~dst_host ~dst_client =
+        let c = cs.(i) in
+        let conn = Pony.Express.connect ctx c ~dst_host ~dst_client in
+        ignore (Pony.Express.send_message ctx conn ~bytes:4096 ());
+        ignore (Pony.Express.await_completion ctx c);
+        ignore (Pony.Express.await_message ctx c);
+        incr rpcs
+      in
+      for i = 0 to engines - 1 do
+        for p = 1 to peers do
+          rpc i ~dst_host:p ~dst_client:i
+        done
+      done;
+      while not !go do
+        Cpu.Thread.sleep ctx (T.us 100)
+      done;
+      for i = 0 to engines - 1 do
+        for p = 1 to peers do
+          for j = 0 to engines - 1 do
+            if j <> i then rpc i ~dst_host:p ~dst_client:j
+          done
+        done
+      done);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let flows () = List.concat_map (fun h -> Pony.Express.flow_stats h.pony) hosts in
+  Sim.Loop.run ~until:(T.ms 5) loop;
+  check_int "warm-up RPCs done" (engines * peers) !rpcs;
+  let live0 = live () and flows0 = List.length (flows ()) in
+  go := true;
+  Sim.Loop.run ~until:(T.ms 50) loop;
+  check_int "every RPC done" (engines * peers * engines) !rpcs;
+  let all = flows () in
+  check_int "host 0 holds a flow per peer engine pair" (engines * engines * peers)
+    (List.length (Pony.Express.flow_stats h0.pony));
+  check_bool "every flow delivered data" true
+    (List.for_all (fun (_, delivered, _) -> delivered > 0) all);
+  let n = List.length all - flows0 in
+  let per_flow = float_of_int (live () - live0) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.1f live words per flow over %d flows, budget %.0f" per_flow n
+       flow_words_budget)
+    true
+    (per_flow <= flow_words_budget)
+
 (* Table 1's shape: Pony's goodput is flat in the number of streams.
    The 25 ms window is Table 1's; the 200 sequential connects spend
    about 6 ms of it. *)
@@ -637,6 +771,8 @@ let () =
           Alcotest.test_case "timeout retransmit" `Quick test_flow_retransmit_on_timeout;
           Alcotest.test_case "ack clears flight" `Quick test_flow_ack_clears_flight;
           Alcotest.test_case "pacing" `Quick test_flow_pacing_spaces_packets;
+          Alcotest.test_case "one RTT histogram per engine" `Quick
+            test_flow_rtt_histogram_per_engine;
         ] );
       ( "end-to-end",
         [
@@ -654,6 +790,7 @@ let () =
           Alcotest.test_case "table1 flat in streams" `Slow
             test_pony_table1_flat_in_streams;
           Alcotest.test_case "conn state budget" `Quick test_pony_conn_state_budget;
+          Alcotest.test_case "flow state budget" `Quick test_pony_flow_state_budget;
         ] );
     ]
 

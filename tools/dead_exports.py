@@ -26,6 +26,11 @@ does not need.
   update or a record literal.  A field no one sets always holds its
   default, so it is a constant too.
 
+A use credits only the `val` of its innermost module: `M.A.f` names
+`M.A.f`, not `M.B.f` or a top-level `M.f`.  The lint does no scope
+analysis, so a bare use inside a module's own file still credits every
+same-named `val` that file declares.
+
 A finding stays only as an entry in ALLOWED below, keyed by the name
 code uses for it (`Lib.Module.value`, `Lib.Module.value ?arg`,
 `Lib.Module.config.field`) with a one-line reason: a test hook that
@@ -414,22 +419,23 @@ def main():
             for mli, inner, opts in wanted[last(tok)]:
                 own = path == mli[:-1]
                 named = mod == inner or (mod is None and inner in opens)
+                key = (mli, inner, last(tok))
                 if named and not own:
-                    used.add((mli, last(tok)))
+                    used.add(key)
                 if opts and (named or (mod is None and own)):
                     if labels is None:
                         labels = application_labels(toks, i)
-                    passed.setdefault((mli, last(tok)), set()).update(labels)
+                    passed.setdefault(key, set()).update(labels)
         for mod, field in record_setters(path, toks, alias, field_owner):
             setters.setdefault(mod, {}).setdefault(field, set()).add(path)
 
     # (allowlist key, message) of every finding.
     dead = []
-    for mli, (name, _, opts, qual) in exports:
-        if (mli, name) not in used:
+    for mli, (name, inner, opts, qual) in exports:
+        if (mli, inner, name) not in used:
             dead.append((f"{qual}.{name}",
                          f"{mli}: val {name} is named by no other module"))
-        got = passed.get((mli, name), set())
+        got = passed.get((mli, inner, name), set())
         for o in opts:
             if o not in got:
                 dead.append((f"{qual}.{name} ?{o}",
