@@ -55,8 +55,8 @@ type task = {
   t_name : string;
   tid : int;  (* index into the machine's task table *)
   account : string;
-  (* The account's counter, resolved on the first charge so that an
-     account appears in [accounts] only once something is charged. *)
+  (* The account's counter, resolved on the first charge, so an account
+     nothing charged has no table entry. *)
   mutable acct : int ref option;
   klass : klass;
   vr_scale : float;  (* vruntime ns per CPU ns: 1024 / weight, 0 if not fair *)
@@ -255,10 +255,6 @@ let account_busy_ns m account =
       0 m.cores_arr
   in
   base + spin
-
-let accounts m =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) m.account_tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* -- CFS weights ------------------------------------------------------ *)
 

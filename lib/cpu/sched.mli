@@ -73,9 +73,6 @@ val busy_ns : machine -> int
 val account_busy_ns : machine -> string -> int
 (** CPU time charged to the given accounting container (§2.5). *)
 
-val accounts : machine -> (string * int) list
-(** All accounts with their busy nanoseconds, sorted by name. *)
-
 val interrupt : machine -> cost:Sim.Time.t -> (unit -> unit) -> unit
 (** [interrupt m ~cost f] delivers an interrupt to a core chosen
     round-robin, as with RSS interrupt spreading: after the delivery

@@ -276,8 +276,6 @@ and service_pending t =
 
 (* -- Receive path ------------------------------------------------------ *)
 
-let sock_key sock = (sock.local_port, sock.peer_addr, sock.peer_port)
-
 let wake_reader sock =
   bump_activity sock.stack;
   match sock.reader with
@@ -640,8 +638,6 @@ let try_recv ctx sock ~max =
     Cpu.Thread.compute ctx (copy_cost n);
     n
   end
-
-let _ = sock_key
 
 let arm_activity_wake t task =
   if not (List.memq task t.epoll_waiters) then

@@ -159,14 +159,14 @@ and eng = {
   e_acct : Memory.Pool.account;
   rxq : int;
   mutable eclients : client array;  (* creation order *)
-  flows : (Wire.flow_key, Flow.t) Hashtbl.t;
+  (* The engine's one flow table: the flow to peer engine [e] on host
+     [h] is [flows.(h).(e)], rows grown on demand.  [connect] and the
+     receive path both find flows here, by ints, so neither builds a
+     key unless it creates the flow. *)
+  mutable flows : Flow.t option array array;
   (* Flows in creation order; rebuilt only when the flow set changes
      (rare), never per pass. *)
   mutable flow_arr : Flow.t array;
-  (* Receive-side flow lookup by the sender's (host, engine), filled on
-     first use and reset when flows are dropped, so a received packet
-     finds its flow without building the reversed key. *)
-  mutable rx_flows : Flow.t option array array;
   (* Per-pass membership, indexed like [flow_arr] and [eclients]: every
      flow that is not idle (see [Flow.set_activity_hook]) and every
      client whose [cmd_q] is non-empty is a member (members may have
@@ -479,73 +479,64 @@ let advertised_window eng =
 let hook_flow eng i f =
   Flow.set_activity_hook f (fun () -> Sim.Bitset.set eng.active_flows i)
 
-(* Every change to the flow set that drops a flow goes through here: the
-   old flows stop marking (a dropped flow must never mark its
-   successor's index) and the membership set is re-slotted to the new
-   indices, each busy flow marking itself as its hook is installed.  A
-   flow is [Flow.marked] exactly while its bit is set. *)
+(* Every change to the flow set that drops a flow goes through here,
+   after the table has dropped it: the old flows stop marking (a dropped
+   flow must never mark its successor's index) and the membership set
+   is re-slotted to the new indices, each busy flow marking itself as
+   its hook is installed.  A flow is [Flow.marked] exactly while its bit
+   is set. *)
 let install_flows eng flows =
   Array.iter (fun f -> Flow.set_activity_hook f ignore) eng.flow_arr;
   eng.flow_arr <- flows;
-  eng.rx_flows <- [||];
   Sim.Bitset.reset eng.active_flows;
   Array.iteri (hook_flow eng) flows
 
-let get_flow eng key =
-  match Hashtbl.find_opt eng.flows key with
+(* [a] with room for index [i], new slots [fill]. *)
+let fit a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (i + 1) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* This engine's flow to engine [engine] of host [host], made on first
+   use.  Only a new flow builds its key. *)
+let get_flow eng ~host ~engine =
+  let row = if host < Array.length eng.flows then eng.flows.(host) else [||] in
+  match if engine < Array.length row then row.(engine) else None with
   | Some f -> f
   | None ->
+      let t = eng.e_host in
+      let key =
+        { Wire.src_host = addr t; src_engine = eng.eid; dst_host = host;
+          dst_engine = engine }
+      in
       (* Wire-version negotiation with the peer release: pick the least
          common denominator of the two hosts' supported sets (§3.1). *)
-      let local = eng.e_host.versions in
       let remote =
-        match Hashtbl.find_opt eng.e_host.dir.hosts key.Wire.dst_host with
+        match Hashtbl.find_opt t.dir.hosts host with
         | Some peer -> peer.versions
         | None -> Wire.supported_versions
       in
       let version =
-        match Wire.negotiate local remote with
+        match Wire.negotiate t.versions remote with
         | Some v -> v
         | None -> failwith "Pony: no common wire protocol version"
       in
       let f =
-        Flow.create ~loop:eng.e_host.lp ~key ~max_rate_gbps:(flow_max_rate eng.e_host)
-          ~version ~incarnation:eng.e_host.incarnation ()
+        Flow.create ~loop:t.lp ~key ~max_rate_gbps:(flow_max_rate t) ~version
+          ~incarnation:t.incarnation ()
       in
-      Hashtbl.add eng.flows key f;
+      eng.flows <- fit eng.flows host [||];
+      let row = fit eng.flows.(host) engine None in
+      eng.flows.(host) <- row;
+      row.(engine) <- Some f;
       (* An append moves no index: only the new flow needs a hook. *)
       let i = Array.length eng.flow_arr in
       eng.flow_arr <- Array.append eng.flow_arr [| f |];
       hook_flow eng i f;
       Flow.set_window_provider f (fun () -> advertised_window eng);
-      f
-
-(* The flow a packet of the peer's flow [k] belongs to, [get_flow eng
-   (Wire.reverse k)], cached in [eng.rx_flows] until [install_flows]
-   drops flows.  Flows build every packet with [dst_host] = the key's,
-   so only the engine is checked. *)
-let rx_flow eng (k : Wire.flow_key) =
-  let h = k.Wire.src_host and e = k.Wire.src_engine in
-  let ours = k.Wire.dst_engine = eng.eid in
-  let row = if h < Array.length eng.rx_flows then eng.rx_flows.(h) else [||] in
-  match if ours && e < Array.length row then row.(e) else None with
-  | Some f -> f
-  | None ->
-      let f = get_flow eng (Wire.reverse k) in
-      if ours then begin
-        let fit a i fill =
-          if i < Array.length a then a
-          else begin
-            let b = Array.make (i + 1) fill in
-            Array.blit a 0 b 0 (Array.length a);
-            b
-          end
-        in
-        eng.rx_flows <- fit eng.rx_flows h [||];
-        let row = fit eng.rx_flows.(h) e None in
-        eng.rx_flows.(h) <- row;
-        row.(e) <- Some f
-      end;
       f
 
 (* -- Completion / message delivery to the application ------------------- *)
@@ -572,14 +563,37 @@ let release_charge client op_id =
         Overload.Admission.release client.adm charge
   | exception Not_found -> ()
 
-let push_completion eng cost client comp =
-  ignore eng;
+(* Every completion is built here, and only here.  An op that fails
+   [Peer_dead] is counted here, and with [~ends] the op's trace
+   finishes here: every outcome ends its op except a send's [Ok], which
+   covers only the transport's take-over. *)
+let completion conn ~ends ~op_id ~status ~bytes ~value ~issued ~now =
+  if ends then ot_finish conn ~remote:false op_id ~status;
+  if status = Wire.Peer_dead then
+    Stats.Counter.incr conn.local.c_host.c_peer_dead_op;
+  { comp_op = op_id; status; bytes; value; issued_at = issued; completed_at = now }
+
+let push_completion cost client comp =
   release_charge client comp.comp_op;
   if Squeue.Spsc.push client.comp_q ~now:(Loop.now client.c_host.lp) comp then
     notify_app cost client
 
-let push_incoming eng cost client inc =
-  ignore eng;
+(* An engine pass ends op [op_id] of [conn]'s client with [status]. *)
+let end_op cost conn ~op_id ~status ~bytes ~value ~issued ~now =
+  push_completion cost conn.local
+    (completion conn ~ends:true ~op_id ~status ~bytes ~value ~issued ~now)
+
+(* An op of [cmd] ends with [status] before any of its work was done:
+   at dequeue, or parked on a conn that died. *)
+let complete_unstarted cost cmd ~status ~now =
+  match cmd with
+  | C_send { cmd_conn; op_id; bytes; issued; _ } ->
+      end_op cost cmd_conn ~op_id ~status ~bytes ~value:None ~issued ~now
+  | C_one_sided { cmd_conn; op_id; issued; _ } ->
+      end_op cost cmd_conn ~op_id ~status ~bytes:0 ~value:None ~issued ~now
+  | C_close _ -> invalid_arg "Pony: complete_unstarted on a close"
+
+let push_incoming cost client inc =
   if Squeue.Spsc.push client.msg_q ~now:(Loop.now client.c_host.lp) inc then begin
     notify_app cost client;
     true
@@ -595,54 +609,36 @@ let push_incoming eng cost client inc =
    why Table 1's default-MTU row moves half the throughput. *)
 let page_bytes = 4096
 
-let segment_message t conn ~op_id ~stream ~bytes =
+(* Enqueue a [total]-byte payload on [flow] in chunks: a message's
+   ([Msg_chunk] on [stream]) or, with [~resp], a one-sided response's
+   ([One_sided_resp], [value] riding on the first chunk).  An empty
+   payload travels as one empty chunk. *)
+let segment t flow ~ckey ~op_id ~total ~resp ~stream ~status ~value =
   let chunk = max_chunk t in
-  let rec go offset =
-    if offset < bytes then begin
-      let to_page = page_bytes - (offset mod page_bytes) in
-      let len = Int.min (Int.min chunk to_page) (bytes - offset) in
-      Flow.enqueue conn.c_flow
-        (Wire.Msg_chunk
-           { conn = conn.ckey; op_id; stream; offset; len; total = bytes })
-        ~payload_bytes:len;
-      go (offset + len)
-    end
-  in
-  if bytes = 0 then
-    Flow.enqueue conn.c_flow
-      (Wire.Msg_chunk { conn = conn.ckey; op_id; stream; offset = 0; len = 0; total = 0 })
-      ~payload_bytes:0
-  else go 0
-
-let segment_response t flow ~ckey ~op_id ~status ~total ~value =
-  let chunk = max_chunk t in
-  if total = 0 then
-    Flow.enqueue flow
-      (Wire.One_sided_resp
-         { conn = ckey; op_id; status; chunk_offset = 0; chunk_len = 0; total = 0; value })
-      ~payload_bytes:0
-  else begin
-    let rec go offset =
-      if offset < total then begin
-        let to_page = page_bytes - (offset mod page_bytes) in
-        let len = Int.min (Int.min chunk to_page) (total - offset) in
-        Flow.enqueue flow
-          (Wire.One_sided_resp
-             {
-               conn = ckey;
-               op_id;
-               status;
-               chunk_offset = offset;
-               chunk_len = len;
-               total;
-               value = (if offset = 0 then value else None);
-             })
-          ~payload_bytes:len;
-        go (offset + len)
-      end
+  let offset = ref 0 in
+  let more = ref true in
+  while !more do
+    let off = !offset in
+    let len =
+      Int.min (Int.min chunk (page_bytes - (off mod page_bytes))) (total - off)
     in
-    go 0
-  end
+    Flow.enqueue flow
+      (if resp then
+         Wire.One_sided_resp
+           {
+             conn = ckey;
+             op_id;
+             status;
+             chunk_offset = off;
+             chunk_len = len;
+             total;
+             value = (if off = 0 then value else None);
+           }
+       else Wire.Msg_chunk { conn = ckey; op_id; stream; offset = off; len; total })
+      ~payload_bytes:len;
+    offset := off + len;
+    more := !offset < total
+  done
 
 (* -- One-sided execution (§3.2) ----------------------------------------- *)
 
@@ -781,13 +777,12 @@ let rx_copy_cost eng cost bytes =
             (int_of_float
                (Float.round (costs.Sim.Costs.snap_copy_per_byte_ns *. float_of_int bytes)))
 
-let grant_credit eng flow ckey bytes =
-  ignore eng;
+let grant_credit flow ckey bytes =
   Flow.enqueue flow (Wire.Credit_grant { conn = ckey; bytes }) ~payload_bytes:0
 
 let deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow =
   if
-    push_incoming eng cost conn.local
+    push_incoming cost conn.local
       { msg_conn = conn; msg_op = op_id; stream; msg_bytes = total }
   then begin
     (* The message reached the destination application: this is the
@@ -797,7 +792,7 @@ let deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow =
     ot_finish conn ~remote:true op_id ~status:Wire.Ok;
     (* Receiver-driven replenishment once the message is handed to the
        application (§3.3). *)
-    grant_credit eng reverse_flow conn.ckey total
+    grant_credit reverse_flow conn.ckey total
   end
   else begin
     (* The destination client's incoming queue is full: shed at
@@ -946,17 +941,6 @@ let item_for_conn ckey = function
   | Wire.Keepalive_ack { conn } -> conn = ckey
   | Wire.Bare_ack -> false
 
-let peer_dead_completion client ~op_id ~bytes ~issued ~now =
-  Stats.Counter.incr client.c_host.c_peer_dead_op;
-  {
-    comp_op = op_id;
-    status = Wire.Peer_dead;
-    bytes;
-    value = None;
-    issued_at = issued;
-    completed_at = now;
-  }
-
 let conn_label conn =
   Printf.sprintf "%d.%d->%d.%d%s" conn.ckey.Wire.initiator_host
     conn.ckey.Wire.initiator_client conn.ckey.Wire.target_host
@@ -984,7 +968,6 @@ let kill_conn cost conn ~reason =
   if not (conn_is_dead conn) then begin
     let t = conn.local.c_host in
     let now = Loop.now t.lp in
-    let eng = conn.local.c_eng in
     conn.state <- Dead;
     cancel_conn_timers conn;
     Stats.Counter.incr t.c_peer_death;
@@ -996,33 +979,22 @@ let kill_conn cost conn ~reason =
       (* Credit-starved ops parked on the conn. *)
       if not (Queue.is_empty e.waiting) then begin
         Queue.iter
-          (fun cmd ->
-            match cmd with
-            | C_send { op_id; bytes; issued; _ } ->
-                ot_finish conn ~remote:false op_id ~status:Wire.Peer_dead;
-                push_completion eng cost conn.local
-                  (peer_dead_completion conn.local ~op_id ~bytes ~issued ~now)
-            | C_one_sided { op_id; issued; _ } ->
-                ot_finish conn ~remote:false op_id ~status:Wire.Peer_dead;
-                push_completion eng cost conn.local
-                  (peer_dead_completion conn.local ~op_id ~bytes:0 ~issued ~now)
-            | C_close _ -> ())
+          (fun cmd -> complete_unstarted cost cmd ~status:Wire.Peer_dead ~now)
           e.waiting;
         Queue.clear e.waiting
       end;
       (* Segments and control items not yet on the wire would address a
          dead peer; flight entries stay (removing them would punch holes
          in the go-back-N sequence space). *)
-      ignore (Flow.purge_queue conn.c_flow ~drop:(item_for_conn conn.ckey));
+      Flow.purge_queue conn.c_flow ~drop:(item_for_conn conn.ckey);
       (* One-sided ops stranded without a response, in op-id order. *)
       let n = e.n_outst in
       if n > 0 then begin
         e.n_outst <- 0;
         for i = 0 to n - 1 do
           let op_id = e.outst.(2 * i) and issued = e.outst.((2 * i) + 1) in
-          ot_finish conn ~remote:false op_id ~status:Wire.Peer_dead;
-          push_completion eng cost conn.local
-            (peer_dead_completion conn.local ~op_id ~bytes:0 ~issued ~now)
+          end_op cost conn ~op_id ~status:Wire.Peer_dead ~bytes:0 ~value:None
+            ~issued ~now
         done
       end;
       (* Partially reassembled messages from the dead peer. *)
@@ -1080,13 +1052,12 @@ let forget_peer cost t ~peer ~reason =
          a sort even under randomized hashing. *)
       Memory.Arena.iter eng.conn_arena (fun _ conn ->
           if remote_host conn = peer then kill_conn cost conn ~reason);
-      let doomed, kept =
-        List.partition
-          (fun f -> (Flow.key f).Wire.dst_host = peer)
-          (Array.to_list eng.flow_arr)
-      in
-      List.iter (fun f -> Hashtbl.remove eng.flows (Flow.key f)) doomed;
-      install_flows eng (Array.of_list kept))
+      if peer < Array.length eng.flows then eng.flows.(peer) <- [||];
+      install_flows eng
+        (Array.of_list
+           (List.filter
+              (fun f -> (Flow.key f).Wire.dst_host <> peer)
+              (Array.to_list eng.flow_arr))))
     t.engs
 
 (* Record the incarnation [peer] is speaking.  [`Stale] means the packet
@@ -1243,44 +1214,45 @@ let ensure_ka eng conn ~now =
         rearm_ka eng conn e ~at:(Time.add now ka_interval)
       end
 
+(* Shed the head of [conn]'s credit-waiting queue if its deadline has
+   passed at [now]: it completes [Timed_out] before any segmentation
+   work, without consuming credit.  True when a head went. *)
+let expire_head cost conn ~now =
+  let w = conn.ext.waiting in
+  (not (Queue.is_empty w))
+  &&
+  match Queue.peek w with
+  | C_send { op_id; bytes; issued; deadline = Some d; _ } when now > d ->
+      ignore (Queue.pop w);
+      Stats.Counter.incr conn.local.c_expired;
+      end_op cost conn ~op_id ~status:Wire.Timed_out ~bytes ~value:None ~issued
+        ~now;
+      true
+  | C_send _ | C_one_sided _ | C_close _ -> false
+
+(* Credit admits send [op_id]: debit it, segment the message and
+   complete the op [Ok], which covers the transport's take-over. *)
+let send_on_credit t cost conn ~op_id ~stream ~bytes ~issued =
+  conn.credit <- conn.credit - bytes;
+  ot_stamp conn ~remote:false op_id Sim.Optrace.Credit;
+  segment t conn.c_flow ~ckey:conn.ckey ~op_id ~total:bytes ~resp:false ~stream
+    ~status:Wire.Ok ~value:None;
+  push_completion cost conn.local
+    (completion conn ~ends:false ~op_id ~status:Wire.Ok ~bytes ~value:None
+       ~issued ~now:(Loop.now t.lp))
+
 let drain_waiting eng cost conn =
   let t = eng.e_host in
   let continue = ref true in
   while !continue do
-    let now = Loop.now t.lp in
-    match Queue.peek_opt conn.ext.waiting with
-    | Some (C_send { op_id; bytes; issued; deadline = Some d; _ }) when now > d ->
-        (* Expired while credit-starved: shed before any segmentation
-           work, without consuming credit. *)
-        ignore (Queue.pop conn.ext.waiting);
-        Stats.Counter.incr conn.local.c_expired;
-        ot_finish conn ~remote:false op_id ~status:Wire.Timed_out;
-        push_completion eng cost conn.local
-          {
-            comp_op = op_id;
-            status = Wire.Timed_out;
-            bytes;
-            value = None;
-            issued_at = issued;
-            completed_at = now;
-          }
-    | Some (C_send { op_id; stream; bytes; issued; _ })
-      when bytes <= conn.credit ->
-        ignore (Queue.pop conn.ext.waiting);
-        conn.credit <- conn.credit - bytes;
-        cost := !cost + costs.Sim.Costs.pony_per_op;
-        ot_stamp conn ~remote:false op_id Sim.Optrace.Credit;
-        segment_message t conn ~op_id ~stream ~bytes;
-        push_completion eng cost conn.local
-          {
-            comp_op = op_id;
-            status = Wire.Ok;
-            bytes;
-            value = None;
-            issued_at = issued;
-            completed_at = Loop.now t.lp;
-          }
-    | Some _ | None -> continue := false
+    if not (expire_head cost conn ~now:(Loop.now t.lp)) then
+      match Queue.peek_opt conn.ext.waiting with
+      | Some (C_send { op_id; stream; bytes; issued; _ })
+        when bytes <= conn.credit ->
+          ignore (Queue.pop conn.ext.waiting);
+          cost := !cost + costs.Sim.Costs.pony_per_op;
+          send_on_credit t cost conn ~op_id ~stream ~bytes ~issued
+      | Some _ | None -> continue := false
   done;
   maybe_finalize_close conn;
   rearm_deadline eng conn
@@ -1297,27 +1269,10 @@ let process_deadline_due eng cost ~now =
   let expired = ref 0 in
   while not (Queue.is_empty eng.deadline_due) do
     let conn = Queue.pop eng.deadline_due in
-    let e = conn.ext in
-    e.dl_queued <- false;
+    conn.ext.dl_queued <- false;
     if not (conn_is_dead conn) then begin
-      let continue = ref true in
-      while !continue do
-        match Queue.peek_opt e.waiting with
-        | Some (C_send { op_id; bytes; issued; deadline = Some d; _ }) when now > d ->
-            ignore (Queue.pop e.waiting);
-            incr expired;
-            Stats.Counter.incr conn.local.c_expired;
-            ot_finish conn ~remote:false op_id ~status:Wire.Timed_out;
-            push_completion eng cost conn.local
-              {
-                comp_op = op_id;
-                status = Wire.Timed_out;
-                bytes;
-                value = None;
-                issued_at = issued;
-                completed_at = now;
-              }
-        | Some _ | None -> continue := false
+      while expire_head cost conn ~now do
+        incr expired
       done;
       maybe_finalize_close conn;
       rearm_deadline eng conn
@@ -1340,19 +1295,10 @@ let message_done eng cost conn ~op_id ~stream ~total ~reverse_flow =
   | Some _ | None -> deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow
 
 (* A one-sided response's last chunk arrived: complete the op. *)
-let response_done eng cost conn ~op_id ~status ~total ~value ~now =
+let response_done cost conn ~op_id ~status ~total ~value ~now =
   let issued = match take_outstanding conn op_id with -1 -> now | ts -> ts in
   ot_stamp conn ~remote:false op_id Sim.Optrace.Rx_done;
-  ot_finish conn ~remote:false op_id ~status;
-  push_completion eng cost conn.local
-    {
-      comp_op = op_id;
-      status;
-      bytes = total;
-      value;
-      issued_at = issued;
-      completed_at = now;
-    }
+  end_op cost conn ~op_id ~status ~bytes:total ~value ~issued ~now
 
 (* An item on [conn], a live half found under the item's key [ckey]. *)
 let conn_item eng cost conn ckey (item : Wire.item) ~reverse_flow =
@@ -1415,7 +1361,8 @@ let conn_item eng cost conn ckey (item : Wire.item) ~reverse_flow =
       (* The conn's local half serves against its own client's regions,
          whichever side initiated. *)
       let status, total, value = exec_one_sided cost conn.local op in
-      segment_response t reverse_flow ~ckey ~op_id ~status ~total ~value
+      segment t reverse_flow ~ckey ~op_id ~total ~resp:true ~stream:0 ~status
+        ~value
   | Wire.One_sided_resp
       { conn = _; op_id; status; chunk_offset; chunk_len; total; value } ->
       rx_copy_cost eng cost chunk_len;
@@ -1431,7 +1378,7 @@ let conn_item eng cost conn ckey (item : Wire.item) ~reverse_flow =
         if a.got >= a.total then begin
           remove_asm conn i;
           free_assembly a;
-          response_done eng cost conn ~op_id ~status:a.asm_status
+          response_done cost conn ~op_id ~status:a.asm_status
             ~total:a.total ~value:a.first_value ~now
         end
       end
@@ -1441,7 +1388,7 @@ let conn_item eng cost conn ckey (item : Wire.item) ~reverse_flow =
         ot_stamp conn ~remote:false op_id Sim.Optrace.Rx_first;
         if chunk_len >= total then begin
           free_charge charge;
-          response_done eng cost conn ~op_id ~status ~total ~value ~now
+          response_done cost conn ~op_id ~status ~total ~value ~now
         end
         else
           add_asm conn
@@ -1463,16 +1410,8 @@ let conn_item eng cost conn ckey (item : Wire.item) ~reverse_flow =
          second completion for the op — the first, [Ok], only covered
          transport take-over). *)
       conn.credit <- conn.credit + bytes;
-      ot_finish conn ~remote:false op_id ~status:Wire.Busy;
-      push_completion eng cost conn.local
-        {
-          comp_op = op_id;
-          status = Wire.Busy;
-          bytes;
-          value = None;
-          issued_at = now;
-          completed_at = now;
-        };
+      end_op cost conn ~op_id ~status:Wire.Busy ~bytes ~value:None ~issued:now
+        ~now;
       drain_waiting eng cost conn
 
 (* Route an item to its conn, looked up once.  Traffic for an unknown or
@@ -1506,38 +1445,14 @@ let cmd_expired cmd ~now =
       now > d
   | C_send _ | C_one_sided _ | C_close _ -> false
 
-let complete_unstarted eng cost cmd ~status ~now =
-  let conn, op_id, bytes, issued =
-    match cmd with
-    | C_send { cmd_conn; op_id; bytes; issued; _ } -> (cmd_conn, op_id, bytes, issued)
-    | C_one_sided { cmd_conn; op_id; issued; _ } -> (cmd_conn, op_id, 0, issued)
-    | C_close _ -> invalid_arg "Pony: complete_unstarted on a close"
-  in
-  ot_finish conn ~remote:false op_id ~status;
-  push_completion eng cost conn.local
-    {
-      comp_op = op_id;
-      status;
-      bytes;
-      value = None;
-      issued_at = issued;
-      completed_at = now;
-    }
-
 (* Load shedding (§3.3): under Saturated pressure, drop ops from
    clients holding a disproportionate share of their quota — at
    dequeue, before any segmentation or transmission work is invested
    in them (cheapest-first). *)
-let shed_at_dequeue eng cmd =
+let shed_at_dequeue eng client =
   match Overload.Pressure.level eng.pressure with
   | Overload.Pressure.Nominal | Overload.Pressure.Pressured -> false
   | Overload.Pressure.Saturated ->
-      let client =
-        match cmd with
-        | C_send { cmd_conn; _ }
-        | C_one_sided { cmd_conn; _ }
-        | C_close { cmd_conn; _ } -> cmd_conn.local
-      in
       Overload.Admission.outstanding_ops client.adm * 4
       > Overload.Admission.op_quota client.adm
 
@@ -1554,56 +1469,34 @@ let handle_command eng cost cmd =
           conn.state <- Draining;
           maybe_finalize_close conn
       | Dead | Closed -> ())
-  | (C_send { cmd_conn = conn; _ } | C_one_sided { cmd_conn = conn; _ })
-    when conn_is_dead conn ->
-      (* The conn died between posting and dequeue. *)
-      let status =
-        match conn.state with
-        | Dead ->
-            Stats.Counter.incr t.c_peer_dead_op;
-            Wire.Peer_dead
-        | Established | Draining | Closed -> Wire.Rejected
-      in
-      complete_unstarted eng cost cmd ~status ~now
-  | C_send _ | C_one_sided _ -> (
-      if cmd_expired cmd ~now then begin
-        (match cmd with
-        | C_send { cmd_conn; _ } | C_one_sided { cmd_conn; _ } ->
-            Stats.Counter.incr cmd_conn.local.c_expired
-        | C_close _ -> ());
-        complete_unstarted eng cost cmd ~status:Wire.Timed_out ~now
+  | C_send { cmd_conn = conn; _ } | C_one_sided { cmd_conn = conn; _ } -> (
+      if conn_is_dead conn then
+        (* The conn died between posting and dequeue. *)
+        complete_unstarted cost cmd ~now
+          ~status:
+            (match conn.state with
+            | Dead -> Wire.Peer_dead
+            | Established | Draining | Closed -> Wire.Rejected)
+      else if cmd_expired cmd ~now then begin
+        Stats.Counter.incr conn.local.c_expired;
+        complete_unstarted cost cmd ~status:Wire.Timed_out ~now
       end
-      else if shed_at_dequeue eng cmd then begin
-        (match cmd with
-        | C_send { cmd_conn; _ } | C_one_sided { cmd_conn; _ } ->
-            Stats.Counter.incr cmd_conn.local.c_shed
-        | C_close _ -> ());
-        complete_unstarted eng cost cmd ~status:Wire.Rejected ~now
+      else if shed_at_dequeue eng conn.local then begin
+        Stats.Counter.incr conn.local.c_shed;
+        complete_unstarted cost cmd ~status:Wire.Rejected ~now
       end
       else
         match cmd with
-        | C_send { cmd_conn = conn; op_id; stream; bytes; issued; _ } ->
+        | C_send { op_id; stream; bytes; issued; _ } ->
             ot_dequeued conn op_id;
             ensure_ka eng conn ~now;
-            if bytes <= conn.credit then begin
-              conn.credit <- conn.credit - bytes;
-              ot_stamp conn ~remote:false op_id Sim.Optrace.Credit;
-              segment_message t conn ~op_id ~stream ~bytes;
-              push_completion eng cost conn.local
-                {
-                  comp_op = op_id;
-                  status = Wire.Ok;
-                  bytes;
-                  value = None;
-                  issued_at = issued;
-                  completed_at = Loop.now t.lp;
-                }
-            end
+            if bytes <= conn.credit then
+              send_on_credit t cost conn ~op_id ~stream ~bytes ~issued
             else begin
               Queue.add cmd (ext_of conn).waiting;
               rearm_deadline eng conn
             end
-        | C_one_sided { cmd_conn = conn; op_id; op; issued; _ } ->
+        | C_one_sided { op_id; op; issued; _ } ->
             ot_dequeued conn op_id;
             ensure_ka eng conn ~now;
             add_outstanding conn op_id ~issued;
@@ -1768,8 +1661,13 @@ let engine_run eng =
                 if pb > 0 && not (Memory.Pool.try_hold t.op_pool ~bytes:pb)
                 then Stats.Counter.incr t.c_pool_drop
                 else begin
-                  (* [Bare_ack] when nothing is new: a no-op below. *)
-                  let f = rx_flow eng k in
+                  (* The flow back to the sender.  Steering puts a
+                     packet on the ring of its [dst_engine], and engine
+                     [e] serves ring [e], so [k] is addressed here.
+                     [Bare_ack] when nothing is new: a no-op below. *)
+                  let f =
+                    get_flow eng ~host:k.Wire.src_host ~engine:k.Wire.src_engine
+                  in
                   handle_item eng cost ~from_host:pkt.Packet.src
                     (Flow.receive f ~now pkt) ~reverse_flow:f;
                   if pb > 0 then Memory.Pool.unhold t.op_pool ~bytes:pb
@@ -1982,9 +1880,8 @@ let new_engine t =
       e_acct = Memory.Pool.account t.op_pool ~owner:ename;
       rxq = eid;
       eclients = [||];
-      flows = Hashtbl.create 16;
+      flows = [||];
       flow_arr = [||];
-      rx_flows = [||];
       active_flows = Sim.Bitset.create ();
       busy_clients = Sim.Bitset.create ();
       conn_arena = Memory.Arena.create ~initial:64 ();
@@ -2192,7 +2089,7 @@ let crash_host t =
         (* Packets in the rx ring die with the host's memory. *)
         drain_ring (Nic.rx_ring t.nic ~queue:eng.rxq);
         List.iter drop_asms (halves_with_asms eng);
-        Hashtbl.reset eng.flows;
+        eng.flows <- [||];
         install_flows eng [||];
         (* Per-conn wheel timers die with their conns; stale fires on
            timers already past cancellation are checked no-ops. *)
@@ -2388,16 +2285,8 @@ let connect ctx client ~dst_host ~dst_client =
   in
   let local_eng = client.c_eng in
   let remote_eng = remote_client.c_eng in
-  let tx_key =
-    {
-      Wire.src_host = addr t;
-      src_engine = local_eng.eid;
-      dst_host;
-      dst_engine = remote_eng.eid;
-    }
-  in
-  let local_flow = get_flow local_eng tx_key in
-  let remote_flow = get_flow remote_eng (Wire.reverse tx_key) in
+  let local_flow = get_flow local_eng ~host:dst_host ~engine:remote_eng.eid in
+  let remote_flow = get_flow remote_eng ~host:(addr t) ~engine:local_eng.eid in
   let half ~we_are_initiator local c_flow =
     {
       ckey;
@@ -2548,19 +2437,10 @@ let engine_post_send conn ~now ~bytes () =
   match conn_refusal conn with
   | Some status ->
       (* Lifecycle refusal, completed inline (no thread ctx here). *)
-      ot_finish conn ~remote:false op_id ~status;
-      if status = Wire.Peer_dead then
-        Stats.Counter.incr client.c_host.c_peer_dead_op;
       if
         Squeue.Spsc.push client.comp_q ~now
-          {
-            comp_op = op_id;
-            status;
-            bytes;
-            value = None;
-            issued_at = now;
-            completed_at = now;
-          }
+          (completion conn ~ends:true ~op_id ~status ~bytes ~value:None
+             ~issued:now ~now)
       then (match client.on_delivery with Some f -> f () | None -> ());
       op_id
   | None ->
@@ -2591,56 +2471,43 @@ let engine_queues_empty client =
 (* Admission rejections and lifecycle refusals complete locally on the
    submitting thread — the op never reaches an engine, the app sees a
    completion, never an exception. *)
-let complete_locally ctx client ~op_id ~bytes ~status =
+let complete_locally ctx conn ~op_id ~bytes ~status =
   let now = Cpu.Thread.now ctx in
   ignore
-    (Squeue.Spsc.push client.comp_q ~now
-       {
-         comp_op = op_id;
-         status;
-         bytes;
-         value = None;
-         issued_at = now;
-         completed_at = now;
-       })
+    (Squeue.Spsc.push conn.local.comp_q ~now
+       (completion conn ~ends:true ~op_id ~status ~bytes ~value:None ~issued:now
+          ~now))
 
-let reject_locally ctx client ~op_id ~bytes =
-  complete_locally ctx client ~op_id ~bytes ~status:Wire.Rejected
-
-let refuse_locally ctx conn ~op_id ~bytes ~status =
-  if status = Wire.Peer_dead then
-    Stats.Counter.incr conn.local.c_host.c_peer_dead_op;
-  complete_locally ctx conn.local ~op_id ~bytes ~status
-
-let send_message ctx conn ?(stream = 0) ?deadline ~bytes () =
-  if bytes < 0 then invalid_arg "Pony.send_message";
+(* The one submission path of a thread's op [op_id] moving [bytes]: true
+   once admission charged it, so the caller posts its command; a refused
+   or rejected op has completed locally. *)
+let admit_op ctx conn ~op_id ~kind ~bytes =
   let client = conn.local in
-  let op_id = fresh_op client in
-  ot_start conn op_id ~kind:"send" ~bytes;
-  (match conn_refusal conn with
+  ot_start conn op_id ~kind ~bytes;
+  match conn_refusal conn with
   | Some status ->
-      ot_finish conn ~remote:false op_id ~status;
-      refuse_locally ctx conn ~op_id ~bytes ~status
+      complete_locally ctx conn ~op_id ~bytes ~status;
+      false
   | None -> (
       match
         Overload.Admission.admit client.adm ~now:(Cpu.Thread.now ctx) ~bytes
       with
       | Overload.Admission.Rejected _ ->
-          ot_finish conn ~remote:false op_id ~status:Wire.Rejected;
-          reject_locally ctx client ~op_id ~bytes
+          complete_locally ctx conn ~op_id ~bytes ~status:Wire.Rejected;
+          false
       | Overload.Admission.Admitted charge ->
           Memory.Int_table.replace client.charges op_id charge;
           ot_stamp conn ~remote:false op_id Sim.Optrace.Admitted;
-          post_command ctx conn
-            (C_send
-               {
-                 cmd_conn = conn;
-                 op_id;
-                 stream;
-                 bytes;
-                 issued = Cpu.Thread.now ctx;
-                 deadline;
-               })));
+          true)
+
+let send_message ctx conn ?(stream = 0) ?deadline ~bytes () =
+  if bytes < 0 then invalid_arg "Pony.send_message";
+  let op_id = fresh_op conn.local in
+  if admit_op ctx conn ~op_id ~kind:"send" ~bytes then
+    post_command ctx conn
+      (C_send
+         { cmd_conn = conn; op_id; stream; bytes; issued = Cpu.Thread.now ctx;
+           deadline });
   op_id
 
 (* Payload bytes an op will move — what admission charges for it. *)
@@ -2650,27 +2517,11 @@ let one_sided_bytes = function
   | Wire.Indirect_read { indices; len; _ } -> len * List.length indices
 
 let one_sided ?deadline ctx conn op =
-  let client = conn.local in
-  let op_id = fresh_op client in
-  let bytes = one_sided_bytes op in
-  ot_start conn op_id ~kind:"one_sided" ~bytes;
-  (match conn_refusal conn with
-  | Some status ->
-      ot_finish conn ~remote:false op_id ~status;
-      refuse_locally ctx conn ~op_id ~bytes ~status
-  | None -> (
-      match
-        Overload.Admission.admit client.adm ~now:(Cpu.Thread.now ctx) ~bytes
-      with
-      | Overload.Admission.Rejected _ ->
-          ot_finish conn ~remote:false op_id ~status:Wire.Rejected;
-          reject_locally ctx client ~op_id ~bytes
-      | Overload.Admission.Admitted charge ->
-          Memory.Int_table.replace client.charges op_id charge;
-          ot_stamp conn ~remote:false op_id Sim.Optrace.Admitted;
-          post_command ctx conn
-            (C_one_sided
-               { cmd_conn = conn; op_id; op; issued = Cpu.Thread.now ctx; deadline })));
+  let op_id = fresh_op conn.local in
+  if admit_op ctx conn ~op_id ~kind:"one_sided" ~bytes:(one_sided_bytes op) then
+    post_command ctx conn
+      (C_one_sided
+         { cmd_conn = conn; op_id; op; issued = Cpu.Thread.now ctx; deadline });
   op_id
 
 let one_sided_read ctx conn ~region ~off ~len =
@@ -2685,38 +2536,32 @@ let indirect_read ctx conn ~table_region ~data_region ~indices ~len =
 let scan_read ctx conn ~region ~scan_limit ~needle ~len =
   one_sided ctx conn (Wire.Scan_read { region; scan_limit; needle; len })
 
-let poll_completion ctx client =
+(* A thread reads its client's completion or message queue [q]. *)
+let poll ctx client q =
   if client.app_task = None then client.app_task <- Some (Cpu.Thread.task ctx);
   Cpu.Thread.compute ctx costs.Sim.Costs.client_completion_poll;
-  Squeue.Spsc.pop client.comp_q
+  Squeue.Spsc.pop q
 
-let rec await_completion ctx client =
-  match poll_completion ctx client with
-  | Some c -> c
+let rec await ctx client q =
+  match poll ctx client q with
+  | Some v -> v
   | None ->
       Cpu.Thread.wait ctx;
-      await_completion ctx client
+      await ctx client q
 
-let poll_message ctx client =
-  if client.app_task = None then client.app_task <- Some (Cpu.Thread.task ctx);
-  Cpu.Thread.compute ctx costs.Sim.Costs.client_completion_poll;
-  Squeue.Spsc.pop client.msg_q
-
-let rec await_message ctx client =
-  match poll_message ctx client with
-  | Some m -> m
-  | None ->
-      Cpu.Thread.wait ctx;
-      await_message ctx client
+let poll_completion ctx client = poll ctx client client.comp_q
+let await_completion ctx client = await ctx client client.comp_q
+let poll_message ctx client = poll ctx client client.msg_q
+let await_message ctx client = await ctx client client.msg_q
 
 (* Deadline-bounded awaits: [None] on expiry.  The wake-up at the
    deadline is a one-shot loop timer (cancelled once the wait ends);
    nothing can be lost because the queue is re-polled after every
    wake. *)
-let await_until poll ctx client ~deadline =
+let await_until ctx client q ~deadline =
   let t = client.c_host in
   let rec go () =
-    match poll ctx client with
+    match poll ctx client q with
     | Some v -> Some v
     | None ->
         if Cpu.Thread.now ctx >= deadline then None
@@ -2731,10 +2576,10 @@ let await_until poll ctx client ~deadline =
   go ()
 
 let await_completion_until ctx client ~deadline =
-  await_until poll_completion ctx client ~deadline
+  await_until ctx client client.comp_q ~deadline
 
 let await_message_until ctx client ~deadline =
-  await_until poll_message ctx client ~deadline
+  await_until ctx client client.msg_q ~deadline
 
 (* Graceful close: the conn stops accepting new sends immediately;
    credit-waiting ops still drain, then the engine sends [Conn_reset]

@@ -148,22 +148,25 @@ let create ~loop ~key ~max_rate_gbps ?(version = Wire.current_version)
     track = "";
   }
   in
-  Check.Invariant.register ~name:("pony.flow." ^ label t)
-    (fun () ->
-      if t.flight_len < 0 || t.flight_len > max_flight then
-        Some
-          (Printf.sprintf "flight %d outside [0, %d]" t.flight_len max_flight)
-      else begin
-        (* Seqs map to slots, so the flight is contiguous by
-           construction; every seq in it must still hold its item. *)
-        let bad = ref None in
-        for i = 0 to t.flight_len - 1 do
-          let seq = t.snd_nxt - t.flight_len + i in
-          if !bad = None && t.fl_item.(seq land (Array.length t.fl_item - 1)) == vacant
-          then bad := Some (Printf.sprintf "flight slot %d (seq %d) empty" i seq)
-        done;
-        !bad
-      end);
+  (* Guarded like [Pony.Express.connect]'s per-conn invariants, so an
+     unchecked run builds neither the name nor the closure. *)
+  if Check.Invariant.enabled () then
+    Check.Invariant.register ~name:("pony.flow." ^ label t)
+      (fun () ->
+        if t.flight_len < 0 || t.flight_len > max_flight then
+          Some
+            (Printf.sprintf "flight %d outside [0, %d]" t.flight_len max_flight)
+        else begin
+          (* Seqs map to slots, so the flight is contiguous by
+             construction; every seq in it must still hold its item. *)
+          let bad = ref None in
+          for i = 0 to t.flight_len - 1 do
+            let seq = t.snd_nxt - t.flight_len + i in
+            if !bad = None && t.fl_item.(seq land (Array.length t.fl_item - 1)) == vacant
+            then bad := Some (Printf.sprintf "flight slot %d (seq %d) empty" i seq)
+          done;
+          !bad
+        end);
   t
 
 (* Slot of in-flight seq [seq], and the oldest unacked seq. *)
@@ -578,17 +581,14 @@ let purge_queue t ~drop =
   (* Remove not-yet-sent items the upper layer no longer wants (ops for
      a dead connection).  Flight and retransmission entries are left
      alone: removing them would punch holes in the go-back-N sequence
-     space.  Returns the dropped items with their payload sizes so the
-     caller can settle their ops. *)
-  let dropped = ref [] in
+     space. *)
   let n = t.q_len in
   let mask = Array.length t.q_item - 1 in
   let kept = ref 0 in
   for i = 0 to n - 1 do
     let j = (t.q_head + i) land mask in
     let item = t.q_item.(j) in
-    if drop item then dropped := (item, t.q_payload.(j)) :: !dropped
-    else begin
+    if not (drop item) then begin
       (* Compact in place: the kept entry moves to the [kept]-th slot,
          never ahead of one not yet read. *)
       let k = (t.q_head + !kept) land mask in
@@ -601,5 +601,4 @@ let purge_queue t ~drop =
   for i = !kept to n - 1 do
     t.q_item.((t.q_head + i) land mask) <- vacant
   done;
-  t.q_len <- !kept;
-  List.rev !dropped
+  t.q_len <- !kept

@@ -51,13 +51,11 @@ val queue_age : t -> now:Sim.Time.t -> Sim.Time.t
 (** Age of the oldest queued (unsent) item; the transmit-side component
     of the engine's queueing-delay load signal. *)
 
-val purge_queue :
-  t -> drop:(Wire.item -> bool) -> (Wire.item * int) list
-(** Remove not-yet-sent items for which [drop] is true (ops bound for a
-    dead connection) and return them with their payload sizes so the
-    caller can settle their ops.  Flight and retransmission entries are
-    untouched — removing them would punch holes in the go-back-N
-    sequence space. *)
+val purge_queue : t -> drop:(Wire.item -> bool) -> unit
+(** Remove not-yet-sent items for which [drop] is true (items bound for
+    a dead connection); the caller settles their ops itself.  Flight and
+    retransmission entries are untouched — removing them would punch
+    holes in the go-back-N sequence space. *)
 
 val in_flight : t -> int
 

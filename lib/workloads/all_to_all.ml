@@ -99,15 +99,6 @@ let finish_measure ~loop ~cfg ~machines ~meter =
       machines
   in
   let cpu = List.fold_left ( +. ) 0.0 cores /. float_of_int (List.length cores) in
-  if Sys.getenv_opt "A2A_DEBUG" <> None then
-    List.iteri
-      (fun i m ->
-        Printf.eprintf "[a2a] host%d accounts: %s\n" i
-          (String.concat ", "
-             (List.map
-                (fun (k, v) -> Printf.sprintf "%s=%.2f" k (float_of_int v /. float_of_int cfg.window))
-                (Cpu.Sched.accounts m))))
-      machines;
   {
     cpu_cores = cpu;
     achieved_gbps =

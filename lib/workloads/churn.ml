@@ -80,7 +80,6 @@ type result = {
   conns_closed : int;
   conn_resets : int;
   peer_deaths : int;
-  pool_leak_bytes : int;
   latencies : Stats.Histogram.t;
 }
 
@@ -257,10 +256,6 @@ let run (cfg : config) : result =
            | exception _ -> incr ramp_failures))
   done;
   Scenario.finish sc ~until:cfg.run_cap;
-  let pool_leak_bytes =
-    Memory.Pool.in_use (PE.op_pool h_cli.Snap.Host.pony)
-    + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
-  in
   let steady_ops = Int.max 1 (t1_ops - t0_ops) in
   let steady_gc, steady_cpu =
     match (!snap0, !snap1) with
@@ -297,7 +292,6 @@ let run (cfg : config) : result =
       + PE.conn_resets_sent h_srv.Snap.Host.pony;
     peer_deaths =
       PE.peer_deaths h_cli.Snap.Host.pony + PE.peer_deaths h_srv.Snap.Host.pony;
-    pool_leak_bytes;
     latencies = lat_hist;
   }
 
@@ -324,5 +318,4 @@ let fingerprint (r : result) : string =
   add "reconnects" r.reconnects;
   add "burst_ok" r.burst_ok;
   add "burst_failed" r.burst_failed;
-  add "pool_leak" r.pool_leak_bytes;
   Digest.to_hex (Digest.string (Buffer.contents buf))

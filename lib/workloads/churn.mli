@@ -54,7 +54,6 @@ type result = {
   conns_closed : int;
   conn_resets : int;
   peer_deaths : int;
-  pool_leak_bytes : int;
   latencies : Stats.Histogram.t;
 }
 

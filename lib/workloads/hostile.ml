@@ -96,7 +96,6 @@ type result = {
   rx_drops : int;
   detached : int;  (** Tenants fully detached at quiesce. *)
   guest_attacks : int;  (** Byzantine windows the injector launched. *)
-  pool_leak_bytes : int;
 }
 
 let run (cfg : config) : result =
@@ -254,10 +253,6 @@ let run (cfg : config) : result =
     (not cfg.byzantine)
     || (attackers_quarantined = n_attackers && max_detection <= detect_bound)
   in
-  let pool_leak_bytes =
-    Memory.Pool.in_use (PE.op_pool h_guest.Snap.Host.pony)
-    + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
-  in
   let mux = Snap.Host.guest_mux h_guest in
   let mux_stat f = match mux with Some m -> f m | None -> 0 in
   {
@@ -295,14 +290,13 @@ let run (cfg : config) : result =
       (match List.assoc_opt "guest_attacks" (Fault.Injector.counters inj) with
       | Some n -> n
       | None -> 0);
-    pool_leak_bytes;
   }
 
 (* Decision-level counters only.  Violation totals accrue per engine
    pass and are schedule-sensitive under the sweep's tie-break
    perturbation, as are retry counts near their deadlines; everything
    the backend {e decided} — who was quarantined, what completed, what
-   leaked — must be byte-identical. *)
+   detached — must be byte-identical. *)
 let fingerprint (r : result) : string =
   let buf = Buffer.create 512 in
   let add name v = Buffer.add_string buf (Printf.sprintf "%s=%d\n" name v) in
@@ -317,5 +311,4 @@ let fingerprint (r : result) : string =
   add "post_bad_range" r.post_bad_range;
   add "guest_attacks" r.guest_attacks;
   add "detached" r.detached;
-  add "pool_leak" r.pool_leak_bytes;
   Digest.to_hex (Digest.string (Buffer.contents buf))

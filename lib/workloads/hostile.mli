@@ -77,7 +77,6 @@ type result = {
   rx_drops : int;
   detached : int;  (** Tenants fully detached at quiesce. *)
   guest_attacks : int;  (** Byzantine windows the injector launched. *)
-  pool_leak_bytes : int;
 }
 
 val run : config -> result

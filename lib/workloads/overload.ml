@@ -68,7 +68,6 @@ type result = {
   victim_failed : int;
   victim_goodput_gbps : float;
   victim_latencies : Stats.Histogram.t;
-  pool_leak_bytes : int;  (** Op-pool bytes still charged after quiesce. *)
   exhausted_escapes : int;  (** Pool [Exhausted] exceptions that escaped. *)
 }
 
@@ -176,9 +175,6 @@ let run (cfg : config) : result =
          done));
   Scenario.finish sc ~until:cfg.run_cap;
   let sum f = f h_agg.Snap.Host.pony + f h_srv.Snap.Host.pony + f h_vic.Snap.Host.pony in
-  let pool_leak_bytes =
-    sum (fun p -> Memory.Pool.in_use (PE.op_pool p))
-  in
   {
     offered = !offered;
     agg_ok = !agg_ok;
@@ -196,7 +192,6 @@ let run (cfg : config) : result =
     victim_failed = victim.failed;
     victim_goodput_gbps = Scenario.echo_gbps victim ~bytes:victim_bytes;
     victim_latencies = victim.latencies;
-    pool_leak_bytes;
     exhausted_escapes = !exhausted_escapes;
   }
 
@@ -223,6 +218,5 @@ let fingerprint (r : result) : string =
   add "pressure_transitions" r.pressure_transitions;
   add "victim_ok" r.victim_ok;
   add "victim_failed" r.victim_failed;
-  add "pool_leak" r.pool_leak_bytes;
   add "exhausted_escapes" r.exhausted_escapes;
   Digest.to_hex (Digest.string (Buffer.contents buf))

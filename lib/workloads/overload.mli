@@ -58,7 +58,6 @@ type result = {
   victim_failed : int;
   victim_goodput_gbps : float;
   victim_latencies : Stats.Histogram.t;
-  pool_leak_bytes : int;
   exhausted_escapes : int;
 }
 

@@ -100,7 +100,6 @@ type result = {
   detection_ok : bool;
       (** Failed ops within [resolution_bound] and outages within
           [outage_bound]. *)
-  pool_leak_bytes : int;
   goodput_gbps : float;
   latencies : Stats.Histogram.t;  (** Successful request+echo round trips. *)
   fault_log : Fault.Log.t;
@@ -317,7 +316,6 @@ let run (cfg : config) : result =
   victim h1 "victim1";
   Scenario.finish sc ~until:cfg.run_cap;
   let sum f = List.fold_left (fun acc h -> acc + f h.Snap.Host.pony) 0 hosts in
-  let pool_leak_bytes = sum (fun p -> Memory.Pool.in_use (PE.op_pool p)) in
   let bound = resolution_bound ~policy:send_policy in
   {
     ops_attempted = !attempted;
@@ -345,7 +343,6 @@ let run (cfg : config) : result =
     max_outage = !max_outage;
     outage_bound;
     detection_ok = !max_failed <= bound && !max_outage <= outage_bound;
-    pool_leak_bytes;
     goodput_gbps = Scenario.echo_gbps echoes ~bytes:cfg.bytes;
     latencies = echoes.latencies;
     fault_log = Fault.Injector.log inj;
@@ -373,5 +370,4 @@ let fingerprint (r : result) : string =
   add "victims_finished" r.victims_finished;
   add "server_incarnation" r.server_incarnation;
   add "detection_ok" (if r.detection_ok then 1 else 0);
-  add "pool_leak" r.pool_leak_bytes;
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -80,7 +80,6 @@ type result = {
   detection_ok : bool;
       (** Failed ops within [resolution_bound] and outages within
           [outage_bound]. *)
-  pool_leak_bytes : int;
   goodput_gbps : float;
       (** Request and echo bytes of the successful echoes per virtual
           time, to the last of them. *)

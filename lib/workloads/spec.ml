@@ -70,7 +70,6 @@ let pf = Printf.sprintf
 let check name ok detail : check = { name; ok; detail }
 let zero name v = check name (v = 0) (string_of_int v)
 let positive name v = check name (v > 0) (string_of_int v)
-let no_leak bytes = zero "no pool bytes leaked" bytes
 let total counters = List.fold_left (fun acc (_, v) -> acc + v) 0 counters
 
 let no_lost ~completed ~expected ~lost =
@@ -248,7 +247,6 @@ let overload =
     outcome ~fingerprint:(Overload.fingerprint r)
       ~checks:
         [
-          no_leak r.pool_leak_bytes;
           zero "no Exhausted escapes" r.exhausted_escapes;
           exported
             [ "overload_ops_rejected"; "overload_ops_shed";
@@ -299,7 +297,6 @@ let partition =
                (T.to_float_us r.resolution_bound)
                (T.to_float_ms r.max_outage)
                (T.to_float_ms r.outage_bound));
-          no_leak r.pool_leak_bytes;
           exported
             [ "conn_established"; "conn_resets"; "peer_conn_deaths";
               "peer_dead_ops"; "peer_restarts"; "peer_keepalive_probes" ];
@@ -365,7 +362,6 @@ let tenants =
         [
           check "all tenants detached" (r.detached = r.n_tenants)
             (pf "%d/%d (%d forced)" r.detached r.n_tenants r.force_detached);
-          no_leak r.pool_leak_bytes;
           (* The floor is 2x nic_filter_update (8 ms of NIC filter
              reprogramming) regardless of state size; "bounded" means the
              serialize term stays small. *)
@@ -444,7 +440,6 @@ let churn =
             (pf "%d steady, %d burst" r.ops_failed r.burst_failed);
           check "every storm close graceful" (r.conns_closed = r.closes)
             (pf "closed %d of %d" r.conns_closed r.closes);
-          no_leak r.pool_leak_bytes;
         ]
       ~ops:(r.ops_ok + r.burst_ok) ~goodput_gbps:(Churn.goodput_gbps r)
       ~latencies:r.latencies m
@@ -496,7 +491,6 @@ let hostile =
             (pf "%.0f%%" kept);
           check "all tenants detached" (r.detached = r.n_tenants)
             (pf "%d/%d" r.detached r.n_tenants);
-          no_leak r.pool_leak_bytes;
           exported
             [ "tenant_quarantines"; "tenant_quarantine_suspects";
               "guest_violations"; "guest_unmatched_completions";

@@ -16,7 +16,8 @@ module Mux = Guest.Mux
    aggressors is force-detached (generation-tagged bulk reclaim).  At
    quiesce every tenant must be detached with zero op-pool bytes and
    zero in-flight ops — the per-tenant isolation invariants enforce it
-   when checking is on, and [pool_leak_bytes] reports it always. *)
+   when checking is on, and [Scenario.finish] asserts every op pool
+   drained always. *)
 
 (* Every k-th tenant is an aggressor. *)
 let aggressor_every = 2
@@ -94,7 +95,6 @@ type result = {
   upgrade_committed : int;
   upgrade_rollbacks : int;
   max_blackout : Time.t;
-  pool_leak_bytes : int;
 }
 
 let run (cfg : config) : result =
@@ -246,10 +246,6 @@ let run (cfg : config) : result =
         else acc)
       0 all_tenants
   in
-  let pool_leak_bytes =
-    Memory.Pool.in_use (PE.op_pool h_guest.Snap.Host.pony)
-    + Memory.Pool.in_use (PE.op_pool h_srv.Snap.Host.pony)
-  in
   let committed =
     List.length
       (List.filter
@@ -293,7 +289,6 @@ let run (cfg : config) : result =
     upgrade_committed = committed;
     upgrade_rollbacks = rollbacks;
     max_blackout;
-    pool_leak_bytes;
   }
 
 (* Same discipline as the other workloads: semantic counters only.
@@ -321,5 +316,4 @@ let fingerprint (r : result) : string =
   add "reclaimed_bytes" r.reclaimed_bytes;
   add "upgrade_committed" r.upgrade_committed;
   add "upgrade_rollbacks" r.upgrade_rollbacks;
-  add "pool_leak" r.pool_leak_bytes;
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -60,7 +60,6 @@ type result = {
   upgrade_committed : int;
   upgrade_rollbacks : int;
   max_blackout : Sim.Time.t;
-  pool_leak_bytes : int;
 }
 
 val run : config -> result

@@ -209,11 +209,11 @@ let golden_fingerprints =
   [
     ("chaos", "46c9663e97fbce7e57488573e9fa79dc");
     ("chaos_upgrade", "8583f15b2fbc0ea55754fceed2384db6");
-    ("overload", "0db12d26a4645792755dd6510b93ea6c");
-    ("partition", "8758a7150a74290324a26aa95013c723");
-    ("tenants", "378dfdbe3e1f33478994b192ea1f00da");
-    ("churn", "c48ff1c6761d5fcbd242f6356a731eda");
-    ("hostile", "63bc9ebc35872bedf7d37ed3fa4894fb");
+    ("overload", "bbd2d90def45565ad278d09a63a09e6c");
+    ("partition", "993344ff5d09ac3438a1a8e5a00c32c1");
+    ("tenants", "fe9f65daa9d2ed1396ae05a319a50478");
+    ("churn", "03a2f6461424a177aa5dfdaa1e0bbb3e");
+    ("hostile", "8a638e77cce11f6351bdd4160f2820c4");
   ]
 
 (* Every spec at sweep size: its acceptance checks hold, its fingerprint
