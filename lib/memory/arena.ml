@@ -7,11 +7,7 @@
    checked no-op, never a use-after-free.
 
    A handle packs (generation, index) into an immediate int, so
-   minting, storing and comparing one allocates nothing.
-
-   Iteration walks slots in ascending index order, which depends only
-   on the allocation/free history — never on hash seeds — so scans
-   stay deterministic under [OCAMLRUNPARAM=R]. *)
+   minting, storing and comparing one allocates nothing. *)
 
 type handle = int
 
@@ -30,8 +26,9 @@ type 'a t = {
 
 let handle_of t i = (t.gens.(i) lsl idx_bits) lor i
 
-let create ?(initial = 64) () =
-  let initial = Int.max 8 initial in
+let initial = 64
+
+let create () =
   {
     data = Array.make initial None;
     gens = Array.make initial 0;
@@ -103,26 +100,3 @@ let take t h =
     release t i;
     v
   end
-
-let iter t f =
-  for i = 0 to t.high - 1 do
-    match t.data.(i) with
-    | Some v -> f (handle_of t i) v
-    | None -> ()
-  done
-
-let fold t f acc =
-  let acc = ref acc in
-  iter t (fun h v -> acc := f !acc h v);
-  !acc
-
-let clear t =
-  for i = 0 to t.high - 1 do
-    match t.data.(i) with
-    | Some _ ->
-        t.data.(i) <- None;
-        t.gens.(i) <- (t.gens.(i) + 1) land gen_mask
-    | None -> ()
-  done;
-  t.free_top <- 0;
-  t.high <- 0

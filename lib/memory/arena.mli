@@ -6,9 +6,8 @@
     [None] and [free] returns [false].  Stale access is a checked
     no-op, never a use-after-free.
 
-    Iteration order is ascending slot index, a pure function of the
-    allocation/free history — deterministic under [OCAMLRUNPARAM=R],
-    unlike [Hashtbl] folds. *)
+    The NIC and the fabric park packets here while a {!Sim.Loop}
+    handler event carries their handle. *)
 
 type handle = int
 (** A generation-tagged reference to an arena slot: an int packing
@@ -18,9 +17,8 @@ type handle = int
 
 type 'a t
 
-val create : ?initial:int -> unit -> 'a t
-(** [create ()] makes an empty arena.  [initial] (default 64) sizes the
-    backing arrays; they double as needed. *)
+val create : unit -> 'a t
+(** An empty arena of 64 slots; the backing arrays double as needed. *)
 
 val alloc : 'a t -> 'a -> handle
 (** O(1) amortized.  Reuses the most recently freed slot first. *)
@@ -37,12 +35,3 @@ val take : 'a t -> handle -> 'a option
 (** [get] then [free]: the value, with its slot vacated so the arena no
     longer retains it.  [None] (and no effect) if the handle is stale.
     Allocates nothing. *)
-
-val iter : 'a t -> (handle -> 'a -> unit) -> unit
-(** Ascending slot-index order; skips free slots. *)
-
-val fold : 'a t -> ('b -> handle -> 'a -> 'b) -> 'b -> 'b
-
-val clear : 'a t -> unit
-(** Free every slot (bumping generations) and reset the high-water
-    mark. *)

@@ -14,7 +14,7 @@ type 'a t = {
   mutable keys : int array;  (* [vacant] marks an empty slot *)
   mutable vals : 'a array;
   mutable size : int;
-  mutable shift : int;  (* [Sys.int_size] minus log2 of the slot count *)
+  mutable bits : int;  (* log2 of the slot count *)
   dummy : 'a;
 }
 
@@ -23,12 +23,12 @@ let create ~dummy () =
     keys = Array.make (1 lsl initial_bits) vacant;
     vals = Array.make (1 lsl initial_bits) dummy;
     size = 0;
-    shift = Sys.int_size - initial_bits;
+    bits = initial_bits;
     dummy;
   }
 
 let length t = t.size
-let home t k = (k * golden) lsr t.shift
+let home ~bits k = (k * golden) lsr (Sys.int_size - bits)
 
 (* The slot holding [k], or -1.  Loops, not local recursive functions,
    here and below: a closure per call would allocate on every lookup. *)
@@ -36,7 +36,7 @@ let slot t k =
   if k < 0 then -1
   else begin
     let mask = Array.length t.keys - 1 in
-    let i = ref (home t k) in
+    let i = ref (home ~bits:t.bits k) in
     while t.keys.(!i) <> k && t.keys.(!i) <> vacant do
       i := (!i + 1) land mask
     done;
@@ -50,7 +50,7 @@ let find t k =
 (* Store [k] in its probe run's first vacant slot; [k] is unbound. *)
 let insert t k v =
   let mask = Array.length t.keys - 1 in
-  let i = ref (home t k) in
+  let i = ref (home ~bits:t.bits k) in
   while t.keys.(!i) <> vacant do
     i := (!i + 1) land mask
   done;
@@ -62,7 +62,7 @@ let resize t bits =
   let keys = t.keys and vals = t.vals in
   t.keys <- Array.make (1 lsl bits) vacant;
   t.vals <- Array.make (1 lsl bits) t.dummy;
-  t.shift <- Sys.int_size - bits;
+  t.bits <- bits;
   t.size <- 0;
   Array.iteri (fun i k -> if k <> vacant then insert t k vals.(i)) keys
 
@@ -72,7 +72,7 @@ let replace t k v =
   if i >= 0 then t.vals.(i) <- v
   else begin
     if 2 * (t.size + 1) > Array.length t.keys then
-      resize t (Sys.int_size - t.shift + 1);
+      resize t (t.bits + 1);
     insert t k v
   end
 
@@ -84,7 +84,7 @@ let remove t k =
        every entry whose home does not lie cyclically in (hole, j]. *)
     let hole = ref i and j = ref ((i + 1) land mask) in
     while t.keys.(!j) <> vacant do
-      let h = home t t.keys.(!j) in
+      let h = home ~bits:t.bits t.keys.(!j) in
       let stays =
         if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j
       in
@@ -103,5 +103,5 @@ let remove t k =
 let reset t =
   t.keys <- Array.make (1 lsl initial_bits) vacant;
   t.vals <- Array.make (1 lsl initial_bits) t.dummy;
-  t.shift <- Sys.int_size - initial_bits;
+  t.bits <- initial_bits;
   t.size <- 0

@@ -29,3 +29,9 @@ val length : 'a t -> int
 
 val reset : 'a t -> unit
 (** Remove every binding and shrink back to the initial size. *)
+
+val home : bits:int -> int -> int
+(** [home ~bits k] is the slot where key [k]'s probe run starts in a
+    table of [2^bits] slots: the top [bits] bits of [k] times an odd
+    constant near 2^63 / phi (Fibonacci hashing).  For an index that
+    keeps its own slot array and probes linearly from here. *)

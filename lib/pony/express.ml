@@ -106,7 +106,6 @@ and conn = {
   c_flow : Flow.t;
   mutable credit : int;
   mutable state : conn_state;
-  mutable last_heard : Time.t;  (* any item for this conn counts as life *)
   mutable ext : conn_ext;  (* [no_ext] until the half first needs one *)
 }
 
@@ -115,7 +114,8 @@ and conn = {
    on the first of these (see [ext_of]) and keeps it; until then [ext]
    is the shared, never-written [no_ext], whose queue is empty, whose
    counts are zero and whose timers are unarmed.  Keepalive hosts give
-   every half one at connect, when its watch starts. *)
+   every half one at connect, when its watch starts, so [last_heard],
+   which only the keepalive path reads, lives here too. *)
 and conn_ext = {
   waiting : command Queue.t;  (* credit-starved sends, in post order *)
   (* Open reassemblies of items arriving on this half, by ascending op
@@ -137,6 +137,7 @@ and conn_ext = {
   mutable ka_queued : bool;
   mutable ka_base : Time.t;  (* watch epoch: silence measured from here *)
   mutable ka_sent_at : Time.t;  (* last keepalive probe we enqueued *)
+  mutable last_heard : Time.t;  (* any item for this conn counts as life *)
 }
 
 and asm = {
@@ -175,13 +176,18 @@ and eng = {
      clients, not everything the engine owns. *)
   active_flows : Sim.Bitset.t;
   busy_clients : Sim.Bitset.t;
-  (* Conn storage is a generation-tagged flat arena, walked in creation
-     order by peer teardown; [conn_index] finds a half from the key an item
-     carries.  Both halves of a conn never share an engine (no
-     loopback), and sessions are unique per initiator for the whole
-     run, so [conn_slot] of the key names at most one half here. *)
-  conn_arena : conn Memory.Arena.t;
-  conn_index : Memory.Arena.handle Memory.Int_table.t;
+  (* The engine's conn halves in creation order, in the first
+     [n_halves] slots.  A half is never removed: Dead and Closed halves stay to
+     answer late items with a reset, and only a crash wipes them.
+     Walks (peer teardown, crash, reclaim checks) go in this order. *)
+  mutable halves : conn array;
+  mutable n_halves : int;
+  (* Finds a half from the key an item carries: each slot holds a
+     position in [halves] or -1; a key's probe starts at its
+     [conn_slot]'s home ([Memory.Int_table.home]) and runs linearly.
+     At most half the [2 ^ index_bits] slots are full. *)
+  mutable half_index : int array;
+  mutable index_bits : int;
   mutable open_asms : int;  (* open reassemblies over this engine's halves *)
   (* Per-engine timing wheel: per-conn deadline and keepalive timers
      arm/cancel O(1) here instead of rescanning the conn table.  Fired
@@ -216,11 +222,12 @@ and t = {
      alias items still in flight from a dead predecessor.  Unique
      within this host; [initiator_host] in the key makes it global. *)
   mutable next_session : int;
-  (* Clients live in a flat arena (ascending-index iteration is cid
-     order, so folds are deterministic without sorting); the table maps
-     cid -> handle for lookup. *)
-  clients_arena : client Memory.Arena.t;
-  clients_tbl : (int, Memory.Arena.handle) Hashtbl.t;
+  (* The [next_cid - first_cid] clients made since the last crash, in
+     cid order: [clients.(i)] has cid [first_cid + i].  A client is
+     never removed; a crash empties the array and moves [first_cid] to
+     [next_cid], as cids are never reused. *)
+  mutable clients : client array;
+  mutable first_cid : int;
   gen : Packet.Id_gen.t;
   mutable rr_assign : int;
   (* This host's counters; the registry names the latest host on an
@@ -313,10 +320,12 @@ let remote_client c =
 let compare_half a b =
   compare (a.ckey, a.we_are_initiator) (b.ckey, b.we_are_initiator)
 
-(* [conn_index] key of a conn key: the initiator's address in the low bits,
+(* Probe key of a conn key: the initiator's address in the low bits,
    its session above.  Unique per (initiator host, session), so
    injective while addresses stay below [2 ^ slot_host_bits], which
-   [connect] checks. *)
+   [connect] checks.  Both halves of a conn never share an engine (no
+   loopback), and sessions are unique per initiator for the whole run,
+   so it names at most one half of an engine. *)
 let slot_host_bits = 20
 let conn_slot (k : Wire.conn_key) =
   (k.Wire.session lsl slot_host_bits) lor k.Wire.initiator_host
@@ -339,6 +348,7 @@ let new_ext ~now =
     ka_queued = false;
     ka_base = now;
     ka_sent_at = now;
+    last_heard = now;
   }
 
 let no_ext = new_ext ~now:0
@@ -354,16 +364,18 @@ let ext_of conn =
     e
   end
 
-(* Arena index order is cid order (allocation order, slots never reused
-   until a crash clears the arena), so this fold is deterministic under
-   randomized hashing without any sort. *)
+(* In cid order, so deterministic under randomized hashing without a
+   sort. *)
 let fold_clients t f init =
-  Memory.Arena.fold t.clients_arena (fun acc _ c -> f acc c) init
+  let acc = ref init in
+  for i = 0 to t.next_cid - t.first_cid - 1 do
+    acc := f !acc t.clients.(i)
+  done;
+  !acc
 
 let find_client t cid =
-  match Hashtbl.find_opt t.clients_tbl cid with
-  | None -> None
-  | Some h -> Memory.Arena.get t.clients_arena h
+  if cid >= t.first_cid && cid < t.next_cid then Some t.clients.(cid - t.first_cid)
+  else None
 let client_ops_shed c = Stats.Counter.value c.c_shed
 let client_ops_expired c = Stats.Counter.value c.c_expired
 let ops_shed t = fold_clients t (fun acc c -> acc + client_ops_shed c) 0
@@ -499,6 +511,20 @@ let fit a i fill =
     Array.blit a 0 b 0 (Array.length a);
     b
   end
+
+(* [a], or a copy of its first [n] slots twice as long when it is full,
+   with [x] stored at [n]. *)
+let push a n x =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let b = Array.make (Int.max 8 (2 * n)) x in
+      Array.blit a 0 b 0 n;
+      b
+    end
+  in
+  a.(n) <- x;
+  a
 
 (* This engine's flow to engine [engine] of host [host], made on first
    use.  Only a new flow builds its key. *)
@@ -726,29 +752,60 @@ let exec_one_sided cost client (op : Wire.one_sided) =
 
 (* -- Receive-side upper layer ------------------------------------------- *)
 
-(* The half [ckey] names here, if it is the side [we_init] says: one
-   int-keyed probe, then every key field compared as ints, so a stale
-   or foreign key misses instead of aliasing.  Returns the option stored
-   in the arena, so a lookup allocates nothing. *)
+(* The half [ckey] names here, if it is the side [we_init] says, else
+   [Not_found]: a candidate counts once its side and every key field
+   compare equal as ints, so a stale or foreign key misses instead of
+   aliasing.  A loop that returns the half itself allocates nothing. *)
 let find_conn eng (ckey : Wire.conn_key) ~we_init =
-  match Memory.Int_table.find eng.conn_index (conn_slot ckey) with
-  | h -> (
-      match Memory.Arena.get eng.conn_arena h with
-      | Some c as found
-        when c.we_are_initiator = we_init
-             && c.ckey.Wire.initiator_host = ckey.Wire.initiator_host
-             && c.ckey.Wire.initiator_client = ckey.Wire.initiator_client
-             && c.ckey.Wire.target_host = ckey.Wire.target_host
-             && c.ckey.Wire.target_client = ckey.Wire.target_client
-             && c.ckey.Wire.session = ckey.Wire.session ->
-          found
-      | Some _ | None -> None)
-  | exception Not_found -> None
+  let idx = eng.half_index in
+  let mask = Array.length idx - 1 in
+  let i = ref (Memory.Int_table.home ~bits:eng.index_bits (conn_slot ckey)) in
+  let found = ref (-1) in
+  while !found < 0 && idx.(!i) >= 0 do
+    let c = eng.halves.(idx.(!i)) in
+    if
+      c.ckey.Wire.session = ckey.Wire.session
+      && c.ckey.Wire.initiator_host = ckey.Wire.initiator_host
+      && c.we_are_initiator = we_init
+      && c.ckey.Wire.initiator_client = ckey.Wire.initiator_client
+      && c.ckey.Wire.target_host = ckey.Wire.target_host
+      && c.ckey.Wire.target_client = ckey.Wire.target_client
+    then found := idx.(!i)
+    else i := (!i + 1) land mask
+  done;
+  if !found < 0 then raise Not_found else eng.halves.(!found)
 
-(* Install a conn into the arena and the lookup table. *)
+(* Put position [pos] of [halves] in its probe run's first vacant
+   slot. *)
+let index_half eng pos =
+  let idx = eng.half_index in
+  let mask = Array.length idx - 1 in
+  let k = conn_slot eng.halves.(pos).ckey in
+  let i = ref (Memory.Int_table.home ~bits:eng.index_bits k) in
+  while idx.(!i) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  idx.(!i) <- pos
+
+(* Append a half and index it; both arrays double as needed, the index
+   before it would pass half full. *)
 let add_conn eng conn =
-  let h = Memory.Arena.alloc eng.conn_arena conn in
-  Memory.Int_table.replace eng.conn_index (conn_slot conn.ckey) h
+  let n = eng.n_halves in
+  eng.halves <- push eng.halves n conn;
+  eng.n_halves <- n + 1;
+  if 2 * (n + 1) > Array.length eng.half_index then begin
+    eng.index_bits <- eng.index_bits + 1;
+    eng.half_index <- Array.make (1 lsl eng.index_bits) (-1);
+    for pos = 0 to n do
+      index_half eng pos
+    done
+  end
+  else index_half eng n
+
+let iter_halves eng f =
+  for i = 0 to eng.n_halves - 1 do
+    f eng.halves.(i)
+  done
 
 (* Cancel a conn's wheel timers; every terminal transition funnels
    through here so dead conns never wake the wheel again.  A timer is
@@ -882,11 +939,11 @@ let drop_asms conn =
    on neither creation nor hash order. *)
 let halves_with_asms eng =
   if eng.open_asms = 0 then []
-  else
-    Memory.Arena.fold eng.conn_arena
-      (fun acc _ c -> if c.ext.n_asm > 0 then c :: acc else acc)
-      []
-    |> List.sort compare_half
+  else begin
+    let acc = ref [] in
+    iter_halves eng (fun c -> if c.ext.n_asm > 0 then acc := c :: !acc);
+    List.sort compare_half !acc
+  end
 
 let add_outstanding conn op_id ~issued =
   let e = ext_of conn in
@@ -1048,9 +1105,9 @@ let reset_back eng ckey ~reverse_flow =
 let forget_peer cost t ~peer ~reason =
   List.iter
     (fun eng ->
-      (* Arena index order = conn creation order: deterministic without
-         a sort even under randomized hashing. *)
-      Memory.Arena.iter eng.conn_arena (fun _ conn ->
+      (* Creation order: deterministic without a sort even under
+         randomized hashing. *)
+      iter_halves eng (fun conn ->
           if remote_host conn = peer then kill_conn cost conn ~reason);
       if peer < Array.length eng.flows then eng.flows.(peer) <- [||];
       install_flows eng
@@ -1105,17 +1162,13 @@ let check_peer_reclaim t =
       match acc with
       | Some _ -> acc
       | None -> (
-          let first =
-            Memory.Arena.fold eng.conn_arena
-              (fun first _ c ->
-                if not (holds_orphans c) then first
-                else
-                  match first with
-                  | Some f when compare_half f c <= 0 -> first
-                  | Some _ | None -> Some c)
-              None
-          in
-          match first with
+          let first = ref None in
+          iter_halves eng (fun c ->
+              if holds_orphans c then
+                match !first with
+                | Some f when compare_half f c <= 0 -> ()
+                | Some _ | None -> first := Some c);
+          match !first with
           | None -> None
           | Some conn ->
               let e = conn.ext in
@@ -1289,8 +1342,9 @@ let message_done eng cost conn ~op_id ~stream ~total ~reverse_flow =
   match t.ce with
   | Some ce when t.use_ce ->
       Nic.Copy_engine.submit ce ~bytes:total ~on_complete:(fun () ->
-          deliver_message eng (ref 0) ~conn ~op_id ~stream ~total ~reverse_flow;
-          Sched.softirq_charge t.mach 0;
+          let notify_cost = ref 0 in
+          deliver_message eng notify_cost ~conn ~op_id ~stream ~total ~reverse_flow;
+          Sched.softirq_charge t.mach !notify_cost;
           Engine.notify eng.core)
   | Some _ | None -> deliver_message eng cost ~conn ~op_id ~stream ~total ~reverse_flow
 
@@ -1305,8 +1359,8 @@ let conn_item eng cost conn ckey (item : Wire.item) ~reverse_flow =
   let t = eng.e_host in
   let now = Loop.now t.lp in
   (* Any item carried on a live conn counts as life for dead-peer
-     detection. *)
-  conn.last_heard <- now;
+     detection, which only a keepalive host runs. *)
+  (match t.ka with Some _ -> (ext_of conn).last_heard <- now | None -> ());
   (* Traffic (re)starts the quiesce-aware keepalive watch — except the
      probe cycle itself.  A probe or its answer is proof of life, not
      interest: feeding it back into [ensure_ka] would let the watches on
@@ -1430,9 +1484,9 @@ let handle_item eng cost ~from_host (item : Wire.item) ~reverse_flow =
   | Wire.Keepalive_ack { conn = ckey } -> (
       let we_init = not (ckey.Wire.initiator_host = from_host) in
       match find_conn eng ckey ~we_init with
-      | Some conn when not (conn_is_dead conn) ->
+      | conn when not (conn_is_dead conn) ->
           conn_item eng cost conn ckey item ~reverse_flow
-      | Some _ | None -> (
+      | _ | (exception Not_found) -> (
           match item with
           | Wire.Conn_reset _ -> ()
           | _ -> reset_back eng ckey ~reverse_flow))
@@ -1721,7 +1775,7 @@ let engine_run eng =
             (* Silence counts from the later of the last packet heard
                and the start of this watch epoch: a watch resumed after
                a quiet spell must not inherit that spell as misses. *)
-            let anchor = Time.max conn.last_heard e.ka_base in
+            let anchor = Time.max e.last_heard e.ka_base in
             let silence = Time.sub now anchor in
             if silence >= death_after then begin
               worked := true;
@@ -1884,8 +1938,10 @@ let new_engine t =
       flow_arr = [||];
       active_flows = Sim.Bitset.create ();
       busy_clients = Sim.Bitset.create ();
-      conn_arena = Memory.Arena.create ~initial:64 ();
-      conn_index = Memory.Int_table.create ~dummy:(-1) ();
+      halves = [||];
+      n_halves = 0;
+      half_index = [| -1 |];
+      index_bits = 0;
       open_asms = 0;
       wheel = Sim.Wheel.create ~loop:t.lp ();
       deadline_due = Queue.create ();
@@ -1994,8 +2050,8 @@ let create ~directory ~control ~machine ~nic ~group ?(engines = 1)
       engs = [];
       next_cid = 0;
       next_session = 0;
-      clients_arena = Memory.Arena.create ~initial:32 ();
-      clients_tbl = Hashtbl.create 32;
+      clients = [||];
+      first_cid = 0;
       gen = Packet.Id_gen.create ();
       rr_assign = 0;
       c_corrupt = Stats.Registry.counter ~labels "pony_corrupt_dropped";
@@ -2093,10 +2149,11 @@ let crash_host t =
         install_flows eng [||];
         (* Per-conn wheel timers die with their conns; stale fires on
            timers already past cancellation are checked no-ops. *)
-        Memory.Arena.iter eng.conn_arena (fun _ conn ->
-            cancel_conn_timers conn);
-        Memory.Arena.clear eng.conn_arena;
-        Memory.Int_table.reset eng.conn_index;
+        iter_halves eng cancel_conn_timers;
+        eng.halves <- [||];
+        eng.n_halves <- 0;
+        eng.half_index <- [| -1 |];  (* one vacant slot, as when created *)
+        eng.index_bits <- 0;
         Queue.clear eng.deadline_due;
         Queue.clear eng.ka_due;
         eng.eclients <- [||];
@@ -2112,8 +2169,8 @@ let crash_host t =
         ignore (Memory.Pool.release_owner t.op_pool ~owner:c.c_owner);
         match c.app_task with Some task -> Sched.kick task | None -> ())
       ();
-    Memory.Arena.clear t.clients_arena;
-    Hashtbl.reset t.clients_tbl;
+    t.clients <- [||];
+    t.first_cid <- t.next_cid;
     (* Host memory is gone — including what it knew of peer
        incarnations. *)
     Array.fill t.peer_inc 0 (Array.length t.peer_inc) (-1)
@@ -2194,7 +2251,7 @@ let create_client ctx t ~name ?(exclusive_engine = false) ?(max_ops = 65536)
     }
   in
   eng.eclients <- Array.append eng.eclients [| client |];
-  Hashtbl.replace t.clients_tbl cid (Memory.Arena.alloc t.clients_arena client);
+  t.clients <- push t.clients (cid - t.first_cid) client;
   (* Admission accounting bounds and SPSC occupancy: outstanding counts
      stay within quota, every held charge is accounted, and the
      shared-memory queues never report more than their capacity. *)
@@ -2295,7 +2352,6 @@ let connect ctx client ~dst_host ~dst_client =
       c_flow;
       credit = initial_credit_bytes;
       state = Established;
-      last_heard = Loop.now t.lp;
       ext = no_ext;
     }
   in

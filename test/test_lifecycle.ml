@@ -378,14 +378,16 @@ let test_crash_restart_reconnect () =
    re-dialed must miss the new conn and draw a reset.  Host 0 dials the
    server and sends one message; the fault hook holds that packet for
    3 ms.  Host 1 crashes at 1 ms, restarts at 2 ms, re-registers and
-   dials host 0's client back; the late item reaches it after that.  It
-   must draw a reset and leave the new conn alone: the conn stays
-   established, carries exactly its own echoes, and its halves' credit
-   invariants (armed by the checker) hold throughout.  The late item
-   does take a sequence number in the restarted host's new flow, so
-   the surviving host's item with that number is later dropped as a
-   duplicate; that flow-layer gap is why the test does not ask for the
-   whole initial credit back. *)
+   dials host 0's client back; the late item reaches it after that.
+   The crash emptied host 1's conn halves, so the new conn's half took
+   the position the pre-crash half held, and the late item's key must
+   miss it there.  It must draw a reset and leave the new conn alone:
+   the conn stays established, carries exactly its own echoes, and its
+   halves' credit invariants (armed by the checker) hold throughout.
+   The late item does take a sequence number in the restarted host's
+   new flow, so the surviving host's item with that number is later
+   dropped as a duplicate; that flow-layer gap is why the test does not
+   ask for the whole initial credit back. *)
 let test_stale_key_after_restart () =
   Check.Invariant.set_enabled true;
   Check.Invariant.begin_run ();

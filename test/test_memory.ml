@@ -116,23 +116,19 @@ let test_region_bounds () =
 
 (* -- Arena ------------------------------------------------------------- *)
 
-let arena_live a = Memory.Arena.fold a (fun n _ _ -> n + 1) 0
-
+(* 200 values outgrow the first 64 slots twice. *)
 let test_arena_alloc_get_free () =
-  let a = Memory.Arena.create ~initial:2 () in
-  let h1 = Memory.Arena.alloc a "one" in
-  let h2 = Memory.Arena.alloc a "two" in
-  let h3 = Memory.Arena.alloc a "three" in
-  check_int "live" 3 (arena_live a);
-  Alcotest.(check (option string)) "get" (Some "two") (Memory.Arena.get a h2);
-  check_bool "free" true (Memory.Arena.free a h2);
-  check_int "live after free" 2 (arena_live a);
-  Alcotest.(check (option string)) "stale get" None (Memory.Arena.get a h2);
-  Alcotest.(check (list string))
-    "iteration is index order" [ "one"; "three" ]
-    (List.rev (Memory.Arena.fold a (fun acc _ v -> v :: acc) []));
-  ignore h1;
-  ignore h3
+  let a = Memory.Arena.create () in
+  let hs = Array.init 200 (fun i -> Memory.Arena.alloc a i) in
+  check_bool "every value behind its handle" true
+    (Array.for_all Fun.id
+       (Array.mapi (fun i h -> Memory.Arena.get a h = Some i) hs));
+  check_bool "free" true (Memory.Arena.free a hs.(100));
+  Alcotest.(check (option int)) "stale get" None (Memory.Arena.get a hs.(100));
+  Alcotest.(check (option int)) "neighbours stay" (Some 101)
+    (Memory.Arena.get a hs.(101));
+  Alcotest.(check (option int)) "first slot stays" (Some 0)
+    (Memory.Arena.get a hs.(0))
 
 let test_arena_stale_handle_is_noop () =
   (* Mirrors Pool.release_owner: a handle minted under an older
@@ -149,25 +145,27 @@ let test_arena_stale_handle_is_noop () =
   Alcotest.(check (option int)) "new handle still live" (Some 2)
     (Memory.Arena.get a h')
 
-let test_arena_clear () =
+(* [take] is how the NIC and the fabric collect a parked packet: it
+   hands the value back once and vacates the slot, so a second take on
+   the same handle is a checked miss even after the slot is reused. *)
+let test_arena_take () =
   let a = Memory.Arena.create () in
-  let hs = List.init 5 (fun i -> Memory.Arena.alloc a i) in
-  Memory.Arena.clear a;
-  check_int "empty" 0 (arena_live a);
-  List.iter
-    (fun h ->
-      Alcotest.(check (option int)) "all handles stale" None
-        (Memory.Arena.get a h))
-    hs;
-  let h = Memory.Arena.alloc a 9 in
-  Alcotest.(check (option int)) "usable after clear" (Some 9)
-    (Memory.Arena.get a h)
+  let h = Memory.Arena.alloc a "pkt" in
+  Alcotest.(check (option string)) "take returns the value" (Some "pkt")
+    (Memory.Arena.take a h);
+  Alcotest.(check (option string)) "slot vacated" None (Memory.Arena.get a h);
+  let h' = Memory.Arena.alloc a "next" in
+  Alcotest.(check (option string)) "second take misses" None
+    (Memory.Arena.take a h);
+  Alcotest.(check (option string)) "new occupant untouched" (Some "next")
+    (Memory.Arena.take a h');
+  check_bool "taken handle cannot be freed" false (Memory.Arena.free a h')
 
 let arena_prop_generations =
   QCheck.Test.make ~name:"arena handles never alias across reuse" ~count:200
     QCheck.(list (int_bound 9))
     (fun ops ->
-      let a = Memory.Arena.create ~initial:2 () in
+      let a = Memory.Arena.create () in
       let live = Hashtbl.create 16 in
       let freed = ref [] in
       let next = ref 0 in
@@ -193,7 +191,9 @@ let arena_prop_generations =
                      (fun h -> Memory.Arena.get a h = None)
                      !freed)
         ops
-      && arena_live a = Hashtbl.length live)
+      && Hashtbl.fold
+           (fun h v ok -> ok && Memory.Arena.get a h = Some v)
+           live true)
 
 (* -- Int_table ---------------------------------------------------------- *)
 
@@ -267,7 +267,7 @@ let () =
           Alcotest.test_case "alloc/get/free" `Quick test_arena_alloc_get_free;
           Alcotest.test_case "stale handle no-op" `Quick
             test_arena_stale_handle_is_noop;
-          Alcotest.test_case "clear" `Quick test_arena_clear;
+          Alcotest.test_case "take vacates its slot" `Quick test_arena_take;
           QCheck_alcotest.to_alcotest arena_prop_generations;
         ] );
       ( "table",

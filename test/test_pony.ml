@@ -547,6 +547,103 @@ let test_pony_sibling_conns () =
   check_int "no peer deaths" 0
     (Pony.Express.peer_deaths a.pony + Pony.Express.peer_deaths b.pony)
 
+(* An engine finds a conn half from an item's key through an index that
+   doubles as it fills.  Four clients each dial 1,000 conns to two
+   servers, so each host's one engine holds 4,000 halves and its index
+   has grown from one slot through thirteen doublings.  Each conn
+   carries one message on a stream of its own, which the server echoes
+   on the conn it arrived on: every message must reach the server its
+   conn was dialed to exactly once, and every echo must come back once,
+   on the conn that sent it. *)
+let test_pony_conn_routing_at_scale () =
+  let loop, hosts = mk_cluster () in
+  let a = List.nth hosts 0 and b = List.nth hosts 1 in
+  let clients = 4 and per_client = 1000 and servers = 2 in
+  let n = clients * per_client in
+  let received = Array.make n 0 and echoed = Array.make n 0 in
+  let wrong_server = ref 0 and wrong_conn = ref 0 in
+  for s = 0 to servers - 1 do
+    let name = Printf.sprintf "server%d" s in
+    spawn b name (fun ctx ->
+        let c = Pony.Express.create_client ctx b.pony ~name () in
+        while true do
+          let m = Pony.Express.await_message ctx c in
+          let stream = m.Pony.Express.stream in
+          received.(stream) <- received.(stream) + 1;
+          if stream mod servers <> s then incr wrong_server;
+          ignore
+            (Pony.Express.send_message ctx m.Pony.Express.msg_conn ~stream
+               ~bytes:64 ())
+        done)
+  done;
+  for k = 0 to clients - 1 do
+    spawn a (Printf.sprintf "client%d" k) (fun ctx ->
+        let c =
+          Pony.Express.create_client ctx a.pony ~name:(Printf.sprintf "client%d" k) ()
+        in
+        Cpu.Thread.sleep ctx (T.us 500);
+        let first = k * per_client in
+        let conns =
+          Array.init per_client (fun j ->
+              Pony.Express.connect_by_name ctx c ~dst_host:1
+                ~dst_name:(Printf.sprintf "server%d" ((first + j) mod servers)))
+        in
+        Array.iteri
+          (fun j conn ->
+            ignore
+              (Pony.Express.send_message ctx conn ~stream:(first + j) ~bytes:64 ()))
+          conns;
+        for _ = 1 to per_client do
+          let m = Pony.Express.await_message ctx c in
+          let stream = m.Pony.Express.stream in
+          echoed.(stream) <- echoed.(stream) + 1;
+          let j = stream - first in
+          if j < 0 || j >= per_client || m.Pony.Express.msg_conn != conns.(j) then
+            incr wrong_conn
+        done)
+  done;
+  Sim.Loop.run ~until:(T.ms 200) loop;
+  check_int "conns established on both hosts" (2 * n)
+    (Pony.Express.conns_established a.pony + Pony.Express.conns_established b.pony);
+  check_int "every message arrived exactly once" n
+    (Array.fold_left (fun k r -> if r = 1 then k + 1 else k) 0 received);
+  check_int "at the server its conn was dialed to" 0 !wrong_server;
+  check_int "every echo came back exactly once" n
+    (Array.fold_left (fun k r -> if r = 1 then k + 1 else k) 0 echoed);
+  check_int "on the conn that sent it" 0 !wrong_conn;
+  check_int "no resets" 0
+    (Pony.Express.conn_resets_sent a.pony + Pony.Express.conn_resets_sent b.pony)
+
+(* With the copy engine, a message reaches its app when the copy lands,
+   outside any engine pass, so the app notification is charged to the
+   receiving host's softirq account: at least [thread_notify] per
+   message. *)
+let test_pony_copy_engine_notify_charged () =
+  let loop, hosts = mk_cluster ~use_copy_engine:true () in
+  let a = List.nth hosts 0 and b = List.nth hosts 1 in
+  let n = 50 in
+  let got = ref 0 in
+  spawn b "server" (fun ctx ->
+      let c = Pony.Express.create_client ctx b.pony ~name:"server" () in
+      while true do
+        ignore (Pony.Express.await_message ctx c);
+        incr got
+      done);
+  spawn a "client" (fun ctx ->
+      let c = Pony.Express.create_client ctx a.pony ~name:"client" () in
+      Cpu.Thread.sleep ctx (T.us 500);
+      let conn = Pony.Express.connect ctx c ~dst_host:1 ~dst_client:0 in
+      for _ = 1 to n do
+        ignore (Pony.Express.send_message ctx conn ~bytes:4096 ())
+      done);
+  Sim.Loop.run ~until:(T.ms 20) loop;
+  check_int "every message delivered" n !got;
+  let softirq = Cpu.Sched.account_busy_ns b.m "softirq" in
+  let floor = n * Sim.Costs.default.Sim.Costs.thread_notify in
+  check_bool
+    (Printf.sprintf "softirq %d ns covers %d notifications (%d ns)" softirq n floor)
+    true (softirq >= floor)
+
 (* The per-packet path's allocation budget.  One client streams 64 KiB
    messages between two hosts with one dedicated engine each (MTU 5000);
    over a steady window, minor-heap words per packet sent by either NIC
@@ -602,7 +699,7 @@ let test_pony_packet_alloc_budget () =
    arenas only; the app keeps no reference.  Optrace capture is one
    more input: the case runs with it off and on, and a half keeps no
    tracing state of its own, so both measure the same. *)
-let conn_words_budget = 64.0
+let conn_words_budget = 40.0
 
 let conn_state_words ~capture =
   Sim.Optrace.set_capture capture;
@@ -793,6 +890,10 @@ let () =
           Alcotest.test_case "credit flow control" `Quick test_pony_flow_stats_and_credit;
           Alcotest.test_case "streaming throughput" `Slow test_pony_streaming_throughput;
           Alcotest.test_case "sibling conns stay live" `Quick test_pony_sibling_conns;
+          Alcotest.test_case "conn routing through index growth" `Quick
+            test_pony_conn_routing_at_scale;
+          Alcotest.test_case "copy-engine delivery charges softirq" `Quick
+            test_pony_copy_engine_notify_charged;
           Alcotest.test_case "per-packet allocation budget" `Quick
             test_pony_packet_alloc_budget;
           Alcotest.test_case "table1 flat in streams" `Slow
